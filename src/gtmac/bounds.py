@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "GAUSSIAN_TAIL_CONSTANT",
     "ChannelUsePlan",
@@ -25,6 +27,7 @@ __all__ = [
     "slots_for_surplus_bound",
     "slots_for_exact_recovery",
     "theoretical_error_curve",
+    "exact_error_curve",
     "repetition_length",
     "channel_uses_closed_form",
     "plan_channel_uses",
@@ -106,6 +109,44 @@ def theoretical_error_curve(n_inactive: float, k: int, slots: int) -> float:
     if slots < 0:
         raise ValueError("slots must be >= 0")
     return min(1.0, n_inactive * math.exp(-slots / (math.e * (k + 1))))
+
+
+def exact_error_curve(n_inactive: int, k: int, p: float,
+                      levels) -> np.ndarray:
+    """Exact P(surplus > 0 after l slots) under the ideal oracle, for each l in ``levels``.
+
+    With r = (1-p)**k the number of useful slots among l is U ~ Bin(l, r), and
+    each inactive node survives u useful slots w.p. (1-p)**u independently, so
+    ``P(T > l) = 1 - E[(1 - (1-p)**U)**N] = E[1 - (1 - (1-p)**U)**N]``; the
+    second form is a sum of nonnegative terms and keeps small tail values
+    accurate.  Each level costs O(l); the binomial weights come from a
+    log-factorial table.
+    """
+    if n_inactive < 0 or k < 0:
+        raise ValueError("n_inactive and k must be >= 0")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    levels = np.asarray(levels, dtype=np.int64)
+    if levels.ndim != 1 or np.any(levels < 0):
+        raise ValueError("levels must be a sequence of slots >= 0")
+    if n_inactive == 0:
+        return np.zeros(len(levels))
+    top = int(levels.max(initial=0))
+    u = np.arange(top + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, top + 1)))))
+    r = (1.0 - p) ** k
+    with np.errstate(divide="ignore"):
+        log_r, log_not_r = np.log(r), np.log1p(-r)
+        some_left = -np.expm1(n_inactive * np.log1p(-np.power(1.0 - p, u)))
+    out = np.empty(len(levels))
+    for i, level in enumerate(levels):
+        useful, discarded = u[:level + 1], level - u[:level + 1]
+        with np.errstate(invalid="ignore"):  # 0 * -inf, masked by np.where
+            log_pmf = (log_fact[level] - log_fact[useful] - log_fact[discarded]
+                       + np.where(useful > 0, useful * log_r, 0.0)
+                       + np.where(discarded > 0, discarded * log_not_r, 0.0))
+        out[i] = np.exp(log_pmf) @ some_left[:level + 1]
+    return out
 
 
 def repetition_length(norm_bound: float, power: float, slot_error: float,

@@ -16,8 +16,9 @@ import configparser
 import math
 import os
 import secrets
-import statistics
 import sys
+
+import numpy as np
 
 from . import bounds as bnd
 from . import channel as chan
@@ -155,23 +156,28 @@ def _cmd_bounds(parser, args, conf) -> int:
     return 0
 
 
-def _summarize_until_exact(records) -> str:
-    finished = [r.slots_until_exact for r in records if r.slots_until_exact is not None]
-    censored = len(records) - len(finished)
-    med = statistics.median(finished) if finished else float("nan")
-    mx = max(finished) if finished else float("nan")
-    return (f"trials = {len(records)}  median_slots = {med}  max_slots = {mx}"
-            f"  censored = {censored}")
+def _summarize_until_exact(slots) -> str:
+    finished = np.sort(slots[slots >= 0])
+    count = len(finished)
+    if count == 0:
+        med = mx = float("nan")
+    else:  # statistics.median's result and type: an int, or a float mean of two
+        half = count // 2
+        med = (int(finished[half]) if count % 2 else
+               (int(finished[half - 1]) + int(finished[half])) / 2)
+        mx = int(finished[-1])
+    return (f"trials = {len(slots)}  median_slots = {med}  max_slots = {mx}"
+            f"  censored = {len(slots) - count}")
 
 
 def _run_until_exact_curve(n, k, p, trials, seed, cap, grid, out, threads) -> None:
     cfg = harness.ExperimentConfig(
         n_inactive=n, k=k, mode="until_exact", choice_probability=p,
         trials=trials, seed_base=seed, slot_cap=cap)
-    records = harness.run_until_exact_batch(cfg, workers=threads)
-    curve = harness.build_error_curve(records, grid, n, k)
+    slots = harness.run_until_exact_batch(cfg, workers=threads)
+    curve = harness.build_error_curve(slots, grid, n, k)
     harness.export_csv(curve, out)
-    print(_summarize_until_exact(records))
+    print(_summarize_until_exact(slots))
     print(f"wrote {out}")
 
 
@@ -240,7 +246,6 @@ def _cmd_channel(parser, args, conf) -> int:
     _echo({"noise": _format_noise(noise), "power": power, "big_k": big_k,
            "c": c, "delta": delta, "m": reps, "slots": slots, "seed": seed})
 
-    import numpy as np
     rng = np.random.default_rng(seed)
     threshold = math.sqrt(power) / 2.0
     excursions = 0

@@ -2,14 +2,18 @@
 
 Reproducibility contract
 ------------------------
-A batch is fully determined by its :class:`ExperimentConfig` (which includes
-``seed_base``).  Trial ``t`` uses the 64-bit seed
-``trial_seed(seed_base, t)``, obtained by hashing the pair
-``(seed_base, t)`` through ``numpy.random.SeedSequence`` -- so trials are
-independent streams, any trial can be replayed in isolation, and results do
-not depend on execution order or on how many workers ran the batch.
+A batch is fully determined by its parameters and ``seed_base``.
 
-End-to-end trials split their per-trial seed into three child streams
+Until-exact and trace batches are seeded per block: trials
+``b*TRIAL_BLOCK .. (b+1)*TRIAL_BLOCK - 1`` are drawn together by the surplus
+kernel from ``SeedSequence((seed_base, b))``.  The block size is a constant and
+worker chunks are whole blocks, so results do not depend on execution order
+or on how many workers ran the batch.
+
+End-to-end trials are seeded per trial: trial ``t`` uses the 64-bit seed
+``trial_seed(seed_base, t)``, obtained by hashing the pair ``(seed_base, t)``
+through ``numpy.random.SeedSequence``, so any trial can be replayed in
+isolation.  The trial splits its seed into three child streams
 (``SeedSequence(seed).spawn(3)``): experiment setup (which nodes are active),
 the scheme's common randomness, and the channel noise.
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -30,10 +35,12 @@ import numpy as np
 from . import bounds
 from .channel import (ChannelSpec, NoiseModel, RepetitionCodeParams,
                       RepetitionDisjunctionOracle)
-from .scheme import Population, SchemeConfig, run_scheme, run_scheme_fast
+from .scheme import (Population, SchemeConfig, run_scheme, run_scheme_fast,
+                     sample_slots_until_exact, surplus_steps)
 
 __all__ = [
     "DEFAULT_TRIALS",
+    "TRIAL_BLOCK",
     "ExperimentConfig",
     "RunRecord",
     "ErrorCurve",
@@ -55,6 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_TRIALS = 20_000  # default Monte Carlo sample size per experiment
+TRIAL_BLOCK = 4096  # trials per seeded block of until-exact and trace batches
 
 
 def trial_seed(seed_base: int, index: int) -> int:
@@ -63,6 +71,14 @@ def trial_seed(seed_base: int, index: int) -> int:
         raise ValueError("index must be >= 0")
     ss = np.random.SeedSequence((seed_base, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _block_rng(seed_base: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed_base, block))))
+
+
+def _block_sizes(trials: int) -> list[int]:
+    return [min(TRIAL_BLOCK, trials - lo) for lo in range(0, trials, TRIAL_BLOCK)]
 
 
 def default_slot_cap(n_inactive: int, k: int) -> int:
@@ -97,7 +113,6 @@ class ExperimentConfig:
     seed_base: int = 0
     slot_cap: int | None = None
     horizon: int | None = None
-    collect_traces: bool = False
     eps: float | None = None
     noise: NoiseModel | None = None
     norm_bound: float | None = None
@@ -174,125 +189,124 @@ class EndToEndSummary:
     total_channel_uses: int
 
 
+def _slot_cap(n_inactive: int, k: int, slot_cap: int | None) -> int:
+    return default_slot_cap(n_inactive, k) if slot_cap is None else slot_cap
+
+
 def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
                          slot_cap: int | None = None,
                          collect_trace: bool = False) -> RunRecord:
-    """Run the fast-path scheme slot by slot until the surplus reaches zero.
+    """One run of the surplus kernel until the potential set is exact.
 
-    Uses the surplus-process sampler (identical in law to the node-level
-    scheme with the error-free oracle).  Stops at ``slot_cap`` (default
-    :func:`default_slot_cap`) and reports a censored record if the surplus is
-    still positive there.
+    The kernel is identical in law to the node-level scheme with the
+    error-free oracle; draws come from ``numpy.random.default_rng(seed)``.
+    Stops at ``slot_cap`` (default :func:`default_slot_cap`) and reports a
+    censored record if the surplus is still positive there.  Without a trace
+    the slot count is sampled in O(1) (:func:`sample_slots_until_exact`);
+    with ``collect_trace`` the surplus is stepped slot by slot through
+    :func:`run_scheme_fast` and the count is read off that path.
     """
-    if n_inactive < 0 or k < 0:
-        raise ValueError("n_inactive and k must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    cap = default_slot_cap(n_inactive, k) if slot_cap is None else slot_cap
-    if cap < 0:
-        raise ValueError("slot_cap must be >= 0")
-
-    rng = np.random.default_rng(seed)
-    discard_prob = 1.0 - (1.0 - p) ** k
-    surplus = n_inactive
-    trace = [surplus] if collect_trace else None
-    hit: int | None = 0 if surplus == 0 else None
-    slot = 0
-    while hit is None and slot < cap:
-        slot += 1
-        if not (rng.random() < discard_prob):
-            surplus -= int(rng.binomial(surplus, p))
-        if trace is not None:
-            trace.append(surplus)
-        if surplus == 0:
-            hit = slot
-    return RunRecord(trial_seed=seed, slots_until_exact=hit,
-                     surplus_trace=None if trace is None else tuple(trace))
+    cap = _slot_cap(n_inactive, k, slot_cap)
+    if not collect_trace:
+        slots = int(sample_slots_until_exact(n_inactive, k, p, cap,
+                                             np.random.default_rng(seed), 1)[0])
+        return RunRecord(trial_seed=seed, slots_until_exact=None if slots < 0 else slots)
+    run = run_scheme_fast(Population(n_inactive + k, frozenset(range(k))),
+                          SchemeConfig(p, cap, seed))
+    hit = run.slots_until_exact
+    trace = run.surplus_trace if hit is None else run.surplus_trace[:hit + 1]
+    return RunRecord(trial_seed=seed, slots_until_exact=hit, surplus_trace=trace)
 
 
-def _until_exact_chunk(args: tuple) -> list[RunRecord]:
+def _until_exact_chunk(args: tuple) -> np.ndarray:
     cfg, lo, hi = args
     p = cfg.effective_choice_probability()
-    return [
-        simulate_until_exact(cfg.n_inactive, cfg.k, p,
-                             trial_seed(cfg.seed_base, t),
-                             slot_cap=cfg.slot_cap,
-                             collect_trace=cfg.collect_traces)
-        for t in range(lo, hi)
-    ]
+    cap = _slot_cap(cfg.n_inactive, cfg.k, cfg.slot_cap)
+    sizes = _block_sizes(cfg.trials)
+    return np.concatenate([
+        sample_slots_until_exact(cfg.n_inactive, cfg.k, p, cap,
+                                 _block_rng(cfg.seed_base, b), sizes[b])
+        for b in range(lo, hi)
+    ])
 
 
-def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
-    chunk = max(1, math.ceil(trials / (workers * 8)))
-    return [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+def _pool_size(threads: int, tasks: int, cpus: int) -> int:
+    """Worker processes for ``tasks`` chunks: never more than threads, tasks or CPUs."""
+    return max(1, min(threads, tasks, cpus))
 
 
-def _run_chunked(worker, cfg: ExperimentConfig, workers: int) -> list:
+def _chunk_ranges(units: int, workers: int) -> list[tuple[int, int]]:
+    chunk = max(1, math.ceil(units / (workers * 8)))
+    return [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
+
+
+def _run_chunked(worker, cfg: ExperimentConfig, units: int, workers: int) -> list:
+    """``worker((cfg, lo, hi))`` over ``0..units`` in chunks; the parts in order."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if workers == 1:
-        return worker((cfg, 0, cfg.trials))
-    tasks = [(cfg, lo, hi) for lo, hi in _chunk_ranges(cfg.trials, workers)]
-    out: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(worker, tasks):
-            out.extend(part)
-    return out
+    size = _pool_size(workers, units, os.cpu_count() or 1)
+    if size == 1:
+        return [worker((cfg, 0, units))]
+    tasks = [(cfg, lo, hi) for lo, hi in _chunk_ranges(units, size)]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(worker, tasks))
 
 
-def run_until_exact_batch(cfg: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
-    """All trials of an until-exact experiment, in trial order."""
+def run_until_exact_batch(cfg: ExperimentConfig, workers: int = 1) -> np.ndarray:
+    """Slots until exact of every trial, in trial order (int64, -1 = censored)."""
     if cfg.mode != "until_exact":
         raise ValueError("config mode must be 'until_exact'")
-    return _run_chunked(_until_exact_chunk, cfg, workers)
+    blocks = len(_block_sizes(cfg.trials))
+    return np.concatenate(_run_chunked(_until_exact_chunk, cfg, blocks, workers))
 
 
-def build_error_curve(records: list[RunRecord], slot_grid: tuple[int, ...],
+def build_error_curve(slots_until_exact: np.ndarray, slot_grid: tuple[int, ...],
                       n_inactive: int, k: int) -> ErrorCurve:
     """Observed frequency of non-recovery per grid slot.
 
-    A trial counts as failed at grid slot L when it needed more than L slots
-    (``slots_until_exact > L``); censored trials count as failed everywhere.
+    ``slots_until_exact`` holds one entry per trial, -1 for a censored trial.
+    A trial counts as failed at grid slot L when it needed more than L slots;
+    censored trials count as failed everywhere.
     """
-    if not records:
-        raise ValueError("need at least one record")
-    finished = np.array([r.slots_until_exact if r.slots_until_exact is not None else -1
-                         for r in records])
+    finished = np.asarray(slots_until_exact, dtype=np.int64)
+    trials = len(finished)
+    if trials == 0:
+        raise ValueError("need at least one trial")
     grid = np.asarray(slot_grid)
     if grid.ndim != 1 or len(grid) == 0 or np.any(grid < 0):
         raise ValueError("slot_grid must be a nonempty sequence of slots >= 0")
-    censored = finished < 0
-    observed = [
-        float((censored | (finished > int(level))).mean()) for level in grid
-    ]
+    ordered = np.sort(np.where(finished < 0, np.iinfo(np.int64).max, finished))
+    done = np.searchsorted(ordered, grid, side="right")
+    observed = [(trials - int(d)) / trials for d in done]
     bound = [bounds.theoretical_error_curve(n_inactive, k, int(level)) for level in grid]
     return ErrorCurve(slot_grid=tuple(int(v) for v in grid),
                       observed_frequency=tuple(observed),
                       theoretical_bound=tuple(bound),
-                      trials=len(records))
+                      trials=trials)
 
 
 def expectation_trace(n_inactive: int, k: int, p: float, trials: int,
                       horizon: int, seed_base: int = 0) -> ExpectationTrace:
-    """Empirical mean surplus per slot over ``trials`` fast-path runs.
+    """Empirical mean surplus per slot over ``trials`` surplus-kernel runs.
 
-    Slot 0 is the deterministic starting surplus.  ``std_error`` is the
-    sample standard deviation over trials divided by sqrt(trials); the
-    prediction column is :func:`gtmac.bounds.expected_remaining`.
+    Each seeded block of trials is stepped together by
+    :func:`gtmac.scheme.surplus_steps`.  Slot 0 is the deterministic starting
+    surplus.  ``std_error`` is the sample standard deviation over trials
+    divided by sqrt(trials); the prediction column is
+    :func:`gtmac.bounds.expected_remaining`.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    population = Population(n_inactive + k, frozenset(range(k)))
     sums = np.zeros(horizon + 1)
     sums_sq = np.zeros(horizon + 1)
-    for t in range(trials):
-        config = SchemeConfig(p, horizon, trial_seed(seed_base, t))
-        run = run_scheme_fast(population, config)
-        arr = np.asarray(run.surplus_trace, dtype=float)
-        sums += arr
-        sums_sq += arr * arr
+    for b, size in enumerate(_block_sizes(trials)):
+        steps = surplus_steps(n_inactive, k, p, horizon, _block_rng(seed_base, b), size)
+        for i, surplus in enumerate(steps):
+            values = surplus.astype(float)
+            sums[i] += values.sum()
+            sums_sq[i] += values @ values
     mean = sums / trials
     variance = np.maximum(sums_sq - trials * mean * mean, 0.0) / (trials - 1)
     std_error = np.sqrt(variance / trials)
@@ -353,7 +367,8 @@ def run_end_to_end_batch(cfg: ExperimentConfig,
     """All end-to-end trials plus the aggregate failure summary."""
     if cfg.mode != "end_to_end":
         raise ValueError("config mode must be 'end_to_end'")
-    records = _run_chunked(_end_to_end_chunk, cfg, workers)
+    records = [r for part in _run_chunked(_end_to_end_chunk, cfg, cfg.trials, workers)
+               for r in part]
     failures = sum(1 for r in records if not r.success)
     plan = bounds.plan_channel_uses(cfg.n_inactive, cfg.k, cfg.eps,
                                     cfg.norm_bound, cfg.power, cfg.tail_constant)

@@ -19,14 +19,21 @@ shrink rate is ``1/(k+1)``.
 
 Two executions are provided: :func:`run_scheme` simulates every node
 individually (and accepts an arbitrary disjunction oracle, e.g. a noisy
-channel code), while :func:`run_scheme_fast` samples only the surplus-size
-process, which is distributed identically when the oracle is error-free.
+channel code), while the surplus kernel samples only the surplus-size process,
+which is distributed identically when the oracle is error-free.  The kernel
+has two entry points over a block of independent runs:
+:func:`sample_slots_until_exact` draws the slots until exact recovery in O(1)
+per run from its exact law, and the step kernel advances the surplus of
+every run slot by slot (:func:`surplus_steps`); :func:`run_scheme_fast` is
+the single-run form of the latter.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +54,9 @@ __all__ = [
     "run_scheme",
     "run_scheme_fast",
     "slot_rng",
+    "MAX_SLOT_CAP",
+    "sample_slots_until_exact",
+    "surplus_steps",
 ]
 
 _MAX_SEED = 2**64
@@ -311,35 +321,107 @@ class FastRunResult:
     slots_until_exact: int | None
 
 
+# --- surplus kernel ------------------------------------------------------------
+#
+# Under the error-free oracle only the surplus M matters.  A slot is useful
+# (no active node chosen) with probability r = (1-p)**k; in a useful slot each
+# surviving inactive node is removed independently with probability p.  So
+# inactive node j leaves after a Geometric(p) number of useful slots, the
+# potential set is exact after G = max_j Geometric(p) useful slots, and the
+# slots until exact are T = G + NegBin(G, r) (G useful slots plus the discarded
+# slots before the G-th useful one).  This is COMP under a Bernoulli test
+# design.
+
+MAX_SLOT_CAP = 2**53 - 1  # cap + 1 must be exact in float64 for the clip on G
+_POISSON_MEAN_LIMIT = 2.0**62  # Poisson means past this would overflow int64 draws
+
+
+def sample_slots_until_exact(n_inactive: int, k: int, p: float, slot_cap: int,
+                             rng: np.random.Generator, count: int) -> np.ndarray:
+    """Slots until the potential set is exact, for ``count`` independent runs.
+
+    Returns an int64 array with one entry per run; -1 marks a run still
+    inexact after ``slot_cap`` slots (censored).  O(1) work per run: G is
+    drawn by inverse CDF, ``G = ceil(log(1 - U**(1/N)) / log(1-p))``, clipped
+    at ``slot_cap + 1`` (a clipped run is censored), and the discarded slots
+    as a gamma-Poisson mixture, which is NegBin(G, r).  Draw layout: ``count``
+    uniforms, then ``count`` gammas, then ``count`` Poisson variates.
+    """
+    _check_chain(n_inactive, k, p)
+    if not 0 <= slot_cap <= MAX_SLOT_CAP:
+        raise ValueError(f"slot_cap must lie in [0, {MAX_SLOT_CAP}]")
+    if n_inactive == 0:
+        return np.zeros(count, dtype=np.int64)
+    useful_prob = (1.0 - p) ** k
+    if p == 0.0 or useful_prob == 0.0:  # nothing is ever removed
+        return np.full(count, -1, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        g = np.ceil(np.log(-np.expm1(np.log(rng.random(count)) / n_inactive))
+                    / np.log1p(-p))
+        g = np.clip(g, 1.0, slot_cap + 1.0).astype(np.int64)
+        mean_discarded = rng.standard_gamma(g) * ((1.0 - useful_prob) / useful_prob)
+    beyond = ~(mean_discarded <= _POISSON_MEAN_LIMIT)
+    slots = g + rng.poisson(np.where(beyond, 0.0, mean_discarded))
+    slots[beyond | (slots > slot_cap)] = -1
+    return slots
+
+
+def surplus_steps(n_inactive: int, k: int, p: float, slots: int,
+                  rng: np.random.Generator, count: int) -> Iterator[np.ndarray]:
+    """Surplus of ``count`` independent runs after 0, 1, ..., ``slots`` slots.
+
+    Yields ``slots + 1`` int64 vectors of length ``count``, advancing every
+    run by one slot per vector.  Draw layout per slot: ``count`` uniforms (a
+    run's slot is discarded when its uniform is below ``1 - (1-p)**k``), then
+    ``count`` binomials (Binomial(surplus, p) on a useful slot, Binomial(0, p)
+    otherwise).  Once every run is exact no further draws are made and the
+    same zero vector is yielded for the remaining slots, so callers must not
+    modify the vectors they receive.
+    """
+    _check_chain(n_inactive, k, p)
+    if slots < 0:
+        raise ValueError("slots must be >= 0")
+    return _steps(n_inactive, 1.0 - (1.0 - p) ** k, p, slots, rng, count)
+
+
+def _steps(n_inactive, discard_prob, p, slots, rng, count):
+    surplus = np.full(count, n_inactive, dtype=np.int64)
+    yield surplus
+    for done in range(slots):
+        if not surplus.any():
+            yield from itertools.repeat(surplus, slots - done)
+            return
+        useful = rng.random(count) >= discard_prob
+        surplus = surplus - rng.binomial(np.where(useful, surplus, 0), p)
+        yield surplus
+
+
+def _check_chain(n_inactive: int, k: int, p: float) -> None:
+    if n_inactive < 0 or k < 0:
+        raise ValueError("n_inactive and k must be >= 0")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+
+
 def run_scheme_fast(population: Population, config: SchemeConfig) -> FastRunResult:
     """Sample only the surplus process, skipping per-node bookkeeping.
 
     Under the error-free oracle the surplus M evolves as a Markov chain: with
     probability ``1 - (1-p)**k`` some active node is chosen (slot discarded,
     M unchanged); otherwise every surviving inactive node is independently
-    chosen with probability p, so the number removed is Binomial(M, p).  Per
-    slot this draws the discard indicator and, only on non-discarded slots,
-    one binomial variate.  The resulting trace has exactly the distribution
-    of ``|P_i| - k`` under :func:`run_scheme` with the ideal oracle, at a
-    per-slot cost independent of the population size.
+    chosen with probability p, so the number removed is Binomial(M, p).  The
+    resulting trace has exactly the distribution of ``|P_i| - k`` under
+    :func:`run_scheme` with the ideal oracle, at a per-slot cost independent
+    of the population size.
 
-    The draws come from a single sequential stream seeded with
-    ``config.master_seed`` (documented layout: one uniform per slot, then the
-    binomial when the slot is not discarded).
+    This is :func:`surplus_steps` for a single run, drawing from
+    ``numpy.random.default_rng(config.master_seed)``: per slot one uniform,
+    then one binomial (with zero trials when the slot is discarded).
     """
-    p = config.choice_probability
-    k = population.num_active
     rng = np.random.default_rng(config.master_seed)
-    discard_prob = 1.0 - (1.0 - p) ** k  # P(some active node chosen)
-
-    surplus = population.num_inactive
-    trace = [surplus]
-    hit: int | None = 0 if surplus == 0 else None
-    for i in range(1, config.slot_budget + 1):
-        if not (rng.random() < discard_prob):
-            surplus -= int(rng.binomial(surplus, p))
-        trace.append(surplus)
-        if hit is None and surplus == 0:
-            hit = i
-    return FastRunResult(final_surplus=surplus, surplus_trace=tuple(trace),
-                         slots_until_exact=hit)
+    path = np.concatenate(list(surplus_steps(
+        population.num_inactive, population.num_active,
+        config.choice_probability, config.slot_budget, rng, 1)))
+    zeros = np.flatnonzero(path == 0)
+    return FastRunResult(final_surplus=int(path[-1]), surplus_trace=tuple(path.tolist()),
+                         slots_until_exact=int(zeros[0]) if zeros.size else None)

@@ -43,9 +43,9 @@ def test_criterion_1_error_curve_reproduction():
 
     cfg = harness.ExperimentConfig(n_inactive=n, k=k, trials=trials,
                                    seed_base=SEED)
-    records = harness.run_until_exact_batch(cfg, workers=WORKERS)
+    slots = harness.run_until_exact_batch(cfg, workers=WORKERS)
     grid = harness.default_slot_grid(2500, 1)
-    curve = harness.build_error_curve(records, grid, n, k)
+    curve = harness.build_error_curve(slots, grid, n, k)
     elapsed = time.perf_counter() - started
 
     problems = []
@@ -67,11 +67,21 @@ def test_criterion_1_error_curve_reproduction():
     if elapsed > 300.0:
         problems.append(f"runtime {elapsed:.0f}s > 300s")
 
-    _verdict(1, "observed error curve within the analytic envelope",
+    # second reference: the exact law P(T > l), whole curve inside the
+    # Dvoretzky-Kiefer-Wolfowitz band at level 1e-4
+    exact = bounds.exact_error_curve(n, k, 1.0 / (k + 1), grid)
+    gap = float(np.max(np.abs(np.asarray(curve.observed_frequency) - exact)))
+    band = math.sqrt(math.log(2.0 / 1e-4) / (2.0 * trials))
+    if gap > band:
+        problems.append(f"observed curve departs from the exact law by {gap:.3g} "
+                        f"> DKW band {band:.3g}")
+
+    _verdict(1, "observed error curve within the analytic envelope and the exact law",
              not problems,
              "; ".join(problems) or
              f"trials={trials}, observed(l={tight_level})={tight_observed:.2e} in "
-             f"[{tight_bound / 100.0:.1e}, {tight_bound:.1e}], {elapsed:.0f}s")
+             f"[{tight_bound / 100.0:.1e}, {tight_bound:.1e}], exact-law gap "
+             f"{gap:.2e} <= {band:.2e}, {elapsed:.0f}s")
 
 
 # --- criterion 2: expected surplus identity ------------------------------------------
@@ -108,15 +118,10 @@ def test_criterion_3_surplus_tail_bound():
         problems.append(f"budget {budget} != 487")
 
     trials = 10_000
-    population = scheme.Population(n + k, frozenset(range(n, n + k)))
-    exceed = 0
-    for trial in range(trials):
-        cfg = scheme.SchemeConfig(choice_probability=1.0 / (k + 1),
-                                  slot_budget=budget,
-                                  master_seed=harness.trial_seed(SEED, trial))
-        if scheme.run_scheme_fast(population, cfg).final_surplus >= k:
-            exceed += 1
-    rate = exceed / trials
+    for final in scheme.surplus_steps(n, k, 1.0 / (k + 1), budget,
+                                      np.random.default_rng(SEED), trials):
+        pass  # keep the surplus after the last slot
+    rate = int((final >= k).sum()) / trials
     se = math.sqrt(rate * (1.0 - rate) / trials)
     if rate > eps + 3.0 * se:
         problems.append(f"P(M_487 >= 20) ~= {rate} > {eps} + 3SE")
@@ -190,16 +195,13 @@ def test_criterion_4_fast_path_equivalence():
                     problems.append(f"single-slot law differs at N={n_inactive}, "
                                     f"k={k}, p={p}")
 
-    # multi slot: 1e6 production fast-path runs vs the exact DP distribution
+    # multi slot: 1e6 runs of the production step kernel vs the exact DP distribution
     n_inactive, k, p, num_slots, samples = 4, 2, 0.5, 3, 1_000_000
     exact = _exact_surplus_law_after(n_inactive, k, Fraction(1, 2), num_slots)
-    population = scheme.Population(n_inactive + k,
-                                   frozenset(range(n_inactive, n_inactive + k)))
-    observed = np.zeros(n_inactive + 1, dtype=np.int64)
-    for trial in range(samples):
-        cfg = scheme.SchemeConfig(choice_probability=p, slot_budget=num_slots,
-                                  master_seed=harness.trial_seed(SEED, trial))
-        observed[scheme.run_scheme_fast(population, cfg).final_surplus] += 1
+    for final in scheme.surplus_steps(n_inactive, k, p, num_slots,
+                                      np.random.default_rng(SEED), samples):
+        pass  # keep the surplus after the last slot
+    observed = np.bincount(final, minlength=n_inactive + 1)
     expected = np.array([float(mass) for mass in exact]) * samples
     result = scipy.stats.chisquare(observed, expected)
     if not result.pvalue > 1e-3:

@@ -54,6 +54,41 @@ def test_theoretical_error_curve_values():
     assert bounds.theoretical_error_curve(0, 5, 100) == 0.0
 
 
+def test_exact_error_curve_reference_value_and_envelope():
+    exact = bounds.exact_error_curve(10_000, 20, 1 / 21, [0, 789])
+    assert exact[0] == 1.0
+    assert exact[1] == pytest.approx(0.00620, abs=5e-6)
+    assert exact[1] <= bounds.theoretical_error_curve(10_000, 20, 789)
+
+
+def test_exact_error_curve_matches_scipy_binomial_form():
+    import numpy as np
+    from scipy.stats import binom
+
+    n, k, p = 300, 4, 0.2
+    levels = [0, 1, 7, 40, 120, 300]
+    r = (1 - p) ** k
+    got = bounds.exact_error_curve(n, k, p, levels)
+    for level, value in zip(levels, got):
+        u = np.arange(level + 1)
+        with np.errstate(divide="ignore"):  # u = 0: log1p(-1) = -inf
+            some_left = -np.expm1(n * np.log1p(-(1 - p) ** u))  # 1 - (1 - q^u)^n
+        want = binom.pmf(u, level, r) @ some_left
+        assert value == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+def test_exact_error_curve_degenerate_inputs():
+    assert list(bounds.exact_error_curve(0, 3, 0.5, [0, 4])) == [0.0, 0.0]
+    assert list(bounds.exact_error_curve(5, 0, 1.0, [0, 1, 9])) == [1.0, 0.0, 0.0]
+    assert list(bounds.exact_error_curve(5, 3, 0.0, [0, 9])) == [1.0, 1.0]
+    assert list(bounds.exact_error_curve(5, 3, 1.0, [0, 9])) == [1.0, 1.0]
+    # N = 1, k = 1, p = 1/2: the lone node survives a slot w.p. 3/4
+    assert bounds.exact_error_curve(1, 1, 0.5, [4])[0] == pytest.approx(0.75**4)
+    for bad in ((-1, 2, 0.5, [1]), (5, 2, 1.5, [1]), (5, 2, 0.5, [-1])):
+        with pytest.raises(ValueError):
+            bounds.exact_error_curve(*bad)
+
+
 # --- identities and inequalities ---------------------------------------------
 
 def test_surplus_budget_with_factor_one_over_k_matches_exact_recovery():

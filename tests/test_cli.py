@@ -6,10 +6,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gtmac import harness
-from gtmac.cli import main
+from gtmac.cli import _summarize_until_exact, main
 
 
 def run_cli(capsys, argv):
@@ -88,16 +89,32 @@ def test_simulate_until_exact_is_byte_reproducible(tmp_path, capsys):
 
 
 def test_simulate_threads_do_not_change_results(tmp_path, capsys):
-    blobs = []
-    for threads, name in (("1", "t1.csv"), ("3", "t3.csv")):
-        out = tmp_path / name
-        code, _ = run_cli(capsys, [
-            "simulate", "--n-inactive", "40", "--k", "2", "--trials", "30",
-            "--seed", "99", "--threads", threads, "--grid-max", "120",
-            "--grid-step", "10", "--out", str(out)])
-        assert code == 0
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
+    # 30 trials fill one seeded block; 9000 span three
+    for trials in ("30", "9000"):
+        blobs, texts = [], []
+        for threads, name in (("1", "t1.csv"), ("3", "t3.csv")):
+            out = tmp_path / name
+            code, text = run_cli(capsys, [
+                "simulate", "--n-inactive", "40", "--k", "2", "--trials", trials,
+                "--seed", "99", "--threads", threads, "--grid-max", "120",
+                "--grid-step", "10", "--out", str(out)])
+            assert code == 0
+            blobs.append(out.read_bytes())
+            texts.append([line for line in text.splitlines() if "threads" not in line])
+        assert blobs[0] == blobs[1]
+        assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("slots", [[5, 3, -1, 9], [5, 3, 4, 9], [7, -1, 2], [-1, -1]])
+def test_until_exact_summary_keeps_the_median_format(slots):
+    import statistics
+
+    finished = [s for s in slots if s >= 0]
+    med = statistics.median(finished) if finished else float("nan")
+    mx = max(finished) if finished else float("nan")
+    assert _summarize_until_exact(np.array(slots)) == (
+        f"trials = {len(slots)}  median_slots = {med}  max_slots = {mx}"
+        f"  censored = {len(slots) - len(finished)}")
 
 
 def test_simulate_trace_mode(tmp_path, capsys):

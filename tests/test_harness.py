@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gtmac import bounds, harness
+from gtmac import bounds, harness, scheme
 from gtmac.channel import gaussian, rademacher, schedule
 
 
@@ -56,15 +56,39 @@ def test_simulate_until_exact_trace_and_determinism():
 
 
 def test_until_exact_batch_is_worker_count_invariant():
-    cfg = harness.ExperimentConfig(n_inactive=80, k=2, trials=60, seed_base=5)
-    serial = harness.run_until_exact_batch(cfg, workers=1)
-    parallel = harness.run_until_exact_batch(cfg, workers=3)
-    assert serial == parallel
-    assert len(serial) == 60
+    for trials in (60, 2 * harness.TRIAL_BLOCK + 7):  # one block, then three
+        cfg = harness.ExperimentConfig(n_inactive=80, k=2, trials=trials, seed_base=5)
+        serial = harness.run_until_exact_batch(cfg, workers=1)
+        parallel = harness.run_until_exact_batch(cfg, workers=3)
+        assert serial.dtype == np.int64 and serial.shape == (trials,)
+        assert np.array_equal(serial, parallel)
+        assert np.all(serial > 0)
     with pytest.raises(ValueError):
         harness.run_until_exact_batch(
             harness.ExperimentConfig(n_inactive=8, k=1, mode="trace", horizon=5),
             workers=1)
+
+
+def test_until_exact_batch_seeds_fixed_blocks():
+    # block b of every batch is drawn from SeedSequence((seed_base, b))
+    cfg = harness.ExperimentConfig(n_inactive=80, k=2,
+                                   trials=harness.TRIAL_BLOCK + 5, seed_base=6)
+    slots = harness.run_until_exact_batch(cfg)
+    for block, (lo, hi) in enumerate(((0, harness.TRIAL_BLOCK),
+                                      (harness.TRIAL_BLOCK, cfg.trials))):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((6, block))))
+        expected = scheme.sample_slots_until_exact(80, 2, 1 / 3,
+                                                   harness.default_slot_cap(80, 2),
+                                                   rng, hi - lo)
+        assert np.array_equal(slots[lo:hi], expected)
+
+
+def test_pool_size_never_exceeds_threads_tasks_or_cpus():
+    assert harness._pool_size(1000, 245, 2) == 2
+    assert harness._pool_size(3, 1, 8) == 1
+    assert harness._pool_size(4, 245, 64) == 4
+    assert harness._pool_size(10**9, 10**9, 1) == 1
+    assert harness._pool_size(2, 0, 2) == 1
 
 
 def test_experiment_config_validation():
@@ -83,12 +107,8 @@ def test_experiment_config_validation():
 # --- error curves ----------------------------------------------------------------
 
 def test_build_error_curve_counts_strictly_larger_and_censored():
-    records = [
-        harness.RunRecord(trial_seed=0, slots_until_exact=1),
-        harness.RunRecord(trial_seed=1, slots_until_exact=2),
-        harness.RunRecord(trial_seed=2, slots_until_exact=None),  # censored
-    ]
-    curve = harness.build_error_curve(records, (0, 1, 2, 3), n_inactive=10, k=1)
+    slots = np.array([1, 2, -1])  # the last trial is censored
+    curve = harness.build_error_curve(slots, (0, 1, 2, 3), n_inactive=10, k=1)
     assert curve.observed_frequency == (1.0, 2 / 3, 1 / 3, 1 / 3)
     assert curve.trials == 3
     assert curve.theoretical_bound == tuple(
@@ -97,14 +117,23 @@ def test_build_error_curve_counts_strictly_larger_and_censored():
     assert curve.observed_frequency[1] == pytest.approx(2 / 3)
 
 
+def test_build_error_curve_matches_per_level_means():
+    # one sort plus searchsorted gives the very floats of a per-level mean
+    slots = np.random.default_rng(12).integers(-1, 60, size=997)
+    grid = harness.default_slot_grid(70, 1)
+    curve = harness.build_error_curve(slots, grid, 10, 1)
+    assert curve.observed_frequency == tuple(
+        float(((slots < 0) | (slots > level)).mean()) for level in grid)
+
+
 def test_build_error_curve_rejects_bad_inputs():
-    rec = harness.RunRecord(trial_seed=0, slots_until_exact=1)
+    slots = np.array([1])
     with pytest.raises(ValueError):
-        harness.build_error_curve([], (0, 1), 10, 1)
+        harness.build_error_curve(np.array([], dtype=np.int64), (0, 1), 10, 1)
     with pytest.raises(ValueError):
-        harness.build_error_curve([rec], (), 10, 1)
+        harness.build_error_curve(slots, (), 10, 1)
     with pytest.raises(ValueError):
-        harness.build_error_curve([rec], (-1, 2), 10, 1)
+        harness.build_error_curve(slots, (-1, 2), 10, 1)
 
 
 def test_error_curve_observed_rate_tracks_truth_small_case():

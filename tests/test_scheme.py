@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtmac.scheme import (FastRunResult, IdealDisjunctionOracle, Population,
-                          PotentialSetState, SchemeConfig, draw_chosen_set,
-                          initial_state, node_transmit_bit,
+from gtmac.scheme import (MAX_SLOT_CAP, FastRunResult, IdealDisjunctionOracle,
+                          Population, PotentialSetState, SchemeConfig,
+                          draw_chosen_set, initial_state, node_transmit_bit,
                           optimal_choice_probability, receiver_update,
-                          run_scheme, run_scheme_fast, slot_rng)
+                          run_scheme, run_scheme_fast, sample_slots_until_exact,
+                          slot_rng, surplus_steps)
 
 
 def brute_force_single_slot_law(n_inactive: int, k: int, p: float) -> dict:
@@ -335,3 +337,86 @@ def test_fast_path_matches_node_level_distribution():
         keep = expected > 0
         stat = chisquare(counts[keep], expected[keep])
         assert stat.pvalue > 1e-3
+
+
+# --- surplus kernel: the O(1) sampler and the step kernel ----------------------------
+
+def _step_kernel_slots(n_inactive, k, p, slot_cap, rng, count):
+    """Slots until exact read off the step kernel's paths (-1 = censored)."""
+    paths = np.array(list(surplus_steps(n_inactive, k, p, slot_cap, rng, count)))
+    exact = paths == 0
+    return np.where(exact.any(axis=0), exact.argmax(axis=0), -1)
+
+
+@pytest.mark.parametrize("n_inactive,k,p,expected", [
+    (0, 3, 0.3, 0),      # nothing to eliminate
+    (5, 0, 1.0, 1),      # everyone is chosen and nothing collides
+    (5, 3, 0.0, -1),     # nobody is ever chosen
+    (5, 3, 1.0, -1),     # every slot is discarded: r = 0
+    (40, 2, 1e-300, -1),  # G overflows any integer long before the cap
+])
+def test_kernel_degenerate_inputs(n_inactive, k, p, expected):
+    for sampler in (sample_slots_until_exact, _step_kernel_slots):
+        slots = sampler(n_inactive, k, p, 50, np.random.default_rng(7), 200)
+        assert slots.dtype == np.int64
+        assert np.all(slots == expected), sampler.__name__
+
+
+class _UniformsNearOne:
+    """Generator stand-in whose uniforms are the largest double below 1."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_sampler_tiny_p_with_uniform_near_one_is_censored_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slots = sample_slots_until_exact(10_000, 20, 1e-20, MAX_SLOT_CAP,
+                                         _UniformsNearOne(), 4)
+    assert np.all(slots == -1)
+
+
+def test_sampler_validates_inputs():
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError):
+        sample_slots_until_exact(-1, 2, 0.5, 10, rng, 1)
+    with pytest.raises(ValueError):
+        sample_slots_until_exact(5, 2, 1.5, 10, rng, 1)
+    with pytest.raises(ValueError):
+        sample_slots_until_exact(5, 2, 0.5, MAX_SLOT_CAP + 1, rng, 1)
+    with pytest.raises(ValueError):
+        surplus_steps(5, 2, 0.5, -1, rng, 1)
+
+
+def test_sampler_and_step_kernel_agree_in_law():
+    # two-sample chi-square on T at small (N, k), plus each against the exact law
+    from scipy.stats import chi2_contingency, chisquare
+    from gtmac.bounds import exact_error_curve
+
+    n_inactive, k, p, cap, samples = 6, 2, 1 / 3, 400, 40_000
+    fast = sample_slots_until_exact(n_inactive, k, p, cap,
+                                    np.random.default_rng(11), samples)
+    stepped = _step_kernel_slots(n_inactive, k, p, cap,
+                                 np.random.default_rng(12), samples)
+    assert not np.any(fast < 0) and not np.any(stepped < 0)
+    edges = np.arange(0, 41)  # bins {0}, ..., {39}, then T >= 40
+    tail = exact_error_curve(n_inactive, k, p, edges)
+    expected = np.append(-np.diff(np.append(1.0, tail)), tail[-1]) * samples
+
+    def counts(slots):
+        return np.bincount(np.minimum(slots, 41), minlength=42)[1:]
+
+    keep = expected[1:] > 5
+    table = np.array([counts(fast)[keep], counts(stepped)[keep]])
+    assert chi2_contingency(table).pvalue > 1e-3
+    for slots in (fast, stepped):
+        observed = counts(slots)[keep]
+        assert chisquare(observed, expected[1:][keep] * observed.sum()
+                         / expected[1:][keep].sum()).pvalue > 1e-3
