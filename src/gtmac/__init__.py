@@ -5,30 +5,8 @@ itself, node-level and fast-path), :mod:`gtmac.bounds` (closed-form slot and
 channel-use budgets), :mod:`gtmac.channel` (sub-gaussian adder channel and the
 repetition disjunction code), and :mod:`gtmac.harness` (Monte Carlo
 experiments with CSV export).  ``gtmac.cli`` exposes all of it as the
-``gtmac`` command.
+``gtmac`` command.  The package re-exports nothing: import the layer you
+use, for example ``from gtmac import bounds``.
 """
-
-from .bounds import (GAUSSIAN_TAIL_CONSTANT, ChannelUsePlan, channel_uses_closed_form,
-                     expected_remaining, plan_channel_uses, repetition_length,
-                     slots_for_exact_recovery, slots_for_surplus_bound,
-                     theoretical_error_curve, total_channel_uses)
-from .channel import (ChannelSpec, NoiseModel, RepetitionCodeParams,
-                      RepetitionDisjunctionOracle, SlotTransmission, channel_step,
-                      gaussian, gaussian_slot_error_exact, rademacher,
-                      repetition_encode, sample_noise, sample_noise_block, schedule,
-                      slot_noise_averages, threshold_decode, transmit_block,
-                      transmit_block_detailed, uniform)
-from .harness import (DEFAULT_TRIALS, EndToEndSummary, ErrorCurve, ExpectationTrace,
-                      ExperimentConfig, RunRecord, build_error_curve,
-                      default_slot_cap, default_slot_grid, end_to_end_trial,
-                      expectation_trace, export_csv, read_error_curve,
-                      read_end_to_end_summary, read_expectation_trace,
-                      run_end_to_end_batch, run_until_exact_batch,
-                      simulate_until_exact, trial_seed)
-from .scheme import (DisjunctionOracle, FastRunResult, IdealDisjunctionOracle,
-                     Population, PotentialSetState, SchemeConfig, SlotOutcome,
-                     draw_chosen_set, initial_state, node_transmit_bit,
-                     optimal_choice_probability, receiver_update, run_scheme,
-                     run_scheme_fast, slot_rng)
 
 __version__ = "0.1.0"

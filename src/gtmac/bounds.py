@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ranges import check
+
 __all__ = [
     "GAUSSIAN_TAIL_CONSTANT",
     "ChannelUsePlan",
@@ -31,7 +33,6 @@ __all__ = [
     "repetition_length",
     "channel_uses_closed_form",
     "plan_channel_uses",
-    "total_channel_uses",
 ]
 
 # Tail constant c for which the averaged-noise excursion probability of the
@@ -41,24 +42,16 @@ __all__ = [
 GAUSSIAN_TAIL_CONSTANT = 0.125
 
 
-def _require_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value!r}")
-
-
-def expected_remaining(n_inactive: float, k: int, p: float, i: int) -> float:
+def expected_remaining(n_inactive: int, k: int, p: float, i: int) -> float:
     """Expected surplus after ``i`` slots: ``N * (1 - p*(1-p)**k)**i``."""
-    if n_inactive < 0:
-        raise ValueError("n_inactive must be >= 0")
-    if k < 0 or i < 0:
-        raise ValueError("k and i must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check("n_inactive", n_inactive)
+    check("k", k)
+    check("p", p)
+    check("slots", i)
     return n_inactive * (1.0 - p * (1.0 - p) ** k) ** i
 
 
-def slots_for_surplus_bound(n_inactive: float, k: int, eps: float,
+def slots_for_surplus_bound(n_inactive: int, k: int, eps: float,
                             surplus_factor: float) -> int:
     """Slot budget after which P(surplus >= surplus_factor * k) <= eps.
 
@@ -67,47 +60,41 @@ def slots_for_surplus_bound(n_inactive: float, k: int, eps: float,
     nothing to eliminate) the guarantee already holds with zero slots, and 0
     is returned.
     """
-    _require_positive(k=k, surplus_factor=surplus_factor)
-    if n_inactive < 0:
-        raise ValueError("n_inactive must be >= 0")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
+    check("n_inactive", n_inactive)
+    check("budget_k", k)
+    check("eps", eps)
+    check("surplus_factor", surplus_factor)
     argument = n_inactive / (k * eps * surplus_factor)
     if argument <= 1.0:
         return 0
     return math.ceil(math.e * (k + 1) * math.log(argument))
 
 
-def slots_for_exact_recovery(n_inactive: float, k: int, eps: float) -> int:
+def slots_for_exact_recovery(n_inactive: int, k: int, eps: float) -> int:
     """Slot budget after which the potential set equals the active set w.p. >= 1 - eps.
 
     This is the surplus bound pushed below one node (surplus factor 1/k):
     ``ceil(e*(k+1) * ln(N/eps))``.  Returns 0 when N = 0.
     """
-    _require_positive(k=k)
-    if n_inactive < 0:
-        raise ValueError("n_inactive must be >= 0")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
+    check("n_inactive", n_inactive)
+    check("budget_k", k)
+    check("eps", eps)
     argument = n_inactive / eps
     if argument <= 1.0:
         return 0
     return math.ceil(math.e * (k + 1) * math.log(argument))
 
 
-def theoretical_error_curve(n_inactive: float, k: int, slots: int) -> float:
+def theoretical_error_curve(n_inactive: int, k: int, slots: int) -> float:
     """Upper bound on P(surplus > 0 after ``slots`` slots): ``min(1, N*exp(-slots/(e(k+1))))``.
 
     This is the expected surplus relaxed through ``1 - x <= exp(-x)`` and the
     decay-constant bound, then capped at 1; it is the reference curve the
     Monte Carlo error frequencies are compared against.
     """
-    if n_inactive < 0:
-        raise ValueError("n_inactive must be >= 0")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if slots < 0:
-        raise ValueError("slots must be >= 0")
+    check("n_inactive", n_inactive)
+    check("k", k)
+    check("slots", slots)
     return min(1.0, n_inactive * math.exp(-slots / (math.e * (k + 1))))
 
 
@@ -122,10 +109,9 @@ def exact_error_curve(n_inactive: int, k: int, p: float,
     accurate.  Each level costs O(l); the binomial weights come from a
     log-factorial table.
     """
-    if n_inactive < 0 or k < 0:
-        raise ValueError("n_inactive and k must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check("n_inactive", n_inactive)
+    check("k", k)
+    check("p", p)
     levels = np.asarray(levels, dtype=np.int64)
     if levels.ndim != 1 or np.any(levels < 0):
         raise ValueError("levels must be a sequence of slots >= 0")
@@ -156,14 +142,15 @@ def repetition_length(norm_bound: float, power: float, slot_error: float,
     Evaluates ``ceil((K**2 / P) * (ln(1/delta) + 1) / c)`` where K bounds the
     sub-gaussian norm of each noise step, P is the input power budget and c is
     the family's tail constant (see :data:`GAUSSIAN_TAIL_CONSTANT`).  A target
-    ``slot_error >= 1`` makes the bound degenerate and is rejected.
+    ``slot_error >= 1`` makes the bound degenerate and is rejected.  A slot
+    takes at least one repetition, also where ``K**2/P`` underflows to 0.
     """
-    _require_positive(norm_bound=norm_bound, power=power,
-                      tail_constant=tail_constant, slot_error=slot_error)
-    if slot_error >= 1.0:
-        raise ValueError(f"slot_error must lie in (0, 1), got {slot_error!r}")
+    check("norm_bound", norm_bound)
+    check("power", power)
+    check("slot_error", slot_error)
+    check("tail_constant", tail_constant)
     count = (norm_bound**2 / power) * (math.log(1.0 / slot_error) + 1.0) / tail_constant
-    return math.ceil(count)
+    return max(1, math.ceil(count))
 
 
 @dataclass(frozen=True)
@@ -183,7 +170,7 @@ class ChannelUsePlan:
     closed_form: float
 
 
-def channel_uses_closed_form(n_inactive: float, k: int, eps: float,
+def channel_uses_closed_form(n_inactive: int, k: int, eps: float,
                              norm_bound: float, power: float,
                              tail_constant: float) -> float:
     """Real-valued channel-use budget in fully expanded form.
@@ -193,12 +180,12 @@ def channel_uses_closed_form(n_inactive: float, k: int, eps: float,
     repetitions at per-slot error eps/slots).  Returns 0.0 when no slots are
     needed at all (``N <= eps``).
     """
-    _require_positive(k=k, norm_bound=norm_bound, power=power,
-                      tail_constant=tail_constant)
-    if n_inactive < 0:
-        raise ValueError("n_inactive must be >= 0")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
+    check("n_inactive", n_inactive)
+    check("budget_k", k)
+    check("eps", eps)
+    check("norm_bound", norm_bound)
+    check("power", power)
+    check("tail_constant", tail_constant)
     if n_inactive == 0:
         return 0.0
     log_ratio = math.log(n_inactive / eps)
@@ -209,18 +196,21 @@ def channel_uses_closed_form(n_inactive: float, k: int, eps: float,
     return (norm_bound**2 / power) / tail_constant * slots_real * bracket
 
 
-def plan_channel_uses(n_inactive: float, k: int, eps: float, norm_bound: float,
+def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
                       power: float, tail_constant: float) -> ChannelUsePlan:
     """Derive the end-to-end budget for overall error at most ``2*eps``.
 
     The slot budget covers the elimination failure w.p. <= eps; splitting a
     further eps uniformly over the slots (per-slot target ``eps/slots``) and
-    a union bound cover the decoding failures, for ``2*eps`` overall.
+    a union bound cover the decoding failures, for ``2*eps`` overall.  Every
+    parameter is checked, also when no slot is needed (N = 0).
     """
+    closed_form = channel_uses_closed_form(n_inactive, k, eps, norm_bound,
+                                           power, tail_constant)
     slots = slots_for_exact_recovery(n_inactive, k, eps)
     if slots == 0:
         return ChannelUsePlan(slots=0, slot_error_target=0.0, repetitions=0,
-                              total=0, closed_form=0.0)
+                              total=0, closed_form=closed_form)
     slot_error = eps / slots
     repetitions = repetition_length(norm_bound, power, slot_error, tail_constant)
     return ChannelUsePlan(
@@ -228,13 +218,5 @@ def plan_channel_uses(n_inactive: float, k: int, eps: float, norm_bound: float,
         slot_error_target=slot_error,
         repetitions=repetitions,
         total=slots * repetitions,
-        closed_form=channel_uses_closed_form(n_inactive, k, eps, norm_bound,
-                                             power, tail_constant),
+        closed_form=closed_form,
     )
-
-
-def total_channel_uses(n_inactive: float, k: int, eps: float, norm_bound: float,
-                       power: float, tail_constant: float) -> int:
-    """Exact integer channel-use count of the plan (slots * repetitions)."""
-    return plan_channel_uses(n_inactive, k, eps, norm_bound, power,
-                             tail_constant).total

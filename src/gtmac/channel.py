@@ -22,10 +22,11 @@ in :mod:`gtmac.bounds` inverts that bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._ranges import check
 from .scheme import DisjunctionOracle
 
 __all__ = [
@@ -36,14 +37,8 @@ __all__ = [
     "schedule",
     "ChannelSpec",
     "RepetitionCodeParams",
-    "SlotTransmission",
-    "sample_noise",
     "sample_noise_block",
-    "repetition_encode",
-    "channel_step",
-    "threshold_decode",
     "transmit_block",
-    "transmit_block_detailed",
     "slot_noise_averages",
     "gaussian_slot_error_exact",
     "RepetitionDisjunctionOracle",
@@ -86,22 +81,13 @@ class NoiseModel:
         else:
             if self.members:
                 raise ValueError("only schedules take member models")
-            if not (isinstance(self.scale, (int, float)) and self.scale >= 0.0
-                    and math.isfinite(self.scale)):
-                raise ValueError(f"scale must be a finite nonnegative real, got {self.scale!r}")
-            object.__setattr__(self, "scale", float(self.scale))
+            object.__setattr__(self, "scale", float(check("scale", self.scale)))
 
     @property
     def norm_bound(self) -> float:
         if self.family == "schedule":
             return max(m.norm_bound for m in self.members)
         return self.scale
-
-    def model_at(self, step: int) -> "NoiseModel":
-        """Base family governing absolute step index ``step``."""
-        if self.family == "schedule":
-            return self.members[step % len(self.members)]
-        return self
 
 
 def gaussian(sigma: float) -> NoiseModel:
@@ -120,19 +106,6 @@ def schedule(*members: NoiseModel) -> NoiseModel:
     return NoiseModel("schedule", members=tuple(members))
 
 
-def sample_noise(model: NoiseModel, step: int, rng: np.random.Generator) -> float:
-    """Draw the noise of one channel step (``step`` resolves schedules)."""
-    base = model.model_at(step)
-    if base.family == "gaussian":
-        return float(rng.normal(0.0, base.scale))
-    if base.family == "uniform":
-        if base.scale == 0.0:
-            return 0.0
-        return float(rng.uniform(-base.scale, base.scale))
-    # rademacher
-    return float(base.scale * (2 * rng.integers(0, 2) - 1))
-
-
 def sample_noise_block(model: NoiseModel, start_step: int, count: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Vectorised draw for steps ``start_step .. start_step + count - 1``.
@@ -142,8 +115,7 @@ def sample_noise_block(model: NoiseModel, start_step: int, count: int,
     deterministic for a given stream; base families consume one vectorised
     call.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    check("count", count)
     if model.family == "gaussian":
         return rng.normal(0.0, model.scale, size=count)
     if model.family == "uniform":
@@ -171,79 +143,24 @@ class ChannelSpec:
     num_transmitters: int
 
     def __post_init__(self) -> None:
-        if not self.power > 0:
-            raise ValueError("power must be > 0")
-        if self.num_transmitters < 1:
-            raise ValueError("num_transmitters must be >= 1")
+        check("power", self.power)
+        check("num_transmitters", self.num_transmitters)
 
 
 @dataclass(frozen=True)
 class RepetitionCodeParams:
-    """Block shape of the repetition disjunction code.
+    """Repetitions per slot and the per-slot error the code is sized for.
 
-    ``threshold`` must equal ``sqrt(P)/2`` of the channel the code runs on;
-    use :meth:`for_power` to derive it.
+    The decoding threshold ``sqrt(P)/2`` comes from the channel and the slot
+    count from the message matrix, so neither is stored here.
     """
 
     repetitions: int
-    slot_count: int
     target_slot_error: float
-    threshold: float
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.slot_count < 0:
-            raise ValueError("slot_count must be >= 0")
-        if not 0.0 <= self.target_slot_error < 1.0:
-            raise ValueError("target_slot_error must lie in [0, 1)")
-        if not self.threshold > 0:
-            raise ValueError("threshold must be > 0")
-
-    @staticmethod
-    def for_power(repetitions: int, slot_count: int, target_slot_error: float,
-                  power: float) -> "RepetitionCodeParams":
-        return RepetitionCodeParams(repetitions, slot_count, target_slot_error,
-                                    threshold=math.sqrt(power) / 2.0)
-
-
-@dataclass(frozen=True)
-class SlotTransmission:
-    """Channel outputs of one slot plus diagnostics only a simulator can know."""
-
-    step_outputs: tuple[float, ...]
-    slot_average: float
-    averaged_noise: float
-
-
-def repetition_encode(bit: bool, repetitions: int, power: float) -> np.ndarray:
-    """Codeword of one sender for one slot: m copies of sqrt(P) (true) or 0 (false)."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if not power > 0:
-        raise ValueError("power must be > 0")
-    level = math.sqrt(power) if bit else 0.0
-    return np.full(repetitions, level)
-
-
-def channel_step(inputs: np.ndarray, noise_draw: float, power: float) -> float:
-    """One use of the adder channel: sum of inputs plus noise.
-
-    Every input must satisfy the peak constraint ``|x| <= sqrt(P)``; a
-    violation is an error, not something to clip.
-    """
-    arr = np.asarray(inputs, dtype=float)
-    if not power > 0:
-        raise ValueError("power must be > 0")
-    limit = math.sqrt(power) * (1.0 + 1e-12)  # tolerate representation error of sqrt
-    if arr.size and float(np.max(np.abs(arr))) > limit:
-        raise ValueError("channel input violates the power constraint")
-    return float(arr.sum() + noise_draw)
-
-
-def threshold_decode(slot: SlotTransmission, power: float) -> bool:
-    """Slot average above sqrt(P)/2 decodes true; ties decode false."""
-    return slot.slot_average > math.sqrt(power) / 2.0
+        check("repetitions", self.repetitions)
+        check("target_slot_error", self.target_slot_error)
 
 
 def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
@@ -258,69 +175,28 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     return draws.reshape(slot_count, repetitions).mean(axis=1)
 
 
-def _superposed_slot_levels(messages: np.ndarray, power: float) -> np.ndarray:
-    """Noiseless channel sum per slot: each true sender adds sqrt(P) every step.
-
-    Both emitted symbol levels (0 and sqrt(P)) satisfy the peak constraint by
-    construction, which is asserted once here instead of per step.
-    """
-    messages = np.asarray(messages, dtype=bool)
-    if messages.ndim != 2:
-        raise ValueError("messages must be a (num_transmitters, num_slots) matrix")
-    root_power = math.sqrt(power)
-    assert abs(root_power) <= root_power and 0.0 <= root_power  # symbol levels obey |x| <= sqrt(P)
-    return messages.sum(axis=0) * root_power
-
-
 def transmit_block(messages: np.ndarray, params: RepetitionCodeParams,
                    channel: ChannelSpec, rng: np.random.Generator,
                    start_step: int = 0) -> np.ndarray:
     """Encode, superpose, add noise, and threshold-decode a block of slots.
 
-    ``messages`` has shape ``(num_transmitters, slot_count)``.  Returns the
-    decoded boolean per slot.  The step index for schedule noise starts at
-    ``start_step`` and advances by ``repetitions`` per slot.
+    ``messages`` has shape ``(num_transmitters, slot_count)``.  Each true
+    sender adds ``sqrt(P)`` at every step of its slot and a false one adds 0,
+    both within the peak constraint; the slot average above ``sqrt(P)/2``
+    decodes true and a tie decodes false.  Returns the decoded boolean per
+    slot.  The step index for schedule noise starts at ``start_step`` and
+    advances by ``repetitions`` per slot.
     """
     messages = np.asarray(messages, dtype=bool)
-    if messages.shape != (channel.num_transmitters, params.slot_count):
+    if messages.ndim != 2 or messages.shape[0] != channel.num_transmitters:
         raise ValueError(
-            f"messages shape {messages.shape} does not match "
-            f"({channel.num_transmitters}, {params.slot_count})")
-    expected = math.sqrt(channel.power) / 2.0
-    if not math.isclose(params.threshold, expected, rel_tol=1e-12):
-        raise ValueError("threshold must equal sqrt(power)/2 for this channel")
-    levels = _superposed_slot_levels(messages, channel.power)
+            f"messages shape {messages.shape} is not "
+            f"({channel.num_transmitters}, slot_count)")
+    root_power = math.sqrt(channel.power)
+    levels = messages.sum(axis=0) * root_power
     averaged = slot_noise_averages(channel.noise, params.repetitions,
-                                   params.slot_count, rng, start_step)
-    return (levels + averaged) > params.threshold
-
-
-def transmit_block_detailed(
-        messages: np.ndarray, params: RepetitionCodeParams, channel: ChannelSpec,
-        rng: np.random.Generator, start_step: int = 0,
-) -> tuple[np.ndarray, list[SlotTransmission]]:
-    """Like :func:`transmit_block` but also returns per-slot diagnostics."""
-    messages = np.asarray(messages, dtype=bool)
-    if messages.shape != (channel.num_transmitters, params.slot_count):
-        raise ValueError(
-            f"messages shape {messages.shape} does not match "
-            f"({channel.num_transmitters}, {params.slot_count})")
-    levels = _superposed_slot_levels(messages, channel.power)
-    noise = sample_noise_block(channel.noise, start_step,
-                               params.repetitions * params.slot_count, rng)
-    noise = noise.reshape(params.slot_count, params.repetitions)
-    slots = []
-    decoded = np.empty(params.slot_count, dtype=bool)
-    for i in range(params.slot_count):
-        steps = levels[i] + noise[i]
-        slot = SlotTransmission(
-            step_outputs=tuple(float(y) for y in steps),
-            slot_average=float(steps.mean()),
-            averaged_noise=float(noise[i].mean()),
-        )
-        slots.append(slot)
-        decoded[i] = threshold_decode(slot, channel.power)
-    return decoded, slots
+                                   messages.shape[1], rng, start_step)
+    return (levels + averaged) > root_power / 2.0
 
 
 def gaussian_slot_error_exact(sigma: float, power: float, repetitions: int) -> float:
@@ -331,12 +207,9 @@ def gaussian_slot_error_exact(sigma: float, power: float, repetitions: int) -> f
     bounds the decoder's actual error on any message pattern (for all-false
     slots the error is one-sided, half this value).
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
-    if not power > 0:
-        raise ValueError("power must be > 0")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    check("sigma", sigma)
+    check("power", power)
+    check("repetitions", repetitions)
     x = math.sqrt(power * repetitions) / (2.0 * sigma)
     return math.erfc(x / math.sqrt(2.0))
 
@@ -351,9 +224,6 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
 
     def __init__(self, channel: ChannelSpec, params: RepetitionCodeParams,
                  rng: np.random.Generator):
-        expected = math.sqrt(channel.power) / 2.0
-        if not math.isclose(params.threshold, expected, rel_tol=1e-12):
-            raise ValueError("threshold must equal sqrt(power)/2 for this channel")
         self.channel = channel
         self.params = params
         self.rng = rng
@@ -364,13 +234,7 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
         return self.params.target_slot_error
 
     def decode_block(self, messages: np.ndarray) -> np.ndarray:
-        messages = np.asarray(messages, dtype=bool)
-        slot_count = messages.shape[1]
-        params = self.params
-        if slot_count != params.slot_count:
-            params = RepetitionCodeParams(params.repetitions, slot_count,
-                                          params.target_slot_error, params.threshold)
-        decoded = transmit_block(messages, params, self.channel, self.rng,
+        decoded = transmit_block(messages, self.params, self.channel, self.rng,
                                  start_step=self._next_step)
-        self._next_step += params.repetitions * slot_count
+        self._next_step += self.params.repetitions * len(decoded)
         return decoded

@@ -23,6 +23,8 @@ import numpy as np
 from . import bounds as bnd
 from . import channel as chan
 from . import harness
+from ._ranges import check
+from .scheme import optimal_choice_probability
 
 _PRESET_REFERENCE = ((10_000, 20), (100_000, 20), (10_000, 30))
 
@@ -103,9 +105,21 @@ def _resolve_threads(args, conf) -> int:
     threads = _resolve(args, conf, "threads", int)
     if threads is None:
         threads = os.cpu_count() or 1
-    if threads < 1:
-        raise SystemExit("error: --threads must be >= 1")
-    return threads
+    return check("workers", threads)
+
+
+def _writable(path: str) -> str:
+    """Fail before any work if ``path`` cannot be opened for writing.
+
+    Opens in append mode, which keeps an existing file intact; a file this
+    creates is removed again, so a run that fails later leaves none behind.
+    """
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+    return path
 
 
 def _echo(params: dict) -> None:
@@ -197,11 +211,12 @@ def _cmd_simulate(parser, args, conf) -> int:
         if preset != "reference":
             parser.error(f"unknown preset {preset!r} (available: reference)")
         out_dir = _resolve(args, conf, "out_dir", str, ".")
+        outs = [_writable(os.path.join(out_dir, f"curve_n{n}_k{k}.csv"))
+                for n, k in _PRESET_REFERENCE]
         _echo({"preset": preset, "trials": trials, "seed": seed,
                "threads": threads, "out_dir": out_dir,
                "grid_max": grid_max, "grid_step": grid_step})
-        for n, k in _PRESET_REFERENCE:
-            out = os.path.join(out_dir, f"curve_n{n}_k{k}.csv")
+        for (n, k), out in zip(_PRESET_REFERENCE, outs):
             print(f"running n_inactive={n} k={k} ...")
             _run_until_exact_curve(n, k, p, trials, seed, cap, grid, out, threads)
         return 0
@@ -209,9 +224,10 @@ def _cmd_simulate(parser, args, conf) -> int:
     n = _require(parser, _resolve(args, conf, "n_inactive", int), "--n-inactive")
     k = _require(parser, _resolve(args, conf, "k", int), "--k")
     out = _require(parser, _resolve(args, conf, "out", str), "--out")
-    p_eff = p if p is not None else 1.0 / (k + 1)
+    p_eff = p if p is not None else optimal_choice_probability(k)
 
     if mode == "until-exact":
+        _writable(out)
         _echo({"mode": mode, "n_inactive": n, "k": k, "p": p_eff,
                "trials": trials, "seed": seed, "threads": threads,
                "grid_max": grid_max, "grid_step": grid_step,
@@ -220,6 +236,7 @@ def _cmd_simulate(parser, args, conf) -> int:
         _run_until_exact_curve(n, k, p, trials, seed, cap, grid, out, threads)
     elif mode == "trace":
         horizon = _require(parser, _resolve(args, conf, "horizon", int), "--horizon")
+        _writable(out)
         _echo({"mode": mode, "n_inactive": n, "k": k, "p": p_eff,
                "trials": trials, "seed": seed, "horizon": horizon, "out": out})
         trace = harness.expectation_trace(n, k, p_eff, trials, horizon, seed)
@@ -237,11 +254,11 @@ def _cmd_channel(parser, args, conf) -> int:
     big_k = _resolve(args, conf, "big_k", float, noise.norm_bound)
     c = _resolve(args, conf, "c", float, bnd.GAUSSIAN_TAIL_CONSTANT)
     delta = _require(parser, _resolve(args, conf, "delta", float), "--delta")
-    slots = _resolve(args, conf, "slots", int, 100_000)
+    slots = check("channel_slots", _resolve(args, conf, "slots", int, 100_000))
     reps = _resolve(args, conf, "m", int)
     seed = _resolve_seed(args, conf)
-    if reps is None:
-        reps = bnd.repetition_length(big_k, power, delta, c)
+    sized = bnd.repetition_length(big_k, power, delta, c)  # also checks K, P, delta, c
+    reps = sized if reps is None else check("repetitions", reps)
 
     _echo({"noise": _format_noise(noise), "power": power, "big_k": big_k,
            "c": c, "delta": delta, "m": reps, "slots": slots, "seed": seed})
@@ -284,14 +301,16 @@ def _cmd_e2e(parser, args, conf) -> int:
 
     if big_k < noise.norm_bound:
         parser.error(f"--big-k {big_k} is below the noise norm bound {noise.norm_bound}")
+    cfg = harness.ExperimentConfig(
+        n_inactive=n, k=k, mode="end_to_end", trials=trials, seed_base=seed,
+        eps=eps, noise=noise, norm_bound=big_k, power=power, tail_constant=c)
+    if out is not None:
+        _writable(out)
 
     _echo({"n_inactive": n, "k": k, "eps": eps, "noise": _format_noise(noise),
            "power": power, "big_k": big_k, "c": c, "trials": trials,
            "seed": seed, "threads": threads})
 
-    cfg = harness.ExperimentConfig(
-        n_inactive=n, k=k, mode="end_to_end", trials=trials, seed_base=seed,
-        eps=eps, noise=noise, norm_bound=big_k, power=power, tail_constant=c)
     summary, _ = harness.run_end_to_end_batch(cfg, workers=threads)
     print(f"slots = {summary.slots}")
     print(f"repetitions = {summary.repetitions}")
@@ -381,6 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(parser, args, conf)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
+    except OverflowError as exc:  # a finite input too large to compute with
+        parser.error(f"parameter out of range: {exc}")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

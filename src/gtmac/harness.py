@@ -33,10 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
+from ._ranges import check
 from .channel import (ChannelSpec, NoiseModel, RepetitionCodeParams,
                       RepetitionDisjunctionOracle)
-from .scheme import (Population, SchemeConfig, run_scheme, run_scheme_fast,
-                     sample_slots_until_exact, surplus_steps)
+from .scheme import (Population, SchemeConfig, optimal_choice_probability, run_scheme,
+                     run_scheme_fast, sample_slots_until_exact, surplus_steps)
 
 __all__ = [
     "DEFAULT_TRIALS",
@@ -67,8 +68,7 @@ TRIAL_BLOCK = 4096  # trials per seeded block of until-exact and trace batches
 
 def trial_seed(seed_base: int, index: int) -> int:
     """64-bit seed of trial ``index``: SeedSequence((seed_base, index)) hashed down."""
-    if index < 0:
-        raise ValueError("index must be >= 0")
+    check("index", index)
     ss = np.random.SeedSequence((seed_base, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -89,8 +89,8 @@ def default_slot_cap(n_inactive: int, k: int) -> int:
 
 def default_slot_grid(max_slot: int = 2500, step: int = 1) -> tuple[int, ...]:
     """Slot grid the error curve is evaluated on: 0..max_slot in ``step`` strides."""
-    if max_slot < 0 or step < 1:
-        raise ValueError("need max_slot >= 0 and step >= 1")
+    check("max_slot", max_slot)
+    check("step", step)
     return tuple(range(0, max_slot + 1, step))
 
 
@@ -99,10 +99,9 @@ class ExperimentConfig:
     """Aggregate description of one batch experiment.
 
     ``mode`` selects what the batch runners do: ``"until_exact"`` (run to an
-    exact potential set, error curves), ``"trace"`` (fixed horizon, surplus
-    expectation trace), or ``"end_to_end"`` (noisy channel, repetition code).
-    ``choice_probability`` of ``None`` means the optimum ``1/(k+1)``.  The
-    channel fields are only consulted in end-to-end mode.
+    exact potential set, error curves) or ``"end_to_end"`` (noisy channel,
+    repetition code).  ``choice_probability`` of ``None`` means the optimum
+    ``1/(k+1)``.  The channel fields are only consulted in end-to-end mode.
     """
 
     n_inactive: int
@@ -112,7 +111,6 @@ class ExperimentConfig:
     trials: int = DEFAULT_TRIALS
     seed_base: int = 0
     slot_cap: int | None = None
-    horizon: int | None = None
     eps: float | None = None
     noise: NoiseModel | None = None
     norm_bound: float | None = None
@@ -120,24 +118,23 @@ class ExperimentConfig:
     tail_constant: float = bounds.GAUSSIAN_TAIL_CONSTANT
 
     def __post_init__(self) -> None:
-        if self.mode not in ("until_exact", "trace", "end_to_end"):
+        if self.mode not in ("until_exact", "end_to_end"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n_inactive < 0 or self.k < 0:
-            raise ValueError("n_inactive and k must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.mode == "trace" and (self.horizon is None or self.horizon < 1):
-            raise ValueError("trace mode needs a horizon >= 1")
+        check("n_inactive", self.n_inactive)
+        check("k", self.k)
+        check("trials", self.trials)
         if self.mode == "end_to_end":
             missing = [name for name in ("eps", "noise", "norm_bound", "power")
                        if getattr(self, name) is None]
             if missing:
                 raise ValueError(f"end_to_end mode needs {', '.join(missing)}")
+            for name in ("eps", "norm_bound", "power", "tail_constant"):
+                check(name, getattr(self, name))
 
     def effective_choice_probability(self) -> float:
         if self.choice_probability is not None:
             return self.choice_probability
-        return 1.0 / (self.k + 1)
+        return optimal_choice_probability(self.k)
 
 
 @dataclass(frozen=True)
@@ -242,8 +239,7 @@ def _chunk_ranges(units: int, workers: int) -> list[tuple[int, int]]:
 
 def _run_chunked(worker, cfg: ExperimentConfig, units: int, workers: int) -> list:
     """``worker((cfg, lo, hi))`` over ``0..units`` in chunks; the parts in order."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check("workers", workers)
     size = _pool_size(workers, units, os.cpu_count() or 1)
     if size == 1:
         return [worker((cfg, 0, units))]
@@ -295,10 +291,8 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int,
     divided by sqrt(trials); the prediction column is
     :func:`gtmac.bounds.expected_remaining`.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2 for a standard error")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check("trace_trials", trials)
+    check("horizon", horizon)
     sums = np.zeros(horizon + 1)
     sums_sq = np.zeros(horizon + 1)
     for b, size in enumerate(_block_sizes(trials)):
@@ -330,20 +324,22 @@ def end_to_end_trial(n_inactive: int, k: int, eps: float, noise: NoiseModel,
     noise; ``norm_bound`` is the *declared* K the code is sized for, which
     must dominate the noise's true norm but need not equal it.
 
-    Success means the final potential set is exactly the active set.
+    Success means the final potential set is exactly the active set.  With
+    no inactive node the plan has no slot and the potential set starts exact.
     """
     plan = bounds.plan_channel_uses(n_inactive, k, eps, norm_bound, power,
                                     tail_constant)
+    if plan.slots == 0:
+        return RunRecord(trial_seed=seed, slots_until_exact=None, success=True)
     total_nodes = n_inactive + k
     setup_ss, scheme_ss, noise_ss = np.random.SeedSequence(seed).spawn(3)
     setup_rng = np.random.Generator(np.random.PCG64(setup_ss))
     population = Population.with_random_active_set(total_nodes, k, setup_rng)
 
     master_seed = int(scheme_ss.generate_state(1, dtype=np.uint64)[0])
-    config = SchemeConfig(1.0 / (k + 1), plan.slots, master_seed)
+    config = SchemeConfig(optimal_choice_probability(k), plan.slots, master_seed)
     channel = ChannelSpec(power=power, noise=noise, num_transmitters=total_nodes)
-    params = RepetitionCodeParams.for_power(plan.repetitions, plan.slots,
-                                            plan.slot_error_target, power)
+    params = RepetitionCodeParams(plan.repetitions, plan.slot_error_target)
     oracle = RepetitionDisjunctionOracle(
         channel, params, np.random.Generator(np.random.PCG64(noise_ss)))
 

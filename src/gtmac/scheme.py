@@ -31,12 +31,13 @@ the single-run form of the latter.
 from __future__ import annotations
 
 import itertools
-import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._ranges import MAX_SLOT_CAP, check
 
 __all__ = [
     "Population",
@@ -47,8 +48,6 @@ __all__ = [
     "DisjunctionOracle",
     "IdealDisjunctionOracle",
     "optimal_choice_probability",
-    "draw_chosen_set",
-    "node_transmit_bit",
     "receiver_update",
     "initial_state",
     "run_scheme",
@@ -59,8 +58,6 @@ __all__ = [
     "surplus_steps",
 ]
 
-_MAX_SEED = 2**64
-
 
 def optimal_choice_probability(k: int) -> float:
     """Choice probability maximising the single-slot removal rate p*(1-p)**k.
@@ -70,10 +67,7 @@ def optimal_choice_probability(k: int) -> float:
     ``p * (1-p)**k``; differentiation gives the maximiser ``1/(k+1)``.
     ``k = 0`` yields 1.0: with nothing to collide with, choose everyone.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError("k must be an int")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check("k", k)
     return 1.0 / (k + 1)
 
 
@@ -85,8 +79,7 @@ class Population:
     active_set: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.total_nodes < 0:
-            raise ValueError("total_nodes must be >= 0")
+        check("total_nodes", self.total_nodes)
         if not isinstance(self.active_set, frozenset):
             object.__setattr__(self, "active_set", frozenset(self.active_set))
         for node in self.active_set:
@@ -133,14 +126,10 @@ class SchemeConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        p = self.choice_probability
-        if not (isinstance(p, (int, float)) and 0.0 <= float(p) <= 1.0):
-            raise ValueError(f"choice_probability must lie in [0, 1], got {p!r}")
-        object.__setattr__(self, "choice_probability", float(p))
-        if self.slot_budget < 0:
-            raise ValueError("slot_budget must be >= 0")
-        if not (0 <= self.master_seed < _MAX_SEED):
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "choice_probability",
+                           float(check("p", self.choice_probability)))
+        check("slots", self.slot_budget)
+        check("master_seed", self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -213,26 +202,6 @@ def slot_rng(master_seed: int, slot_index: int) -> np.random.Generator:
     party can reproduce the chosen set without seeing the trace history.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, slot_index))))
-
-
-def draw_chosen_set(population: Population, choice_probability: float,
-                    rng: np.random.Generator) -> frozenset[int]:
-    """Draw the slot's chosen set: each node joins independently w.p. ``choice_probability``."""
-    if not 0.0 <= choice_probability <= 1.0:
-        raise ValueError("choice_probability must lie in [0, 1]")
-    mask = rng.random(population.total_nodes) < choice_probability
-    return frozenset(int(i) for i in np.flatnonzero(mask))
-
-
-def node_transmit_bit(node: int, population: Population, chosen_set: frozenset[int]) -> bool:
-    """Transmit rule of a single node: true iff it is active and currently chosen.
-
-    Nodes removed from the receiver's potential set follow the same rule; an
-    inactive node never transmits true regardless of its elimination status.
-    """
-    if not (0 <= node < population.total_nodes):
-        raise ValueError(f"node {node} outside population")
-    return node in population.active_set and node in chosen_set
 
 
 def initial_state(population: Population) -> PotentialSetState:
@@ -332,7 +301,6 @@ class FastRunResult:
 # slots before the G-th useful one).  This is COMP under a Bernoulli test
 # design.
 
-MAX_SLOT_CAP = 2**53 - 1  # cap + 1 must be exact in float64 for the clip on G
 _POISSON_MEAN_LIMIT = 2.0**62  # Poisson means past this would overflow int64 draws
 
 
@@ -347,9 +315,10 @@ def sample_slots_until_exact(n_inactive: int, k: int, p: float, slot_cap: int,
     as a gamma-Poisson mixture, which is NegBin(G, r).  Draw layout: ``count``
     uniforms, then ``count`` gammas, then ``count`` Poisson variates.
     """
-    _check_chain(n_inactive, k, p)
-    if not 0 <= slot_cap <= MAX_SLOT_CAP:
-        raise ValueError(f"slot_cap must lie in [0, {MAX_SLOT_CAP}]")
+    check("n_inactive", n_inactive)
+    check("k", k)
+    check("p", p)
+    check("slot_cap", slot_cap)
     if n_inactive == 0:
         return np.zeros(count, dtype=np.int64)
     useful_prob = (1.0 - p) ** k
@@ -378,9 +347,10 @@ def surplus_steps(n_inactive: int, k: int, p: float, slots: int,
     same zero vector is yielded for the remaining slots, so callers must not
     modify the vectors they receive.
     """
-    _check_chain(n_inactive, k, p)
-    if slots < 0:
-        raise ValueError("slots must be >= 0")
+    check("n_inactive", n_inactive)
+    check("k", k)
+    check("p", p)
+    check("slots", slots)
     return _steps(n_inactive, 1.0 - (1.0 - p) ** k, p, slots, rng, count)
 
 
@@ -394,13 +364,6 @@ def _steps(n_inactive, discard_prob, p, slots, rng, count):
         useful = rng.random(count) >= discard_prob
         surplus = surplus - rng.binomial(np.where(useful, surplus, 0), p)
         yield surplus
-
-
-def _check_chain(n_inactive: int, k: int, p: float) -> None:
-    if n_inactive < 0 or k < 0:
-        raise ValueError("n_inactive and k must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
 
 
 def run_scheme_fast(population: Population, config: SchemeConfig) -> FastRunResult:

@@ -38,7 +38,6 @@ def test_channel_use_plan_reference_values():
     assert plan.repetitions == 99
     assert plan.total == 789 * 99 == 78_111
     assert plan.closed_form == pytest.approx(77_447.846495, rel=1e-9)
-    assert bounds.total_channel_uses(10_000, 20, 1e-2, 1.0, 1.0, 0.125) == 78_111
 
 
 def test_expected_remaining_single_slot_value():
@@ -189,6 +188,8 @@ def test_zero_slots_when_nothing_to_do():
     assert bounds.slots_for_surplus_bound(10, 5, 0.9, 100.0) == 0
     plan = bounds.plan_channel_uses(0, 3, 0.1, 1.0, 1.0, 0.125)
     assert plan.total == 0 and plan.repetitions == 0 and plan.closed_form == 0.0
+    with pytest.raises(ValueError):  # the channel is checked even with no slot
+        bounds.plan_channel_uses(0, 3, 0.1, 1.0, math.inf, 0.125)
 
 
 def test_budget_shrinks_to_one_slot_near_eps_one():
@@ -212,6 +213,12 @@ def test_rejects_degenerate_slot_error_target():
         bounds.repetition_length(0.0, 1.0, 0.5, 0.125)
     with pytest.raises(ValueError):
         bounds.repetition_length(1.0, -1.0, 0.5, 0.125)
+    for bad in ((math.inf, 1.0, 0.01, 0.125), (1.0, 1.0, 0.01, math.inf),
+                (1.0, math.nan, 0.01, 0.125)):
+        with pytest.raises(ValueError):  # reals must be finite
+            bounds.repetition_length(*bad)
+    # a slot takes at least one repetition, also when K**2/P underflows
+    assert bounds.repetition_length(1e-200, 1.0, 0.01, 0.125) == 1
 
 
 def test_rejects_nonpositive_population_parameters():
@@ -223,6 +230,8 @@ def test_rejects_nonpositive_population_parameters():
         bounds.slots_for_surplus_bound(100, 3, 0.1, 0.0)
     with pytest.raises(ValueError):
         bounds.expected_remaining(100, 3, 1.2, 1)
+    with pytest.raises(TypeError):  # ints must not be bools
+        bounds.slots_for_exact_recovery(100, True, 0.1)
 
 
 def test_gaussian_tail_constant_value():

@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 
 from gtmac.channel import (ChannelSpec, NoiseModel, RepetitionCodeParams,
-                           RepetitionDisjunctionOracle, SlotTransmission,
-                           channel_step, gaussian, gaussian_slot_error_exact,
-                           rademacher, repetition_encode, sample_noise,
-                           sample_noise_block, schedule, slot_noise_averages,
-                           threshold_decode, transmit_block,
-                           transmit_block_detailed, uniform)
+                           RepetitionDisjunctionOracle, gaussian,
+                           gaussian_slot_error_exact, rademacher, sample_noise_block,
+                           schedule, slot_noise_averages, transmit_block, uniform)
 
 
 def absolute_moment_ratio(model: NoiseModel, n: int) -> float:
@@ -72,9 +69,6 @@ def test_norm_bound_dominates_all_moment_ratios(model):
 
 def test_schedule_cycles_through_members():
     model = schedule(rademacher(3.0), gaussian(0.0))
-    assert model.model_at(0).family == "rademacher"
-    assert model.model_at(1).family == "gaussian"
-    assert model.model_at(4).family == "rademacher"
     rng = np.random.default_rng(0)
     draws = sample_noise_block(model, 0, 10, rng)
     assert all(abs(v) == 3.0 for v in draws[0::2])   # even steps: +-3
@@ -84,15 +78,6 @@ def test_schedule_cycles_through_members():
     assert shifted[0] == 0.0 and abs(shifted[1]) == 3.0
 
 
-def test_scalar_sampler_families():
-    rng = np.random.default_rng(1)
-    vals = [sample_noise(rademacher(2.0), t, rng) for t in range(200)]
-    assert set(vals) == {-2.0, 2.0}
-    vals = [sample_noise(uniform(0.5), t, rng) for t in range(200)]
-    assert all(-0.5 <= v <= 0.5 for v in vals)
-    assert sample_noise(gaussian(0.0), 0, rng) == 0.0
-
-
 def test_block_sampler_statistics():
     rng = np.random.default_rng(7)
     block = sample_noise_block(gaussian(2.0), 0, 200_000, rng)
@@ -100,90 +85,81 @@ def test_block_sampler_statistics():
     assert block.std() == pytest.approx(2.0, rel=0.01)
     block = sample_noise_block(uniform(1.0), 0, 200_000, rng)
     assert block.std() == pytest.approx(1 / math.sqrt(3), rel=0.01)
+    assert set(sample_noise_block(rademacher(2.0), 0, 200, rng)) == {-2.0, 2.0}
+    assert np.all(np.abs(sample_noise_block(uniform(0.5), 0, 200, rng)) <= 0.5)
+    assert np.all(sample_noise_block(gaussian(0.0), 0, 10, rng) == 0.0)
 
 
 # --- encoder / channel / decoder ---------------------------------------------------
 
-def test_repetition_encode_levels():
-    np.testing.assert_array_equal(repetition_encode(True, 4, 9.0),
-                                  np.full(4, 3.0))
-    np.testing.assert_array_equal(repetition_encode(False, 4, 9.0), np.zeros(4))
-    with pytest.raises(ValueError):
-        repetition_encode(True, 0, 1.0)
-
-
-def test_channel_step_sums_and_validates_power():
-    assert channel_step(np.array([1.0, 0.0, 1.0]), 0.25, power=1.0) == 2.25
-    assert channel_step(np.array([]), -0.5, power=1.0) == -0.5
-    with pytest.raises(ValueError):
-        channel_step(np.array([1.01]), 0.0, power=1.0)
-    with pytest.raises(ValueError):
-        channel_step(np.array([-1.2, 0.0]), 0.0, power=1.0)
-
-
 def test_threshold_decode_tie_goes_to_false():
-    mk = lambda avg: SlotTransmission((avg,), avg, 0.0)
-    assert threshold_decode(mk(0.51), power=1.0) is True
-    assert threshold_decode(mk(0.50), power=1.0) is False
-    assert threshold_decode(mk(-3.0), power=1.0) is False
+    # rademacher(0.5) noise, m = 1, P = 1: each slot average is a tie at the
+    # sqrt(P)/2 = 0.5 threshold (+0.5 silent, 1 - 0.5 with a sender) or clear of it
+    params = RepetitionCodeParams(1, 0.1)
+    channel = ChannelSpec(1.0, rademacher(0.5), num_transmitters=1)
+    noise = sample_noise_block(rademacher(0.5), 0, 200, np.random.default_rng(3))
+    assert set(noise) == {-0.5, 0.5}
+    silent = transmit_block(np.zeros((1, 200), bool), params, channel,
+                            np.random.default_rng(3))
+    assert not silent.any()
+    sending = transmit_block(np.ones((1, 200), bool), params, channel,
+                             np.random.default_rng(3))
+    np.testing.assert_array_equal(sending, noise > 0)
 
 
 def test_transmit_block_zero_noise_recovers_exact_disjunction():
     rng = np.random.default_rng(5)
     messages = rng.random((6, 40)) < 0.3
-    params = RepetitionCodeParams.for_power(3, 40, 0.0, power=2.0)
+    params = RepetitionCodeParams(3, 0.0)
     chan_spec = ChannelSpec(power=2.0, noise=gaussian(0.0), num_transmitters=6)
     decoded = transmit_block(messages, params, chan_spec, np.random.default_rng(0))
     np.testing.assert_array_equal(decoded, messages.any(axis=0))
 
 
 def test_transmit_block_validates_shapes_and_threshold():
-    params = RepetitionCodeParams.for_power(2, 3, 0.1, power=1.0)
-    chan_spec = ChannelSpec(power=1.0, noise=gaussian(1.0), num_transmitters=4)
-    with pytest.raises(ValueError):
-        transmit_block(np.zeros((5, 3), bool), params, chan_spec,
-                       np.random.default_rng(0))
-    bad_params = RepetitionCodeParams(2, 3, 0.1, threshold=0.9)
-    with pytest.raises(ValueError):
-        transmit_block(np.zeros((4, 3), bool), bad_params, chan_spec,
-                       np.random.default_rng(0))
+    params = RepetitionCodeParams(1, 0.1)
+    chan_spec = ChannelSpec(power=1.0, noise=rademacher(1.0), num_transmitters=4)
+    for shape in ((5, 3), (4,), (4, 3, 1)):
+        with pytest.raises(ValueError):
+            transmit_block(np.zeros(shape, bool), params, chan_spec,
+                           np.random.default_rng(0))
+    # the threshold is sqrt(P)/2 of the channel: silent slots average +-1, which
+    # clears it at P = 1 and ties it at P = 4
+    silent = np.zeros((4, 100), bool)
+    noise = sample_noise_block(rademacher(1.0), 0, 100, np.random.default_rng(0))
+    decoded = transmit_block(silent, params, chan_spec, np.random.default_rng(0))
+    np.testing.assert_array_equal(decoded, noise > 0)
+    loud = ChannelSpec(power=4.0, noise=rademacher(1.0), num_transmitters=4)
+    assert not transmit_block(silent, params, loud, np.random.default_rng(0)).any()
 
 
 def test_transmit_block_matches_scalar_pipeline():
-    # wire the scalar ops together by hand and compare with the block path
-    power, m, slots, senders = 2.5, 5, 4, 3
+    # the slot pipeline written out step by step, against the block path
+    power, m, slots = 2.5, 5, 4
     messages = np.array([[True, False, False, True],
                          [False, False, True, True],
                          [False, False, False, False]])
     noise_model = schedule(gaussian(0.8), uniform(0.3))
-    params = RepetitionCodeParams.for_power(m, slots, 0.1, power)
-    chan_spec = ChannelSpec(power, noise_model, senders)
+    params = RepetitionCodeParams(m, 0.1)
+    chan_spec = ChannelSpec(power, noise_model, len(messages))
 
     block = transmit_block(messages, params, chan_spec, np.random.default_rng(42))
-    detailed, slots_out = transmit_block_detailed(messages, params, chan_spec,
-                                                  np.random.default_rng(42))
     noise = sample_noise_block(noise_model, 0, m * slots,
                                np.random.default_rng(42)).reshape(slots, m)
+    root = math.sqrt(power)
     scalar = []
     for i in range(slots):
-        codewords = [repetition_encode(bool(messages[r, i]), m, power)
-                     for r in range(senders)]
-        steps = [channel_step(np.array([w[t] for w in codewords]), noise[i, t], power)
-                 for t in range(m)]
-        slot = SlotTransmission(tuple(steps), float(np.mean(steps)),
-                                float(noise[i].mean()))
-        scalar.append(threshold_decode(slot, power))
-        assert slots_out[i].slot_average == pytest.approx(slot.slot_average)
-        assert slots_out[i].averaged_noise == pytest.approx(slot.averaged_noise)
+        level = root * sum(bool(bit) for bit in messages[:, i])  # true senders
+        steps = [level + noise[i, t] for t in range(m)]
+        scalar.append(sum(steps) / m > root / 2)
     np.testing.assert_array_equal(block, np.array(scalar))
-    np.testing.assert_array_equal(detailed, np.array(scalar))
 
 
 def test_transmit_block_is_one_sided_and_monotone_in_senders():
     # errors on all-false slots only when the averaged noise exceeds +threshold,
     # and adding a true sender can only turn decodes from false to true
     power, m, slots = 1.0, 9, 2000
-    params = RepetitionCodeParams.for_power(m, slots, 0.1, power)
+    params = RepetitionCodeParams(m, 0.1)
     chan_spec1 = ChannelSpec(power, gaussian(1.0), num_transmitters=1)
     chan_spec2 = ChannelSpec(power, gaussian(1.0), num_transmitters=2)
 
@@ -200,19 +176,6 @@ def test_transmit_block_is_one_sided_and_monotone_in_senders():
     assert np.all(decoded_true >= decoded_silent)
     # with a true sender the decode fails only if noise drags the slot down
     np.testing.assert_array_equal(decoded_true, averaged > -0.5)
-
-
-def test_slot_average_diagnostics_relate_level_and_noise():
-    power, m = 4.0, 6
-    params = RepetitionCodeParams.for_power(m, 3, 0.1, power)
-    chan_spec = ChannelSpec(power, gaussian(0.7), num_transmitters=2)
-    messages = np.array([[True, False, True], [True, False, False]])
-    _, slots_out = transmit_block_detailed(messages, params, chan_spec,
-                                           np.random.default_rng(9))
-    levels = [4.0, 0.0, 2.0]  # true senders times sqrt(P) = 2
-    for slot, level in zip(slots_out, levels):
-        assert len(slot.step_outputs) == m
-        assert slot.slot_average == pytest.approx(level + slot.averaged_noise)
 
 
 # --- exact gaussian error and calibration -----------------------------------------
@@ -263,7 +226,7 @@ def test_empirical_gaussian_excursion_rate_matches_exact():
 
 def test_repetition_oracle_declares_target_and_decodes():
     chan_spec = ChannelSpec(1.0, gaussian(0.0), num_transmitters=3)
-    params = RepetitionCodeParams.for_power(4, 5, 0.01, 1.0)
+    params = RepetitionCodeParams(4, 0.01)
     oracle = RepetitionDisjunctionOracle(chan_spec, params, np.random.default_rng(1))
     assert oracle.slot_error_probability == 0.01
     messages = np.array([[True, False, False, False, True],
@@ -278,7 +241,7 @@ def test_repetition_oracle_advances_schedule_between_calls():
     # across calls for the second block to see the shifted pattern
     model = schedule(rademacher(1.0), gaussian(0.0))
     chan_spec = ChannelSpec(1.0, model, num_transmitters=1)
-    params = RepetitionCodeParams.for_power(3, 1, 0.1, 1.0)
+    params = RepetitionCodeParams(3, 0.1)
     oracle = RepetitionDisjunctionOracle(chan_spec, params, np.random.default_rng(0))
     oracle.decode_block(np.zeros((1, 1), bool))
     assert oracle._next_step == 3

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,12 +58,21 @@ def test_bounds_requires_a_complete_parameter_set(capsys):
 
 
 def test_invalid_parameters_exit_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["bounds", "--n-inactive", "-5", "--k", "2", "--eps", "0.01"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["bounds", "--n-inactive", "10", "--k", "2", "--eps", "1.5"])
-    assert info.value.code == 2
+    for argv, named in (
+        (["bounds", "--n-inactive", "-5", "--k", "2", "--eps", "0.01"], "n_inactive"),
+        (["bounds", "--n-inactive", "10", "--k", "2", "--eps", "1.5"], "eps"),
+        (["bounds", "--big-k", "inf", "--power", "1", "--delta", "0.01"], "norm_bound"),
+        (["bounds", "--big-k", "1", "--power", "1", "--delta", "0.01", "--c", "inf"],
+         "tail_constant"),
+        (["bounds", "--big-k", "1e200", "--power", "1", "--delta", "0.01"],
+         "out of range"),
+        (["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+          "--power", "inf", "--trials", "2", "--seed", "9"], "power"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert named in capsys.readouterr().err, argv
 
 
 # --- simulate -----------------------------------------------------------------
@@ -204,6 +214,15 @@ def test_channel_smoke_reports_rates(capsys):
     assert 0.0 <= rate <= 0.01
 
 
+@pytest.mark.parametrize("flag", [["--slots", "0"], ["--m", "0"]])
+def test_channel_checks_inputs_before_printing(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["channel", "--sigma", "1", "--power", "1", "--delta", "0.01",
+              "--seed", "7", *flag])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_channel_schedule_spec_and_conflicting_noise_flags(capsys):
     code, out = run_cli(capsys, [
         "channel", "--noise", "uniform=0.5,rademacher=1.0", "--power", "1.0",
@@ -235,12 +254,71 @@ def test_e2e_smoke_and_csv(tmp_path, capsys):
     assert summary.total_channel_uses == summary.slots * summary.repetitions
 
 
+def test_e2e_without_inactive_nodes_succeeds_trivially(tmp_path, capsys):
+    out = tmp_path / "e2e.csv"
+    code, text = run_cli(capsys, [
+        "e2e", "--n-inactive", "0", "--k", "3", "--eps", "0.1", "--sigma", "1.0",
+        "--power", "1.0", "--trials", "5", "--seed", "4", "--threads", "1",
+        "--out", str(out)])
+    assert code == 0
+    assert "slots = 0\nrepetitions = 0\n" in text
+    assert "failures = 0 / 5" in text
+    summary = harness.read_end_to_end_summary(str(out))
+    assert (summary.trials, summary.failures, summary.slots, summary.repetitions,
+            summary.total_channel_uses) == (5, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-inactive", "40", "--k", "2", "--out", "{missing}/x.csv"],
+    ["simulate", "--mode", "trace", "--n-inactive", "40", "--k", "2",
+     "--horizon", "5", "--out", "{missing}/x.csv"],
+    ["simulate", "--preset", "reference", "--out-dir", "{missing}"],
+    ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+     "--power", "1.0", "--out", "{missing}/x.csv"],
+])
+def test_unwritable_output_fails_before_any_trial(tmp_path, capsys, argv):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    assert main([*argv, "--trials", "40", "--seed", "3", "--threads", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "trials = " not in out and "failures = " not in out
+    assert "final_mean_surplus" not in out
+
+
 def test_e2e_rejects_understated_norm_bound(capsys):
     with pytest.raises(SystemExit) as info:
         main(["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2",
               "--sigma", "2.0", "--big-k", "1.0", "--power", "1.0",
               "--trials", "4", "--seed", "9"])
     assert info.value.code == 2
+
+
+# --- benchmark tracer ------------------------------------------------------------------
+
+def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, capsys, monkeypatch):
+    # perfbench/tracing.py patches names by module attribute; a renamed or
+    # deleted name fails here and not only in the benchmark's traced pass
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    rec = tracing.Recorder()
+    tiny = ["--trials", "20", "--seed", "1", "--threads", "1"]
+    with rec.installed():
+        for argv in (
+                ["simulate", "--n-inactive", "50", "--k", "2", "--grid-max", "40"],
+                ["simulate", "--mode", "trace", "--n-inactive", "50", "--k", "2",
+                 "--horizon", "5"],
+                ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2",
+                 "--sigma", "0.5", "--power", "1"]):
+            out = tmp_path / f"{argv[0]}{len(argv)}.csv"
+            assert main([*argv, *tiny, "--out", str(out)]) == 0
+    capsys.readouterr()
+    _, calls = rec.self_times()
+    assert {"bounds", "channel.decode_block", "channel.slot_noise_averages",
+            "harness.build_error_curve", "harness.end_to_end_trial",
+            "harness.expectation_trace", "harness.export_csv",
+            "harness.run_end_to_end_batch", "harness.run_until_exact_batch",
+            "harness.trial_seed", "scheme.receiver_update", "scheme.run_scheme",
+            "scheme.slot_rng"} <= set(calls)
 
 
 # --- packaging ------------------------------------------------------------------------

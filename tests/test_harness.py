@@ -65,7 +65,8 @@ def test_until_exact_batch_is_worker_count_invariant():
         assert np.all(serial > 0)
     with pytest.raises(ValueError):
         harness.run_until_exact_batch(
-            harness.ExperimentConfig(n_inactive=8, k=1, mode="trace", horizon=5),
+            harness.ExperimentConfig(n_inactive=8, k=1, mode="end_to_end", eps=0.1,
+                                     noise=gaussian(1.0), norm_bound=1.0, power=1.0),
             workers=1)
 
 
@@ -95,9 +96,10 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         harness.ExperimentConfig(n_inactive=5, k=1, mode="nonsense")
     with pytest.raises(ValueError):
-        harness.ExperimentConfig(n_inactive=5, k=1, mode="trace")  # no horizon
-    with pytest.raises(ValueError):
         harness.ExperimentConfig(n_inactive=5, k=1, mode="end_to_end")  # no channel
+    with pytest.raises(ValueError):
+        harness.ExperimentConfig(n_inactive=5, k=1, mode="end_to_end", eps=0.1,
+                                 noise=gaussian(1.0), norm_bound=1.0, power=math.inf)
     with pytest.raises(ValueError):
         harness.ExperimentConfig(n_inactive=5, k=1, trials=0)
     cfg = harness.ExperimentConfig(n_inactive=5, k=3)

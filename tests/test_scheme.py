@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtmac.scheme import (MAX_SLOT_CAP, FastRunResult, IdealDisjunctionOracle,
-                          Population, PotentialSetState, SchemeConfig,
-                          draw_chosen_set, initial_state, node_transmit_bit,
-                          optimal_choice_probability, receiver_update,
-                          run_scheme, run_scheme_fast, sample_slots_until_exact,
-                          slot_rng, surplus_steps)
+                          Population, PotentialSetState, SchemeConfig, initial_state,
+                          optimal_choice_probability, receiver_update, run_scheme,
+                          run_scheme_fast, sample_slots_until_exact, slot_rng,
+                          surplus_steps)
 
 
 def brute_force_single_slot_law(n_inactive: int, k: int, p: float) -> dict:
@@ -103,41 +102,6 @@ def test_scheme_config_rejects_invalid_probability():
     SchemeConfig(1.0, 1, 0)
 
 
-# --- chosen sets and transmit bits ----------------------------------------------
-
-def test_draw_chosen_set_boundaries():
-    pop = Population(8, frozenset({1}))
-    rng = np.random.default_rng(3)
-    assert draw_chosen_set(pop, 0.0, rng) == frozenset()
-    assert draw_chosen_set(pop, 1.0, rng) == frozenset(range(8))
-    with pytest.raises(ValueError):
-        draw_chosen_set(pop, 1.1, rng)
-
-
-def test_draw_chosen_set_binomial_statistics():
-    # mean size over draws should sit inside the single-draw 3-sigma band
-    pop = Population(10_000, frozenset())
-    rng = np.random.default_rng(2026)
-    draws = 10_000
-    sizes = np.fromiter(
-        (len(draw_chosen_set(pop, 0.3, rng)) for _ in range(draws)), float, draws)
-    band = 3 * math.sqrt(10_000 * 0.3 * 0.7)  # ~137
-    assert abs(sizes.mean() - 3000.0) < band
-    # and the empirical variance should be near N p (1-p)
-    assert sizes.var() == pytest.approx(10_000 * 0.3 * 0.7, rel=0.1)
-
-
-def test_node_transmit_bit_rule():
-    pop = Population(6, frozenset({2, 3}))
-    chosen = frozenset({0, 2})
-    assert node_transmit_bit(2, pop, chosen) is True      # active and chosen
-    assert node_transmit_bit(3, pop, chosen) is False     # active, not chosen
-    assert node_transmit_bit(0, pop, chosen) is False     # chosen, not active
-    assert node_transmit_bit(5, pop, chosen) is False     # neither
-    with pytest.raises(ValueError):
-        node_transmit_bit(6, pop, chosen)
-
-
 # --- receiver update -------------------------------------------------------------
 
 def test_receiver_update_keeps_set_on_true():
@@ -193,6 +157,10 @@ def test_run_scheme_ideal_oracle_invariants():
         state = nxt
     assert state == final
     assert final.surplus >= 0
+    # p = 0 chooses nobody, so no slot removes anything
+    final, outcomes = run_scheme(pop, SchemeConfig(0.0, 5, 5), IdealDisjunctionOracle())
+    assert final.potential_set == frozenset(range(40))
+    assert all(out.chosen_set == frozenset() for out in outcomes)
 
 
 def test_run_scheme_k0_p1_clears_everything_in_one_slot():
@@ -393,6 +361,8 @@ def test_sampler_validates_inputs():
         sample_slots_until_exact(5, 2, 0.5, MAX_SLOT_CAP + 1, rng, 1)
     with pytest.raises(ValueError):
         surplus_steps(5, 2, 0.5, -1, rng, 1)
+    with pytest.raises(TypeError):  # a bool is not a count
+        surplus_steps(True, 2, 0.5, 3, rng, 1)
 
 
 def test_sampler_and_step_kernel_agree_in_law():
