@@ -56,6 +56,7 @@ _RANGES = {
     "trace_trials": ("trials", True, 2, _INF, "an int >= 2 for a standard error"),
     "horizon": ("horizon", True, 1, _INF, "an int >= 1"),
     "index": ("index", True, 0, _INF, "an int >= 0"),
+    "seed": ("seed", True, 0, _INF, "an int >= 0"),
     "workers": ("workers", True, 1, _INF, "an int >= 1"),
     "max_slot": ("max_slot", True, 0, _INF, "an int >= 0"),
     "step": ("step", True, 1, _INF, "an int >= 1"),

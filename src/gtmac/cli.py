@@ -45,8 +45,8 @@ def _resolve(args: argparse.Namespace, conf: dict[str, str], key: str, cast,
         raw = conf[key]
         try:
             return cast(raw)
-        except ValueError as exc:
-            raise SystemExit(f"error: config key {key} = {raw!r}: {exc}") from exc
+        except ValueError as exc:  # main reports it like a bad flag value: exit 2
+            raise ValueError(f"config key {key} = {raw!r}: {exc}") from exc
     return fallback
 
 
@@ -98,7 +98,7 @@ def _resolve_seed(args, conf) -> int:
     seed = _resolve(args, conf, "seed", int)
     if seed is None:
         seed = secrets.randbits(63)
-    return seed
+    return check("seed", seed)
 
 
 def _resolve_threads(args, conf) -> int:
@@ -154,19 +154,22 @@ def _cmd_bounds(parser, args, conf) -> int:
                         ("big_k", big_k), ("power", power), ("delta", delta)):
         if value is not None:
             params[name] = value
-    _echo(params)
 
+    lines = []  # computed before the echo, so a bad parameter prints nothing
     if have_scheme:
-        print(f"slots_exact_recovery = {bnd.slots_for_exact_recovery(n, k, eps)}")
-        print(f"slots_surplus_bound = {bnd.slots_for_surplus_bound(n, k, eps, factor)}")
+        lines.append(f"slots_exact_recovery = {bnd.slots_for_exact_recovery(n, k, eps)}")
+        lines.append(f"slots_surplus_bound = {bnd.slots_for_surplus_bound(n, k, eps, factor)}")
         if have_channel:
             plan = bnd.plan_channel_uses(n, k, eps, big_k, power, c)
-            print(f"slot_error_target = {plan.slot_error_target!r}")
-            print(f"repetitions = {plan.repetitions}")
-            print(f"total_channel_uses = {plan.total}")
-            print(f"closed_form_reference = {plan.closed_form!r}")
+            lines.append(f"slot_error_target = {plan.slot_error_target!r}")
+            lines.append(f"repetitions = {plan.repetitions}")
+            lines.append(f"total_channel_uses = {plan.total}")
+            lines.append(f"closed_form_reference = {plan.closed_form!r}")
     if have_channel and delta is not None:
-        print(f"repetition_length = {bnd.repetition_length(big_k, power, delta, c)}")
+        lines.append(f"repetition_length = {bnd.repetition_length(big_k, power, delta, c)}")
+    _echo(params)
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -184,12 +187,15 @@ def _summarize_until_exact(slots) -> str:
             f"  censored = {len(slots) - count}")
 
 
-def _run_until_exact_curve(n, k, p, trials, seed, cap, grid, out, threads) -> None:
-    cfg = harness.ExperimentConfig(
+def _until_exact_config(n, k, p, trials, seed, cap) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig(
         n_inactive=n, k=k, mode="until_exact", choice_probability=p,
         trials=trials, seed_base=seed, slot_cap=cap)
+
+
+def _run_until_exact_curve(cfg: harness.ExperimentConfig, grid, out, threads) -> None:
     slots = harness.run_until_exact_batch(cfg, workers=threads)
-    curve = harness.build_error_curve(slots, grid, n, k)
+    curve = harness.build_error_curve(slots, grid, cfg.n_inactive, cfg.k)
     harness.export_csv(curve, out)
     print(_summarize_until_exact(slots))
     print(f"wrote {out}")
@@ -210,32 +216,39 @@ def _cmd_simulate(parser, args, conf) -> int:
     if preset is not None:
         if preset != "reference":
             parser.error(f"unknown preset {preset!r} (available: reference)")
+        cfgs = [_until_exact_config(n, k, p, trials, seed, cap)
+                for n, k in _PRESET_REFERENCE]
         out_dir = _resolve(args, conf, "out_dir", str, ".")
         outs = [_writable(os.path.join(out_dir, f"curve_n{n}_k{k}.csv"))
                 for n, k in _PRESET_REFERENCE]
         _echo({"preset": preset, "trials": trials, "seed": seed,
                "threads": threads, "out_dir": out_dir,
                "grid_max": grid_max, "grid_step": grid_step})
-        for (n, k), out in zip(_PRESET_REFERENCE, outs):
-            print(f"running n_inactive={n} k={k} ...")
-            _run_until_exact_curve(n, k, p, trials, seed, cap, grid, out, threads)
+        for cfg, out in zip(cfgs, outs):
+            print(f"running n_inactive={cfg.n_inactive} k={cfg.k} ...")
+            _run_until_exact_curve(cfg, grid, out, threads)
         return 0
 
     n = _require(parser, _resolve(args, conf, "n_inactive", int), "--n-inactive")
     k = _require(parser, _resolve(args, conf, "k", int), "--k")
     out = _require(parser, _resolve(args, conf, "out", str), "--out")
-    p_eff = p if p is not None else optimal_choice_probability(k)
 
     if mode == "until-exact":
+        cfg = _until_exact_config(n, k, p, trials, seed, cap)
         _writable(out)
-        _echo({"mode": mode, "n_inactive": n, "k": k, "p": p_eff,
+        _echo({"mode": mode, "n_inactive": n, "k": k,
+               "p": cfg.effective_choice_probability(),
                "trials": trials, "seed": seed, "threads": threads,
                "grid_max": grid_max, "grid_step": grid_step,
                "slot_cap": cap if cap is not None else harness.default_slot_cap(n, k),
                "out": out})
-        _run_until_exact_curve(n, k, p, trials, seed, cap, grid, out, threads)
+        _run_until_exact_curve(cfg, grid, out, threads)
     elif mode == "trace":
         horizon = _require(parser, _resolve(args, conf, "horizon", int), "--horizon")
+        p_eff = p if p is not None else optimal_choice_probability(k)
+        for key, value in (("n_inactive", n), ("k", k), ("p", p_eff),
+                           ("trace_trials", trials), ("horizon", horizon)):
+            check(key, value)
         _writable(out)
         _echo({"mode": mode, "n_inactive": n, "k": k, "p": p_eff,
                "trials": trials, "seed": seed, "horizon": horizon, "out": out})

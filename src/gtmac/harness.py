@@ -25,6 +25,7 @@ them back recovers the exact values.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -123,6 +124,10 @@ class ExperimentConfig:
         check("n_inactive", self.n_inactive)
         check("k", self.k)
         check("trials", self.trials)
+        if self.choice_probability is not None:
+            check("p", self.choice_probability)
+        if self.slot_cap is not None:
+            check("slot_cap", self.slot_cap)
         if self.mode == "end_to_end":
             missing = [name for name in ("eps", "noise", "norm_bound", "power")
                        if getattr(self, name) is None]
@@ -313,22 +318,20 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int,
     )
 
 
-def end_to_end_trial(n_inactive: int, k: int, eps: float, noise: NoiseModel,
-                     norm_bound: float, power: float, tail_constant: float,
-                     seed: int) -> RunRecord:
-    """One full noisy-channel trial: plan budgets, run the scheme, check recovery.
+def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
+                     plan: bounds.ChannelUsePlan, seed: int) -> RunRecord:
+    """One full noisy-channel trial: run the scheme on ``plan``, check recovery.
 
-    The slot budget targets elimination error ``eps`` and the repetition
-    length targets per-slot decoding error ``eps/slots``, so the failure
-    probability is at most ``2*eps``.  ``noise`` is the channel's actual
-    noise; ``norm_bound`` is the *declared* K the code is sized for, which
-    must dominate the noise's true norm but need not equal it.
+    ``plan`` is :func:`gtmac.bounds.plan_channel_uses` of the batch: its slot
+    budget targets elimination error eps and its repetition length targets
+    per-slot decoding error ``eps/slots``, so the failure probability is at
+    most ``2*eps``.  ``noise`` is the channel's actual noise; the plan is
+    sized for the *declared* norm bound K, which must dominate the noise's
+    true norm but need not equal it.
 
     Success means the final potential set is exactly the active set.  With
     no inactive node the plan has no slot and the potential set starts exact.
     """
-    plan = bounds.plan_channel_uses(n_inactive, k, eps, norm_bound, power,
-                                    tail_constant)
     if plan.slots == 0:
         return RunRecord(trial_seed=seed, slots_until_exact=None, success=True)
     total_nodes = n_inactive + k
@@ -343,31 +346,33 @@ def end_to_end_trial(n_inactive: int, k: int, eps: float, noise: NoiseModel,
     oracle = RepetitionDisjunctionOracle(
         channel, params, np.random.Generator(np.random.PCG64(noise_ss)))
 
-    final_state, _ = run_scheme(population, config, oracle)
+    final_mask, _ = run_scheme(population, config, oracle)
     return RunRecord(trial_seed=seed, slots_until_exact=None,
-                     success=final_state.potential_set == population.active_set)
+                     success=np.array_equal(final_mask, population.active_mask()))
 
 
-def _end_to_end_chunk(args: tuple) -> list[RunRecord]:
+def _end_to_end_chunk(plan: bounds.ChannelUsePlan, args: tuple) -> list[RunRecord]:
     cfg, lo, hi = args
-    return [
-        end_to_end_trial(cfg.n_inactive, cfg.k, cfg.eps, cfg.noise,
-                         cfg.norm_bound, cfg.power, cfg.tail_constant,
-                         trial_seed(cfg.seed_base, t))
-        for t in range(lo, hi)
-    ]
+    return [end_to_end_trial(cfg.n_inactive, cfg.k, cfg.noise, cfg.power, plan,
+                             trial_seed(cfg.seed_base, t))
+            for t in range(lo, hi)]
 
 
 def run_end_to_end_batch(cfg: ExperimentConfig,
                          workers: int = 1) -> tuple[EndToEndSummary, list[RunRecord]]:
-    """All end-to-end trials plus the aggregate failure summary."""
+    """All end-to-end trials plus the aggregate failure summary.
+
+    The channel-use plan depends only on the batch's parameters; it is
+    computed once and shared by every trial.
+    """
     if cfg.mode != "end_to_end":
         raise ValueError("config mode must be 'end_to_end'")
-    records = [r for part in _run_chunked(_end_to_end_chunk, cfg, cfg.trials, workers)
-               for r in part]
-    failures = sum(1 for r in records if not r.success)
     plan = bounds.plan_channel_uses(cfg.n_inactive, cfg.k, cfg.eps,
                                     cfg.norm_bound, cfg.power, cfg.tail_constant)
+    chunks = _run_chunked(functools.partial(_end_to_end_chunk, plan), cfg,
+                          cfg.trials, workers)
+    records = [r for part in chunks for r in part]
+    failures = sum(1 for r in records if not r.success)
     summary = EndToEndSummary(
         trials=len(records),
         failures=failures,

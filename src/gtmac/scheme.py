@@ -12,6 +12,11 @@ budget of slots:
 4. on a decoded ``True`` the receiver discards the slot, on a decoded
    ``False`` it removes every chosen node from P.
 
+In the node-level run every node set is a bool vector over the nodes -- a
+row of the 0/1 test matrix: slot ``i``'s chosen set is drawn from
+:func:`slot_rng`, and step 4 is ``P & ~chosen`` (:func:`receiver_update`).
+:func:`run_scheme` returns the final P as such a vector.
+
 With the error-free disjunction the active nodes are never removed, and the
 number of lingering inactive nodes shrinks geometrically in expectation (see
 :mod:`gtmac.bounds`).  The per-slot choice probability that maximises the
@@ -42,14 +47,12 @@ from ._ranges import MAX_SLOT_CAP, check
 __all__ = [
     "Population",
     "SchemeConfig",
-    "PotentialSetState",
     "SlotOutcome",
     "FastRunResult",
     "DisjunctionOracle",
     "IdealDisjunctionOracle",
     "optimal_choice_probability",
     "receiver_update",
-    "initial_state",
     "run_scheme",
     "run_scheme_fast",
     "slot_rng",
@@ -133,32 +136,15 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
-class PotentialSetState:
-    """Receiver knowledge after ``slot_index`` slots.
+class SlotOutcome:
+    """Per-slot trace entry of the node-level simulation.
 
-    ``surplus`` counts the potentially-but-not-necessarily active overhang
-    ``|P| - k``.  While no active node has been evicted (always true under an
-    error-free oracle) this equals the number of inactive nodes still in P;
-    a noisy oracle can push it negative, which flags an eviction error.
+    Slot ``i``'s chosen set is not stored: it is
+    ``slot_rng(master_seed, i).random(total_nodes) < choice_probability``.
     """
 
-    slot_index: int
-    potential_set: frozenset[int]
-    num_active: int
-
-    @property
-    def surplus(self) -> int:
-        return len(self.potential_set) - self.num_active
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Per-slot trace entry of the node-level simulation."""
-
-    chosen_set: frozenset[int]
     any_active_chosen: bool
     decoded_disjunction: bool
-    removed_count: int
 
 
 class DisjunctionOracle(ABC):
@@ -204,76 +190,56 @@ def slot_rng(master_seed: int, slot_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, slot_index))))
 
 
-def initial_state(population: Population) -> PotentialSetState:
-    return PotentialSetState(
-        slot_index=0,
-        potential_set=frozenset(range(population.total_nodes)),
-        num_active=population.num_active,
-    )
+def receiver_update(potential: np.ndarray, chosen: np.ndarray,
+                    decoded_disjunction: bool) -> np.ndarray:
+    """One elimination step on the potential set P, a bool vector over the nodes.
 
-
-def receiver_update(state: PotentialSetState, chosen_set: frozenset[int],
-                    decoded_disjunction: bool) -> PotentialSetState:
-    """One elimination step.
-
-    Decoded true: somebody (apparently) active was chosen -- keep P as is.
-    Decoded false: nobody active was chosen -- every chosen node is cleared,
-    including chosen nodes that were already cleared earlier (a no-op for
-    them).  With a noisy oracle a false decode of a slot that did contain an
-    active transmitter evicts that node; the caller detects this through
-    ``surplus`` going negative or a failed final comparison.
+    Decoded true: somebody (apparently) active was chosen -- P is returned
+    as is.  Decoded false: nobody active was chosen -- every chosen node is
+    cleared, including chosen nodes that were already cleared earlier (a
+    no-op for them), and a new vector is returned.  With a noisy oracle a
+    false decode of a slot that did contain an active transmitter evicts
+    that node; the caller sees this as ``|P|`` below k or a failed final
+    comparison with the active mask.
     """
     if decoded_disjunction:
-        new_set = state.potential_set
-    else:
-        new_set = state.potential_set - chosen_set
-    return PotentialSetState(
-        slot_index=state.slot_index + 1,
-        potential_set=new_set,
-        num_active=state.num_active,
-    )
+        return potential
+    return potential & ~chosen
 
 
 def run_scheme(population: Population, config: SchemeConfig,
-               oracle: DisjunctionOracle) -> tuple[PotentialSetState, list[SlotOutcome]]:
+               oracle: DisjunctionOracle) -> tuple[np.ndarray, list[SlotOutcome]]:
     """Node-level simulation of the full scheme.
 
-    Per slot: derive the slot RNG from the master seed, draw the chosen set,
+    Per slot: derive the slot RNG from the master seed, draw the chosen mask,
     form every node's transmit bit, decode the disjunction through ``oracle``,
     and apply :func:`receiver_update`.  Because transmit bits never depend on
     the receiver's state, all slots are sent to the oracle as one block --
     which is exactly what lets a block channel code stand in for the ideal
     disjunction.
 
-    Returns the final state plus one :class:`SlotOutcome` per slot.  The run
-    is a pure function of ``(population, config, oracle)``.
+    Returns the final potential set as a bool vector over the nodes (entry
+    ``i`` true iff node ``i`` is still potentially active) plus one
+    :class:`SlotOutcome` per slot.  The run is a pure function of
+    ``(population, config, oracle)``.
     """
     total = population.total_nodes
     budget = config.slot_budget
-    chosen_masks = np.zeros((budget, total), dtype=bool)
+    chosen = np.empty((budget, total), dtype=bool)
     for i in range(budget):
-        rng = slot_rng(config.master_seed, i)
-        chosen_masks[i] = rng.random(total) < config.choice_probability
+        chosen[i] = slot_rng(config.master_seed, i).random(total) < config.choice_probability
 
-    active_mask = population.active_mask()
-    messages = (chosen_masks & active_mask).T  # shape (num_transmitters, num_slots)
+    messages = (chosen & population.active_mask()).T  # (num_transmitters, num_slots)
     decoded = np.asarray(oracle.decode_block(messages), dtype=bool)
     if decoded.shape != (budget,):
         raise ValueError("oracle returned wrong number of decoded slots")
 
-    state = initial_state(population)
-    outcomes: list[SlotOutcome] = []
+    potential = np.ones(total, dtype=bool)
     for i in range(budget):
-        chosen = frozenset(int(j) for j in np.flatnonzero(chosen_masks[i]))
-        new_state = receiver_update(state, chosen, bool(decoded[i]))
-        outcomes.append(SlotOutcome(
-            chosen_set=chosen,
-            any_active_chosen=bool(messages[:, i].any()),
-            decoded_disjunction=bool(decoded[i]),
-            removed_count=len(state.potential_set) - len(new_state.potential_set),
-        ))
-        state = new_state
-    return state, outcomes
+        potential = receiver_update(potential, chosen[i], bool(decoded[i]))
+    outcomes = [SlotOutcome(any_active_chosen=bool(sent), decoded_disjunction=bool(bit))
+                for sent, bit in zip(messages.any(axis=0), decoded)]
+    return potential, outcomes
 
 
 @dataclass(frozen=True)

@@ -68,11 +68,15 @@ def test_invalid_parameters_exit_2(capsys):
          "out of range"),
         (["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
           "--power", "inf", "--trials", "2", "--seed", "9"], "power"),
+        (["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+          "--power", "1", "--trials", "2", "--seed", "-1"], "seed"),
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2, argv
-        assert named in capsys.readouterr().err, argv
+        captured = capsys.readouterr()
+        assert named in captured.err, argv
+        assert captured.out == "", argv   # nothing is echoed before the check
 
 
 # --- simulate -----------------------------------------------------------------
@@ -173,6 +177,25 @@ def test_simulate_preset_writes_three_curves(tmp_path, capsys):
     assert curve.slot_grid == (0, 50, 100)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--trials", "0"],
+    ["--p", "1.5"],
+    ["--slot-cap", "-1"],
+    ["--mode", "trace", "--trials", "1", "--horizon", "5"],
+    ["--mode", "trace", "--trials", "10", "--horizon", "0"],
+    ["--preset", "reference", "--trials", "0"],
+    ["--seed", "-1"],
+])
+def test_simulate_checks_inputs_before_printing(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--n-inactive", "10", "--k", "1", "--seed", "7",
+              "--threads", "1", "--out", str(tmp_path / "x.csv"),
+              "--out-dir", str(tmp_path), *flags])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_rejects_unknown_preset_and_mode(capsys):
     with pytest.raises(SystemExit) as info:
         main(["simulate", "--preset", "huge"])
@@ -193,6 +216,17 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert "slots_exact_recovery = 789" in out
     code, out = run_cli(capsys, ["bounds", "--config", str(conf), "--eps", "0.5"])
     assert "slots_exact_recovery = 566" in out
+
+
+def test_config_value_that_does_not_parse_exits_2(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("n-inactive = 100\nk = abc\neps = 0.1\n")
+    with pytest.raises(SystemExit) as info:
+        main(["bounds", "--config", str(conf)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config key k = 'abc'" in captured.err
 
 
 def test_missing_config_file_exits_1(capsys):
@@ -311,7 +345,10 @@ def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, capsys, monkeyp
                  "--sigma", "0.5", "--power", "1"]):
             out = tmp_path / f"{argv[0]}{len(argv)}.csv"
             assert main([*argv, *tiny, "--out", str(out)]) == 0
-    capsys.readouterr()
+    # the run_scheme observer reads every slot outcome of the e2e run
+    planned = int(re.search(r"^slots = (\d+)$", capsys.readouterr().out, re.M).group(1))
+    assert rec.counts["scheme.slots"] == 20 * planned
+    assert rec.counts["scheme.useful_slots"] > 0
     _, calls = rec.self_times()
     assert {"bounds", "channel.decode_block", "channel.slot_noise_averages",
             "harness.build_error_curve", "harness.end_to_end_trial",

@@ -192,11 +192,10 @@ def test_expectation_trace_validation():
 
 def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
     # noiseless channel, generous budget: recovery succeeds
-    rec = harness.end_to_end_trial(50, 2, 0.01, gaussian(0.0), norm_bound=1.0,
-                                   power=1.0, tail_constant=0.125, seed=31)
+    plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
+    rec = harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, plan=plan, seed=31)
     assert rec.success is True
-    assert rec == harness.end_to_end_trial(50, 2, 0.01, gaussian(0.0), 1.0, 1.0,
-                                           0.125, seed=31)
+    assert rec == harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, seed=31)
 
 
 def test_end_to_end_batch_summary_fields():
@@ -214,6 +213,23 @@ def test_end_to_end_batch_summary_fields():
         (plan.slots, plan.repetitions, plan.total)
     # the declared K dominates every member family of the schedule
     assert noise.norm_bound <= 1.0
+
+
+def test_end_to_end_batch_plans_once(monkeypatch):
+    calls = []
+    plan_channel_uses = bounds.plan_channel_uses
+
+    def counted(*args):
+        calls.append(args)
+        return plan_channel_uses(*args)
+
+    monkeypatch.setattr(bounds, "plan_channel_uses", counted)
+    cfg = harness.ExperimentConfig(
+        n_inactive=40, k=2, mode="end_to_end", trials=40, seed_base=34,
+        eps=0.1, noise=gaussian(1.0), norm_bound=1.0, power=1.0)
+    summary, _ = harness.run_end_to_end_batch(cfg, workers=1)
+    assert summary.trials == 40
+    assert 1 <= len(calls) <= 2
 
 
 def test_end_to_end_batch_is_worker_count_invariant():

@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtmac.scheme import (MAX_SLOT_CAP, FastRunResult, IdealDisjunctionOracle,
-                          Population, PotentialSetState, SchemeConfig, initial_state,
-                          optimal_choice_probability, receiver_update, run_scheme,
-                          run_scheme_fast, sample_slots_until_exact, slot_rng,
-                          surplus_steps)
+                          Population, SchemeConfig, optimal_choice_probability,
+                          receiver_update, run_scheme, run_scheme_fast,
+                          sample_slots_until_exact, slot_rng, surplus_steps)
 
 
 def brute_force_single_slot_law(n_inactive: int, k: int, p: float) -> dict:
@@ -104,26 +103,32 @@ def test_scheme_config_rejects_invalid_probability():
 
 # --- receiver update -------------------------------------------------------------
 
+def _mask(total: int, nodes) -> np.ndarray:
+    """Bool vector over ``total`` nodes, true on ``nodes``."""
+    mask = np.zeros(total, dtype=bool)
+    mask[list(nodes)] = True
+    return mask
+
+
 def test_receiver_update_keeps_set_on_true():
-    state = PotentialSetState(4, frozenset({0, 1, 2}), num_active=1)
-    new = receiver_update(state, frozenset({1, 2}), decoded_disjunction=True)
-    assert new.potential_set == state.potential_set
-    assert new.slot_index == 5
+    potential = _mask(4, {0, 1, 2})
+    new = receiver_update(potential, _mask(4, {1, 2}), decoded_disjunction=True)
+    assert np.array_equal(new, _mask(4, {0, 1, 2}))
 
 
 def test_receiver_update_removes_all_chosen_on_false():
-    state = PotentialSetState(0, frozenset({0, 1, 2, 3}), num_active=1)
-    new = receiver_update(state, frozenset({1, 3, 9}), decoded_disjunction=False)
-    assert new.potential_set == frozenset({0, 2})   # node 9 already gone: no-op
-    assert new.surplus == 1
+    potential = _mask(10, {0, 1, 2, 3})
+    new = receiver_update(potential, _mask(10, {1, 3, 9}), decoded_disjunction=False)
+    assert np.array_equal(new, _mask(10, {0, 2}))   # node 9 already gone: no-op
+    assert new.sum() - 1 == 1                       # surplus |P| - k with k = 1
+    assert np.array_equal(potential, _mask(10, {0, 1, 2, 3}))  # input untouched
 
 
 def test_receiver_update_can_evict_active_under_decoding_error():
     # a wrong 'false' decode removes a chosen active node; surplus goes negative
-    state = PotentialSetState(0, frozenset({0, 1}), num_active=2)
-    new = receiver_update(state, frozenset({0}), decoded_disjunction=False)
-    assert new.potential_set == frozenset({1})
-    assert new.surplus == -1
+    new = receiver_update(_mask(2, {0, 1}), _mask(2, {0}), decoded_disjunction=False)
+    assert np.array_equal(new, _mask(2, {1}))
+    assert new.sum() - 2 == -1                      # k = 2
 
 
 # --- node-level runs -------------------------------------------------------------
@@ -133,8 +138,8 @@ def test_run_scheme_is_deterministic():
     cfg = SchemeConfig(0.25, 60, master_seed=99)
     a = run_scheme(pop, cfg, IdealDisjunctionOracle())
     b = run_scheme(pop, cfg, IdealDisjunctionOracle())
-    assert a == b
-    # a different master seed changes the chosen sets
+    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+    # a different master seed changes which slots choose an active node
     other = run_scheme(pop, SchemeConfig(0.25, 60, master_seed=100),
                        IdealDisjunctionOracle())
     assert other[1] != a[1]
@@ -142,33 +147,39 @@ def test_run_scheme_is_deterministic():
 
 def test_run_scheme_ideal_oracle_invariants():
     pop = Population(40, frozenset({0, 13}))
+    active = pop.active_mask()
     cfg = SchemeConfig(1 / 3, 80, master_seed=5)
     final, outcomes = run_scheme(pop, cfg, IdealDisjunctionOracle())
-    state = initial_state(pop)
-    for out in outcomes:
-        nxt = receiver_update(state, out.chosen_set, out.decoded_disjunction)
+    assert len(outcomes) == 80
+    state = np.ones(40, dtype=bool)
+    for i, out in enumerate(outcomes):
+        # slot i's chosen set is replayed from the common randomness
+        chosen = slot_rng(cfg.master_seed, i).random(40) < cfg.choice_probability
+        assert out.any_active_chosen == bool((chosen & active).any())
+        nxt = receiver_update(state, chosen, out.decoded_disjunction)
         # ideal oracle: decoded bit equals the true disjunction
         assert out.decoded_disjunction == out.any_active_chosen
         # removals only on decoded false
         if out.decoded_disjunction:
-            assert out.removed_count == 0
-        assert nxt.potential_set <= state.potential_set
-        assert pop.active_set <= nxt.potential_set
+            assert np.array_equal(nxt, state)
+        assert not (nxt & ~state).any()
+        assert not (active & ~nxt).any()
         state = nxt
-    assert state == final
-    assert final.surplus >= 0
+    assert np.array_equal(state, final)
+    assert final.sum() - pop.num_active >= 0
     # p = 0 chooses nobody, so no slot removes anything
     final, outcomes = run_scheme(pop, SchemeConfig(0.0, 5, 5), IdealDisjunctionOracle())
-    assert final.potential_set == frozenset(range(40))
-    assert all(out.chosen_set == frozenset() for out in outcomes)
+    assert np.array_equal(final, np.ones(40, dtype=bool))
+    assert not any(out.any_active_chosen or out.decoded_disjunction for out in outcomes)
 
 
 def test_run_scheme_k0_p1_clears_everything_in_one_slot():
     pop = Population(17, frozenset())
     cfg = SchemeConfig(1.0, 1, master_seed=0)
     final, outcomes = run_scheme(pop, cfg, IdealDisjunctionOracle())
-    assert final.potential_set == frozenset()
-    assert outcomes[0].removed_count == 17
+    # all 17 nodes start in P and none is left after the one slot
+    assert final.shape == (17,) and not final.any()
+    assert len(outcomes) == 1
     assert not outcomes[0].decoded_disjunction
 
 
@@ -180,7 +191,7 @@ def test_run_scheme_single_slot_mean_surplus():
     for seed in range(runs):
         final, _ = run_scheme(pop, SchemeConfig(1 / 3, 1, seed),
                               IdealDisjunctionOracle())
-        surpluses[seed] = final.surplus
+        surpluses[seed] = final.sum() - pop.num_active
     se = surpluses.std(ddof=1) / math.sqrt(runs)
     assert abs(surpluses.mean() - 2300 / 27) <= 3 * se
 
@@ -196,9 +207,9 @@ def test_run_scheme_noisy_oracle_can_evict_active_nodes():
     pop = Population(10, frozenset({3}))
     cfg = SchemeConfig(0.9, 30, master_seed=8)
     final, outcomes = run_scheme(pop, cfg, _AlwaysFalseOracle())
-    assert 3 not in final.potential_set       # the active node was evicted
+    assert not final[3]                       # the active node was evicted
     assert any(o.any_active_chosen and not o.decoded_disjunction for o in outcomes)
-    assert final.potential_set != pop.active_set
+    assert not np.array_equal(final, pop.active_mask())
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,7 +222,7 @@ def test_run_scheme_never_loses_active_nodes_under_ideal_oracle(total, seed, p, 
         st.sets(st.integers(0, total - 1), min_size=k, max_size=k)))
     pop = Population(total, active)
     final, _ = run_scheme(pop, SchemeConfig(p, budget, seed), IdealDisjunctionOracle())
-    assert active <= final.potential_set
+    assert not (pop.active_mask() & ~final).any()
 
 
 # --- slot substreams -------------------------------------------------------------
@@ -295,7 +306,7 @@ def test_fast_path_matches_node_level_distribution():
 
     fast_counts = distribution(lambda cfg: run_scheme_fast(pop, cfg).final_surplus)
     node_counts = distribution(
-        lambda cfg: run_scheme(pop, cfg, IdealDisjunctionOracle())[0].surplus)
+        lambda cfg: run_scheme(pop, cfg, IdealDisjunctionOracle())[0].sum() - k)
     expected = np.array([
         sum(prob for (any_active, removed), prob in law.items()
             if (n_inactive if any_active else n_inactive - removed) == m)
