@@ -44,11 +44,9 @@ _RANGES = {
     "power": ("power", False, _TINY, _BIG, "a finite real > 0"),
     "tail_constant": ("tail_constant", False, _TINY, _BIG, "a finite real > 0"),
     "slot_error": ("slot_error", False, _TINY, _BELOW_ONE, "a real in (0, 1)"),
-    "target_slot_error": ("target_slot_error", False, 0.0, _BELOW_ONE, "a real in [0, 1)"),
     "scale": ("scale", False, 0.0, _BIG, "a finite real >= 0"),
     "sigma": ("sigma", False, _TINY, _BIG, "a finite real > 0"),
     "repetitions": ("repetitions", True, 1, _INF, "an int >= 1"),
-    "num_transmitters": ("num_transmitters", True, 1, _INF, "an int >= 1"),
     "count": ("count", True, 0, _INF, "an int >= 0"),
     "channel_slots": ("slots", True, 1, _INF, "an int >= 1"),
     # experiments

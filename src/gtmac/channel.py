@@ -35,8 +35,6 @@ __all__ = [
     "uniform",
     "rademacher",
     "schedule",
-    "ChannelSpec",
-    "RepetitionCodeParams",
     "sample_noise_block",
     "transmit_block",
     "slot_noise_averages",
@@ -134,35 +132,6 @@ def sample_noise_block(model: NoiseModel, start_step: int, count: int,
     return out
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Power budget, noise model, and transmitter count of one channel."""
-
-    power: float
-    noise: NoiseModel
-    num_transmitters: int
-
-    def __post_init__(self) -> None:
-        check("power", self.power)
-        check("num_transmitters", self.num_transmitters)
-
-
-@dataclass(frozen=True)
-class RepetitionCodeParams:
-    """Repetitions per slot and the per-slot error the code is sized for.
-
-    The decoding threshold ``sqrt(P)/2`` comes from the channel and the slot
-    count from the message matrix, so neither is stored here.
-    """
-
-    repetitions: int
-    target_slot_error: float
-
-    def __post_init__(self) -> None:
-        check("repetitions", self.repetitions)
-        check("target_slot_error", self.target_slot_error)
-
-
 def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
                         rng: np.random.Generator, start_step: int = 0) -> np.ndarray:
     """Averaged noise of ``slot_count`` consecutive slots of ``repetitions`` steps.
@@ -175,27 +144,26 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     return draws.reshape(slot_count, repetitions).mean(axis=1)
 
 
-def transmit_block(messages: np.ndarray, params: RepetitionCodeParams,
-                   channel: ChannelSpec, rng: np.random.Generator,
+def transmit_block(messages: np.ndarray, repetitions: int, power: float,
+                   noise: NoiseModel, rng: np.random.Generator,
                    start_step: int = 0) -> np.ndarray:
     """Encode, superpose, add noise, and threshold-decode a block of slots.
 
-    ``messages`` has shape ``(num_transmitters, slot_count)``.  Each true
-    sender adds ``sqrt(P)`` at every step of its slot and a false one adds 0,
-    both within the peak constraint; the slot average above ``sqrt(P)/2``
-    decodes true and a tie decodes false.  Returns the decoded boolean per
-    slot.  The step index for schedule noise starts at ``start_step`` and
-    advances by ``repetitions`` per slot.
+    ``messages`` has shape ``(senders, slot_count)``.  Each true sender adds
+    ``sqrt(P)`` at every one of the ``repetitions`` steps of its slot and a
+    false one adds 0, both within the peak constraint; the slot average above
+    ``sqrt(P)/2`` decodes true and a tie decodes false.  Returns the decoded
+    boolean per slot.  The step index for schedule noise starts at
+    ``start_step`` and advances by ``repetitions`` per slot.
     """
+    check("repetitions", repetitions)
+    check("power", power)
     messages = np.asarray(messages, dtype=bool)
-    if messages.ndim != 2 or messages.shape[0] != channel.num_transmitters:
-        raise ValueError(
-            f"messages shape {messages.shape} is not "
-            f"({channel.num_transmitters}, slot_count)")
-    root_power = math.sqrt(channel.power)
+    if messages.ndim != 2:
+        raise ValueError(f"messages shape {messages.shape} is not (senders, slot_count)")
+    root_power = math.sqrt(power)
     levels = messages.sum(axis=0) * root_power
-    averaged = slot_noise_averages(channel.noise, params.repetitions,
-                                   messages.shape[1], rng, start_step)
+    averaged = slot_noise_averages(noise, repetitions, messages.shape[1], rng, start_step)
     return (levels + averaged) > root_power / 2.0
 
 
@@ -222,19 +190,16 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
     advancing any noise schedule.
     """
 
-    def __init__(self, channel: ChannelSpec, params: RepetitionCodeParams,
+    def __init__(self, noise: NoiseModel, power: float, repetitions: int,
                  rng: np.random.Generator):
-        self.channel = channel
-        self.params = params
+        self.noise = noise
+        self.power = power
+        self.repetitions = repetitions
         self.rng = rng
         self._next_step = 0
 
-    @property
-    def slot_error_probability(self) -> float:
-        return self.params.target_slot_error
-
     def decode_block(self, messages: np.ndarray) -> np.ndarray:
-        decoded = transmit_block(messages, self.params, self.channel, self.rng,
-                                 start_step=self._next_step)
-        self._next_step += self.params.repetitions * len(decoded)
+        decoded = transmit_block(messages, self.repetitions, self.power, self.noise,
+                                 self.rng, start_step=self._next_step)
+        self._next_step += self.repetitions * len(decoded)
         return decoded

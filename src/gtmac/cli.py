@@ -187,15 +187,19 @@ def _summarize_until_exact(slots) -> str:
             f"  censored = {len(slots) - count}")
 
 
-def _until_exact_config(n, k, p, trials, seed, cap) -> harness.ExperimentConfig:
-    return harness.ExperimentConfig(
-        n_inactive=n, k=k, mode="until_exact", choice_probability=p,
-        trials=trials, seed_base=seed, slot_cap=cap)
+def _resolve_until_exact(n, k, p, cap, trials) -> tuple[float, int]:
+    """``--p`` and ``--slot-cap`` of an (N, k) run, every value checked."""
+    p = optimal_choice_probability(k) if p is None else p
+    cap = harness.default_slot_cap(n, k) if cap is None else cap
+    for key, value in (("n_inactive", n), ("k", k), ("p", p), ("slot_cap", cap),
+                       ("trials", trials)):
+        check(key, value)
+    return p, cap
 
 
-def _run_until_exact_curve(cfg: harness.ExperimentConfig, grid, out, threads) -> None:
-    slots = harness.run_until_exact_batch(cfg, workers=threads)
-    curve = harness.build_error_curve(slots, grid, cfg.n_inactive, cfg.k)
+def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> None:
+    slots = harness.run_until_exact_batch(n, k, p, cap, trials, seed, workers=threads)
+    curve = harness.build_error_curve(slots, grid, n, k)
     harness.export_csv(curve, out)
     print(_summarize_until_exact(slots))
     print(f"wrote {out}")
@@ -216,7 +220,7 @@ def _cmd_simulate(parser, args, conf) -> int:
     if preset is not None:
         if preset != "reference":
             parser.error(f"unknown preset {preset!r} (available: reference)")
-        cfgs = [_until_exact_config(n, k, p, trials, seed, cap)
+        runs = [(n, k, *_resolve_until_exact(n, k, p, cap, trials))
                 for n, k in _PRESET_REFERENCE]
         out_dir = _resolve(args, conf, "out_dir", str, ".")
         outs = [_writable(os.path.join(out_dir, f"curve_n{n}_k{k}.csv"))
@@ -224,9 +228,9 @@ def _cmd_simulate(parser, args, conf) -> int:
         _echo({"preset": preset, "trials": trials, "seed": seed,
                "threads": threads, "out_dir": out_dir,
                "grid_max": grid_max, "grid_step": grid_step})
-        for cfg, out in zip(cfgs, outs):
-            print(f"running n_inactive={cfg.n_inactive} k={cfg.k} ...")
-            _run_until_exact_curve(cfg, grid, out, threads)
+        for (n, k, p_run, cap_run), out in zip(runs, outs):
+            print(f"running n_inactive={n} k={k} ...")
+            _run_until_exact_curve(n, k, p_run, cap_run, trials, seed, grid, out, threads)
         return 0
 
     n = _require(parser, _resolve(args, conf, "n_inactive", int), "--n-inactive")
@@ -234,25 +238,23 @@ def _cmd_simulate(parser, args, conf) -> int:
     out = _require(parser, _resolve(args, conf, "out", str), "--out")
 
     if mode == "until-exact":
-        cfg = _until_exact_config(n, k, p, trials, seed, cap)
+        p, cap = _resolve_until_exact(n, k, p, cap, trials)
         _writable(out)
-        _echo({"mode": mode, "n_inactive": n, "k": k,
-               "p": cfg.effective_choice_probability(),
+        _echo({"mode": mode, "n_inactive": n, "k": k, "p": p,
                "trials": trials, "seed": seed, "threads": threads,
                "grid_max": grid_max, "grid_step": grid_step,
-               "slot_cap": cap if cap is not None else harness.default_slot_cap(n, k),
-               "out": out})
-        _run_until_exact_curve(cfg, grid, out, threads)
+               "slot_cap": cap, "out": out})
+        _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads)
     elif mode == "trace":
         horizon = _require(parser, _resolve(args, conf, "horizon", int), "--horizon")
-        p_eff = p if p is not None else optimal_choice_probability(k)
-        for key, value in (("n_inactive", n), ("k", k), ("p", p_eff),
+        p = optimal_choice_probability(k) if p is None else p
+        for key, value in (("n_inactive", n), ("k", k), ("p", p),
                            ("trace_trials", trials), ("horizon", horizon)):
             check(key, value)
         _writable(out)
-        _echo({"mode": mode, "n_inactive": n, "k": k, "p": p_eff,
+        _echo({"mode": mode, "n_inactive": n, "k": k, "p": p,
                "trials": trials, "seed": seed, "horizon": horizon, "out": out})
-        trace = harness.expectation_trace(n, k, p_eff, trials, horizon, seed)
+        trace = harness.expectation_trace(n, k, p, trials, horizon, seed)
         harness.export_csv(trace, out)
         print(f"final_mean_surplus = {trace.empirical_mean[-1]!r}")
         print(f"wrote {out}")
@@ -314,9 +316,10 @@ def _cmd_e2e(parser, args, conf) -> int:
 
     if big_k < noise.norm_bound:
         parser.error(f"--big-k {big_k} is below the noise norm bound {noise.norm_bound}")
-    cfg = harness.ExperimentConfig(
-        n_inactive=n, k=k, mode="end_to_end", trials=trials, seed_base=seed,
-        eps=eps, noise=noise, norm_bound=big_k, power=power, tail_constant=c)
+    for key, value in (("n_inactive", n), ("budget_k", k), ("eps", eps),
+                       ("norm_bound", big_k), ("power", power), ("tail_constant", c),
+                       ("trials", trials)):
+        check(key, value)
     if out is not None:
         _writable(out)
 
@@ -324,7 +327,8 @@ def _cmd_e2e(parser, args, conf) -> int:
            "power": power, "big_k": big_k, "c": c, "trials": trials,
            "seed": seed, "threads": threads})
 
-    summary, _ = harness.run_end_to_end_batch(cfg, workers=threads)
+    summary, _ = harness.run_end_to_end_batch(n, k, eps, noise, big_k, power, c,
+                                              trials, seed, workers=threads)
     print(f"slots = {summary.slots}")
     print(f"repetitions = {summary.repetitions}")
     print(f"total_channel_uses = {summary.total_channel_uses}")

@@ -35,15 +35,13 @@ import numpy as np
 
 from . import bounds
 from ._ranges import check
-from .channel import (ChannelSpec, NoiseModel, RepetitionCodeParams,
-                      RepetitionDisjunctionOracle)
+from .channel import NoiseModel, RepetitionDisjunctionOracle
 from .scheme import (Population, SchemeConfig, optimal_choice_probability, run_scheme,
                      run_scheme_fast, sample_slots_until_exact, surplus_steps)
 
 __all__ = [
     "DEFAULT_TRIALS",
     "TRIAL_BLOCK",
-    "ExperimentConfig",
     "RunRecord",
     "ErrorCurve",
     "ExpectationTrace",
@@ -96,66 +94,17 @@ def default_slot_grid(max_slot: int = 2500, step: int = 1) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Aggregate description of one batch experiment.
-
-    ``mode`` selects what the batch runners do: ``"until_exact"`` (run to an
-    exact potential set, error curves) or ``"end_to_end"`` (noisy channel,
-    repetition code).  ``choice_probability`` of ``None`` means the optimum
-    ``1/(k+1)``.  The channel fields are only consulted in end-to-end mode.
-    """
-
-    n_inactive: int
-    k: int
-    mode: str = "until_exact"
-    choice_probability: float | None = None
-    trials: int = DEFAULT_TRIALS
-    seed_base: int = 0
-    slot_cap: int | None = None
-    eps: float | None = None
-    noise: NoiseModel | None = None
-    norm_bound: float | None = None
-    power: float | None = None
-    tail_constant: float = bounds.GAUSSIAN_TAIL_CONSTANT
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("until_exact", "end_to_end"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        check("n_inactive", self.n_inactive)
-        check("k", self.k)
-        check("trials", self.trials)
-        if self.choice_probability is not None:
-            check("p", self.choice_probability)
-        if self.slot_cap is not None:
-            check("slot_cap", self.slot_cap)
-        if self.mode == "end_to_end":
-            missing = [name for name in ("eps", "noise", "norm_bound", "power")
-                       if getattr(self, name) is None]
-            if missing:
-                raise ValueError(f"end_to_end mode needs {', '.join(missing)}")
-            for name in ("eps", "norm_bound", "power", "tail_constant"):
-                check(name, getattr(self, name))
-
-    def effective_choice_probability(self) -> float:
-        if self.choice_probability is not None:
-            return self.choice_probability
-        return optimal_choice_probability(self.k)
-
-
-@dataclass(frozen=True)
 class RunRecord:
-    """Result of one trial.
+    """Result of one until-exact trial.
 
     ``slots_until_exact`` is the slot at which the potential set became the
     active set; ``None`` means the trial was censored at the slot cap (it
-    counts as a failure at every grid point).  ``success`` is only set by
-    end-to-end trials (exact recovery within the fixed budget).
+    counts as a failure at every grid point).
     """
 
     trial_seed: int
     slots_until_exact: int | None
     surplus_trace: tuple[int, ...] | None = None
-    success: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -191,10 +140,6 @@ class EndToEndSummary:
     total_channel_uses: int
 
 
-def _slot_cap(n_inactive: int, k: int, slot_cap: int | None) -> int:
-    return default_slot_cap(n_inactive, k) if slot_cap is None else slot_cap
-
-
 def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
                          slot_cap: int | None = None,
                          collect_trace: bool = False) -> RunRecord:
@@ -208,7 +153,7 @@ def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
     with ``collect_trace`` the surplus is stepped slot by slot through
     :func:`run_scheme_fast` and the count is read off that path.
     """
-    cap = _slot_cap(n_inactive, k, slot_cap)
+    cap = default_slot_cap(n_inactive, k) if slot_cap is None else slot_cap
     if not collect_trace:
         slots = int(sample_slots_until_exact(n_inactive, k, p, cap,
                                              np.random.default_rng(seed), 1)[0])
@@ -220,14 +165,12 @@ def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
     return RunRecord(trial_seed=seed, slots_until_exact=hit, surplus_trace=trace)
 
 
-def _until_exact_chunk(args: tuple) -> np.ndarray:
-    cfg, lo, hi = args
-    p = cfg.effective_choice_probability()
-    cap = _slot_cap(cfg.n_inactive, cfg.k, cfg.slot_cap)
-    sizes = _block_sizes(cfg.trials)
+def _until_exact_chunk(n_inactive: int, k: int, p: float, slot_cap: int,
+                       trials: int, seed_base: int, lo: int, hi: int) -> np.ndarray:
+    sizes = _block_sizes(trials)
     return np.concatenate([
-        sample_slots_until_exact(cfg.n_inactive, cfg.k, p, cap,
-                                 _block_rng(cfg.seed_base, b), sizes[b])
+        sample_slots_until_exact(n_inactive, k, p, slot_cap,
+                                 _block_rng(seed_base, b), sizes[b])
         for b in range(lo, hi)
     ])
 
@@ -242,23 +185,28 @@ def _chunk_ranges(units: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
 
 
-def _run_chunked(worker, cfg: ExperimentConfig, units: int, workers: int) -> list:
-    """``worker((cfg, lo, hi))`` over ``0..units`` in chunks; the parts in order."""
+def _run_chunked(worker, units: int, workers: int) -> list:
+    """``worker(lo, hi)`` over ``0..units`` in chunks; the parts in order.
+
+    ``worker`` is a module-level function with the batch's parameters bound
+    by :func:`functools.partial`, so it pickles into worker processes.
+    """
     check("workers", workers)
     size = _pool_size(workers, units, os.cpu_count() or 1)
     if size == 1:
-        return [worker((cfg, 0, units))]
-    tasks = [(cfg, lo, hi) for lo, hi in _chunk_ranges(units, size)]
+        return [worker(0, units)]
+    los, his = zip(*_chunk_ranges(units, size))
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(worker, los, his))
 
 
-def run_until_exact_batch(cfg: ExperimentConfig, workers: int = 1) -> np.ndarray:
+def run_until_exact_batch(n_inactive: int, k: int, p: float, slot_cap: int,
+                          trials: int, seed_base: int, workers: int = 1) -> np.ndarray:
     """Slots until exact of every trial, in trial order (int64, -1 = censored)."""
-    if cfg.mode != "until_exact":
-        raise ValueError("config mode must be 'until_exact'")
-    blocks = len(_block_sizes(cfg.trials))
-    return np.concatenate(_run_chunked(_until_exact_chunk, cfg, blocks, workers))
+    check("trials", trials)
+    worker = functools.partial(_until_exact_chunk, n_inactive, k, p, slot_cap,
+                               trials, seed_base)
+    return np.concatenate(_run_chunked(worker, len(_block_sizes(trials)), workers))
 
 
 def build_error_curve(slots_until_exact: np.ndarray, slot_grid: tuple[int, ...],
@@ -319,7 +267,7 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int,
 
 
 def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
-                     plan: bounds.ChannelUsePlan, seed: int) -> RunRecord:
+                     plan: bounds.ChannelUsePlan, seed: int) -> bool:
     """One full noisy-channel trial: run the scheme on ``plan``, check recovery.
 
     ``plan`` is :func:`gtmac.bounds.plan_channel_uses` of the batch: its slot
@@ -329,60 +277,59 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     sized for the *declared* norm bound K, which must dominate the noise's
     true norm but need not equal it.
 
-    Success means the final potential set is exactly the active set.  With
+    Returns whether the final potential set is exactly the active set.  With
     no inactive node the plan has no slot and the potential set starts exact.
     """
     if plan.slots == 0:
-        return RunRecord(trial_seed=seed, slots_until_exact=None, success=True)
-    total_nodes = n_inactive + k
+        return True
     setup_ss, scheme_ss, noise_ss = np.random.SeedSequence(seed).spawn(3)
     setup_rng = np.random.Generator(np.random.PCG64(setup_ss))
-    population = Population.with_random_active_set(total_nodes, k, setup_rng)
+    population = Population.with_random_active_set(n_inactive + k, k, setup_rng)
 
     master_seed = int(scheme_ss.generate_state(1, dtype=np.uint64)[0])
     config = SchemeConfig(optimal_choice_probability(k), plan.slots, master_seed)
-    channel = ChannelSpec(power=power, noise=noise, num_transmitters=total_nodes)
-    params = RepetitionCodeParams(plan.repetitions, plan.slot_error_target)
     oracle = RepetitionDisjunctionOracle(
-        channel, params, np.random.Generator(np.random.PCG64(noise_ss)))
+        noise, power, plan.repetitions, np.random.Generator(np.random.PCG64(noise_ss)))
 
     final_mask, _ = run_scheme(population, config, oracle)
-    return RunRecord(trial_seed=seed, slots_until_exact=None,
-                     success=np.array_equal(final_mask, population.active_mask()))
+    return np.array_equal(final_mask, population.active_mask())
 
 
-def _end_to_end_chunk(plan: bounds.ChannelUsePlan, args: tuple) -> list[RunRecord]:
-    cfg, lo, hi = args
-    return [end_to_end_trial(cfg.n_inactive, cfg.k, cfg.noise, cfg.power, plan,
-                             trial_seed(cfg.seed_base, t))
-            for t in range(lo, hi)]
+def _end_to_end_chunk(n_inactive: int, k: int, noise: NoiseModel, power: float,
+                      plan: bounds.ChannelUsePlan, seed_base: int,
+                      lo: int, hi: int) -> np.ndarray:
+    return np.array([end_to_end_trial(n_inactive, k, noise, power, plan,
+                                      trial_seed(seed_base, t))
+                     for t in range(lo, hi)], dtype=bool)
 
 
-def run_end_to_end_batch(cfg: ExperimentConfig,
-                         workers: int = 1) -> tuple[EndToEndSummary, list[RunRecord]]:
-    """All end-to-end trials plus the aggregate failure summary.
+def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
+                         norm_bound: float, power: float, tail_constant: float,
+                         trials: int, seed_base: int,
+                         workers: int = 1) -> tuple[EndToEndSummary, np.ndarray]:
+    """All end-to-end trials: the failure summary and each trial's success.
 
     The channel-use plan depends only on the batch's parameters; it is
-    computed once and shared by every trial.
+    computed once and shared by every trial.  ``norm_bound`` is the declared
+    K the plan is sized for.  The second result holds one bool per trial, in
+    trial order.
     """
-    if cfg.mode != "end_to_end":
-        raise ValueError("config mode must be 'end_to_end'")
-    plan = bounds.plan_channel_uses(cfg.n_inactive, cfg.k, cfg.eps,
-                                    cfg.norm_bound, cfg.power, cfg.tail_constant)
-    chunks = _run_chunked(functools.partial(_end_to_end_chunk, plan), cfg,
-                          cfg.trials, workers)
-    records = [r for part in chunks for r in part]
-    failures = sum(1 for r in records if not r.success)
+    check("trials", trials)
+    plan = bounds.plan_channel_uses(n_inactive, k, eps, norm_bound, power, tail_constant)
+    worker = functools.partial(_end_to_end_chunk, n_inactive, k, noise, power, plan,
+                               seed_base)
+    successes = np.concatenate(_run_chunked(worker, trials, workers))
+    failures = trials - int(np.count_nonzero(successes))
     summary = EndToEndSummary(
-        trials=len(records),
+        trials=trials,
         failures=failures,
-        failure_rate=failures / len(records),
-        two_epsilon=2.0 * cfg.eps,
+        failure_rate=failures / trials,
+        two_epsilon=2.0 * eps,
         slots=plan.slots,
         repetitions=plan.repetitions,
         total_channel_uses=plan.total,
     )
-    return summary, records
+    return summary, successes
 
 
 # --- CSV layer ---------------------------------------------------------------

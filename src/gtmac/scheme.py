@@ -150,16 +150,12 @@ class SlotOutcome:
 class DisjunctionOracle(ABC):
     """Decodes the per-slot OR of all transmitted bits.
 
-    ``slot_error_probability`` is the *declared* per-slot error bound delta of
-    the decoder; the ideal oracle declares 0.  ``decode_block`` receives one
-    boolean message matrix of shape ``(num_transmitters, num_slots)`` -- the
-    transmit bits do not depend on the receiver's state, so whole runs can be
-    decoded in one call.
+    ``decode_block`` receives the active nodes' bits only: a boolean matrix
+    of shape ``(k, num_slots)`` whose rows follow ascending node order.  An
+    inactive node always sends 0, which changes neither the OR nor the
+    superposed channel level, so its row is left out.  The transmit bits do
+    not depend on the receiver's state, so whole runs are decoded in one call.
     """
-
-    @property
-    @abstractmethod
-    def slot_error_probability(self) -> float: ...
 
     @abstractmethod
     def decode_block(self, messages: np.ndarray) -> np.ndarray:
@@ -169,14 +165,10 @@ class DisjunctionOracle(ABC):
 class IdealDisjunctionOracle(DisjunctionOracle):
     """Error-free disjunction: returns the exact column-wise OR."""
 
-    @property
-    def slot_error_probability(self) -> float:
-        return 0.0
-
     def decode_block(self, messages: np.ndarray) -> np.ndarray:
         messages = np.asarray(messages, dtype=bool)
         if messages.ndim != 2:
-            raise ValueError("messages must be a (num_transmitters, num_slots) matrix")
+            raise ValueError("messages must be a (senders, num_slots) matrix")
         return messages.any(axis=0)
 
 
@@ -212,10 +204,11 @@ def run_scheme(population: Population, config: SchemeConfig,
     """Node-level simulation of the full scheme.
 
     Per slot: derive the slot RNG from the master seed, draw the chosen mask,
-    form every node's transmit bit, decode the disjunction through ``oracle``,
-    and apply :func:`receiver_update`.  Because transmit bits never depend on
-    the receiver's state, all slots are sent to the oracle as one block --
-    which is exactly what lets a block channel code stand in for the ideal
+    form the active nodes' transmit bits (an inactive node always sends 0),
+    decode the disjunction through ``oracle``, and apply
+    :func:`receiver_update`.  Because transmit bits never depend on the
+    receiver's state, all slots are sent to the oracle as one block -- which
+    is exactly what lets a block channel code stand in for the ideal
     disjunction.
 
     Returns the final potential set as a bool vector over the nodes (entry
@@ -229,7 +222,7 @@ def run_scheme(population: Population, config: SchemeConfig,
     for i in range(budget):
         chosen[i] = slot_rng(config.master_seed, i).random(total) < config.choice_probability
 
-    messages = (chosen & population.active_mask()).T  # (num_transmitters, num_slots)
+    messages = chosen[:, sorted(population.active_set)].T  # (k, num_slots)
     decoded = np.asarray(oracle.decode_block(messages), dtype=bool)
     if decoded.shape != (budget,):
         raise ValueError("oracle returned wrong number of decoded slots")

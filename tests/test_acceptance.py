@@ -41,9 +41,9 @@ def test_criterion_1_error_curve_reproduction():
     trials = 120_000 if full_scale else 20_000
     started = time.perf_counter()
 
-    cfg = harness.ExperimentConfig(n_inactive=n, k=k, trials=trials,
-                                   seed_base=SEED)
-    slots = harness.run_until_exact_batch(cfg, workers=WORKERS)
+    slots = harness.run_until_exact_batch(n, k, scheme.optimal_choice_probability(k),
+                                          harness.default_slot_cap(n, k), trials, SEED,
+                                          workers=WORKERS)
     grid = harness.default_slot_grid(2500, 1)
     curve = harness.build_error_curve(slots, grid, n, k)
     elapsed = time.perf_counter() - started
@@ -262,10 +262,9 @@ def test_criterion_5_repetition_code_slot_error():
 
 def test_criterion_6_end_to_end_guarantee():
     started = time.perf_counter()
-    cfg = harness.ExperimentConfig(
-        n_inactive=500, k=5, mode="end_to_end", trials=2000, seed_base=SEED,
-        eps=0.05, noise=gaussian(1.0), norm_bound=1.0, power=1.0)
-    summary, _ = harness.run_end_to_end_batch(cfg, workers=WORKERS)
+    summary, _ = harness.run_end_to_end_batch(
+        500, 5, 0.05, gaussian(1.0), 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT, 2000, SEED,
+        workers=WORKERS)
     elapsed = time.perf_counter() - started
 
     problems = []

@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gtmac.channel import (ChannelSpec, NoiseModel, RepetitionCodeParams,
-                           RepetitionDisjunctionOracle, gaussian,
+from gtmac.channel import (NoiseModel, RepetitionDisjunctionOracle, gaussian,
                            gaussian_slot_error_exact, rademacher, sample_noise_block,
                            schedule, slot_noise_averages, transmit_block, uniform)
 
@@ -95,14 +94,12 @@ def test_block_sampler_statistics():
 def test_threshold_decode_tie_goes_to_false():
     # rademacher(0.5) noise, m = 1, P = 1: each slot average is a tie at the
     # sqrt(P)/2 = 0.5 threshold (+0.5 silent, 1 - 0.5 with a sender) or clear of it
-    params = RepetitionCodeParams(1, 0.1)
-    channel = ChannelSpec(1.0, rademacher(0.5), num_transmitters=1)
     noise = sample_noise_block(rademacher(0.5), 0, 200, np.random.default_rng(3))
     assert set(noise) == {-0.5, 0.5}
-    silent = transmit_block(np.zeros((1, 200), bool), params, channel,
+    silent = transmit_block(np.zeros((1, 200), bool), 1, 1.0, rademacher(0.5),
                             np.random.default_rng(3))
     assert not silent.any()
-    sending = transmit_block(np.ones((1, 200), bool), params, channel,
+    sending = transmit_block(np.ones((1, 200), bool), 1, 1.0, rademacher(0.5),
                              np.random.default_rng(3))
     np.testing.assert_array_equal(sending, noise > 0)
 
@@ -110,27 +107,28 @@ def test_threshold_decode_tie_goes_to_false():
 def test_transmit_block_zero_noise_recovers_exact_disjunction():
     rng = np.random.default_rng(5)
     messages = rng.random((6, 40)) < 0.3
-    params = RepetitionCodeParams(3, 0.0)
-    chan_spec = ChannelSpec(power=2.0, noise=gaussian(0.0), num_transmitters=6)
-    decoded = transmit_block(messages, params, chan_spec, np.random.default_rng(0))
+    decoded = transmit_block(messages, 3, 2.0, gaussian(0.0), np.random.default_rng(0))
     np.testing.assert_array_equal(decoded, messages.any(axis=0))
 
 
 def test_transmit_block_validates_shapes_and_threshold():
-    params = RepetitionCodeParams(1, 0.1)
-    chan_spec = ChannelSpec(power=1.0, noise=rademacher(1.0), num_transmitters=4)
-    for shape in ((5, 3), (4,), (4, 3, 1)):
+    for shape in ((4,), (4, 3, 1)):
         with pytest.raises(ValueError):
-            transmit_block(np.zeros(shape, bool), params, chan_spec,
+            transmit_block(np.zeros(shape, bool), 1, 1.0, rademacher(1.0),
                            np.random.default_rng(0))
-    # the threshold is sqrt(P)/2 of the channel: silent slots average +-1, which
-    # clears it at P = 1 and ties it at P = 4
+    # the repetition count and the power are checked where they are used
+    for repetitions, power in ((0, 1.0), (1, 0.0), (1, math.inf)):
+        with pytest.raises(ValueError):
+            transmit_block(np.zeros((4, 3), bool), repetitions, power, rademacher(1.0),
+                           np.random.default_rng(0))
+    # the threshold is sqrt(P)/2: silent slots average +-1, which clears it at
+    # P = 1 and ties it at P = 4
     silent = np.zeros((4, 100), bool)
     noise = sample_noise_block(rademacher(1.0), 0, 100, np.random.default_rng(0))
-    decoded = transmit_block(silent, params, chan_spec, np.random.default_rng(0))
+    decoded = transmit_block(silent, 1, 1.0, rademacher(1.0), np.random.default_rng(0))
     np.testing.assert_array_equal(decoded, noise > 0)
-    loud = ChannelSpec(power=4.0, noise=rademacher(1.0), num_transmitters=4)
-    assert not transmit_block(silent, params, loud, np.random.default_rng(0)).any()
+    assert not transmit_block(silent, 1, 4.0, rademacher(1.0),
+                              np.random.default_rng(0)).any()
 
 
 def test_transmit_block_matches_scalar_pipeline():
@@ -140,10 +138,7 @@ def test_transmit_block_matches_scalar_pipeline():
                          [False, False, True, True],
                          [False, False, False, False]])
     noise_model = schedule(gaussian(0.8), uniform(0.3))
-    params = RepetitionCodeParams(m, 0.1)
-    chan_spec = ChannelSpec(power, noise_model, len(messages))
-
-    block = transmit_block(messages, params, chan_spec, np.random.default_rng(42))
+    block = transmit_block(messages, m, power, noise_model, np.random.default_rng(42))
     noise = sample_noise_block(noise_model, 0, m * slots,
                                np.random.default_rng(42)).reshape(slots, m)
     root = math.sqrt(power)
@@ -159,19 +154,15 @@ def test_transmit_block_is_one_sided_and_monotone_in_senders():
     # errors on all-false slots only when the averaged noise exceeds +threshold,
     # and adding a true sender can only turn decodes from false to true
     power, m, slots = 1.0, 9, 2000
-    params = RepetitionCodeParams(m, 0.1)
-    chan_spec1 = ChannelSpec(power, gaussian(1.0), num_transmitters=1)
-    chan_spec2 = ChannelSpec(power, gaussian(1.0), num_transmitters=2)
-
     silent = np.zeros((1, slots), bool)
-    decoded_silent = transmit_block(silent, params, chan_spec1,
+    decoded_silent = transmit_block(silent, m, power, gaussian(1.0),
                                     np.random.default_rng(11))
     averaged = slot_noise_averages(gaussian(1.0), m, slots,
                                    np.random.default_rng(11))
     np.testing.assert_array_equal(decoded_silent, averaged > 0.5)
 
     one_true = np.vstack([np.zeros(slots, bool), np.ones(slots, bool)])
-    decoded_true = transmit_block(one_true, params, chan_spec2,
+    decoded_true = transmit_block(one_true, m, power, gaussian(1.0),
                                   np.random.default_rng(11))
     assert np.all(decoded_true >= decoded_silent)
     # with a true sender the decode fails only if noise drags the slot down
@@ -224,11 +215,8 @@ def test_empirical_gaussian_excursion_rate_matches_exact():
 
 # --- repetition-code oracle ---------------------------------------------------------
 
-def test_repetition_oracle_declares_target_and_decodes():
-    chan_spec = ChannelSpec(1.0, gaussian(0.0), num_transmitters=3)
-    params = RepetitionCodeParams(4, 0.01)
-    oracle = RepetitionDisjunctionOracle(chan_spec, params, np.random.default_rng(1))
-    assert oracle.slot_error_probability == 0.01
+def test_repetition_oracle_decodes_the_disjunction():
+    oracle = RepetitionDisjunctionOracle(gaussian(0.0), 1.0, 4, np.random.default_rng(1))
     messages = np.array([[True, False, False, False, True],
                          [False, False, True, False, True],
                          [False, False, False, False, False]])
@@ -240,9 +228,7 @@ def test_repetition_oracle_advances_schedule_between_calls():
     # odd repetition count over a 2-cycle schedule: the step counter must carry
     # across calls for the second block to see the shifted pattern
     model = schedule(rademacher(1.0), gaussian(0.0))
-    chan_spec = ChannelSpec(1.0, model, num_transmitters=1)
-    params = RepetitionCodeParams(3, 0.1)
-    oracle = RepetitionDisjunctionOracle(chan_spec, params, np.random.default_rng(0))
+    oracle = RepetitionDisjunctionOracle(model, 1.0, 3, np.random.default_rng(0))
     oracle.decode_block(np.zeros((1, 1), bool))
     assert oracle._next_step == 3
     oracle.decode_block(np.zeros((1, 1), bool))

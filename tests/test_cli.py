@@ -70,6 +70,8 @@ def test_invalid_parameters_exit_2(capsys):
           "--power", "inf", "--trials", "2", "--seed", "9"], "power"),
         (["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
           "--power", "1", "--trials", "2", "--seed", "-1"], "seed"),
+        (["e2e", "--n-inactive", "20", "--k", "0", "--eps", "0.2", "--sigma", "0.5",
+          "--power", "1", "--trials", "2", "--seed", "9"], "k must be an int >= 1"),
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -56,31 +56,23 @@ def test_simulate_until_exact_trace_and_determinism():
 
 
 def test_until_exact_batch_is_worker_count_invariant():
+    cap = harness.default_slot_cap(80, 2)
     for trials in (60, 2 * harness.TRIAL_BLOCK + 7):  # one block, then three
-        cfg = harness.ExperimentConfig(n_inactive=80, k=2, trials=trials, seed_base=5)
-        serial = harness.run_until_exact_batch(cfg, workers=1)
-        parallel = harness.run_until_exact_batch(cfg, workers=3)
+        serial = harness.run_until_exact_batch(80, 2, 1 / 3, cap, trials, 5, workers=1)
+        parallel = harness.run_until_exact_batch(80, 2, 1 / 3, cap, trials, 5, workers=3)
         assert serial.dtype == np.int64 and serial.shape == (trials,)
         assert np.array_equal(serial, parallel)
         assert np.all(serial > 0)
-    with pytest.raises(ValueError):
-        harness.run_until_exact_batch(
-            harness.ExperimentConfig(n_inactive=8, k=1, mode="end_to_end", eps=0.1,
-                                     noise=gaussian(1.0), norm_bound=1.0, power=1.0),
-            workers=1)
 
 
 def test_until_exact_batch_seeds_fixed_blocks():
     # block b of every batch is drawn from SeedSequence((seed_base, b))
-    cfg = harness.ExperimentConfig(n_inactive=80, k=2,
-                                   trials=harness.TRIAL_BLOCK + 5, seed_base=6)
-    slots = harness.run_until_exact_batch(cfg)
+    trials, cap = harness.TRIAL_BLOCK + 5, harness.default_slot_cap(80, 2)
+    slots = harness.run_until_exact_batch(80, 2, 1 / 3, cap, trials, 6)
     for block, (lo, hi) in enumerate(((0, harness.TRIAL_BLOCK),
-                                      (harness.TRIAL_BLOCK, cfg.trials))):
+                                      (harness.TRIAL_BLOCK, trials))):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((6, block))))
-        expected = scheme.sample_slots_until_exact(80, 2, 1 / 3,
-                                                   harness.default_slot_cap(80, 2),
-                                                   rng, hi - lo)
+        expected = scheme.sample_slots_until_exact(80, 2, 1 / 3, cap, rng, hi - lo)
         assert np.array_equal(slots[lo:hi], expected)
 
 
@@ -92,18 +84,15 @@ def test_pool_size_never_exceeds_threads_tasks_or_cpus():
     assert harness._pool_size(2, 0, 2) == 1
 
 
-def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        harness.ExperimentConfig(n_inactive=5, k=1, mode="nonsense")
-    with pytest.raises(ValueError):
-        harness.ExperimentConfig(n_inactive=5, k=1, mode="end_to_end")  # no channel
-    with pytest.raises(ValueError):
-        harness.ExperimentConfig(n_inactive=5, k=1, mode="end_to_end", eps=0.1,
-                                 noise=gaussian(1.0), norm_bound=1.0, power=math.inf)
-    with pytest.raises(ValueError):
-        harness.ExperimentConfig(n_inactive=5, k=1, trials=0)
-    cfg = harness.ExperimentConfig(n_inactive=5, k=3)
-    assert cfg.effective_choice_probability() == 0.25
+def test_batch_runners_validate_parameters():
+    cap = harness.default_slot_cap(5, 1)
+    for p, trials in ((0.5, 0), (1.5, 10)):
+        with pytest.raises(ValueError):
+            harness.run_until_exact_batch(5, 1, p, cap, trials, 0)
+    for power, trials in ((math.inf, 10), (1.0, 0)):
+        with pytest.raises(ValueError):
+            harness.run_end_to_end_batch(5, 1, 0.1, gaussian(1.0), 1.0, power, 0.125,
+                                         trials, 0)
 
 
 # --- error curves ----------------------------------------------------------------
@@ -142,12 +131,13 @@ def test_error_curve_observed_rate_tracks_truth_small_case():
     # N = 1, k = 1, p = 1/2: the lone inactive node survives each slot unless
     # the slot is undiscarded (w.p. 1/2) and it is chosen (w.p. 1/2), so
     # P(still there after l slots) = (3/4)**l
-    cfg = harness.ExperimentConfig(n_inactive=1, k=1, trials=4000, seed_base=11)
-    records = harness.run_until_exact_batch(cfg)
+    trials = 4000
+    records = harness.run_until_exact_batch(1, 1, 0.5, harness.default_slot_cap(1, 1),
+                                            trials, 11)
     curve = harness.build_error_curve(records, (1, 2, 4, 8), 1, 1)
     for level, freq in zip(curve.slot_grid, curve.observed_frequency):
         truth = 0.75**level
-        se = math.sqrt(truth * (1 - truth) / cfg.trials)
+        se = math.sqrt(truth * (1 - truth) / trials)
         assert abs(freq - truth) <= 4 * se
 
 
@@ -193,19 +183,18 @@ def test_expectation_trace_validation():
 def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
     # noiseless channel, generous budget: recovery succeeds
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
-    rec = harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, plan=plan, seed=31)
-    assert rec.success is True
-    assert rec == harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, seed=31)
+    assert harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, plan=plan,
+                                    seed=31) is True
+    assert harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, seed=31) is True
 
 
 def test_end_to_end_batch_summary_fields():
     noise = schedule(gaussian(1.0), rademacher(1.0))
-    cfg = harness.ExperimentConfig(
-        n_inactive=40, k=2, mode="end_to_end", trials=40, seed_base=32,
-        eps=0.1, noise=noise, norm_bound=1.0, power=1.0)
-    summary, records = harness.run_end_to_end_batch(cfg)
-    assert summary.trials == 40 and len(records) == 40
-    assert summary.failures == sum(1 for r in records if not r.success)
+    summary, successes = harness.run_end_to_end_batch(40, 2, 0.1, noise, 1.0, 1.0,
+                                                      0.125, 40, 32)
+    assert summary.trials == 40
+    assert successes.dtype == bool and successes.shape == (40,)
+    assert summary.failures == int((~successes).sum())
     assert summary.failure_rate == summary.failures / 40
     assert summary.two_epsilon == pytest.approx(0.2)
     plan = bounds.plan_channel_uses(40, 2, 0.1, 1.0, 1.0, 0.125)
@@ -224,21 +213,17 @@ def test_end_to_end_batch_plans_once(monkeypatch):
         return plan_channel_uses(*args)
 
     monkeypatch.setattr(bounds, "plan_channel_uses", counted)
-    cfg = harness.ExperimentConfig(
-        n_inactive=40, k=2, mode="end_to_end", trials=40, seed_base=34,
-        eps=0.1, noise=gaussian(1.0), norm_bound=1.0, power=1.0)
-    summary, _ = harness.run_end_to_end_batch(cfg, workers=1)
+    summary, _ = harness.run_end_to_end_batch(40, 2, 0.1, gaussian(1.0), 1.0, 1.0,
+                                              0.125, 40, 34, workers=1)
     assert summary.trials == 40
     assert 1 <= len(calls) <= 2
 
 
 def test_end_to_end_batch_is_worker_count_invariant():
-    cfg = harness.ExperimentConfig(
-        n_inactive=30, k=2, mode="end_to_end", trials=24, seed_base=33,
-        eps=0.1, noise=gaussian(1.0), norm_bound=1.0, power=1.0)
-    s1, r1 = harness.run_end_to_end_batch(cfg, workers=1)
-    s2, r2 = harness.run_end_to_end_batch(cfg, workers=4)
-    assert s1 == s2 and r1 == r2
+    batch = (30, 2, 0.1, gaussian(1.0), 1.0, 1.0, 0.125, 24, 33)
+    s1, r1 = harness.run_end_to_end_batch(*batch, workers=1)
+    s2, r2 = harness.run_end_to_end_batch(*batch, workers=4)
+    assert s1 == s2 and np.array_equal(r1, r2)
 
 
 # --- CSV -------------------------------------------------------------------------------
@@ -280,10 +265,10 @@ def test_end_to_end_summary_csv_roundtrip(tmp_path):
 
 
 def test_export_csv_is_byte_identical_across_calls(tmp_path):
-    cfg = harness.ExperimentConfig(n_inactive=60, k=2, trials=50, seed_base=41)
     paths = []
     for name in ("a.csv", "b.csv"):
-        records = harness.run_until_exact_batch(cfg)
+        records = harness.run_until_exact_batch(60, 2, 1 / 3,
+                                                harness.default_slot_cap(60, 2), 50, 41)
         curve = harness.build_error_curve(records, harness.default_slot_grid(200, 5),
                                           60, 2)
         path = tmp_path / name

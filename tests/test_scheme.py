@@ -212,6 +212,29 @@ def test_run_scheme_noisy_oracle_can_evict_active_nodes():
     assert not np.array_equal(final, pop.active_mask())
 
 
+class _RecordingOracle(IdealDisjunctionOracle):
+    """Ideal oracle that keeps the message matrix it was handed."""
+
+    def decode_block(self, messages):
+        self.messages = np.array(messages)
+        return super().decode_block(messages)
+
+
+def test_run_scheme_hands_the_oracle_only_the_active_rows():
+    # inactive nodes always send 0, so the oracle sees a (k, l) matrix whose
+    # rows are the active nodes' chosen bits, in ascending node order
+    pop = Population(50, frozenset({41, 3, 17}))
+    cfg = SchemeConfig(0.3, 25, master_seed=12)
+    oracle = _RecordingOracle()
+    run_scheme(pop, cfg, oracle)
+    assert oracle.messages.shape == (3, 25)
+    chosen = np.array([slot_rng(cfg.master_seed, i).random(50) < cfg.choice_probability
+                       for i in range(25)])
+    for row, node in zip(oracle.messages, (3, 17, 41)):
+        assert np.array_equal(row, chosen[:, node])
+    assert oracle.messages.any() and not oracle.messages.all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(total=st.integers(1, 12), seed=st.integers(0, 2**32),
        p=st.floats(0.05, 0.95), budget=st.integers(1, 25),
