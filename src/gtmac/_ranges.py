@@ -5,8 +5,8 @@ CLI test a parameter.  An int parameter takes an ``int`` or a numpy integer,
 never a bool; a real parameter also takes ints and must be finite.  A value of
 the wrong type raises ``TypeError``; a NaN, an infinity or a value outside the
 range raises ``ValueError``.  A parameter whose range depends on where it is
-used (k in a slot budget, trials behind a standard error, the slots of a
-channel simulation) has one entry per use.
+used (trials behind a standard error, the slots of a channel simulation) has
+one entry per use.  :func:`check_levels` is the one test of a slot grid.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+
+import numpy as np
 
 # The surplus kernel clips its G draw at slot_cap + 1, which must be exact in
 # float64; scheme re-exports this bound.
@@ -30,8 +32,7 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)  # an open upper end at 1
 _RANGES = {
     # populations and the elimination scheme
     "n_inactive": ("n_inactive", True, 0, _INF, "an int >= 0"),
-    "k": ("k", True, 0, _INF, "an int >= 0"),
-    "budget_k": ("k", True, 1, _INF, "an int >= 1 in a slot budget"),
+    "k": ("k", True, 1, _INF, "an int >= 1"),
     "total_nodes": ("total_nodes", True, 0, _INF, "an int >= 0"),
     "p": ("p", False, 0.0, 1.0, "a real in [0, 1]"),
     "slots": ("slots", True, 0, _INF, "an int >= 0"),
@@ -73,3 +74,19 @@ def check(key: str, value):
     if not low <= value <= high:
         raise ValueError(f"{name} must be {words}, got {value!r}")
     return value
+
+
+def check_levels(levels) -> np.ndarray:
+    """Return a grid of slot counts as an int64 vector; raise otherwise.
+
+    ``levels`` must be 1-D with an integer dtype -- no bools, no floats --
+    or else empty; a level below 0 raises ``ValueError``.
+    """
+    grid = np.asarray(levels)
+    if grid.ndim != 1 or (grid.size and grid.dtype.kind not in "iu"):
+        raise TypeError(f"levels must be a 1-D sequence of ints, got a "
+                        f"{grid.ndim}-D array of {grid.dtype}")
+    grid = grid.astype(np.int64)
+    if np.any(grid < 0):
+        raise ValueError("levels must be slots >= 0")
+    return grid

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ranges import check
+from ._ranges import check, check_levels
 
 __all__ = [
     "GAUSSIAN_TAIL_CONSTANT",
@@ -42,13 +42,12 @@ __all__ = [
 GAUSSIAN_TAIL_CONSTANT = 0.125
 
 
-def expected_remaining(n_inactive: int, k: int, p: float, i: int) -> float:
-    """Expected surplus after ``i`` slots: ``N * (1 - p*(1-p)**k)**i``."""
+def expected_remaining(n_inactive: int, k: int, p: float, levels) -> np.ndarray:
+    """Expected surplus ``N * (1 - p*(1-p)**k)**l`` after l slots, each l in ``levels``."""
     check("n_inactive", n_inactive)
     check("k", k)
     check("p", p)
-    check("slots", i)
-    return n_inactive * (1.0 - p * (1.0 - p) ** k) ** i
+    return n_inactive * (1.0 - p * (1.0 - p) ** k) ** check_levels(levels)
 
 
 def slots_for_surplus_bound(n_inactive: int, k: int, eps: float,
@@ -61,7 +60,7 @@ def slots_for_surplus_bound(n_inactive: int, k: int, eps: float,
     is returned.
     """
     check("n_inactive", n_inactive)
-    check("budget_k", k)
+    check("k", k)
     check("eps", eps)
     check("surplus_factor", surplus_factor)
     argument = n_inactive / (k * eps * surplus_factor)
@@ -77,7 +76,7 @@ def slots_for_exact_recovery(n_inactive: int, k: int, eps: float) -> int:
     ``ceil(e*(k+1) * ln(N/eps))``.  Returns 0 when N = 0.
     """
     check("n_inactive", n_inactive)
-    check("budget_k", k)
+    check("k", k)
     check("eps", eps)
     argument = n_inactive / eps
     if argument <= 1.0:
@@ -85,17 +84,18 @@ def slots_for_exact_recovery(n_inactive: int, k: int, eps: float) -> int:
     return math.ceil(math.e * (k + 1) * math.log(argument))
 
 
-def theoretical_error_curve(n_inactive: int, k: int, slots: int) -> float:
-    """Upper bound on P(surplus > 0 after ``slots`` slots): ``min(1, N*exp(-slots/(e(k+1))))``.
+def theoretical_error_curve(n_inactive: int, k: int, levels) -> np.ndarray:
+    """Upper bound on P(surplus > 0 after l slots), for each l in ``levels``.
 
-    This is the expected surplus relaxed through ``1 - x <= exp(-x)`` and the
-    decay-constant bound, then capped at 1; it is the reference curve the
-    Monte Carlo error frequencies are compared against.
+    The bound is ``min(1, N*exp(-l/(e(k+1))))``: the expected surplus
+    relaxed through ``1 - x <= exp(-x)`` and the decay-constant bound, then
+    capped at 1.  It is the reference curve the Monte Carlo error frequencies
+    are compared against.
     """
     check("n_inactive", n_inactive)
     check("k", k)
-    check("slots", slots)
-    return min(1.0, n_inactive * math.exp(-slots / (math.e * (k + 1))))
+    levels = check_levels(levels)
+    return np.minimum(1.0, n_inactive * np.exp(-levels / (math.e * (k + 1))))
 
 
 def exact_error_curve(n_inactive: int, k: int, p: float,
@@ -112,9 +112,7 @@ def exact_error_curve(n_inactive: int, k: int, p: float,
     check("n_inactive", n_inactive)
     check("k", k)
     check("p", p)
-    levels = np.asarray(levels, dtype=np.int64)
-    if levels.ndim != 1 or np.any(levels < 0):
-        raise ValueError("levels must be a sequence of slots >= 0")
+    levels = check_levels(levels)
     if n_inactive == 0:
         return np.zeros(len(levels))
     top = int(levels.max(initial=0))
@@ -181,7 +179,7 @@ def channel_uses_closed_form(n_inactive: int, k: int, eps: float,
     needed at all (``N <= eps``).
     """
     check("n_inactive", n_inactive)
-    check("budget_k", k)
+    check("k", k)
     check("eps", eps)
     check("norm_bound", norm_bound)
     check("power", power)

@@ -316,7 +316,7 @@ def _cmd_e2e(parser, args, conf) -> int:
 
     if big_k < noise.norm_bound:
         parser.error(f"--big-k {big_k} is below the noise norm bound {noise.norm_bound}")
-    for key, value in (("n_inactive", n), ("budget_k", k), ("eps", eps),
+    for key, value in (("n_inactive", n), ("k", k), ("eps", eps),
                        ("norm_bound", big_k), ("power", power), ("tail_constant", c),
                        ("trials", trials)):
         check(key, value)

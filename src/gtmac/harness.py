@@ -18,8 +18,10 @@ isolation.  The trial splits its seed into three child streams
 the scheme's common randomness, and the channel noise.
 
 CSV files are written with a header row, comma separators, ``\\n`` line
-endings and UTF-8 encoding; floats are rendered with ``repr`` so parsing
-them back recovers the exact values.
+endings and UTF-8 encoding.  The ``csv`` module renders a float with
+``repr``, so ``float()`` of a field recovers the exact value; result objects
+hold Python ints and floats (``.tolist()`` of the numpy results), never
+numpy scalars, whose ``repr`` is not a number.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from ._ranges import check
+from ._ranges import check, check_levels
 from .channel import NoiseModel, RepetitionDisjunctionOracle
 from .scheme import (Population, SchemeConfig, optimal_choice_probability, run_scheme,
                      run_scheme_fast, sample_slots_until_exact, surplus_steps)
@@ -56,9 +58,6 @@ __all__ = [
     "end_to_end_trial",
     "run_end_to_end_batch",
     "export_csv",
-    "read_error_curve",
-    "read_expectation_trace",
-    "read_end_to_end_summary",
 ]
 
 DEFAULT_TRIALS = 20_000  # default Monte Carlo sample size per experiment
@@ -221,16 +220,15 @@ def build_error_curve(slots_until_exact: np.ndarray, slot_grid: tuple[int, ...],
     trials = len(finished)
     if trials == 0:
         raise ValueError("need at least one trial")
-    grid = np.asarray(slot_grid)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(grid < 0):
-        raise ValueError("slot_grid must be a nonempty sequence of slots >= 0")
+    grid = check_levels(slot_grid)
+    if len(grid) == 0:
+        raise ValueError("slot_grid must not be empty")
     ordered = np.sort(np.where(finished < 0, np.iinfo(np.int64).max, finished))
-    done = np.searchsorted(ordered, grid, side="right")
-    observed = [(trials - int(d)) / trials for d in done]
-    bound = [bounds.theoretical_error_curve(n_inactive, k, int(level)) for level in grid]
-    return ErrorCurve(slot_grid=tuple(int(v) for v in grid),
-                      observed_frequency=tuple(observed),
-                      theoretical_bound=tuple(bound),
+    observed = (trials - np.searchsorted(ordered, grid, side="right")) / trials
+    bound = bounds.theoretical_error_curve(n_inactive, k, grid)
+    return ErrorCurve(slot_grid=tuple(grid.tolist()),
+                      observed_frequency=tuple(observed.tolist()),
+                      theoretical_bound=tuple(bound.tolist()),
                       trials=trials)
 
 
@@ -257,12 +255,12 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int,
     mean = sums / trials
     variance = np.maximum(sums_sq - trials * mean * mean, 0.0) / (trials - 1)
     std_error = np.sqrt(variance / trials)
-    predicted = [bounds.expected_remaining(n_inactive, k, p, i) for i in range(horizon + 1)]
+    predicted = bounds.expected_remaining(n_inactive, k, p, np.arange(horizon + 1))
     return ExpectationTrace(
         slots=tuple(range(horizon + 1)),
-        empirical_mean=tuple(float(v) for v in mean),
-        std_error=tuple(float(v) for v in std_error),
-        predicted_mean=tuple(float(v) for v in predicted),
+        empirical_mean=tuple(mean.tolist()),
+        std_error=tuple(std_error.tolist()),
+        predicted_mean=tuple(predicted.tolist()),
     )
 
 
@@ -340,12 +338,11 @@ _END_TO_END_HEADER = ["trials", "failures", "failure_rate", "two_epsilon",
                       "l", "m", "total_channel_uses"]
 
 
-def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
+def _write_rows(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def export_csv(result, path: str) -> None:
@@ -356,8 +353,8 @@ def export_csv(result, path: str) -> None:
                                    result.theoretical_bound)]
         _write_rows(path, _ERROR_CURVE_HEADER, rows)
     elif isinstance(result, ExpectationTrace):
-        rows = [list(r) for r in zip(result.slots, result.empirical_mean,
-                                     result.std_error, result.predicted_mean)]
+        rows = zip(result.slots, result.empirical_mean, result.std_error,
+                   result.predicted_mean)
         _write_rows(path, _TRACE_HEADER, rows)
     elif isinstance(result, EndToEndSummary):
         rows = [[result.trials, result.failures, result.failure_rate,
@@ -366,46 +363,3 @@ def export_csv(result, path: str) -> None:
         _write_rows(path, _END_TO_END_HEADER, rows)
     else:
         raise TypeError(f"no CSV layout for {type(result).__name__}")
-
-
-def _read_rows(path: str, expected_header: list[str]) -> list[list[str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != expected_header:
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        return list(reader)
-
-
-def read_error_curve(path: str) -> ErrorCurve:
-    rows = _read_rows(path, _ERROR_CURVE_HEADER)
-    if not rows:
-        raise ValueError(f"{path} has no data rows")
-    return ErrorCurve(
-        slot_grid=tuple(int(r[0]) for r in rows),
-        observed_frequency=tuple(float(r[1]) for r in rows),
-        theoretical_bound=tuple(float(r[2]) for r in rows),
-        trials=int(rows[0][3]),
-    )
-
-
-def read_expectation_trace(path: str) -> ExpectationTrace:
-    rows = _read_rows(path, _TRACE_HEADER)
-    return ExpectationTrace(
-        slots=tuple(int(r[0]) for r in rows),
-        empirical_mean=tuple(float(r[1]) for r in rows),
-        std_error=tuple(float(r[2]) for r in rows),
-        predicted_mean=tuple(float(r[3]) for r in rows),
-    )
-
-
-def read_end_to_end_summary(path: str) -> EndToEndSummary:
-    rows = _read_rows(path, _END_TO_END_HEADER)
-    if len(rows) != 1:
-        raise ValueError(f"expected exactly one summary row in {path}")
-    r = rows[0]
-    return EndToEndSummary(
-        trials=int(r[0]), failures=int(r[1]), failure_rate=float(r[2]),
-        two_epsilon=float(r[3]), slots=int(r[4]), repetitions=int(r[5]),
-        total_channel_uses=int(r[6]),
-    )

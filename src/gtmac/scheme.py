@@ -68,7 +68,6 @@ def optimal_choice_probability(k: int) -> float:
     For ``k`` active nodes the probability that a slot is *useful* (no active
     node chosen) times the marginal removal chance of an inactive node is
     ``p * (1-p)**k``; differentiation gives the maximiser ``1/(k+1)``.
-    ``k = 0`` yields 1.0: with nothing to collide with, choose everyone.
     """
     check("k", k)
     return 1.0 / (k + 1)
@@ -76,7 +75,7 @@ def optimal_choice_probability(k: int) -> float:
 
 @dataclass(frozen=True)
 class Population:
-    """A set of nodes labelled ``0..total_nodes-1`` with a known active subset."""
+    """A set of nodes labelled ``0..total_nodes-1`` with a nonempty active subset."""
 
     total_nodes: int
     active_set: frozenset[int]
@@ -85,6 +84,7 @@ class Population:
         check("total_nodes", self.total_nodes)
         if not isinstance(self.active_set, frozenset):
             object.__setattr__(self, "active_set", frozenset(self.active_set))
+        check("k", len(self.active_set))
         for node in self.active_set:
             if not (0 <= node < self.total_nodes):
                 raise ValueError(f"active node {node} outside 0..{self.total_nodes - 1}")
@@ -100,16 +100,15 @@ class Population:
     def active_mask(self) -> np.ndarray:
         """Boolean vector, entry ``i`` true iff node ``i`` is active."""
         mask = np.zeros(self.total_nodes, dtype=bool)
-        if self.active_set:
-            mask[sorted(self.active_set)] = True
+        mask[sorted(self.active_set)] = True
         return mask
 
     @staticmethod
     def with_random_active_set(total_nodes: int, num_active: int,
                                rng: np.random.Generator) -> "Population":
         """Draw the active subset uniformly at random (experiment setup)."""
-        if not (0 <= num_active <= total_nodes):
-            raise ValueError("need 0 <= num_active <= total_nodes")
+        if check("k", num_active) > total_nodes:
+            raise ValueError("need num_active <= total_nodes")
         chosen = rng.choice(total_nodes, size=num_active, replace=False)
         return Population(total_nodes, frozenset(int(i) for i in chosen))
 
@@ -119,9 +118,8 @@ class SchemeConfig:
     """Run parameters: per-slot choice probability, slot budget, master seed.
 
     ``choice_probability`` may take the degenerate boundary values 0 (nothing
-    is ever removed) and 1 (needed for the k = 0 case, where
-    :func:`optimal_choice_probability` returns 1).  Out-of-range or NaN values
-    are construction errors -- nothing is clamped.
+    is ever removed) and 1 (every slot is discarded).  Out-of-range or NaN
+    values are construction errors -- nothing is clamped.
     """
 
     choice_probability: float

@@ -59,7 +59,7 @@ def test_criterion_1_error_curve_reproduction():
 
     # tightness spot check where the envelope crosses 1e-2
     tight_level = bounds.slots_for_exact_recovery(n, k, 1e-2)
-    tight_bound = bounds.theoretical_error_curve(n, k, tight_level)
+    tight_bound = bounds.theoretical_error_curve(n, k, [tight_level])[0]
     tight_observed = curve.observed_frequency[grid.index(tight_level)]
     if not tight_observed >= tight_bound / 100.0:
         problems.append(f"loose at l={tight_level}: {tight_observed:.3g} "
@@ -99,7 +99,7 @@ def test_criterion_2_expected_surplus_matches_formula():
             problems.append(f"i={i}: |{trace.empirical_mean[i]:.4f} - "
                             f"{trace.predicted_mean[i]:.4f}| > 3*{trace.std_error[i]:.2g}")
         if not math.isclose(trace.predicted_mean[i],
-                            bounds.expected_remaining(1000, 3, 0.25, i)):
+                            bounds.expected_remaining(1000, 3, 0.25, [i])[0]):
             problems.append(f"i={i}: prediction column mismatch")
     if elapsed > 60.0:
         problems.append(f"runtime {elapsed:.0f}s > 60s")

@@ -42,22 +42,37 @@ def test_channel_use_plan_reference_values():
 
 def test_expected_remaining_single_slot_value():
     # N = 100, k = 2, p = 1/3: removal rate 4/27, one slot leaves 2300/27
-    assert bounds.expected_remaining(100, 2, 1 / 3, 1) == pytest.approx(2300 / 27, rel=1e-12)
-    assert bounds.expected_remaining(100, 2, 1 / 3, 0) == 100.0
+    start, one = bounds.expected_remaining(100, 2, 1 / 3, [0, 1])
+    assert one == pytest.approx(2300 / 27, rel=1e-12)
+    assert start == 100.0
 
 
 def test_theoretical_error_curve_values():
-    assert bounds.theoretical_error_curve(10_000, 20, 0) == 1.0
-    assert bounds.theoretical_error_curve(10_000, 20, 789) == pytest.approx(
-        0.009937738742440671, rel=1e-12)
-    assert bounds.theoretical_error_curve(0, 5, 100) == 0.0
+    start, budget = bounds.theoretical_error_curve(10_000, 20, [0, 789])
+    assert start == 1.0
+    assert budget == pytest.approx(0.009937738742440671, rel=1e-12)
+    assert list(bounds.theoretical_error_curve(0, 5, [100])) == [0.0]
+
+
+def test_grid_curves_match_their_scalar_formulas():
+    # numpy's pow and exp may round differently from Python's ** and
+    # math.exp; their vector kernels stay within 4 ulp
+    levels = list(range(0, 2600, 13))
+    for n, k, p in [(10_000, 20, 1 / 21), (1000, 3, 0.25), (7, 1, 0.9), (10**7, 200, 1e-3)]:
+        remaining = bounds.expected_remaining(n, k, p, levels)
+        envelope = bounds.theoretical_error_curve(n, k, levels)
+        for level, got_remaining, got_envelope in zip(levels, remaining, envelope):
+            want = n * (1.0 - p * (1.0 - p) ** k) ** level
+            assert abs(got_remaining - want) <= 4 * math.ulp(want)
+            want = min(1.0, n * math.exp(-level / (E * (k + 1))))
+            assert abs(got_envelope - want) <= 4 * math.ulp(want)
 
 
 def test_exact_error_curve_reference_value_and_envelope():
     exact = bounds.exact_error_curve(10_000, 20, 1 / 21, [0, 789])
     assert exact[0] == 1.0
     assert exact[1] == pytest.approx(0.00620, abs=5e-6)
-    assert exact[1] <= bounds.theoretical_error_curve(10_000, 20, 789)
+    assert exact[1] <= bounds.theoretical_error_curve(10_000, 20, [789])[0]
 
 
 def test_exact_error_curve_matches_scipy_binomial_form():
@@ -78,12 +93,11 @@ def test_exact_error_curve_matches_scipy_binomial_form():
 
 def test_exact_error_curve_degenerate_inputs():
     assert list(bounds.exact_error_curve(0, 3, 0.5, [0, 4])) == [0.0, 0.0]
-    assert list(bounds.exact_error_curve(5, 0, 1.0, [0, 1, 9])) == [1.0, 0.0, 0.0]
     assert list(bounds.exact_error_curve(5, 3, 0.0, [0, 9])) == [1.0, 1.0]
     assert list(bounds.exact_error_curve(5, 3, 1.0, [0, 9])) == [1.0, 1.0]
     # N = 1, k = 1, p = 1/2: the lone node survives a slot w.p. 3/4
     assert bounds.exact_error_curve(1, 1, 0.5, [4])[0] == pytest.approx(0.75**4)
-    for bad in ((-1, 2, 0.5, [1]), (5, 2, 1.5, [1]), (5, 2, 0.5, [-1])):
+    for bad in ((-1, 2, 0.5, [1]), (5, 0, 1.0, [1]), (5, 2, 1.5, [1]), (5, 2, 0.5, [-1])):
         with pytest.raises(ValueError):
             bounds.exact_error_curve(*bad)
 
@@ -105,7 +119,7 @@ def test_curve_at_exact_recovery_budget_is_at_most_eps():
     for n, k, eps in [(10, 1, 0.3), (1000, 4, 0.05), (10_000, 20, 1e-2),
                       (10**6, 50, 1e-4), (37, 2, 0.9)]:
         slots = bounds.slots_for_exact_recovery(n, k, eps)
-        assert bounds.theoretical_error_curve(n, k, slots) <= eps
+        assert bounds.theoretical_error_curve(n, k, [slots])[0] <= eps
 
 
 def test_decay_constant_chain():
@@ -160,11 +174,10 @@ def test_exact_recovery_budget_matches_formula(n, k, eps):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(0, 10**6), k=st.integers(0, 50),
+@given(n=st.integers(0, 10**6), k=st.integers(1, 50),
        p=st.floats(0.0, 1.0), i=st.integers(0, 200))
 def test_expected_remaining_monotone_in_slots(n, k, p, i):
-    now = bounds.expected_remaining(n, k, p, i)
-    later = bounds.expected_remaining(n, k, p, i + 1)
+    now, later = bounds.expected_remaining(n, k, p, [i, i + 1])
     assert 0.0 <= later <= now <= n or n == 0
 
 
@@ -229,7 +242,9 @@ def test_rejects_nonpositive_population_parameters():
     with pytest.raises(ValueError):
         bounds.slots_for_surplus_bound(100, 3, 0.1, 0.0)
     with pytest.raises(ValueError):
-        bounds.expected_remaining(100, 3, 1.2, 1)
+        bounds.expected_remaining(100, 3, 1.2, [1])
+    with pytest.raises(ValueError):  # k >= 1 for the curves as for the budgets
+        bounds.theoretical_error_curve(100, 0, [1])
     with pytest.raises(TypeError):  # ints must not be bools
         bounds.slots_for_exact_recovery(100, True, 0.1)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtmac import harness
+import gtmac
 from gtmac.cli import _summarize_until_exact, main
 
 
@@ -141,9 +143,11 @@ def test_simulate_trace_mode(tmp_path, capsys):
         "--seed", "5", "--out", str(out)])
     assert code == 0
     assert "final_mean_surplus" in text
-    trace = harness.read_expectation_trace(str(out))
-    assert trace.slots == (0, 1, 2, 3, 4)
-    assert trace.empirical_mean[0] == 100.0
+    with open(out, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["slot", "empirical_mean", "std_error", "predicted_mean"]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert float(rows[0][1]) == 100.0
 
 
 def test_simulate_generates_and_echoes_a_seed(tmp_path, capsys):
@@ -174,9 +178,11 @@ def test_simulate_preset_writes_three_curves(tmp_path, capsys):
     for name in ("curve_n10000_k20.csv", "curve_n100000_k20.csv",
                  "curve_n10000_k30.csv"):
         assert (tmp_path / name).is_file(), name
-    curve = harness.read_error_curve(str(tmp_path / "curve_n10000_k20.csv"))
-    assert curve.trials == 4
-    assert curve.slot_grid == (0, 50, 100)
+    with open(tmp_path / "curve_n10000_k20.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["l", "observed_frequency", "theoretical_bound", "trials"]
+    assert [row[0] for row in rows] == ["0", "50", "100"]
+    assert {row[3] for row in rows} == {"4"}
 
 
 @pytest.mark.parametrize("flags", [
@@ -187,6 +193,8 @@ def test_simulate_preset_writes_three_curves(tmp_path, capsys):
     ["--mode", "trace", "--trials", "10", "--horizon", "0"],
     ["--preset", "reference", "--trials", "0"],
     ["--seed", "-1"],
+    ["--k", "0"],  # k >= 1, as for bounds and e2e
+    ["--mode", "trace", "--k", "0", "--horizon", "5"],
 ])
 def test_simulate_checks_inputs_before_printing(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as info:
@@ -285,9 +293,13 @@ def test_e2e_smoke_and_csv(tmp_path, capsys):
         "--threads", "1", "--out", str(out)])
     assert code == 0
     assert "failure_rate = " in text
-    summary = harness.read_end_to_end_summary(str(out))
-    assert summary.trials == 8
-    assert summary.total_channel_uses == summary.slots * summary.repetitions
+    with open(out, encoding="utf-8", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == ["trials", "failures", "failure_rate", "two_epsilon", "l", "m",
+                      "total_channel_uses"]
+    fields = dict(zip(header, map(float, row)))
+    assert fields["trials"] == 8
+    assert fields["total_channel_uses"] == fields["l"] * fields["m"]
 
 
 def test_e2e_without_inactive_nodes_succeeds_trivially(tmp_path, capsys):
@@ -299,9 +311,11 @@ def test_e2e_without_inactive_nodes_succeeds_trivially(tmp_path, capsys):
     assert code == 0
     assert "slots = 0\nrepetitions = 0\n" in text
     assert "failures = 0 / 5" in text
-    summary = harness.read_end_to_end_summary(str(out))
-    assert (summary.trials, summary.failures, summary.slots, summary.repetitions,
-            summary.total_channel_uses) == (5, 0, 0, 0, 0)
+    with open(out, encoding="utf-8", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == ["trials", "failures", "failure_rate", "two_epsilon", "l", "m",
+                      "total_channel_uses"]
+    assert row == ["5", "0", "0.0", "0.2", "0", "0", "0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -363,9 +377,13 @@ def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, capsys, monkeyp
 # --- packaging ------------------------------------------------------------------------
 
 def test_module_entry_point_runs_as_script():
+    # the child imports the gtmac under test, installed or from a checkout
+    package_root = str(Path(gtmac.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "gtmac.cli", "bounds", "--n-inactive", "100000",
          "--k", "20", "--eps", "0.01"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "slots_exact_recovery = 921" in proc.stdout

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from gtmac import bounds, harness, scheme
+from gtmac._ranges import check_levels
 from gtmac.channel import gaussian, rademacher, schedule
 
 
@@ -24,7 +26,7 @@ def test_trial_seed_is_deterministic_and_spread():
 
 
 def test_default_slot_cap_scales_and_handles_tiny_populations():
-    assert harness.default_slot_cap(1, 0) >= 1
+    assert harness.default_slot_cap(1, 1) >= 1
     expected = math.ceil(100 * math.e * 21 * math.log(10_000))
     assert harness.default_slot_cap(10_000, 20) == expected
 
@@ -33,9 +35,9 @@ def test_default_slot_cap_scales_and_handles_tiny_populations():
 
 def test_simulate_until_exact_trivial_cases():
     assert harness.simulate_until_exact(0, 3, 0.3, seed=1).slots_until_exact == 0
-    # k = 0 with p = 1 removes everyone in the first slot
-    rec = harness.simulate_until_exact(5, 0, 1.0, seed=2)
-    assert rec.slots_until_exact == 1
+    for collect_trace in (False, True):  # k >= 1 on both paths
+        with pytest.raises(ValueError):
+            harness.simulate_until_exact(5, 0, 1.0, seed=2, collect_trace=collect_trace)
 
 
 def test_simulate_until_exact_censors_at_cap():
@@ -103,7 +105,7 @@ def test_build_error_curve_counts_strictly_larger_and_censored():
     assert curve.observed_frequency == (1.0, 2 / 3, 1 / 3, 1 / 3)
     assert curve.trials == 3
     assert curve.theoretical_bound == tuple(
-        bounds.theoretical_error_curve(10, 1, level) for level in (0, 1, 2, 3))
+        bounds.theoretical_error_curve(10, 1, [0, 1, 2, 3]).tolist())
     # a run that finished exactly at the grid slot is a success there
     assert curve.observed_frequency[1] == pytest.approx(2 / 3)
 
@@ -125,6 +127,36 @@ def test_build_error_curve_rejects_bad_inputs():
         harness.build_error_curve(slots, (), 10, 1)
     with pytest.raises(ValueError):
         harness.build_error_curve(slots, (-1, 2), 10, 1)
+
+
+_GRID_CONSUMERS = {
+    "build_error_curve": lambda levels: harness.build_error_curve(
+        np.array([3, 5]), levels, 10, 1),
+    "exact_error_curve": lambda levels: bounds.exact_error_curve(100, 2, 0.3, levels),
+    "theoretical_error_curve": lambda levels: bounds.theoretical_error_curve(
+        100, 2, levels),
+    "expected_remaining": lambda levels: bounds.expected_remaining(100, 2, 0.3, levels),
+}
+
+
+@pytest.mark.parametrize("levels,error", [
+    ((1.5, 2.9), TypeError),       # floats are not truncated to slot counts
+    ([2.7, True], TypeError),
+    ([True, False], TypeError),    # a bool is not a count
+    ([[1, 2]], TypeError),         # a grid is 1-D
+    ([0, -1], ValueError),
+])
+@pytest.mark.parametrize("consumer", sorted(_GRID_CONSUMERS))
+def test_every_grid_consumer_rejects_bad_levels(consumer, levels, error):
+    with pytest.raises(error):
+        _GRID_CONSUMERS[consumer](levels)
+
+
+def test_check_levels_returns_an_int64_vector():
+    for levels in ((0, 3, 7), [0, 3, 7], np.array([0, 3, 7], dtype=np.uint8)):
+        grid = check_levels(levels)
+        assert grid.dtype == np.int64 and grid.tolist() == [0, 3, 7]
+    assert check_levels(()).tolist() == []
 
 
 def test_error_curve_observed_rate_tracks_truth_small_case():
@@ -228,6 +260,21 @@ def test_end_to_end_batch_is_worker_count_invariant():
 
 # --- CSV -------------------------------------------------------------------------------
 
+def _assert_csv_holds(path, header, rows):
+    """``path`` parses into ``header`` and ``rows``; every float bit for bit."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        got_header, *got = csv.reader(fh)
+    assert got_header == header
+    assert len(got) == len(rows)
+    for fields, values in zip(got, rows):
+        assert len(fields) == len(values)
+        for field, value in zip(fields, values):
+            if isinstance(value, float):
+                assert float(field).hex() == value.hex(), (field, value)
+            else:
+                assert field == str(value), (field, value)
+
+
 def test_error_curve_csv_roundtrip_and_layout(tmp_path):
     curve = harness.ErrorCurve(slot_grid=(0, 5, 10),
                                observed_frequency=(1.0, 0.25, 0.1),
@@ -235,10 +282,9 @@ def test_error_curve_csv_roundtrip_and_layout(tmp_path):
                                trials=400)
     path = tmp_path / "curve.csv"
     harness.export_csv(curve, str(path))
-    text = path.read_text(encoding="utf-8")
-    assert text.startswith("l,observed_frequency,theoretical_bound,trials\n")
-    assert "\r" not in text
-    assert harness.read_error_curve(str(path)) == curve
+    assert "\r" not in path.read_text(encoding="utf-8")
+    _assert_csv_holds(path, ["l", "observed_frequency", "theoretical_bound", "trials"],
+                      [(0, 1.0, 1.0, 400), (5, 0.25, 0.5, 400), (10, 0.1, 0.0078125, 400)])
 
 
 def test_expectation_trace_csv_roundtrip(tmp_path):
@@ -247,9 +293,8 @@ def test_expectation_trace_csv_roundtrip(tmp_path):
                                      predicted_mean=(10.0, 500 / 66))
     path = tmp_path / "trace.csv"
     harness.export_csv(trace, str(path))
-    header = path.read_text().splitlines()[0]
-    assert header == "slot,empirical_mean,std_error,predicted_mean"
-    assert harness.read_expectation_trace(str(path)) == trace
+    _assert_csv_holds(path, ["slot", "empirical_mean", "std_error", "predicted_mean"],
+                      [(0, 10.0, 0.0, 10.0), (1, 7.5, 0.1230000000000001, 500 / 66)])
 
 
 def test_end_to_end_summary_csv_roundtrip(tmp_path):
@@ -259,9 +304,29 @@ def test_end_to_end_summary_csv_roundtrip(tmp_path):
                                       total_channel_uses=151 * 73)
     path = tmp_path / "e2e.csv"
     harness.export_csv(summary, str(path))
-    header = path.read_text().splitlines()[0]
-    assert header == "trials,failures,failure_rate,two_epsilon,l,m,total_channel_uses"
-    assert harness.read_end_to_end_summary(str(path)) == summary
+    _assert_csv_holds(path, ["trials", "failures", "failure_rate", "two_epsilon",
+                             "l", "m", "total_channel_uses"],
+                      [(2000, 31, 31 / 2000, 0.1, 151, 73, 151 * 73)])
+
+
+def test_csv_of_numpy_computed_results_parses_back_exactly(tmp_path):
+    # the curve and trace columns come out of numpy arrays; a numpy scalar in
+    # a result would be written as "np.float64(...)", which float() rejects
+    slots = harness.run_until_exact_batch(60, 2, 1 / 3, harness.default_slot_cap(60, 2),
+                                          50, 42)
+    curve = harness.build_error_curve(slots, harness.default_slot_grid(40, 5), 60, 2)
+    trace = harness.expectation_trace(60, 2, 1 / 3, trials=30, horizon=6, seed_base=42)
+    harness.export_csv(curve, str(tmp_path / "curve.csv"))
+    harness.export_csv(trace, str(tmp_path / "trace.csv"))
+    _assert_csv_holds(tmp_path / "curve.csv",
+                      ["l", "observed_frequency", "theoretical_bound", "trials"],
+                      [(*row, curve.trials) for row in zip(
+                          curve.slot_grid, curve.observed_frequency,
+                          curve.theoretical_bound)])
+    _assert_csv_holds(tmp_path / "trace.csv",
+                      ["slot", "empirical_mean", "std_error", "predicted_mean"],
+                      list(zip(trace.slots, trace.empirical_mean, trace.std_error,
+                               trace.predicted_mean)))
 
 
 def test_export_csv_is_byte_identical_across_calls(tmp_path):
@@ -280,10 +345,3 @@ def test_export_csv_is_byte_identical_across_calls(tmp_path):
 def test_export_csv_rejects_unknown_types(tmp_path):
     with pytest.raises(TypeError):
         harness.export_csv({"not": "supported"}, str(tmp_path / "x.csv"))
-
-
-def test_read_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("wrong,header\n1,2\n")
-    with pytest.raises(ValueError):
-        harness.read_error_curve(str(path))

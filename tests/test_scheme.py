@@ -49,13 +49,16 @@ def fast_path_single_slot_law(n_inactive: int, k: int, p: float) -> dict:
 # --- optimal choice probability ------------------------------------------------
 
 def test_optimal_choice_probability_values():
-    assert optimal_choice_probability(0) == 1.0
     assert optimal_choice_probability(1) == 0.5
     assert optimal_choice_probability(20) == pytest.approx(1 / 21)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 17])
 def test_optimal_choice_probability_maximises_removal_rate(k):
+    if k == 0:  # k >= 1: the budgets take ln(N/k), so there is no k = 0 optimum
+        with pytest.raises(ValueError):
+            optimal_choice_probability(k)
+        return
     best = optimal_choice_probability(k)
     rate = lambda p: p * (1 - p) ** k
     for p in np.linspace(0.001, 0.999, 499):
@@ -86,6 +89,8 @@ def test_population_random_active_set():
     pop = Population.with_random_active_set(50, 7, rng)
     assert pop.num_active == 7
     assert all(0 <= node < 50 for node in pop.active_set)
+    with pytest.raises(ValueError):
+        Population.with_random_active_set(3, 4, rng)
 
 
 def test_scheme_config_rejects_invalid_probability():
@@ -96,7 +101,7 @@ def test_scheme_config_rejects_invalid_probability():
         SchemeConfig(0.5, -1, 0)
     with pytest.raises(ValueError):
         SchemeConfig(0.5, 10, -3)
-    # boundary values are legal (p = 1 is the k = 0 optimum, p = 0 is stasis)
+    # boundary values are legal (p = 1 discards every slot, p = 0 is stasis)
     SchemeConfig(0.0, 1, 0)
     SchemeConfig(1.0, 1, 0)
 
@@ -174,13 +179,11 @@ def test_run_scheme_ideal_oracle_invariants():
 
 
 def test_run_scheme_k0_p1_clears_everything_in_one_slot():
-    pop = Population(17, frozenset())
-    cfg = SchemeConfig(1.0, 1, master_seed=0)
-    final, outcomes = run_scheme(pop, cfg, IdealDisjunctionOracle())
-    # all 17 nodes start in P and none is left after the one slot
-    assert final.shape == (17,) and not final.any()
-    assert len(outcomes) == 1
-    assert not outcomes[0].decoded_disjunction
+    # k >= 1 in every layer: the k = 0 population of this run is rejected
+    with pytest.raises(ValueError):
+        Population(17, frozenset())
+    with pytest.raises(ValueError):
+        Population.with_random_active_set(17, 0, np.random.default_rng(0))
 
 
 def test_run_scheme_single_slot_mean_surplus():
@@ -240,7 +243,7 @@ def test_run_scheme_hands_the_oracle_only_the_active_rows():
        p=st.floats(0.05, 0.95), budget=st.integers(1, 25),
        data=st.data())
 def test_run_scheme_never_loses_active_nodes_under_ideal_oracle(total, seed, p, budget, data):
-    k = data.draw(st.integers(0, total))
+    k = data.draw(st.integers(1, total))
     active = frozenset(data.draw(
         st.sets(st.integers(0, total - 1), min_size=k, max_size=k)))
     pop = Population(total, active)
@@ -291,10 +294,11 @@ def test_fast_path_p0_stasis():
 
 
 def test_fast_path_k0_p1_finishes_in_one_slot():
-    pop = Population(9, frozenset())
-    res = run_scheme_fast(pop, SchemeConfig(1.0, 5, master_seed=3))
-    assert res.surplus_trace[1] == 0
-    assert res.slots_until_exact == 1
+    # k >= 1 in every layer: neither the population nor the fast path's kernel takes k = 0
+    with pytest.raises(ValueError):
+        Population(9, frozenset())
+    with pytest.raises(ValueError):
+        list(surplus_steps(9, 0, 1.0, 5, np.random.default_rng(3), 1))
 
 
 def test_fast_path_empty_population_is_immediately_exact():
@@ -352,13 +356,17 @@ def _step_kernel_slots(n_inactive, k, p, slot_cap, rng, count):
 
 @pytest.mark.parametrize("n_inactive,k,p,expected", [
     (0, 3, 0.3, 0),      # nothing to eliminate
-    (5, 0, 1.0, 1),      # everyone is chosen and nothing collides
+    pytest.param(5, 0, 1.0, ValueError, id="5-0-1.0-1"),  # k >= 1: k = 0 is rejected
     (5, 3, 0.0, -1),     # nobody is ever chosen
     (5, 3, 1.0, -1),     # every slot is discarded: r = 0
     (40, 2, 1e-300, -1),  # G overflows any integer long before the cap
 ])
 def test_kernel_degenerate_inputs(n_inactive, k, p, expected):
     for sampler in (sample_slots_until_exact, _step_kernel_slots):
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                sampler(n_inactive, k, p, 50, np.random.default_rng(7), 200)
+            continue
         slots = sampler(n_inactive, k, p, 50, np.random.default_rng(7), 200)
         assert slots.dtype == np.int64
         assert np.all(slots == expected), sampler.__name__
