@@ -30,6 +30,7 @@ __all__ = [
     "slots_for_exact_recovery",
     "theoretical_error_curve",
     "exact_error_curve",
+    "exact_end_to_end_failure",
     "repetition_length",
     "channel_uses_closed_form",
     "plan_channel_uses",
@@ -98,6 +99,28 @@ def theoretical_error_curve(n_inactive: int, k: int, levels) -> np.ndarray:
     return np.minimum(1.0, n_inactive * np.exp(-levels / (math.e * (k + 1))))
 
 
+def _log_factorials(top: int) -> np.ndarray:
+    """``ln(x!)`` for x = 0..top."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, top + 1)))))
+
+
+def _binomial_pmf(trials: int, prob: float, log_fact: np.ndarray) -> np.ndarray:
+    """Bin(x; trials, prob) for x = 0..trials, from a log-factorial table."""
+    x = np.arange(trials + 1)
+    # at prob 0 or 1, log 0 = -inf and 0 * -inf = nan arise where np.where masks them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = (log_fact[trials] - log_fact[x] - log_fact[trials - x]
+                   + np.where(x > 0, x * np.log(prob), 0.0)
+                   + np.where(x < trials, (trials - x) * np.log1p(-prob), 0.0))
+    return np.exp(log_pmf)
+
+
+def _some_left(n_inactive: int, p: float, top: int) -> np.ndarray:
+    """P(some of N inactive nodes survives u useful slots) = 1 - (1 - (1-p)**u)**N, u = 0..top."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(n_inactive * np.log1p(-np.power(1.0 - p, np.arange(top + 1))))
+
+
 def exact_error_curve(n_inactive: int, k: int, p: float,
                       levels) -> np.ndarray:
     """Exact P(surplus > 0 after l slots) under the ideal oracle, for each l in ``levels``.
@@ -116,21 +139,51 @@ def exact_error_curve(n_inactive: int, k: int, p: float,
     if n_inactive == 0:
         return np.zeros(len(levels))
     top = int(levels.max(initial=0))
-    u = np.arange(top + 1)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, top + 1)))))
+    log_fact = _log_factorials(top)
+    some_left = _some_left(n_inactive, p, top)
     r = (1.0 - p) ** k
-    with np.errstate(divide="ignore"):
-        log_r, log_not_r = np.log(r), np.log1p(-r)
-        some_left = -np.expm1(n_inactive * np.log1p(-np.power(1.0 - p, u)))
-    out = np.empty(len(levels))
-    for i, level in enumerate(levels):
-        useful, discarded = u[:level + 1], level - u[:level + 1]
-        with np.errstate(invalid="ignore"):  # 0 * -inf, masked by np.where
-            log_pmf = (log_fact[level] - log_fact[useful] - log_fact[discarded]
-                       + np.where(useful > 0, useful * log_r, 0.0)
-                       + np.where(discarded > 0, discarded * log_not_r, 0.0))
-        out[i] = np.exp(log_pmf) @ some_left[:level + 1]
-    return out
+    return np.array([_binomial_pmf(level, r, log_fact) @ some_left[:level + 1]
+                     for level in levels])
+
+
+def exact_end_to_end_failure(n_inactive: int, k: int, p: float, slots: int,
+                             repetitions: int, sigma: float, power: float) -> float:
+    """Exact failure probability of the noisy scheme under gaussian(sigma) noise.
+
+    The slot average's noise is N(0, sigma**2/m), so a slot with no active
+    node chosen (probability r = (1-p)**k) decodes true w.p.
+    ``fp = Q(sqrt(m*P)/(2*sigma))``, and one with j active nodes chosen
+    decodes false w.p. ``fn_j = Phi(sqrt(m)*(sqrt(P)/2 - j*sqrt(P))/sigma)``,
+    which evicts an active node.  Per slot, a = r*(1 - fp) is a useful slot
+    decoded false, d = sum_j Bin(j; k, p)*fn_j an eviction and b = 1 - a - d
+    neither.  Inactive nodes never change a decode, so given F useful false
+    slots each survives w.p. (1-p)**F independently, and
+    ``P(success) = sum_F C(l, F) a**F b**(l-F) (1 - (1-p)**F)**N``.  The
+    failure is returned as ``1 - (1-d)**l`` plus a sum of nonnegative terms,
+    which keeps small values accurate; it costs O(l + k).
+    """
+    check("n_inactive", n_inactive)
+    check("k", k)
+    check("p", p)
+    check("slots", slots)
+    check("repetitions", repetitions)
+    check("sigma", sigma)
+    check("power", power)
+    root_m = math.sqrt(repetitions)
+    root_power = math.sqrt(power)
+    false_positive = 0.5 * math.erfc(root_m * root_power / (2.0 * sigma) / math.sqrt(2.0))
+    useful = (1.0 - p) ** k * (1.0 - false_positive)
+    j = np.arange(1, k + 1)
+    false_negative = 0.5 * np.array([math.erfc(-x / math.sqrt(2.0)) for x in
+                                     root_m * (root_power / 2.0 - j * root_power) / sigma])
+    evict = float(_binomial_pmf(k, p, _log_factorials(k))[1:] @ false_negative)
+    evicted = -math.expm1(slots * math.log1p(-evict))  # 1 - (1-d)**l
+    if n_inactive == 0:
+        return evicted
+    # given no eviction, F ~ Bin(l, a/(1-d))
+    weights = _binomial_pmf(slots, useful / (1.0 - evict), _log_factorials(slots))
+    left = float(weights @ _some_left(n_inactive, p, slots))
+    return min(1.0, evicted + (1.0 - evicted) * left)  # the weights sum to 1 +- ulp
 
 
 def repetition_length(norm_bound: float, power: float, slot_error: float,

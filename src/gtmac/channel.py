@@ -35,7 +35,6 @@ __all__ = [
     "uniform",
     "rademacher",
     "schedule",
-    "sample_noise_block",
     "transmit_block",
     "slot_noise_averages",
     "gaussian_slot_error_exact",
@@ -104,44 +103,83 @@ def schedule(*members: NoiseModel) -> NoiseModel:
     return NoiseModel("schedule", members=tuple(members))
 
 
-def sample_noise_block(model: NoiseModel, start_step: int, count: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Vectorised draw for steps ``start_step .. start_step + count - 1``.
+# Upper bound on the uniform draws held at once by slot_noise_averages.
+_UNIFORM_CHUNK = 1 << 16
 
-    For a schedule the draws for each member family are generated in member
-    order and scattered to their step positions, so the layout is
-    deterministic for a given stream; base families consume one vectorised
-    call.
+
+def _member_step_counts(period: int, repetitions: int, slot_count: int,
+                        start_step: int) -> np.ndarray:
+    """Steps member j of a ``period``-cycle gets in each slot, shape (period, slots).
+
+    Slot i covers steps ``start_step + i*m .. start_step + (i+1)*m - 1`` and
+    step t goes to member ``t mod period``: every member gets ``m // period``
+    steps, and the ``m % period`` members that follow the slot's first step
+    in the cycle get one more.
     """
-    check("count", count)
-    if model.family == "gaussian":
-        return rng.normal(0.0, model.scale, size=count)
-    if model.family == "uniform":
-        if model.scale == 0.0:
-            return np.zeros(count)
-        return rng.uniform(-model.scale, model.scale, size=count)
-    if model.family == "rademacher":
-        return model.scale * (2.0 * rng.integers(0, 2, size=count) - 1.0)
-    out = np.empty(count)
-    period = len(model.members)
-    offsets = (np.arange(count) + start_step) % period
-    for j, member in enumerate(model.members):
-        idx = np.flatnonzero(offsets == j)
-        if idx.size:
-            out[idx] = sample_noise_block(member, 0, idx.size, rng)
-    return out
+    base, extra = divmod(repetitions, period)
+    first = (start_step % period
+             + (repetitions % period) * np.arange(slot_count, dtype=np.int64)) % period
+    behind = (np.arange(period)[:, None] - first) % period
+    return base + (behind < extra)
+
+
+def _uniform_sums(half_width: float, counts: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Per slot, the sum of ``counts[i]`` uniform draws on [-a, a].
+
+    Counts differ by at most one across slots, so the common part is a
+    (slots, steps) block of draws, made ``_UNIFORM_CHUNK`` draws at a time,
+    and the slots with one step more get one further draw each.
+    """
+    common = int(counts.min()) if len(counts) else 0
+    unit_sums = np.zeros(len(counts))
+    rows = max(1, _UNIFORM_CHUNK // max(common, 1))
+    for lo in range(0, len(counts), rows):
+        hi = min(lo + rows, len(counts))
+        for done in range(0, common, _UNIFORM_CHUNK):
+            width = min(_UNIFORM_CHUNK, common - done)
+            unit_sums[lo:hi] += rng.random((hi - lo, width)).sum(axis=1)
+    longer = np.flatnonzero(counts > common)
+    unit_sums[longer] += rng.random(longer.size)
+    # a sum of n U(0, 1) draws maps to a sum of n U(-a, a) draws by 2a*s - a*n
+    return half_width * (2.0 * unit_sums - counts)
 
 
 def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
                         rng: np.random.Generator, start_step: int = 0) -> np.ndarray:
     """Averaged noise of ``slot_count`` consecutive slots of ``repetitions`` steps.
 
-    Diagnostic helper (the receiver cannot observe it); also the hot path for
-    large Monte Carlo runs of the decoder, since for the repetition code the
-    slot average is (number of true senders)*sqrt(P) plus this quantity.
+    This is the noise the decoder sees: for the repetition code a slot
+    average is (number of true senders)*sqrt(P) plus this quantity, and
+    :func:`transmit_block` adds it to the superposed levels.  Slot i covers
+    steps ``start_step + i*m`` onwards, so a schedule member's step count
+    per slot is fixed by ``start_step``, m and the period, and each member's
+    share of a slot's noise sum is drawn from its exact law:
+
+    * n gaussian(sigma) steps: one N(0, n*sigma**2) draw;
+    * n rademacher(a) steps: ``a*(2*Bin(n, 1/2) - n)``;
+    * n uniform(a) steps: n draws summed (Irwin-Hall has no cheap exact
+      sampler), at most 65536 held at once;
+    * a zero-scale member: nothing drawn.
+
+    Memory is O(slot_count) whatever m is.  Members draw in member order.
     """
-    draws = sample_noise_block(model, start_step, repetitions * slot_count, rng)
-    return draws.reshape(slot_count, repetitions).mean(axis=1)
+    check("repetitions", repetitions)
+    check("count", slot_count)
+    members = model.members or (model,)
+    counts = _member_step_counts(len(members), repetitions, slot_count, start_step)
+    sums = np.zeros(slot_count)
+    for member, n in zip(members, counts):
+        a = member.scale
+        if a == 0.0:
+            continue
+        if member.family == "gaussian":
+            sums += a * np.sqrt(n) * rng.standard_normal(slot_count)
+        elif member.family == "rademacher":
+            sums += a * (2.0 * rng.binomial(n, 0.5) - n)
+        else:
+            sums += _uniform_sums(a, n, rng)
+    return sums / repetitions
 
 
 def transmit_block(messages: np.ndarray, repetitions: int, power: float,

@@ -276,10 +276,19 @@ def test_criterion_6_end_to_end_guarantee():
     if elapsed > 600.0:
         problems.append(f"runtime {elapsed:.0f}s > 600s")
 
-    _verdict(6, "noisy-channel recovery fails at most 2*eps of the time",
+    # second reference: the exact failure law of the gaussian pipeline,
+    # two-sided binomial test at level 1e-4
+    exact = bounds.exact_end_to_end_failure(500, 5, scheme.optimal_choice_probability(5),
+                                            summary.slots, summary.repetitions, 1.0, 1.0)
+    pvalue = scipy.stats.binomtest(summary.failures, summary.trials, exact).pvalue
+    if pvalue < 1e-4:
+        problems.append(f"{summary.failures}/{summary.trials} failures against the "
+                        f"exact law {exact:.4g}: binomial p = {pvalue:.2g} < 1e-4")
+
+    _verdict(6, "noisy-channel recovery fails at most 2*eps of the time, as the exact law says",
              not problems,
              "; ".join(problems) or
-             f"{summary.failures}/{summary.trials} failures "
+             f"{summary.failures}/{summary.trials} failures, exact {exact:.4g} "
              f"(l={summary.slots}, m={summary.repetitions}), {elapsed:.0f}s")
 
 

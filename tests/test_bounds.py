@@ -91,6 +91,55 @@ def test_exact_error_curve_matches_scipy_binomial_form():
         assert value == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
+def test_exact_end_to_end_failure_reference_values():
+    # (N, k, eps) -> the gaussian plan at sigma = P = 1, c = 1/8, p = 1/(k+1)
+    for n, k, eps, slots, m, want in ((500, 5, 0.05, 151, 73, 0.014482),
+                                      (10**6, 20, 0.01, 1052, 101, 0.0053939)):
+        plan = bounds.plan_channel_uses(n, k, eps, 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT)
+        assert (plan.slots, plan.repetitions) == (slots, m)
+        got = bounds.exact_end_to_end_failure(n, k, 1 / (k + 1), slots, m, 1.0, 1.0)
+        assert got == pytest.approx(want, rel=1e-4)
+
+
+def test_exact_end_to_end_failure_matches_scipy_sum():
+    import numpy as np
+    from scipy.stats import binom, norm
+
+    n, k, p, slots, m, sigma, power = 200, 3, 0.25, 60, 5, 1.5, 2.0
+    fp = norm.sf(math.sqrt(m * power) / (2 * sigma))
+    a = (1 - p) ** k * (1 - fp)
+    j = np.arange(1, k + 1)
+    fn = norm.cdf(math.sqrt(m) * (math.sqrt(power) / 2 - j * math.sqrt(power)) / sigma)
+    d = binom.pmf(j, k, p) @ fn
+    f = np.arange(slots + 1)
+    weights = np.array([math.comb(slots, int(x)) for x in f]) * a**f * (1 - a - d) ** (slots - f)
+    success = weights @ (1 - (1 - p) ** f) ** n
+    got = bounds.exact_end_to_end_failure(n, k, p, slots, m, sigma, power)
+    assert got == pytest.approx(1 - success, rel=1e-9)
+
+
+def test_exact_end_to_end_failure_degenerate_inputs():
+    # no inactive node: only an eviction fails; no slot: every inactive node stays
+    phi = lambda x: 0.5 * math.erfc(-x / math.sqrt(2))  # noqa: E731
+    evict = 2 * 0.3 * 0.7 * phi(2 * (0.5 - 1)) + 0.3**2 * phi(2 * (0.5 - 2))  # m = 4
+    assert bounds.exact_end_to_end_failure(0, 2, 0.3, 10, 4, 1.0, 1.0) == pytest.approx(
+        1 - (1 - evict) ** 10, rel=1e-12)
+    assert bounds.exact_end_to_end_failure(0, 2, 0.3, 0, 4, 1.0, 1.0) == 0.0
+    assert bounds.exact_end_to_end_failure(5, 2, 0.3, 0, 4, 1.0, 1.0) == 1.0
+    assert bounds.exact_end_to_end_failure(5, 2, 0.0, 9, 4, 1.0, 1.0) == 1.0
+    # more noise, more failure; the ideal limit is the exact error curve
+    loud, quiet = (bounds.exact_end_to_end_failure(50, 2, 1 / 3, 40, 4, s, 1.0)
+                   for s in (2.0, 0.01))
+    assert loud > quiet
+    assert quiet == pytest.approx(bounds.exact_error_curve(50, 2, 1 / 3, [40])[0],
+                                  rel=1e-12)
+    for bad in ((5, 0, 0.3, 9, 4, 1.0, 1.0), (5, 2, 1.5, 9, 4, 1.0, 1.0),
+                (5, 2, 0.3, 9, 0, 1.0, 1.0), (5, 2, 0.3, 9, 4, 0.0, 1.0),
+                (5, 2, 0.3, -1, 4, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            bounds.exact_end_to_end_failure(*bad)
+
+
 def test_exact_error_curve_degenerate_inputs():
     assert list(bounds.exact_error_curve(0, 3, 0.5, [0, 4])) == [0.0, 0.0]
     assert list(bounds.exact_error_curve(5, 3, 0.0, [0, 9])) == [1.0, 1.0]

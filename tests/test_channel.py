@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from gtmac.channel import (NoiseModel, RepetitionDisjunctionOracle, gaussian,
-                           gaussian_slot_error_exact, rademacher, sample_noise_block,
-                           schedule, slot_noise_averages, transmit_block, uniform)
+                           gaussian_slot_error_exact, rademacher, schedule,
+                           slot_noise_averages, transmit_block, uniform)
 
 
 def absolute_moment_ratio(model: NoiseModel, n: int) -> float:
@@ -66,27 +68,118 @@ def test_norm_bound_dominates_all_moment_ratios(model):
         assert max(ratios) == pytest.approx(model.norm_bound)  # K is tight
 
 
+def per_step_averages(model: NoiseModel, repetitions: int, slot_count: int,
+                      rng: np.random.Generator, start_step: int = 0) -> np.ndarray:
+    """Slot averages from one draw per step (test-side reference): step t
+    uses member ``t mod period``, and each slot averages its m steps."""
+    members = model.members or (model,)
+    member_of = (start_step + np.arange(repetitions * slot_count)) % len(members)
+    draws = np.empty(repetitions * slot_count)
+    for j, member in enumerate(members):
+        idx = np.flatnonzero(member_of == j)
+        a = member.scale
+        if member.family == "gaussian":
+            draws[idx] = rng.normal(0.0, a, idx.size)
+        elif member.family == "uniform":
+            draws[idx] = rng.uniform(-a, a, idx.size)
+        else:
+            draws[idx] = a * (2.0 * rng.integers(0, 2, idx.size) - 1.0)
+    return draws.reshape(slot_count, repetitions).mean(axis=1)
+
+
 def test_schedule_cycles_through_members():
+    # at m = 1 the slot averages are the steps
     model = schedule(rademacher(3.0), gaussian(0.0))
-    rng = np.random.default_rng(0)
-    draws = sample_noise_block(model, 0, 10, rng)
+    draws = slot_noise_averages(model, 1, 10, np.random.default_rng(0))
     assert all(abs(v) == 3.0 for v in draws[0::2])   # even steps: +-3
     assert all(v == 0.0 for v in draws[1::2])        # odd steps: degenerate gaussian
     # a nonzero start step shifts the pattern
-    shifted = sample_noise_block(model, 1, 4, np.random.default_rng(0))
+    shifted = slot_noise_averages(model, 1, 4, np.random.default_rng(0), start_step=1)
     assert shifted[0] == 0.0 and abs(shifted[1]) == 3.0
 
 
 def test_block_sampler_statistics():
+    # at m = 1 the slot averages are single steps of each family
     rng = np.random.default_rng(7)
-    block = sample_noise_block(gaussian(2.0), 0, 200_000, rng)
+    block = slot_noise_averages(gaussian(2.0), 1, 200_000, rng)
     assert abs(block.mean()) < 0.02
     assert block.std() == pytest.approx(2.0, rel=0.01)
-    block = sample_noise_block(uniform(1.0), 0, 200_000, rng)
+    block = slot_noise_averages(uniform(1.0), 1, 200_000, rng)
     assert block.std() == pytest.approx(1 / math.sqrt(3), rel=0.01)
-    assert set(sample_noise_block(rademacher(2.0), 0, 200, rng)) == {-2.0, 2.0}
-    assert np.all(np.abs(sample_noise_block(uniform(0.5), 0, 200, rng)) <= 0.5)
-    assert np.all(sample_noise_block(gaussian(0.0), 0, 10, rng) == 0.0)
+    assert set(slot_noise_averages(rademacher(2.0), 1, 200, rng)) == {-2.0, 2.0}
+    assert np.all(np.abs(slot_noise_averages(uniform(0.5), 1, 200, rng)) <= 0.5)
+    assert np.all(slot_noise_averages(gaussian(0.0), 1, 10, rng) == 0.0)
+
+
+@pytest.mark.parametrize("model, m, start_step", [
+    (gaussian(1.3), 7, 5),
+    (uniform(0.8), 7, 5),
+    (rademacher(0.6), 7, 5),
+    (schedule(gaussian(1.0), uniform(2.0), rademacher(0.5)), 8, 4),  # 8 mod 3 = 2
+])
+def test_slot_sums_follow_the_per_step_law(model, m, start_step):
+    # two-sample tests of the exact-sum sampler against one draw per step
+    slots = 20_000
+    fast = slot_noise_averages(model, m, slots, np.random.default_rng(101), start_step)
+    slow = per_step_averages(model, m, slots, np.random.default_rng(202), start_step)
+    if model.family == "rademacher":
+        # the average takes the m + 1 values a*(2b - m)/m: chi-square on the
+        # counts of each step sum 2b - m (rounded, as the two sides sum in
+        # different orders)
+        fast_sums, slow_sums = (np.rint(side * m / model.scale) for side in (fast, slow))
+        values = np.union1d(fast_sums, slow_sums)
+        table = [[np.count_nonzero(side == v) for v in values]
+                 for side in (fast_sums, slow_sums)]
+        pvalue = scipy.stats.chi2_contingency(table).pvalue
+    else:
+        pvalue = scipy.stats.ks_2samp(fast, slow).pvalue
+    assert pvalue > 1e-4
+
+
+def test_slot_sums_with_fewer_steps_than_members():
+    # m = 1 over a 3-cycle from step 1: slot 0 holds no uniform step, so the
+    # first uniform draw belongs to slot 2, not to slot 0
+    model = schedule(uniform(0.25), rademacher(3.0), gaussian(0.0))
+    draws = slot_noise_averages(model, 1, 30, np.random.default_rng(4), start_step=1)
+    assert all(abs(v) == 3.0 for v in draws[0::3])
+    assert all(v == 0.0 for v in draws[1::3])
+    assert all(0.0 < abs(v) < 0.25 for v in draws[2::3])
+    # m = 2 over the same cycle: members get 1 or 0 steps per slot
+    draws = slot_noise_averages(model, 2, 3000, np.random.default_rng(5), start_step=1)
+    reference = per_step_averages(model, 2, 3000, np.random.default_rng(6), start_step=1)
+    for offset in range(3):
+        # slot i holds steps 1 + 2i, 2 + 2i: its members repeat every 3 slots
+        assert scipy.stats.ks_2samp(draws[offset::3], reference[offset::3]).pvalue > 1e-4
+    # steps 1, 2: rademacher, gaussian(0); 3, 4: uniform, rademacher;
+    # 5, 6: gaussian(0), uniform
+    assert set(np.abs(draws[0::3])) == {1.5}
+    assert np.all(np.abs(np.abs(draws[1::3]) - 1.5) < 0.125)
+    assert np.all((np.abs(draws[2::3]) < 0.125) & (draws[2::3] != 0.0))
+
+
+def test_zero_scale_members_draw_nothing():
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    model = schedule(gaussian(0.0), uniform(0.0), rademacher(0.0))
+    assert np.all(slot_noise_averages(model, 5, 100, rng, start_step=2) == 0.0)
+    assert rng.bit_generator.state == state
+    # a zero-scale member leaves the others' law alone
+    mixed = slot_noise_averages(schedule(gaussian(0.0), rademacher(1.0)), 4, 1000,
+                                np.random.default_rng(9))
+    assert set(mixed) <= {-0.5, 0.0, 0.5}
+
+
+def test_uniform_slot_sums_hold_bounded_memory():
+    # a per-step array here would be 2870 * 20000 * 8 B = 460 MB
+    tracemalloc.start()
+    try:
+        averaged = slot_noise_averages(uniform(8.0), 2870, 20_000,
+                                       np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert averaged.std() == pytest.approx(8.0 / math.sqrt(3 * 2870), rel=0.02)
 
 
 # --- encoder / channel / decoder ---------------------------------------------------
@@ -94,7 +187,7 @@ def test_block_sampler_statistics():
 def test_threshold_decode_tie_goes_to_false():
     # rademacher(0.5) noise, m = 1, P = 1: each slot average is a tie at the
     # sqrt(P)/2 = 0.5 threshold (+0.5 silent, 1 - 0.5 with a sender) or clear of it
-    noise = sample_noise_block(rademacher(0.5), 0, 200, np.random.default_rng(3))
+    noise = slot_noise_averages(rademacher(0.5), 1, 200, np.random.default_rng(3))
     assert set(noise) == {-0.5, 0.5}
     silent = transmit_block(np.zeros((1, 200), bool), 1, 1.0, rademacher(0.5),
                             np.random.default_rng(3))
@@ -124,7 +217,7 @@ def test_transmit_block_validates_shapes_and_threshold():
     # the threshold is sqrt(P)/2: silent slots average +-1, which clears it at
     # P = 1 and ties it at P = 4
     silent = np.zeros((4, 100), bool)
-    noise = sample_noise_block(rademacher(1.0), 0, 100, np.random.default_rng(0))
+    noise = slot_noise_averages(rademacher(1.0), 1, 100, np.random.default_rng(0))
     decoded = transmit_block(silent, 1, 1.0, rademacher(1.0), np.random.default_rng(0))
     np.testing.assert_array_equal(decoded, noise > 0)
     assert not transmit_block(silent, 1, 4.0, rademacher(1.0),
@@ -139,14 +232,12 @@ def test_transmit_block_matches_scalar_pipeline():
                          [False, False, False, False]])
     noise_model = schedule(gaussian(0.8), uniform(0.3))
     block = transmit_block(messages, m, power, noise_model, np.random.default_rng(42))
-    noise = sample_noise_block(noise_model, 0, m * slots,
-                               np.random.default_rng(42)).reshape(slots, m)
+    noise = slot_noise_averages(noise_model, m, slots, np.random.default_rng(42))
     root = math.sqrt(power)
     scalar = []
     for i in range(slots):
         level = root * sum(bool(bit) for bit in messages[:, i])  # true senders
-        steps = [level + noise[i, t] for t in range(m)]
-        scalar.append(sum(steps) / m > root / 2)
+        scalar.append(level + noise[i] > root / 2)
     np.testing.assert_array_equal(block, np.array(scalar))
 
 
@@ -233,3 +324,15 @@ def test_repetition_oracle_advances_schedule_between_calls():
     assert oracle._next_step == 3
     oracle.decode_block(np.zeros((1, 1), bool))
     assert oracle._next_step == 6
+
+
+def test_repetition_oracle_noise_follows_the_carried_step():
+    # m = 3 over (rademacher(1), gaussian(0)): a slot from step 0 holds two
+    # rademacher steps (average 2/3 w.p. 1/4 clears sqrt(P)/2 = 1/2), one
+    # from step 3 holds one (average +-1/3 never does)
+    model = schedule(rademacher(1.0), gaussian(0.0))
+    oracle = RepetitionDisjunctionOracle(model, 1.0, 3, np.random.default_rng(8))
+    decoded = np.array([oracle.decode_block(np.zeros((1, 1), bool))[0]
+                        for _ in range(400)])
+    assert not decoded[1::2].any()
+    assert 20 <= decoded[0::2].sum() <= 80
