@@ -334,6 +334,7 @@ def _cmd_e2e(parser, args, conf) -> int:
     print(f"total_channel_uses = {summary.total_channel_uses}")
     print(f"failures = {summary.failures} / {summary.trials}")
     print(f"failure_rate = {summary.failure_rate!r}")
+    print(f"conditional_failure_rate = {summary.conditional_failure_rate!r}")
     print(f"two_epsilon = {summary.two_epsilon!r}")
     if out is not None:
         harness.export_csv(summary, out)

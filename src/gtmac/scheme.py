@@ -24,8 +24,10 @@ shrink rate is ``1/(k+1)``.
 
 Two executions are provided: :func:`run_scheme` simulates every node
 individually (and accepts an arbitrary disjunction oracle, e.g. a noisy
-channel code), while the surplus kernel samples only the surplus-size process,
-which is distributed identically when the oracle is error-free.  The kernel
+channel code); it is the reference for
+:func:`gtmac.harness.end_to_end_trial`, which decodes only the k active rows.
+The surplus kernel samples only the surplus-size process, which is
+distributed identically when the oracle is error-free.  The kernel
 has two entry points over a block of independent runs:
 :func:`sample_slots_until_exact` draws the slots until exact recovery in O(1)
 per run from its exact law, and the step kernel advances the surplus of
@@ -102,15 +104,6 @@ class Population:
         mask = np.zeros(self.total_nodes, dtype=bool)
         mask[sorted(self.active_set)] = True
         return mask
-
-    @staticmethod
-    def with_random_active_set(total_nodes: int, num_active: int,
-                               rng: np.random.Generator) -> "Population":
-        """Draw the active subset uniformly at random (experiment setup)."""
-        if check("k", num_active) > total_nodes:
-            raise ValueError("need num_active <= total_nodes")
-        chosen = rng.choice(total_nodes, size=num_active, replace=False)
-        return Population(total_nodes, frozenset(int(i) for i in chosen))
 
 
 @dataclass(frozen=True)

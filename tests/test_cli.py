@@ -123,6 +123,21 @@ def test_simulate_threads_do_not_change_results(tmp_path, capsys):
         assert texts[0] == texts[1]
 
 
+def test_e2e_threads_do_not_change_results(tmp_path, capsys):
+    blobs, texts = [], []
+    for threads, name in (("1", "t1.csv"), ("3", "t3.csv")):
+        out = tmp_path / name
+        code, text = run_cli(capsys, [
+            "e2e", "--n-inactive", "60", "--k", "2", "--eps", "0.2", "--sigma", "0.5",
+            "--power", "1", "--trials", "40", "--seed", "98", "--threads", threads,
+            "--out", str(out)])
+        assert code == 0
+        blobs.append(out.read_bytes())
+        texts.append([line for line in text.splitlines() if "threads" not in line])
+    assert blobs[0] == blobs[1]
+    assert texts[0] == texts[1]
+
+
 @pytest.mark.parametrize("slots", [[5, 3, -1, 9], [5, 3, 4, 9], [7, -1, 2], [-1, -1]])
 def test_until_exact_summary_keeps_the_median_format(slots):
     import statistics
@@ -293,6 +308,8 @@ def test_e2e_smoke_and_csv(tmp_path, capsys):
         "--threads", "1", "--out", str(out)])
     assert code == 0
     assert "failure_rate = " in text
+    rate = float(re.search(r"^conditional_failure_rate = (\S+)$", text, re.M).group(1))
+    assert 0.0 <= rate <= 1.0
     with open(out, encoding="utf-8", newline="") as fh:
         header, row = csv.reader(fh)
     assert header == ["trials", "failures", "failure_rate", "two_epsilon", "l", "m",
@@ -344,14 +361,18 @@ def test_e2e_rejects_understated_norm_bound(capsys):
 
 # --- benchmark tracer ------------------------------------------------------------------
 
-def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, capsys, monkeypatch):
+def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, monkeypatch):
     # perfbench/tracing.py patches names by module attribute; a renamed or
     # deleted name fails here and not only in the benchmark's traced pass
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import tracing
 
+    from gtmac import harness, scheme
+    from gtmac.channel import RepetitionDisjunctionOracle, gaussian
+
     rec = tracing.Recorder()
     tiny = ["--trials", "20", "--seed", "1", "--threads", "1"]
+    budget = 12
     with rec.installed():
         for argv in (
                 ["simulate", "--n-inactive", "50", "--k", "2", "--grid-max", "40"],
@@ -361,9 +382,14 @@ def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, capsys, monkeyp
                  "--sigma", "0.5", "--power", "1"]):
             out = tmp_path / f"{argv[0]}{len(argv)}.csv"
             assert main([*argv, *tiny, "--out", str(out)]) == 0
-    # the run_scheme observer reads every slot outcome of the e2e run
-    planned = int(re.search(r"^slots = (\d+)$", capsys.readouterr().out, re.M).group(1))
-    assert rec.counts["scheme.slots"] == 20 * planned
+        # an e2e trial decodes only the active rows; the node-level reference
+        # scheme, which the tracer also patches, runs only when called
+        oracle = RepetitionDisjunctionOracle(gaussian(0.5), 1.0, 2,
+                                             np.random.default_rng(3))
+        harness.run_scheme(scheme.Population(8, frozenset({1, 6})),
+                           scheme.SchemeConfig(1 / 3, budget, 4), oracle)
+    # the run_scheme observer reads every slot outcome of that call
+    assert rec.counts["scheme.slots"] == budget
     assert rec.counts["scheme.useful_slots"] > 0
     _, calls = rec.self_times()
     assert {"bounds", "channel.decode_block", "channel.slot_noise_averages",

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from gtmac import bounds, harness, scheme
 from gtmac._ranges import check_levels
-from gtmac.channel import gaussian, rademacher, schedule
+from gtmac.channel import RepetitionDisjunctionOracle, gaussian, rademacher, schedule, uniform
 
 
 # --- seeding -----------------------------------------------------------------
@@ -258,6 +260,115 @@ def test_end_to_end_batch_is_worker_count_invariant():
     assert s1 == s2 and np.array_equal(r1, r2)
 
 
+def _merged_columns(a: np.ndarray, b: np.ndarray, minimum: int = 20) -> np.ndarray:
+    """2-row table of two count vectors, adjacent columns merged to >= ``minimum``."""
+    merged, run = [], np.zeros(2, dtype=np.int64)
+    for column in zip(a, b):
+        run += column
+        if run.sum() >= minimum:
+            merged.append(run)
+            run = np.zeros(2, dtype=np.int64)
+    if merged:
+        merged[-1] = merged[-1] + run
+    return np.array(merged).T
+
+
+@pytest.mark.parametrize("noise", [None, gaussian(0.5),
+                                   schedule(gaussian(0.5), uniform(1.0), rademacher(0.3))],
+                         ids=["ideal", "gaussian", "schedule"])
+def test_active_row_path_matches_node_level_scheme(noise):
+    # run_scheme simulates all N + k nodes; the end-to-end path decodes the k
+    # active rows and draws the N survivors from Bin(N, (1-p)^F).  N = 30,
+    # k = 2 and 20 slots fail about half the time, so both laws are visible.
+    n_inactive, k, slots, runs = 30, 2, 20, 1500
+    p = scheme.optimal_choice_probability(k)
+    population = scheme.Population(n_inactive + k, frozenset({5, 21}))
+    active = population.active_mask()
+    rng = np.random.default_rng(808)
+
+    def oracle():
+        if noise is None:
+            return scheme.IdealDisjunctionOracle()
+        return RepetitionDisjunctionOracle(noise, 1.0, 2, rng)
+
+    node_success = np.empty(runs, dtype=bool)
+    node_false = np.empty(runs, dtype=np.int64)
+    for i in range(runs):
+        config = scheme.SchemeConfig(p, slots, int(rng.integers(2**63)))
+        final, outcomes = scheme.run_scheme(population, config, oracle())
+        node_success[i] = np.array_equal(final, active)
+        node_false[i] = sum(not slot.decoded_disjunction for slot in outcomes)
+
+    row_success = np.empty(runs, dtype=bool)
+    row_false = np.empty(runs, dtype=np.int64)
+    for i in range(runs):
+        evicted, false_slots = harness.decode_active_rows(k, p, slots, oracle(), rng)
+        row_false[i] = false_slots
+        row_success[i] = (not evicted
+                          and rng.binomial(n_inactive, (1 - p) ** false_slots) == 0)
+
+    assert 0.1 < node_success.mean() < 0.9
+    successes = [[node_success.sum(), runs - node_success.sum()],
+                 [row_success.sum(), runs - row_success.sum()]]
+    assert scipy.stats.fisher_exact(successes).pvalue > 1e-3
+    table = _merged_columns(np.bincount(node_false, minlength=slots + 1),
+                            np.bincount(row_false, minlength=slots + 1))
+    assert table.shape[1] >= 4
+    assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
+
+
+def test_decode_active_rows_rejects_a_wrong_decode_shape():
+    class Short(scheme.DisjunctionOracle):
+        def decode_block(self, messages):
+            return np.zeros(messages.shape[1] - 1, dtype=bool)
+
+    with pytest.raises(ValueError):
+        harness.decode_active_rows(2, 1 / 3, 5, Short(), np.random.default_rng(0))
+
+
+def test_conditional_failure_rate_matches_exact_law():
+    # criterion 6's batch: the mean of the per-trial conditional failure
+    # probabilities estimates the exact failure probability
+    batch = (500, 5, 0.05, gaussian(1.0), 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT,
+             2000, 20260816)
+    summary, _ = harness.run_end_to_end_batch(*batch)
+    plan = bounds.plan_channel_uses(*batch[:3], *batch[4:7])
+    conditional: list[float] = []
+    for t in range(summary.trials):
+        harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan,
+                                 harness.trial_seed(batch[-1], t), conditional)
+    assert summary.conditional_failure_rate == float(np.mean(conditional))
+    se = np.std(conditional, ddof=1) / math.sqrt(summary.trials)
+    exact = bounds.exact_end_to_end_failure(500, 5, scheme.optimal_choice_probability(5),
+                                            plan.slots, plan.repetitions, 1.0, 1.0)
+    assert abs(summary.conditional_failure_rate - exact) <= 4 * se
+
+
+def test_end_to_end_trial_conditional_failure_edge_cases():
+    plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
+    conditional: list[float] = []
+    # noiseless: nothing is evicted, and 50 nodes rarely outlast the plan
+    assert harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, 31, conditional)
+    assert len(conditional) == 1 and 0.0 < conditional[0] < 0.01
+    # no inactive node: no slot, and the trial cannot fail
+    empty = bounds.plan_channel_uses(0, 2, 0.01, 1.0, 1.0, 0.125)
+    assert harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty, 3, conditional)
+    assert conditional[1] == 0.0
+
+
+def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
+    # a trial holds k x slots bits, never a vector over the N inactive nodes
+    tracemalloc.start()
+    try:
+        summary, _ = harness.run_end_to_end_batch(10**6, 20, 0.01, gaussian(1.0), 1.0,
+                                                  1.0, 0.125, 20, 35)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.trials == 20 and summary.slots > 1000
+    assert peak < 16 * 2**20
+
+
 # --- CSV -------------------------------------------------------------------------------
 
 def _assert_csv_holds(path, header, rows):
@@ -299,7 +410,8 @@ def test_expectation_trace_csv_roundtrip(tmp_path):
 
 def test_end_to_end_summary_csv_roundtrip(tmp_path):
     summary = harness.EndToEndSummary(trials=2000, failures=31,
-                                      failure_rate=31 / 2000, two_epsilon=0.1,
+                                      failure_rate=31 / 2000,
+                                      conditional_failure_rate=0.0143, two_epsilon=0.1,
                                       slots=151, repetitions=73,
                                       total_channel_uses=151 * 73)
     path = tmp_path / "e2e.csv"

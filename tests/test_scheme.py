@@ -84,15 +84,6 @@ def test_population_validation():
         Population(-1, frozenset())
 
 
-def test_population_random_active_set():
-    rng = np.random.default_rng(0)
-    pop = Population.with_random_active_set(50, 7, rng)
-    assert pop.num_active == 7
-    assert all(0 <= node < 50 for node in pop.active_set)
-    with pytest.raises(ValueError):
-        Population.with_random_active_set(3, 4, rng)
-
-
 def test_scheme_config_rejects_invalid_probability():
     for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
@@ -182,8 +173,6 @@ def test_run_scheme_k0_p1_clears_everything_in_one_slot():
     # k >= 1 in every layer: the k = 0 population of this run is rejected
     with pytest.raises(ValueError):
         Population(17, frozenset())
-    with pytest.raises(ValueError):
-        Population.with_random_active_set(17, 0, np.random.default_rng(0))
 
 
 def test_run_scheme_single_slot_mean_surplus():
