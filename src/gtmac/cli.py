@@ -4,9 +4,14 @@ Subcommands: ``bounds`` (closed-form budgets), ``simulate`` (Monte Carlo error
 curves / expectation traces), ``channel`` (repetition-code slot error), and
 ``e2e`` (full noisy-channel pipeline).  Every randomized command takes
 ``--seed``; without one a fresh seed is generated and echoed so the run can
-be reproduced.  ``--config FILE`` reads flat ``key = value`` lines (keys match
-the long flag names; explicit flags win).  Exit codes: 0 success, 2 bad
-usage/parameters, 1 runtime failure.
+be reproduced.  ``simulate --mode trace`` runs in one process and ignores
+``--threads``.  Each flag's type and default are declared once, in the
+parser.  ``--config FILE`` reads flat ``key = value`` lines named after the
+long flags, and each value becomes its flag's default: flags beat the file,
+the file beats the built-in defaults, and a key that names no flag of the
+subcommand is ignored.  Exit codes: 0 success, 2 bad usage/parameters (a
+malformed config file, or a value its flag cannot parse: ``argument --k:
+invalid int value: 'abc'``), 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import configparser
 import math
 import os
 import secrets
+import statistics
 import sys
 
 import numpy as np
@@ -30,24 +36,10 @@ _PRESET_REFERENCE = ((10_000, 20), (100_000, 20), (10_000, 30))
 
 
 def _load_config(path: str) -> dict[str, str]:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a % is literal
     with open(path, encoding="utf-8") as fh:
         parser.read_string("[config]\n" + fh.read())
     return {key.replace("-", "_"): value for key, value in parser.items("config")}
-
-
-def _resolve(args: argparse.Namespace, conf: dict[str, str], key: str, cast,
-             fallback=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in conf:
-        raw = conf[key]
-        try:
-            return cast(raw)
-        except ValueError as exc:  # main reports it like a bad flag value: exit 2
-            raise ValueError(f"config key {key} = {raw!r}: {exc}") from exc
-    return fallback
 
 
 def _require(parser: argparse.ArgumentParser, value, flag: str):
@@ -79,32 +71,25 @@ def _parse_noise_spec(spec: str) -> chan.NoiseModel:
     return models[0] if len(models) == 1 else chan.schedule(*models)
 
 
-def _resolve_noise(parser, args, conf) -> chan.NoiseModel:
-    sigma = _resolve(args, conf, "sigma", float)
-    spec = _resolve(args, conf, "noise", str)
-    if sigma is not None and spec is not None:
+def _resolve_noise(parser, args) -> chan.NoiseModel:
+    if args.sigma is not None and args.noise is not None:
         parser.error("give either --sigma or --noise, not both")
-    if sigma is not None:
-        return chan.gaussian(sigma)
-    if spec is not None:
+    if args.sigma is not None:
+        return chan.gaussian(args.sigma)
+    if args.noise is not None:
         try:
-            return _parse_noise_spec(spec)
+            return _parse_noise_spec(args.noise)
         except ValueError as exc:
             parser.error(f"--noise: {exc}")
     parser.error("the following argument is required: --sigma or --noise")
 
 
-def _resolve_seed(args, conf) -> int:
-    seed = _resolve(args, conf, "seed", int)
-    if seed is None:
-        seed = secrets.randbits(63)
-    return check("seed", seed)
+def _resolve_seed(args) -> int:
+    return check("seed", secrets.randbits(63) if args.seed is None else args.seed)
 
 
-def _resolve_threads(args, conf) -> int:
-    threads = _resolve(args, conf, "threads", int)
-    if threads is None:
-        threads = os.cpu_count() or 1
+def _resolve_threads(args) -> int:
+    threads = (os.cpu_count() or 1) if args.threads is None else args.threads
     return check("workers", threads)
 
 
@@ -134,31 +119,23 @@ def _format_noise(model: chan.NoiseModel) -> str:
     return f"{model.family}={model.scale!r}"
 
 
-def _cmd_bounds(parser, args, conf) -> int:
-    n = _resolve(args, conf, "n_inactive", int)
-    k = _resolve(args, conf, "k", int)
-    eps = _resolve(args, conf, "eps", float)
-    factor = _resolve(args, conf, "surplus_factor", float, 1.0)
-    big_k = _resolve(args, conf, "big_k", float)
-    power = _resolve(args, conf, "power", float)
-    c = _resolve(args, conf, "c", float, bnd.GAUSSIAN_TAIL_CONSTANT)
-    delta = _resolve(args, conf, "delta", float)
+def _cmd_bounds(parser, args) -> int:
+    n, k, eps = args.n_inactive, args.k, args.eps
+    big_k, power, delta, c = args.big_k, args.power, args.delta, args.c
 
     have_scheme = n is not None and k is not None and eps is not None
     have_channel = big_k is not None and power is not None
     if not have_scheme and not (have_channel and delta is not None):
         parser.error("need --n-inactive/--k/--eps, or --big-k/--power/--delta")
 
-    params = {"c": c, "surplus_factor": factor}
-    for name, value in (("n_inactive", n), ("k", k), ("eps", eps),
-                        ("big_k", big_k), ("power", power), ("delta", delta)):
-        if value is not None:
-            params[name] = value
+    params = {name: getattr(args, name) for name in ("n_inactive", "k", "eps", "big_k",
+              "power", "delta", "c", "surplus_factor") if getattr(args, name) is not None}
 
     lines = []  # computed before the echo, so a bad parameter prints nothing
     if have_scheme:
         lines.append(f"slots_exact_recovery = {bnd.slots_for_exact_recovery(n, k, eps)}")
-        lines.append(f"slots_surplus_bound = {bnd.slots_for_surplus_bound(n, k, eps, factor)}")
+        lines.append("slots_surplus_bound = "
+                     f"{bnd.slots_for_surplus_bound(n, k, eps, args.surplus_factor)}")
         if have_channel:
             plan = bnd.plan_channel_uses(n, k, eps, big_k, power, c)
             lines.append(f"slot_error_target = {plan.slot_error_target!r}")
@@ -174,17 +151,11 @@ def _cmd_bounds(parser, args, conf) -> int:
 
 
 def _summarize_until_exact(slots) -> str:
-    finished = np.sort(slots[slots >= 0])
-    count = len(finished)
-    if count == 0:
-        med = mx = float("nan")
-    else:  # statistics.median's result and type: an int, or a float mean of two
-        half = count // 2
-        med = (int(finished[half]) if count % 2 else
-               (int(finished[half - 1]) + int(finished[half])) / 2)
-        mx = int(finished[-1])
+    finished = np.sort(slots[slots >= 0]).tolist()
+    med = statistics.median(finished) if finished else float("nan")
+    mx = finished[-1] if finished else float("nan")
     return (f"trials = {len(slots)}  median_slots = {med}  max_slots = {mx}"
-            f"  censored = {len(slots) - count}")
+            f"  censored = {len(slots) - len(finished)}")
 
 
 def _resolve_until_exact(n, k, p, cap, trials) -> tuple[float, int]:
@@ -205,48 +176,41 @@ def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> No
     print(f"wrote {out}")
 
 
-def _cmd_simulate(parser, args, conf) -> int:
-    preset = _resolve(args, conf, "preset", str)
-    mode = _resolve(args, conf, "mode", str, "until-exact")
-    trials = _resolve(args, conf, "trials", int, harness.DEFAULT_TRIALS)
-    seed = _resolve_seed(args, conf)
-    threads = _resolve_threads(args, conf)
-    p = _resolve(args, conf, "p", float)
-    cap = _resolve(args, conf, "slot_cap", int)
-    grid_max = _resolve(args, conf, "grid_max", int, 2500)
-    grid_step = _resolve(args, conf, "grid_step", int, 1)
-    grid = harness.default_slot_grid(grid_max, grid_step)
+def _cmd_simulate(parser, args) -> int:
+    mode, trials, p = args.mode, args.trials, args.p
+    seed = _resolve_seed(args)
+    threads = _resolve_threads(args)
+    grid = harness.default_slot_grid(args.grid_max, args.grid_step)
 
-    if preset is not None:
-        if preset != "reference":
-            parser.error(f"unknown preset {preset!r} (available: reference)")
-        runs = [(n, k, *_resolve_until_exact(n, k, p, cap, trials))
+    if args.preset is not None:
+        if args.preset != "reference":
+            parser.error(f"unknown preset {args.preset!r} (available: reference)")
+        runs = [(n, k, *_resolve_until_exact(n, k, p, args.slot_cap, trials))
                 for n, k in _PRESET_REFERENCE]
-        out_dir = _resolve(args, conf, "out_dir", str, ".")
-        outs = [_writable(os.path.join(out_dir, f"curve_n{n}_k{k}.csv"))
+        outs = [_writable(os.path.join(args.out_dir, f"curve_n{n}_k{k}.csv"))
                 for n, k in _PRESET_REFERENCE]
-        _echo({"preset": preset, "trials": trials, "seed": seed,
-               "threads": threads, "out_dir": out_dir,
-               "grid_max": grid_max, "grid_step": grid_step})
+        _echo({"preset": args.preset, "trials": trials, "seed": seed,
+               "threads": threads, "out_dir": args.out_dir,
+               "grid_max": args.grid_max, "grid_step": args.grid_step})
         for (n, k, p_run, cap_run), out in zip(runs, outs):
             print(f"running n_inactive={n} k={k} ...")
             _run_until_exact_curve(n, k, p_run, cap_run, trials, seed, grid, out, threads)
         return 0
 
-    n = _require(parser, _resolve(args, conf, "n_inactive", int), "--n-inactive")
-    k = _require(parser, _resolve(args, conf, "k", int), "--k")
-    out = _require(parser, _resolve(args, conf, "out", str), "--out")
+    n = _require(parser, args.n_inactive, "--n-inactive")
+    k = _require(parser, args.k, "--k")
+    out = _require(parser, args.out, "--out")
 
     if mode == "until-exact":
-        p, cap = _resolve_until_exact(n, k, p, cap, trials)
+        p, cap = _resolve_until_exact(n, k, p, args.slot_cap, trials)
         _writable(out)
         _echo({"mode": mode, "n_inactive": n, "k": k, "p": p,
                "trials": trials, "seed": seed, "threads": threads,
-               "grid_max": grid_max, "grid_step": grid_step,
+               "grid_max": args.grid_max, "grid_step": args.grid_step,
                "slot_cap": cap, "out": out})
         _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads)
     elif mode == "trace":
-        horizon = _require(parser, _resolve(args, conf, "horizon", int), "--horizon")
+        horizon = _require(parser, args.horizon, "--horizon")
         p = optimal_choice_probability(k) if p is None else p
         for key, value in (("n_inactive", n), ("k", k), ("p", p),
                            ("trace_trials", trials), ("horizon", horizon)):
@@ -263,17 +227,16 @@ def _cmd_simulate(parser, args, conf) -> int:
     return 0
 
 
-def _cmd_channel(parser, args, conf) -> int:
-    noise = _resolve_noise(parser, args, conf)
-    power = _require(parser, _resolve(args, conf, "power", float), "--power")
-    big_k = _resolve(args, conf, "big_k", float, noise.norm_bound)
-    c = _resolve(args, conf, "c", float, bnd.GAUSSIAN_TAIL_CONSTANT)
-    delta = _require(parser, _resolve(args, conf, "delta", float), "--delta")
-    slots = check("channel_slots", _resolve(args, conf, "slots", int, 100_000))
-    reps = _resolve(args, conf, "m", int)
-    seed = _resolve_seed(args, conf)
+def _cmd_channel(parser, args) -> int:
+    noise = _resolve_noise(parser, args)
+    power = _require(parser, args.power, "--power")
+    big_k = noise.norm_bound if args.big_k is None else args.big_k
+    c = args.c
+    delta = _require(parser, args.delta, "--delta")
+    slots = check("channel_slots", args.slots)
+    seed = _resolve_seed(args)
     sized = bnd.repetition_length(big_k, power, delta, c)  # also checks K, P, delta, c
-    reps = sized if reps is None else check("repetitions", reps)
+    reps = sized if args.m is None else check("repetitions", args.m)
 
     _echo({"noise": _format_noise(noise), "power": power, "big_k": big_k,
            "c": c, "delta": delta, "m": reps, "slots": slots, "seed": seed})
@@ -301,18 +264,16 @@ def _cmd_channel(parser, args, conf) -> int:
     return 0
 
 
-def _cmd_e2e(parser, args, conf) -> int:
-    n = _require(parser, _resolve(args, conf, "n_inactive", int), "--n-inactive")
-    k = _require(parser, _resolve(args, conf, "k", int), "--k")
-    eps = _require(parser, _resolve(args, conf, "eps", float), "--eps")
-    noise = _resolve_noise(parser, args, conf)
-    power = _require(parser, _resolve(args, conf, "power", float), "--power")
-    big_k = _resolve(args, conf, "big_k", float, noise.norm_bound)
-    c = _resolve(args, conf, "c", float, bnd.GAUSSIAN_TAIL_CONSTANT)
-    trials = _resolve(args, conf, "trials", int, 2000)
-    seed = _resolve_seed(args, conf)
-    threads = _resolve_threads(args, conf)
-    out = _resolve(args, conf, "out", str)
+def _cmd_e2e(parser, args) -> int:
+    n = _require(parser, args.n_inactive, "--n-inactive")
+    k = _require(parser, args.k, "--k")
+    eps = _require(parser, args.eps, "--eps")
+    noise = _resolve_noise(parser, args)
+    power = _require(parser, args.power, "--power")
+    big_k = noise.norm_bound if args.big_k is None else args.big_k
+    c, trials, out = args.c, args.trials, args.out
+    seed = _resolve_seed(args)
+    threads = _resolve_threads(args)
 
     if big_k < noise.norm_bound:
         parser.error(f"--big-k {big_k} is below the noise norm bound {noise.norm_bound}")
@@ -342,14 +303,19 @@ def _cmd_e2e(parser, args, conf) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(conf: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The ``gtmac`` parser; each ``conf`` value is the default of its flag.
+
+    A config value is a string, which argparse converts with the flag's own
+    ``type``.  A key that names no flag of a subcommand is ignored there.
+    """
     parser = argparse.ArgumentParser(
         prog="gtmac",
         description="Group-testing detection of active users over a shared channel.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="flat key=value file; flags override it")
+        p.add_argument("--config", help="flat key=value file of flag defaults")
         p.add_argument("--n-inactive", type=int, dest="n_inactive",
                        help="number of inactive nodes N")
         p.add_argument("--k", type=int, help="number of active nodes")
@@ -357,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed base (generated if omitted)")
         p.add_argument("--trials", type=int, help="Monte Carlo trials")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--threads", type=int, help="worker processes")
+        p.add_argument("--threads", type=int,
+                       help="worker processes (default: the number of CPUs)")
 
     def add_channel_flags(p):
         p.add_argument("--sigma", type=float, help="gaussian noise std (shorthand)")
@@ -365,57 +332,75 @@ def build_parser() -> argparse.ArgumentParser:
                                        "(gaussian, uniform, rademacher; list = schedule)")
         p.add_argument("--power", type=float, help="peak power budget P")
         p.add_argument("--big-k", type=float, dest="big_k",
-                       help="declared sub-gaussian norm bound K")
-        p.add_argument("--c", type=float, help="tail constant (default 1/8)")
+                       help="declared sub-gaussian norm bound K "
+                            "(default: the noise's norm bound)")
+        p.add_argument("--c", type=float, default=bnd.GAUSSIAN_TAIL_CONSTANT,
+                       help="tail constant (default %(default)s)")
         p.add_argument("--delta", type=float, help="per-slot error target")
 
     p_bounds = sub.add_parser("bounds", help="closed-form budgets, no simulation")
     add_common(p_bounds)
     add_channel_flags(p_bounds)
     p_bounds.add_argument("--surplus-factor", type=float, dest="surplus_factor",
-                          help="surplus tolerance C (default 1.0)")
+                          default=1.0, help="surplus tolerance C (default %(default)s)")
     p_bounds.set_defaults(handler=_cmd_bounds)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo error curve or surplus trace")
     add_common(p_sim)
-    p_sim.add_argument("--mode", choices=("until-exact", "trace"))
+    p_sim.add_argument("--mode", choices=("until-exact", "trace"), default="until-exact",
+                       help="error curve or surplus trace (default %(default)s)")
     p_sim.add_argument("--p", type=float, help="choice probability (default 1/(k+1))")
-    p_sim.add_argument("--slot-cap", type=int, dest="slot_cap")
-    p_sim.add_argument("--grid-max", type=int, dest="grid_max")
-    p_sim.add_argument("--grid-step", type=int, dest="grid_step")
+    p_sim.add_argument("--slot-cap", type=int, dest="slot_cap",
+                       help="censor a trial after this many slots")
+    p_sim.add_argument("--grid-max", type=int, dest="grid_max", default=2500,
+                       help="last slot of the error-curve grid (default %(default)s)")
+    p_sim.add_argument("--grid-step", type=int, dest="grid_step", default=1,
+                       help="error-curve grid stride (default %(default)s)")
     p_sim.add_argument("--horizon", type=int, help="trace length in slots")
     p_sim.add_argument("--preset", choices=("reference",),
                        help="run the three reference (N, k) pairs")
-    p_sim.add_argument("--out-dir", dest="out_dir", help="directory for preset output")
-    p_sim.set_defaults(handler=_cmd_simulate)
+    p_sim.add_argument("--out-dir", dest="out_dir", default=".",
+                       help="directory for preset output (default %(default)s)")
+    p_sim.set_defaults(handler=_cmd_simulate, trials=20_000)
 
     p_chan = sub.add_parser("channel", help="repetition-code slot error simulation")
     add_common(p_chan)
     add_channel_flags(p_chan)
-    p_chan.add_argument("--slots", type=int, help="slots to simulate (default 1e5)")
+    p_chan.add_argument("--slots", type=int, default=100_000,
+                        help="slots to simulate (default %(default)s)")
     p_chan.add_argument("--m", type=int, help="override the repetition count")
     p_chan.set_defaults(handler=_cmd_channel)
 
     p_e2e = sub.add_parser("e2e", help="full pipeline over the noisy channel")
     add_common(p_e2e)
     add_channel_flags(p_e2e)
-    p_e2e.set_defaults(handler=_cmd_e2e)
+    p_e2e.set_defaults(handler=_cmd_e2e, trials=2000)
 
+    for p in (p_bounds, p_sim, p_chan, p_e2e):
+        flags = {action.dest for action in p._actions if action.option_strings}
+        p.set_defaults(**{key: value for key, value in (conf or {}).items()
+                          if key in flags - {"help"}})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    conf: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:  # parse again, with the config values as flag defaults
         try:
             conf = _load_config(args.config)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
+        except configparser.Error as exc:  # a bad line, or a key given twice
+            # the file's line n is line n + 1 after the prepended section header
+            line = (getattr(exc, "lineno", None) or exc.errors[0][0]) - 1
+            parser.exit(2, f"gtmac: error: config file {args.config}, line {line}: "
+                           "expected key = value with a key not given before\n")
+        parser = build_parser(conf)
+        args = parser.parse_args(argv)
     try:
-        return args.handler(parser, args, conf)
+        return args.handler(parser, args)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     except OverflowError as exc:  # a finite input too large to compute with

@@ -48,7 +48,6 @@ from .scheme import (DisjunctionOracle, Population, SchemeConfig,
 from .scheme import run_scheme  # noqa: F401
 
 __all__ = [
-    "DEFAULT_TRIALS",
     "TRIAL_BLOCK",
     "RunRecord",
     "ErrorCurve",
@@ -67,7 +66,6 @@ __all__ = [
     "export_csv",
 ]
 
-DEFAULT_TRIALS = 20_000  # default Monte Carlo sample size per experiment
 TRIAL_BLOCK = 4096  # trials per seeded block of until-exact and trace batches
 
 
@@ -92,7 +90,7 @@ def default_slot_cap(n_inactive: int, k: int) -> int:
     return math.ceil(100.0 * math.e * (k + 1) * grown)
 
 
-def default_slot_grid(max_slot: int = 2500, step: int = 1) -> tuple[int, ...]:
+def default_slot_grid(max_slot: int, step: int) -> tuple[int, ...]:
     """Slot grid the error curve is evaluated on: 0..max_slot in ``step`` strides."""
     check("max_slot", max_slot)
     check("step", step)
@@ -311,9 +309,12 @@ def _conditional_failure(n_inactive: int, p: float, evicted: bool,
 
 
 def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
-                     plan: bounds.ChannelUsePlan, seed: int,
-                     conditional_failures: list[float] | None = None) -> bool:
-    """One full noisy-channel trial, drawn from its exact law; True on recovery.
+                     plan: bounds.ChannelUsePlan, seed: int) -> tuple[bool, float]:
+    """One full noisy-channel trial, drawn from its exact law.
+
+    Returns whether the active set was recovered, and the trial's failure
+    probability given (evicted, F), where F is the number of slots decoded
+    false.
 
     ``plan`` is :func:`gtmac.bounds.plan_channel_uses` of the batch: its slot
     budget targets elimination error eps and its repetition length targets
@@ -327,35 +328,29 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     none of the N inactive nodes survives, a Bin(N, (1-p)**F) draw equal to
     zero.  This is the law of :func:`gtmac.scheme.run_scheme`'s final mask
     equalling the active mask, in O(k * slots) time and memory whatever N
-    is.  When ``conditional_failures`` is given, the trial appends its
-    failure probability given (evicted, F) to it.  With no inactive node the
-    plan has no slot and the potential set starts exact.
+    is.  With no inactive node the plan has no slot and the potential set
+    starts exact.
     """
     if plan.slots == 0:
-        if conditional_failures is not None:
-            conditional_failures.append(0.0)
-        return True
+        return True, 0.0
     scheme_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     scheme_rng = np.random.Generator(np.random.PCG64(scheme_ss))
     oracle = RepetitionDisjunctionOracle(
         noise, power, plan.repetitions, np.random.Generator(np.random.PCG64(noise_ss)))
     p = optimal_choice_probability(k)
     evicted, false_slots = decode_active_rows(k, p, plan.slots, oracle, scheme_rng)
-    if conditional_failures is not None:
-        conditional_failures.append(
-            _conditional_failure(n_inactive, p, evicted, false_slots))
+    conditional = _conditional_failure(n_inactive, p, evicted, false_slots)
     if evicted:
-        return False
-    return int(scheme_rng.binomial(n_inactive, (1.0 - p) ** false_slots)) == 0
+        return False, conditional
+    return int(scheme_rng.binomial(n_inactive, (1.0 - p) ** false_slots)) == 0, conditional
 
 
 def _end_to_end_chunk(n_inactive: int, k: int, noise: NoiseModel, power: float,
                       plan: bounds.ChannelUsePlan, seed_base: int,
                       lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    conditional: list[float] = []
-    successes = [end_to_end_trial(n_inactive, k, noise, power, plan,
-                                  trial_seed(seed_base, t), conditional)
-                 for t in range(lo, hi)]
+    successes, conditional = zip(*(
+        end_to_end_trial(n_inactive, k, noise, power, plan, trial_seed(seed_base, t))
+        for t in range(lo, hi)))
     return np.array(successes, dtype=bool), np.array(conditional)
 
 

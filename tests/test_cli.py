@@ -241,22 +241,74 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     assert "slots_exact_recovery = 789" in out
     code, out = run_cli(capsys, ["bounds", "--config", str(conf), "--eps", "0.5"])
     assert "slots_exact_recovery = 566" in out
+    # a config value beats a built-in default; keys naming no bounds flag
+    # (the handler, a simulate-only flag) are ignored
+    conf.write_text("n-inactive = 10000\nk = 20\neps = 0.01\nc = 0.25\n"
+                    "handler = nothing\nhorizon = abc\n")
+    code, out = run_cli(capsys, ["bounds", "--config", str(conf)])
+    assert code == 0
+    assert "#   c = 0.25" in out
+    assert "slots_exact_recovery = 789" in out
+    # e2e: trials from the config; a % in a value is literal
+    conf.write_text(f"n-inactive = 20\nk = 1\neps = 0.2\nsigma = 0.5\npower = 1\n"
+                    f"trials = 3\nseed = 9\nthreads = 1\nout = {tmp_path}/r%1.csv\n")
+    code, out = run_cli(capsys, ["e2e", "--config", str(conf)])
+    assert code == 0
+    assert "#   trials = 3" in out and "failures = " in out and " / 3" in out
+    assert (tmp_path / "r%1.csv").is_file()
 
 
 def test_config_value_that_does_not_parse_exits_2(tmp_path, capsys):
     conf = tmp_path / "run.conf"
-    conf.write_text("n-inactive = 100\nk = abc\neps = 0.1\n")
-    with pytest.raises(SystemExit) as info:
-        main(["bounds", "--config", str(conf)])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "config key k = 'abc'" in captured.err
+    for text, message in (
+        ("n-inactive = 100\nk = abc\neps = 0.1\n", "argument --k: invalid int value: 'abc'"),
+        ("n-inactive = 100\nk = 2\neps = 10%\n", "argument --eps: invalid float value: '10%'"),
+        ("n-inactive = 100\nk\neps = 0.1\n", f"config file {conf}, line 2: "),
+        ("n-inactive = 100\nk = 2\nk = 3\neps = 0.1\n", f"config file {conf}, line 3: "),
+    ):
+        conf.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", "--config", str(conf)])
+        assert info.value.code == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        assert message in captured.err, text
+        if message.startswith("config file"):  # a malformed file: one line, no usage
+            assert captured.err.count("\n") == 1, text
 
 
 def test_missing_config_file_exits_1(capsys):
     assert main(["bounds", "--config", "/nonexistent/run.conf",
                  "--n-inactive", "10", "--k", "1", "--eps", "0.1"]) == 1
+
+
+# --- help ---------------------------------------------------------------------------
+
+_COMMON_FLAGS = ["--config", "--n-inactive", "--k", "--eps", "--seed", "--trials",
+                 "--out", "--threads"]
+_CHANNEL_FLAGS = ["--sigma", "--noise", "--power", "--big-k", "--c", "--delta"]
+
+
+@pytest.mark.parametrize("command, flags, default", [
+    ("bounds", [*_COMMON_FLAGS, *_CHANNEL_FLAGS, "--surplus-factor"], "default 1.0"),
+    ("simulate", [*_COMMON_FLAGS, "--mode", "--p", "--slot-cap", "--grid-max",
+                  "--grid-step", "--horizon", "--preset", "--out-dir"], "default 2500"),
+    ("channel", [*_COMMON_FLAGS, *_CHANNEL_FLAGS, "--slots", "--m"], "default 100000"),
+    ("e2e", [*_COMMON_FLAGS, *_CHANNEL_FLAGS], "default 0.125"),
+])
+def test_help_lists_every_flag(capsys, command, flags, default):
+    # the parser holds every default, so a default that cannot be shown fails here
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert command in capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    for flag in flags:
+        assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text), flag
+    assert default in " ".join(text.split())
 
 
 # --- channel ----------------------------------------------------------------------

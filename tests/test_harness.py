@@ -178,9 +178,9 @@ def test_error_curve_observed_rate_tracks_truth_small_case():
 def test_default_slot_grid():
     grid = harness.default_slot_grid(10, 2)
     assert grid == (0, 2, 4, 6, 8, 10)
-    assert len(harness.default_slot_grid()) == 2501
+    assert len(harness.default_slot_grid(2500, 1)) == 2501
     with pytest.raises(ValueError):
-        harness.default_slot_grid(-1)
+        harness.default_slot_grid(-1, 1)
     with pytest.raises(ValueError):
         harness.default_slot_grid(10, 0)
 
@@ -217,9 +217,11 @@ def test_expectation_trace_validation():
 def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
     # noiseless channel, generous budget: recovery succeeds
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
-    assert harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, plan=plan,
-                                    seed=31) is True
-    assert harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, seed=31) is True
+    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, plan=plan,
+                                          seed=31)
+    assert success is True
+    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, seed=31)
+    assert success is True
 
 
 def test_end_to_end_batch_summary_fields():
@@ -333,10 +335,9 @@ def test_conditional_failure_rate_matches_exact_law():
              2000, 20260816)
     summary, _ = harness.run_end_to_end_batch(*batch)
     plan = bounds.plan_channel_uses(*batch[:3], *batch[4:7])
-    conditional: list[float] = []
-    for t in range(summary.trials):
-        harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan,
-                                 harness.trial_seed(batch[-1], t), conditional)
+    conditional = [harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan,
+                                            harness.trial_seed(batch[-1], t))[1]
+                   for t in range(summary.trials)]
     assert summary.conditional_failure_rate == float(np.mean(conditional))
     se = np.std(conditional, ddof=1) / math.sqrt(summary.trials)
     exact = bounds.exact_end_to_end_failure(500, 5, scheme.optimal_choice_probability(5),
@@ -346,14 +347,15 @@ def test_conditional_failure_rate_matches_exact_law():
 
 def test_end_to_end_trial_conditional_failure_edge_cases():
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
-    conditional: list[float] = []
     # noiseless: nothing is evicted, and 50 nodes rarely outlast the plan
-    assert harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, 31, conditional)
-    assert len(conditional) == 1 and 0.0 < conditional[0] < 0.01
+    success, conditional = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, 31)
+    assert success
+    assert 0.0 < conditional < 0.01
     # no inactive node: no slot, and the trial cannot fail
     empty = bounds.plan_channel_uses(0, 2, 0.01, 1.0, 1.0, 0.125)
-    assert harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty, 3, conditional)
-    assert conditional[1] == 0.0
+    success, conditional = harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty, 3)
+    assert success
+    assert conditional == 0.0
 
 
 def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
