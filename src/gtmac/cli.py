@@ -6,22 +6,26 @@ curves / expectation traces), ``channel`` (repetition-code slot error), and
 ``--seed``; without one a fresh seed is generated and echoed so the run can
 be reproduced.  ``simulate --mode trace`` runs in one process and ignores
 ``--threads``.  Each flag's type and default are declared once, in the
-parser.  ``--config FILE`` reads flat ``key = value`` lines named after the
-long flags, and each value becomes its flag's default: flags beat the file,
-the file beats the built-in defaults, and a key that names no flag of the
+parser, and each subcommand takes only the flags its handler reads.
+``--config FILE`` reads flat ``key = value`` lines named after the long
+flags, and each value becomes its flag's default: flags beat the file, the
+file beats the built-in defaults, and a key that names no flag of the
 subcommand is ignored.  Exit codes: 0 success, 2 bad usage/parameters (a
-malformed config file, or a value its flag cannot parse: ``argument --k:
-invalid int value: 'abc'``), 1 runtime failure.
+flag the subcommand does not take, a malformed config file or a ``[name]``
+line in it, or a value its flag cannot parse: ``argument --k: invalid int
+value: 'abc'``), 1 runtime failure.
+
+Start-up is most of a short run's time, so a module that only some runs need
+is imported where it is used: the process pool (``harness``), the config
+parser, and the seed generator.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import os
-import secrets
-import statistics
+import re
 import sys
 
 import numpy as np
@@ -35,11 +39,26 @@ from .scheme import optimal_choice_probability
 _PRESET_REFERENCE = ((10_000, 20), (100_000, 20), (10_000, 30))
 
 
-def _load_config(path: str) -> dict[str, str]:
-    parser = configparser.ConfigParser(interpolation=None)  # a % is literal
+def _load_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
+    """The ``key = value`` lines of ``path``; a malformed file exits 2.
+
+    An unreadable file raises ``OSError``.  A ``[name]`` line is malformed:
+    the file has no sections.
+    """
+    import configparser  # only a run with --config pays for it
+
+    reader = configparser.ConfigParser(interpolation=None)  # a % is literal
+    reader.SECTCRE = re.compile(r"\[(?P<header>config)\]")  # the one header
     with open(path, encoding="utf-8") as fh:
-        parser.read_string("[config]\n" + fh.read())
-    return {key.replace("-", "_"): value for key, value in parser.items("config")}
+        text = fh.read()
+    try:
+        reader.read_string("[config]\n" + text)
+    except configparser.Error as exc:  # a bad line, a [name] line, a key given twice
+        # the file's line n is line n + 1 after the prepended section header
+        line = (getattr(exc, "lineno", None) or exc.errors[0][0]) - 1
+        parser.exit(2, f"gtmac: error: config file {path}, line {line}: "
+                       "expected key = value with a key not given before\n")
+    return {key.replace("-", "_"): value for key, value in reader.items("config")}
 
 
 def _require(parser: argparse.ArgumentParser, value, flag: str):
@@ -85,7 +104,11 @@ def _resolve_noise(parser, args) -> chan.NoiseModel:
 
 
 def _resolve_seed(args) -> int:
-    return check("seed", secrets.randbits(63) if args.seed is None else args.seed)
+    if args.seed is None:
+        import secrets  # only an unseeded run draws one
+
+        return check("seed", secrets.randbits(63))
+    return check("seed", args.seed)
 
 
 def _resolve_threads(args) -> int:
@@ -152,8 +175,12 @@ def _cmd_bounds(parser, args) -> int:
 
 def _summarize_until_exact(slots) -> str:
     finished = np.sort(slots[slots >= 0]).tolist()
-    med = statistics.median(finished) if finished else float("nan")
-    mx = finished[-1] if finished else float("nan")
+    if finished:  # the median as statistics.median gives it, without its import
+        half, odd = divmod(len(finished), 2)
+        med = finished[half] if odd else (finished[half - 1] + finished[half]) / 2
+        mx = finished[-1]
+    else:
+        med = mx = float("nan")
     return (f"trials = {len(slots)}  median_slots = {med}  max_slots = {mx}"
             f"  censored = {len(slots) - len(finished)}")
 
@@ -303,83 +330,80 @@ def _cmd_e2e(parser, args) -> int:
     return 0
 
 
+# Every flag with its type and built-in default, declared once.
+_FLAGS = {
+    "--config": dict(help="flat key=value file of flag defaults"),
+    "--n-inactive": dict(type=int, help="number of inactive nodes N"),
+    "--k": dict(type=int, help="number of active nodes"),
+    "--eps": dict(type=float, help="target error probability"),
+    "--seed": dict(type=int, help="seed base (generated if omitted)"),
+    "--trials": dict(type=int, help="Monte Carlo trials (default %(default)s)"),
+    "--out": dict(help="output CSV path"),
+    "--threads": dict(type=int, help="worker processes (default: the number of CPUs)"),
+    "--sigma": dict(type=float, help="gaussian noise std (shorthand)"),
+    "--noise": dict(help="family=scale[,family=scale...] "
+                         "(gaussian, uniform, rademacher; list = schedule)"),
+    "--power": dict(type=float, help="peak power budget P"),
+    "--big-k": dict(type=float, help="declared sub-gaussian norm bound K "
+                                     "(default: the noise's norm bound)"),
+    "--c": dict(type=float, default=bnd.GAUSSIAN_TAIL_CONSTANT,
+                help="tail constant (default %(default)s)"),
+    "--delta": dict(type=float, help="per-slot error target"),
+    "--surplus-factor": dict(type=float, default=1.0,
+                             help="surplus tolerance C (default %(default)s)"),
+    "--mode": dict(choices=("until-exact", "trace"), default="until-exact",
+                   help="error curve or surplus trace (default %(default)s)"),
+    "--p": dict(type=float, help="choice probability (default 1/(k+1))"),
+    "--slot-cap": dict(type=int, help="censor a trial after this many slots"),
+    "--grid-max": dict(type=int, default=2500,
+                       help="last slot of the error-curve grid (default %(default)s)"),
+    "--grid-step": dict(type=int, default=1,
+                        help="error-curve grid stride (default %(default)s)"),
+    "--horizon": dict(type=int, help="trace length in slots"),
+    "--preset": dict(choices=("reference",), help="run the three reference (N, k) pairs"),
+    "--out-dir": dict(default=".", help="directory for preset output (default %(default)s)"),
+    "--slots": dict(type=int, default=100_000,
+                    help="slots to simulate (default %(default)s)"),
+    "--m": dict(type=int, help="override the repetition count"),
+}
+
+# Each subcommand: its summary, handler, own defaults, and the flags it reads.
+_COMMANDS = {
+    "bounds": ("closed-form budgets, no simulation", _cmd_bounds, {},
+               "--config --n-inactive --k --eps --power --big-k --c --delta "
+               "--surplus-factor"),
+    "simulate": ("Monte Carlo error curve or surplus trace", _cmd_simulate,
+                 {"trials": 20_000},
+                 "--config --n-inactive --k --seed --trials --out --threads --mode --p "
+                 "--slot-cap --grid-max --grid-step --horizon --preset --out-dir"),
+    "channel": ("repetition-code slot error simulation", _cmd_channel, {},
+                "--config --seed --sigma --noise --power --big-k --c --delta --slots --m"),
+    "e2e": ("full pipeline over the noisy channel", _cmd_e2e, {"trials": 2000},
+            "--config --n-inactive --k --eps --seed --trials --out --threads "
+            "--sigma --noise --power --big-k --c"),
+}
+
+
 def build_parser(conf: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The ``gtmac`` parser; each ``conf`` value is the default of its flag.
 
-    A config value is a string, which argparse converts with the flag's own
-    ``type``.  A key that names no flag of a subcommand is ignored there.
+    A subcommand takes only the flags its handler reads, so any other flag
+    exits 2.  A config value is a string, which argparse converts with the
+    flag's own ``type``.  A key that names no flag of a subcommand is ignored
+    there.
     """
     parser = argparse.ArgumentParser(
         prog="gtmac",
         description="Group-testing detection of active users over a shared channel.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key=value file of flag defaults")
-        p.add_argument("--n-inactive", type=int, dest="n_inactive",
-                       help="number of inactive nodes N")
-        p.add_argument("--k", type=int, help="number of active nodes")
-        p.add_argument("--eps", type=float, help="target error probability")
-        p.add_argument("--seed", type=int, help="seed base (generated if omitted)")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--threads", type=int,
-                       help="worker processes (default: the number of CPUs)")
-
-    def add_channel_flags(p):
-        p.add_argument("--sigma", type=float, help="gaussian noise std (shorthand)")
-        p.add_argument("--noise", help="family=scale[,family=scale...] "
-                                       "(gaussian, uniform, rademacher; list = schedule)")
-        p.add_argument("--power", type=float, help="peak power budget P")
-        p.add_argument("--big-k", type=float, dest="big_k",
-                       help="declared sub-gaussian norm bound K "
-                            "(default: the noise's norm bound)")
-        p.add_argument("--c", type=float, default=bnd.GAUSSIAN_TAIL_CONSTANT,
-                       help="tail constant (default %(default)s)")
-        p.add_argument("--delta", type=float, help="per-slot error target")
-
-    p_bounds = sub.add_parser("bounds", help="closed-form budgets, no simulation")
-    add_common(p_bounds)
-    add_channel_flags(p_bounds)
-    p_bounds.add_argument("--surplus-factor", type=float, dest="surplus_factor",
-                          default=1.0, help="surplus tolerance C (default %(default)s)")
-    p_bounds.set_defaults(handler=_cmd_bounds)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo error curve or surplus trace")
-    add_common(p_sim)
-    p_sim.add_argument("--mode", choices=("until-exact", "trace"), default="until-exact",
-                       help="error curve or surplus trace (default %(default)s)")
-    p_sim.add_argument("--p", type=float, help="choice probability (default 1/(k+1))")
-    p_sim.add_argument("--slot-cap", type=int, dest="slot_cap",
-                       help="censor a trial after this many slots")
-    p_sim.add_argument("--grid-max", type=int, dest="grid_max", default=2500,
-                       help="last slot of the error-curve grid (default %(default)s)")
-    p_sim.add_argument("--grid-step", type=int, dest="grid_step", default=1,
-                       help="error-curve grid stride (default %(default)s)")
-    p_sim.add_argument("--horizon", type=int, help="trace length in slots")
-    p_sim.add_argument("--preset", choices=("reference",),
-                       help="run the three reference (N, k) pairs")
-    p_sim.add_argument("--out-dir", dest="out_dir", default=".",
-                       help="directory for preset output (default %(default)s)")
-    p_sim.set_defaults(handler=_cmd_simulate, trials=20_000)
-
-    p_chan = sub.add_parser("channel", help="repetition-code slot error simulation")
-    add_common(p_chan)
-    add_channel_flags(p_chan)
-    p_chan.add_argument("--slots", type=int, default=100_000,
-                        help="slots to simulate (default %(default)s)")
-    p_chan.add_argument("--m", type=int, help="override the repetition count")
-    p_chan.set_defaults(handler=_cmd_channel)
-
-    p_e2e = sub.add_parser("e2e", help="full pipeline over the noisy channel")
-    add_common(p_e2e)
-    add_channel_flags(p_e2e)
-    p_e2e.set_defaults(handler=_cmd_e2e, trials=2000)
-
-    for p in (p_bounds, p_sim, p_chan, p_e2e):
-        flags = {action.dest for action in p._actions if action.option_strings}
+    for name, (summary, handler, defaults, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler, **defaults)
+        dests = {flag[2:].replace("-", "_") for flag in flags.split()}
         p.set_defaults(**{key: value for key, value in (conf or {}).items()
-                          if key in flags - {"help"}})
+                          if key in dests})
     return parser
 
 
@@ -388,15 +412,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.config:  # parse again, with the config values as flag defaults
         try:
-            conf = _load_config(args.config)
+            conf = _load_config(parser, args.config)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
-        except configparser.Error as exc:  # a bad line, or a key given twice
-            # the file's line n is line n + 1 after the prepended section header
-            line = (getattr(exc, "lineno", None) or exc.errors[0][0]) - 1
-            parser.exit(2, f"gtmac: error: config file {args.config}, line {line}: "
-                           "expected key = value with a key not given before\n")
         parser = build_parser(conf)
         args = parser.parse_args(argv)
     try:

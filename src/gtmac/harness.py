@@ -32,7 +32,6 @@ import csv
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +205,9 @@ def _run_chunked(worker, units: int, workers: int) -> list:
     size = _pool_size(workers, units, os.cpu_count() or 1)
     if size == 1:
         return [worker(0, units)]
+    # imported here: the pool's modules cost a one-worker run ~9 ms of start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     los, his = zip(*_chunk_ranges(units, size))
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(worker, los, his))

@@ -265,6 +265,11 @@ def test_config_value_that_does_not_parse_exits_2(tmp_path, capsys):
         ("n-inactive = 100\nk = 2\neps = 10%\n", "argument --eps: invalid float value: '10%'"),
         ("n-inactive = 100\nk\neps = 0.1\n", f"config file {conf}, line 2: "),
         ("n-inactive = 100\nk = 2\nk = 3\neps = 0.1\n", f"config file {conf}, line 3: "),
+        # the file has no sections: a [name] line would hide the keys after it
+        ("n-inactive = 10000\nk = 20\n[extra]\neps = 0.01\n",
+         f"config file {conf}, line 3: "),
+        ("n-inactive = 10000\n[config]\nk = 20\neps = 0.01\n",
+         f"config file {conf}, line 2: "),
     ):
         conf.write_text(text)
         with pytest.raises(SystemExit) as info:
@@ -284,17 +289,20 @@ def test_missing_config_file_exits_1(capsys):
 
 # --- help ---------------------------------------------------------------------------
 
-_COMMON_FLAGS = ["--config", "--n-inactive", "--k", "--eps", "--seed", "--trials",
-                 "--out", "--threads"]
-_CHANNEL_FLAGS = ["--sigma", "--noise", "--power", "--big-k", "--c", "--delta"]
+_RUN_FLAGS = ["--seed", "--trials", "--out", "--threads"]
+_LINK_FLAGS = ["--power", "--big-k", "--c"]
 
 
 @pytest.mark.parametrize("command, flags, default", [
-    ("bounds", [*_COMMON_FLAGS, *_CHANNEL_FLAGS, "--surplus-factor"], "default 1.0"),
-    ("simulate", [*_COMMON_FLAGS, "--mode", "--p", "--slot-cap", "--grid-max",
-                  "--grid-step", "--horizon", "--preset", "--out-dir"], "default 2500"),
-    ("channel", [*_COMMON_FLAGS, *_CHANNEL_FLAGS, "--slots", "--m"], "default 100000"),
-    ("e2e", [*_COMMON_FLAGS, *_CHANNEL_FLAGS], "default 0.125"),
+    ("bounds", ["--config", "--n-inactive", "--k", "--eps", *_LINK_FLAGS, "--delta",
+                "--surplus-factor"], "default 1.0"),
+    ("simulate", ["--config", "--n-inactive", "--k", *_RUN_FLAGS, "--mode", "--p",
+                  "--slot-cap", "--grid-max", "--grid-step", "--horizon", "--preset",
+                  "--out-dir"], "default 2500"),
+    ("channel", ["--config", "--seed", "--sigma", "--noise", *_LINK_FLAGS, "--delta",
+                 "--slots", "--m"], "default 100000"),
+    ("e2e", ["--config", "--n-inactive", "--k", "--eps", *_RUN_FLAGS, "--sigma",
+             "--noise", *_LINK_FLAGS], "default 0.125"),
 ])
 def test_help_lists_every_flag(capsys, command, flags, default):
     # the parser holds every default, so a default that cannot be shown fails here
@@ -308,7 +316,30 @@ def test_help_lists_every_flag(capsys, command, flags, default):
     text = capsys.readouterr().out
     for flag in flags:
         assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text), flag
+    # and no other: a subcommand takes only the flags its handler reads
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text)) == {*flags, "--help"}
     assert default in " ".join(text.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["channel", "--sigma", "1", "--power", "1", "--delta", "0.01", "--slots", "100",
+     "--seed", "1", "--out", "{tmp}/chan.csv", "--trials", "5"],
+    ["bounds", "--n-inactive", "10000", "--k", "20", "--eps", "0.01", "--seed", "1",
+     "--trials", "5", "--threads", "1", "--out", "{tmp}/bounds.csv"],
+    ["simulate", "--n-inactive", "40", "--k", "2", "--eps", "0.1", "--trials", "5",
+     "--seed", "1", "--out", "{tmp}/sim.csv"],
+    ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+     "--power", "1", "--delta", "0.01", "--trials", "2", "--seed", "9",
+     "--out", "{tmp}/e2e.csv"],
+])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- channel ----------------------------------------------------------------------
@@ -454,14 +485,40 @@ def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, monkeypatch):
 
 # --- packaging ------------------------------------------------------------------------
 
-def test_module_entry_point_runs_as_script():
-    # the child imports the gtmac under test, installed or from a checkout
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A child ``python`` that imports the gtmac under test, installed or not."""
     package_root = str(Path(gtmac.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gtmac.cli", "bounds", "--n-inactive", "100000",
-         "--k", "20", "--eps", "0.01"],
-        capture_output=True, text=True, timeout=60, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+def test_module_entry_point_runs_as_script():
+    proc = run_python("-m", "gtmac.cli", "bounds", "--n-inactive", "100000",
+                      "--k", "20", "--eps", "0.01")
     assert proc.returncode == 0
     assert "slots_exact_recovery = 921" in proc.stdout
+
+
+_START_UP = """
+import sys
+import numpy.random
+loaded_by_numpy = set(sys.modules)  # numpy.random itself imports secrets
+from gtmac.cli import main
+assert main(["bounds", "--n-inactive", "100000", "--k", "20", "--eps", "0.01"]) == 0
+assert main(["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+             "--power", "1", "--trials", "3", "--seed", "9", "--threads", "1",
+             "--out", sys.argv[1]]) == 0
+lazy = {"concurrent.futures", "multiprocessing", "statistics", "secrets",
+        "configparser"}
+print("loaded:", *sorted((set(sys.modules) - loaded_by_numpy) & lazy))
+"""
+
+
+def test_start_up_imports_only_what_the_command_runs(tmp_path):
+    # the process pool, config parser and seed generator load on the branch
+    # that uses them; a seeded one-worker run without --config takes none
+    proc = run_python("-c", _START_UP, str(tmp_path / "e2e.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"
