@@ -6,7 +6,9 @@ never a bool; a real parameter also takes ints and must be finite.  A value of
 the wrong type raises ``TypeError``; a NaN, an infinity or a value outside the
 range raises ``ValueError``.  A parameter whose range depends on where it is
 used (trials behind a standard error, the slots of a channel simulation) has
-one entry per use.  :func:`check_levels` is the one test of a slot grid.
+one entry per use.  :func:`check_levels` is the one test of a slot grid, and
+the only one that needs numpy, so it imports numpy itself: ``check`` runs in
+``gtmac bounds``, which never loads numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import math
 import numbers
 import sys
 
-import numpy as np
+TYPE_CHECKING = False  # importing typing would cost start-up
+if TYPE_CHECKING:
+    import numpy as np
 
 # The surplus kernel clips its G draw at slot_cap + 1, which must be exact in
 # float64; scheme re-exports this bound.
@@ -82,6 +86,8 @@ def check_levels(levels) -> np.ndarray:
     ``levels`` must be 1-D with an integer dtype -- no bools, no floats --
     or else empty; a level below 0 raises ``ValueError``.
     """
+    import numpy as np
+
     grid = np.asarray(levels)
     if grid.ndim != 1 or (grid.size and grid.dtype.kind not in "iu"):
         raise TypeError(f"levels must be a 1-D sequence of ints, got a "

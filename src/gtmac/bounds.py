@@ -11,6 +11,17 @@ expected surplus is ``N(1 - p(1-p)**k)**i``.  At ``p = 1/(k+1)`` the decay
 constant ``-1/ln(1 - p(1-p)**k)`` is below ``e(k+1)``, and a Markov argument
 turns the expected surplus into a tail bound, giving budgets proportional to
 ``e(k+1)`` times a logarithm.
+
+The scalar planners -- :func:`slots_for_surplus_bound`,
+:func:`slots_for_exact_recovery`, :func:`repetition_length`,
+:func:`channel_uses_closed_form` and :func:`plan_channel_uses` -- are pure
+``math`` and never load numpy, so ``gtmac bounds`` starts without it.  Only
+the functions that build arrays need numpy, and it is imported when they run:
+:func:`expected_remaining`, :func:`theoretical_error_curve`,
+:func:`exact_error_curve` and :func:`exact_end_to_end_failure`.  A planner
+takes the log of a ratio such as ``N/eps``; where that ratio overflows a
+double, its log is taken as a difference of logs instead, so a tiny valid
+``eps`` or ``delta`` still gives a finite budget.
 """
 
 from __future__ import annotations
@@ -18,9 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._ranges import check, check_levels
+
+TYPE_CHECKING = False  # importing typing would cost start-up
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GAUSSIAN_TAIL_CONSTANT",
@@ -41,6 +54,24 @@ __all__ = [
 # gaussian noise declared with K = sigma: the exact excursion probability is
 # 2Q(sqrt(P*m)/(2*sigma)) <= 2*exp(-P*m/(8*sigma**2)) < e*exp(-P*m/(8*sigma**2)).
 GAUSSIAN_TAIL_CONSTANT = 0.125
+
+
+def _log_ratio(numerator: float, *factors: float) -> float:
+    """``ln(numerator / (f1*f2*...))`` for positive factors; -inf at numerator 0.
+
+    Where the quotient is a positive finite double this is its log, bit for
+    bit as the formula reads.  Only where the quotient overflows or underflows
+    (a denominator of 0 or infinity included) is it
+    ``ln(numerator) - sum(ln(f))``, which is finite there: elsewhere the two
+    forms can differ by an ulp, which would change a budget's last digit.
+    """
+    if not numerator:
+        return -math.inf
+    denominator = math.prod(factors)
+    quotient = numerator / denominator if denominator else math.inf
+    if 0.0 < quotient < math.inf:
+        return math.log(quotient)
+    return math.log(numerator) - math.fsum(map(math.log, factors))
 
 
 def expected_remaining(n_inactive: int, k: int, p: float, levels) -> np.ndarray:
@@ -64,10 +95,10 @@ def slots_for_surplus_bound(n_inactive: int, k: int, eps: float,
     check("k", k)
     check("eps", eps)
     check("surplus_factor", surplus_factor)
-    argument = n_inactive / (k * eps * surplus_factor)
-    if argument <= 1.0:
+    log_argument = _log_ratio(n_inactive, k, eps, surplus_factor)
+    if log_argument <= 0.0:
         return 0
-    return math.ceil(math.e * (k + 1) * math.log(argument))
+    return math.ceil(math.e * (k + 1) * log_argument)
 
 
 def slots_for_exact_recovery(n_inactive: int, k: int, eps: float) -> int:
@@ -79,10 +110,10 @@ def slots_for_exact_recovery(n_inactive: int, k: int, eps: float) -> int:
     check("n_inactive", n_inactive)
     check("k", k)
     check("eps", eps)
-    argument = n_inactive / eps
-    if argument <= 1.0:
+    log_argument = _log_ratio(n_inactive, eps)
+    if log_argument <= 0.0:
         return 0
-    return math.ceil(math.e * (k + 1) * math.log(argument))
+    return math.ceil(math.e * (k + 1) * log_argument)
 
 
 def theoretical_error_curve(n_inactive: int, k: int, levels) -> np.ndarray:
@@ -96,16 +127,22 @@ def theoretical_error_curve(n_inactive: int, k: int, levels) -> np.ndarray:
     check("n_inactive", n_inactive)
     check("k", k)
     levels = check_levels(levels)
+    import numpy as np
+
     return np.minimum(1.0, n_inactive * np.exp(-levels / (math.e * (k + 1))))
 
 
 def _log_factorials(top: int) -> np.ndarray:
     """``ln(x!)`` for x = 0..top."""
+    import numpy as np
+
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, top + 1)))))
 
 
 def _binomial_pmf(trials: int, prob: float, log_fact: np.ndarray) -> np.ndarray:
     """Bin(x; trials, prob) for x = 0..trials, from a log-factorial table."""
+    import numpy as np
+
     x = np.arange(trials + 1)
     # at prob 0 or 1, log 0 = -inf and 0 * -inf = nan arise where np.where masks them
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -117,6 +154,8 @@ def _binomial_pmf(trials: int, prob: float, log_fact: np.ndarray) -> np.ndarray:
 
 def _some_left(n_inactive: int, p: float, top: int) -> np.ndarray:
     """P(some of N inactive nodes survives u useful slots) = 1 - (1 - (1-p)**u)**N, u = 0..top."""
+    import numpy as np
+
     with np.errstate(divide="ignore"):
         return -np.expm1(n_inactive * np.log1p(-np.power(1.0 - p, np.arange(top + 1))))
 
@@ -136,6 +175,8 @@ def exact_error_curve(n_inactive: int, k: int, p: float,
     check("k", k)
     check("p", p)
     levels = check_levels(levels)
+    import numpy as np
+
     if n_inactive == 0:
         return np.zeros(len(levels))
     top = int(levels.max(initial=0))
@@ -169,6 +210,8 @@ def exact_end_to_end_failure(n_inactive: int, k: int, p: float, slots: int,
     check("repetitions", repetitions)
     check("sigma", sigma)
     check("power", power)
+    import numpy as np
+
     root_m = math.sqrt(repetitions)
     root_power = math.sqrt(power)
     false_positive = 0.5 * math.erfc(root_m * root_power / (2.0 * sigma) / math.sqrt(2.0))
@@ -200,7 +243,7 @@ def repetition_length(norm_bound: float, power: float, slot_error: float,
     check("power", power)
     check("slot_error", slot_error)
     check("tail_constant", tail_constant)
-    count = (norm_bound**2 / power) * (math.log(1.0 / slot_error) + 1.0) / tail_constant
+    count = (norm_bound**2 / power) * (_log_ratio(1.0, slot_error) + 1.0) / tail_constant
     return max(1, math.ceil(count))
 
 
@@ -239,11 +282,11 @@ def channel_uses_closed_form(n_inactive: int, k: int, eps: float,
     check("tail_constant", tail_constant)
     if n_inactive == 0:
         return 0.0
-    log_ratio = math.log(n_inactive / eps)
+    log_ratio = _log_ratio(n_inactive, eps)
     if log_ratio <= 0.0:
         return 0.0
     slots_real = math.e * (k + 1) * log_ratio
-    bracket = 2.0 + math.log(k + 1) + math.log(log_ratio) + math.log(1.0 / eps)
+    bracket = 2.0 + math.log(k + 1) + math.log(log_ratio) + _log_ratio(1.0, eps)
     return (norm_bound**2 / power) / tail_constant * slots_real * bracket
 
 

@@ -16,8 +16,13 @@ line in it, or a value its flag cannot parse: ``argument --k: invalid int
 value: 'abc'``), 1 runtime failure.
 
 Start-up is most of a short run's time, so a module that only some runs need
-is imported where it is used: the process pool (``harness``), the config
-parser, and the seed generator.
+is imported where it is used.  At the top this module imports only what every
+command uses: ``argparse``, ``bounds`` and the range checks.  ``bounds`` plans
+in pure ``math``, so ``gtmac bounds`` loads neither numpy nor ``harness``,
+``channel`` or ``scheme``; the ``simulate``, ``channel`` and ``e2e`` handlers
+and the noise-spec helpers import those layers, and numpy, themselves.  Inside
+them, the process pool (``harness``), the config parser and the seed
+generator load only on the branch that uses them.
 """
 
 from __future__ import annotations
@@ -28,13 +33,12 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import bounds as bnd
-from . import channel as chan
-from . import harness
 from ._ranges import check
-from .scheme import optimal_choice_probability
+
+TYPE_CHECKING = False  # importing typing would cost start-up
+if TYPE_CHECKING:
+    from .channel import NoiseModel
 
 _PRESET_REFERENCE = ((10_000, 20), (100_000, 20), (10_000, 30))
 
@@ -67,8 +71,10 @@ def _require(parser: argparse.ArgumentParser, value, flag: str):
     return value
 
 
-def _parse_noise_spec(spec: str) -> chan.NoiseModel:
+def _parse_noise_spec(spec: str) -> NoiseModel:
     """Parse ``family=scale`` or a comma list of them (a per-step schedule)."""
+    from . import channel as chan
+
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty noise spec")
@@ -90,7 +96,9 @@ def _parse_noise_spec(spec: str) -> chan.NoiseModel:
     return models[0] if len(models) == 1 else chan.schedule(*models)
 
 
-def _resolve_noise(parser, args) -> chan.NoiseModel:
+def _resolve_noise(parser, args) -> NoiseModel:
+    from . import channel as chan
+
     if args.sigma is not None and args.noise is not None:
         parser.error("give either --sigma or --noise, not both")
     if args.sigma is not None:
@@ -136,7 +144,7 @@ def _echo(params: dict) -> None:
         print(f"#   {key} = {params[key]}")
 
 
-def _format_noise(model: chan.NoiseModel) -> str:
+def _format_noise(model: NoiseModel) -> str:
     if model.family == "schedule":
         return ",".join(_format_noise(m) for m in model.members)
     return f"{model.family}={model.scale!r}"
@@ -174,6 +182,8 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _summarize_until_exact(slots) -> str:
+    import numpy as np
+
     finished = np.sort(slots[slots >= 0]).tolist()
     if finished:  # the median as statistics.median gives it, without its import
         half, odd = divmod(len(finished), 2)
@@ -187,6 +197,9 @@ def _summarize_until_exact(slots) -> str:
 
 def _resolve_until_exact(n, k, p, cap, trials) -> tuple[float, int]:
     """``--p`` and ``--slot-cap`` of an (N, k) run, every value checked."""
+    from . import harness
+    from .scheme import optimal_choice_probability
+
     p = optimal_choice_probability(k) if p is None else p
     cap = harness.default_slot_cap(n, k) if cap is None else cap
     for key, value in (("n_inactive", n), ("k", k), ("p", p), ("slot_cap", cap),
@@ -196,6 +209,8 @@ def _resolve_until_exact(n, k, p, cap, trials) -> tuple[float, int]:
 
 
 def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> None:
+    from . import harness
+
     slots = harness.run_until_exact_batch(n, k, p, cap, trials, seed, workers=threads)
     curve = harness.build_error_curve(slots, grid, n, k)
     harness.export_csv(curve, out)
@@ -204,6 +219,9 @@ def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> No
 
 
 def _cmd_simulate(parser, args) -> int:
+    from . import harness
+    from .scheme import optimal_choice_probability
+
     mode, trials, p = args.mode, args.trials, args.p
     seed = _resolve_seed(args)
     threads = _resolve_threads(args)
@@ -255,6 +273,10 @@ def _cmd_simulate(parser, args) -> int:
 
 
 def _cmd_channel(parser, args) -> int:
+    import numpy as np
+
+    from . import channel as chan
+
     noise = _resolve_noise(parser, args)
     power = _require(parser, args.power, "--power")
     big_k = noise.norm_bound if args.big_k is None else args.big_k
@@ -292,6 +314,8 @@ def _cmd_channel(parser, args) -> int:
 
 
 def _cmd_e2e(parser, args) -> int:
+    from . import harness
+
     n = _require(parser, args.n_inactive, "--n-inactive")
     k = _require(parser, args.k, "--k")
     eps = _require(parser, args.eps, "--eps")

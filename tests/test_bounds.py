@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,37 @@ def test_zero_slots_when_nothing_to_do():
     assert plan.total == 0 and plan.repetitions == 0 and plan.closed_form == 0.0
     with pytest.raises(ValueError):  # the channel is checked even with no slot
         bounds.plan_channel_uses(0, 3, 0.1, 1.0, math.inf, 0.125)
+
+
+def test_planners_stay_finite_where_their_ratio_overflows():
+    # 1/delta, N/eps and N/(k*eps*C) overflow a double here although their
+    # logs are finite; each budget is the formula with its log expanded
+    assert bounds.repetition_length(1.0, 1.0, 4e-309, 0.125) == math.ceil(
+        8 * (1 - math.log(4e-309))) == 5689
+    assert bounds.slots_for_exact_recovery(100, 2, 1e-310) == math.ceil(
+        3 * E * (math.log(100) - math.log(1e-310))) == 5859
+    assert bounds.slots_for_surplus_bound(100, 2, 1e-310, 1.0) == 5853
+    log_ratio = math.log(100) - math.log(1e-310)
+    assert bounds.channel_uses_closed_form(100, 2, 1e-310, 1.0, 1.0, 0.125) == pytest.approx(
+        8 * 3 * E * log_ratio * (2 + math.log(3) + math.log(log_ratio) - math.log(1e-310)),
+        rel=1e-12)
+    plan = bounds.plan_channel_uses(100, 2, 1e-310, 1.0, 1.0, 0.125)
+    assert (plan.slots, plan.repetitions, plan.total) == (5859, 5788, 5859 * 5788)
+    # a denominator k*eps*C that underflows to 0, or overflows to infinity
+    assert bounds.slots_for_surplus_bound(100, 1, 1e-200, 1e-200) == math.ceil(
+        2 * E * (math.log(100) + 400 * math.log(10))) == 5033
+    assert bounds.slots_for_surplus_bound(100, 2, 0.9, 1e308) == 0
+
+
+def test_repetition_length_is_monotone_across_the_overflow_of_one_over_delta():
+    edge = 1.0 / sys.float_info.max  # 1/delta is finite just above it, not below
+    deltas = [edge * 1.5, math.nextafter(edge, 1.0), edge, math.nextafter(edge, 0.0),
+              edge / 1.5]
+    assert 1.0 / deltas[1] < math.inf and 1.0 / deltas[-1] == math.inf
+    # a tiny tail constant magnifies any jump in the log between the two forms
+    lengths = [bounds.repetition_length(1.0, 1.0, d, 1e-12) for d in deltas]
+    assert lengths == sorted(lengths)
+    assert lengths[-1] - lengths[0] == pytest.approx(2e12 * math.log(1.5), rel=1e-6)
 
 
 def test_budget_shrinks_to_one_slot_near_eps_one():

@@ -53,6 +53,21 @@ def test_bounds_full_plan(capsys):
     assert "closed_form_reference = 77447.846" in out
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["bounds", "--big-k", "1", "--power", "1", "--delta", "4e-309"],
+     "repetition_length = 5689"),
+    (["bounds", "--n-inactive", "100", "--k", "2", "--eps", "1e-310", "--big-k", "1",
+      "--power", "1"], "total_channel_uses = 33911892"),
+    (["channel", "--sigma", "1", "--power", "1", "--delta", "1e-310", "--slots", "10",
+      "--seed", "1"], "#   m = 5719"),
+])
+def test_tiny_valid_targets_plan_finite_budgets(capsys, argv, line):
+    # 1/delta and N/eps overflow a double here; their logs do not
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert line in out.splitlines()
+
+
 def test_bounds_requires_a_complete_parameter_set(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bounds", "--n-inactive", "100"])
@@ -521,4 +536,23 @@ def test_start_up_imports_only_what_the_command_runs(tmp_path):
     # that uses them; a seeded one-worker run without --config takes none
     proc = run_python("-c", _START_UP, str(tmp_path / "e2e.csv"))
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+_BOUNDS_START_UP = """
+import sys
+from gtmac.cli import main
+assert main(["bounds", "--n-inactive", "100000", "--k", "20", "--eps", "0.01",
+             "--big-k", "1.0", "--power", "1.0"]) == 0
+heavy = {"numpy", "gtmac.harness", "gtmac.channel", "gtmac.scheme"}
+print("loaded:", *sorted(set(sys.modules) & heavy))
+"""
+
+
+def test_bounds_plans_without_numpy_or_the_simulation_layers():
+    # bounds plans in pure math: a fresh process running it loads neither
+    # numpy nor the layers that simulate
+    proc = run_python("-c", _BOUNDS_START_UP)
+    assert proc.returncode == 0, proc.stderr
+    assert "total_channel_uses = 92100" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "loaded:"
