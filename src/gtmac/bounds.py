@@ -27,7 +27,7 @@ double, its log is taken as a difference of logs instead, so a tiny valid
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._ranges import check, check_levels
 
@@ -243,12 +243,18 @@ def repetition_length(norm_bound: float, power: float, slot_error: float,
     check("power", power)
     check("slot_error", slot_error)
     check("tail_constant", tail_constant)
-    count = (norm_bound**2 / power) * (_log_ratio(1.0, slot_error) + 1.0) / tail_constant
+    return _repetitions(norm_bound, power, _log_ratio(1.0, slot_error), tail_constant)
+
+
+def _repetitions(norm_bound: float, power: float, log_inverse_error: float,
+                 tail_constant: float) -> int:
+    """:func:`repetition_length` from ``ln(1/slot_error)``, its inputs unchecked."""
+    count = (norm_bound**2 / power) * (log_inverse_error + 1.0) / tail_constant
     return max(1, math.ceil(count))
 
 
-@dataclass(frozen=True)
-class ChannelUsePlan:
+class ChannelUsePlan(namedtuple("ChannelUsePlan",
+                                "slots slot_error_target repetitions total closed_form")):
     """Joint budget: slots, per-slot error target, repetitions, total steps.
 
     ``total`` is the exact integer product ``slots * repetitions`` actually
@@ -257,11 +263,7 @@ class ChannelUsePlan:
     integer ceilings can push ``total`` slightly above it.
     """
 
-    slots: int
-    slot_error_target: float
-    repetitions: int
-    total: int
-    closed_form: float
+    __slots__ = ()
 
 
 def channel_uses_closed_form(n_inactive: int, k: int, eps: float,
@@ -297,7 +299,9 @@ def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
     The slot budget covers the elimination failure w.p. <= eps; splitting a
     further eps uniformly over the slots (per-slot target ``eps/slots``) and
     a union bound cover the decoding failures, for ``2*eps`` overall.  Every
-    parameter is checked, also when no slot is needed (N = 0).
+    parameter is checked, also when no slot is needed (N = 0).  Where
+    ``eps/slots`` underflows to 0, the repetitions are sized from
+    ``ln(slots) - ln(eps)``, which stays finite, and the target reads 0.0.
     """
     closed_form = channel_uses_closed_form(n_inactive, k, eps, norm_bound,
                                            power, tail_constant)
@@ -306,7 +310,11 @@ def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
         return ChannelUsePlan(slots=0, slot_error_target=0.0, repetitions=0,
                               total=0, closed_form=closed_form)
     slot_error = eps / slots
-    repetitions = repetition_length(norm_bound, power, slot_error, tail_constant)
+    if slot_error:
+        repetitions = repetition_length(norm_bound, power, slot_error, tail_constant)
+    else:  # the target underflows; channel_uses_closed_form checked K, P and c
+        repetitions = _repetitions(norm_bound, power, _log_ratio(slots, eps),
+                                   tail_constant)
     return ChannelUsePlan(
         slots=slots,
         slot_error_target=slot_error,

@@ -22,7 +22,7 @@ in :mod:`gtmac.bounds` inverts that bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ __all__ = [
 _FAMILIES = ("gaussian", "uniform", "rademacher", "schedule")
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(namedtuple("NoiseModel", "family scale members")):
     """One noise family (or a per-step schedule of families) with its norm bound.
 
     ``scale`` means: standard deviation for ``gaussian``, half-width for
@@ -63,22 +62,22 @@ class NoiseModel:
     A zero scale is allowed and degenerates to noiseless steps.
     """
 
-    family: str
-    scale: float = 0.0
-    members: tuple["NoiseModel", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown noise family {self.family!r}")
-        if self.family == "schedule":
-            if not self.members:
+    def __new__(cls, family: str, scale: float = 0.0,
+                members: tuple[NoiseModel, ...] = ()):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown noise family {family!r}")
+        if family == "schedule":
+            if not members:
                 raise ValueError("schedule needs at least one member model")
-            if any(m.family == "schedule" for m in self.members):
+            if any(m.family == "schedule" for m in members):
                 raise ValueError("schedules cannot nest")
         else:
-            if self.members:
+            if members:
                 raise ValueError("only schedules take member models")
-            object.__setattr__(self, "scale", float(check("scale", self.scale)))
+            scale = float(check("scale", scale))
+        return super().__new__(cls, family, scale, members)
 
     @property
     def norm_bound(self) -> float:

@@ -22,7 +22,10 @@ in pure ``math``, so ``gtmac bounds`` loads neither numpy nor ``harness``,
 ``channel`` or ``scheme``; the ``simulate``, ``channel`` and ``e2e`` handlers
 and the noise-spec helpers import those layers, and numpy, themselves.  Inside
 them, the process pool (``harness``), the config parser and the seed
-generator load only on the branch that uses them.
+generator load only on the branch that uses them.  The layers' records are
+``collections.namedtuple`` classes, which compile no methods from source and
+need no ``inspect``: ``gtmac bounds`` loads no ``inspect`` (numpy loads it
+for the other commands).
 """
 
 from __future__ import annotations
@@ -109,6 +112,15 @@ def _resolve_noise(parser, args) -> NoiseModel:
         except ValueError as exc:
             parser.error(f"--noise: {exc}")
     parser.error("the following argument is required: --sigma or --noise")
+
+
+def _resolve_big_k(parser, args, noise: NoiseModel) -> float:
+    """``--big-k``, by default the noise's norm bound, which must then be > 0."""
+    if args.big_k is not None:
+        return args.big_k
+    if not noise.norm_bound:
+        parser.error("the noise's norm bound is 0, so --big-k > 0 is needed")
+    return noise.norm_bound
 
 
 def _resolve_seed(args) -> int:
@@ -279,7 +291,7 @@ def _cmd_channel(parser, args) -> int:
 
     noise = _resolve_noise(parser, args)
     power = _require(parser, args.power, "--power")
-    big_k = noise.norm_bound if args.big_k is None else args.big_k
+    big_k = _resolve_big_k(parser, args, noise)
     c = args.c
     delta = _require(parser, args.delta, "--delta")
     slots = check("channel_slots", args.slots)
@@ -321,7 +333,7 @@ def _cmd_e2e(parser, args) -> int:
     eps = _require(parser, args.eps, "--eps")
     noise = _resolve_noise(parser, args)
     power = _require(parser, args.power, "--power")
-    big_k = noise.norm_bound if args.big_k is None else args.big_k
+    big_k = _resolve_big_k(parser, args, noise)
     c, trials, out = args.c, args.trials, args.out
     seed = _resolve_seed(args)
     threads = _resolve_threads(args)

@@ -32,7 +32,7 @@ import csv
 import functools
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -96,42 +96,36 @@ def default_slot_grid(max_slot: int, step: int) -> tuple[int, ...]:
     return tuple(range(0, max_slot + 1, step))
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(namedtuple("RunRecord", "trial_seed slots_until_exact surplus_trace",
+                           defaults=(None,))):
     """Result of one until-exact trial.
 
     ``slots_until_exact`` is the slot at which the potential set became the
     active set; ``None`` means the trial was censored at the slot cap (it
-    counts as a failure at every grid point).
+    counts as a failure at every grid point).  ``surplus_trace`` holds the
+    surplus after 0, 1, ... slots when the trial collected it, else ``None``.
     """
 
-    trial_seed: int
-    slots_until_exact: int | None
-    surplus_trace: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ErrorCurve:
+class ErrorCurve(namedtuple("ErrorCurve",
+                            "slot_grid observed_frequency theoretical_bound trials")):
     """Observed error frequency per grid slot, paired with the analytic bound."""
 
-    slot_grid: tuple[int, ...]
-    observed_frequency: tuple[float, ...]
-    theoretical_bound: tuple[float, ...]
-    trials: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExpectationTrace:
+class ExpectationTrace(namedtuple("ExpectationTrace",
+                                  "slots empirical_mean std_error predicted_mean")):
     """Per-slot surplus mean with standard errors and the analytic prediction."""
 
-    slots: tuple[int, ...]
-    empirical_mean: tuple[float, ...]
-    std_error: tuple[float, ...]
-    predicted_mean: tuple[float, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EndToEndSummary:
+class EndToEndSummary(namedtuple("EndToEndSummary",
+                                 "trials failures failure_rate conditional_failure_rate "
+                                 "two_epsilon slots repetitions total_channel_uses")):
     """Failure statistics of an end-to-end batch plus its channel budget.
 
     ``conditional_failure_rate`` is the mean over trials of each trial's
@@ -140,14 +134,7 @@ class EndToEndSummary:
     same failure probability as ``failure_rate`` with less variance.
     """
 
-    trials: int
-    failures: int
-    failure_rate: float
-    conditional_failure_rate: float
-    two_epsilon: float
-    slots: int
-    repetitions: int
-    total_channel_uses: int
+    __slots__ = ()
 
 
 def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -75,21 +75,22 @@ def optimal_choice_probability(k: int) -> float:
     return 1.0 / (k + 1)
 
 
-@dataclass(frozen=True)
-class Population:
-    """A set of nodes labelled ``0..total_nodes-1`` with a nonempty active subset."""
+class Population(namedtuple("Population", "total_nodes active_set")):
+    """A set of nodes labelled ``0..total_nodes-1`` with a nonempty active subset.
 
-    total_nodes: int
-    active_set: frozenset[int]
+    ``active_set`` is stored as a frozenset of the node labels.
+    """
 
-    def __post_init__(self) -> None:
-        check("total_nodes", self.total_nodes)
-        if not isinstance(self.active_set, frozenset):
-            object.__setattr__(self, "active_set", frozenset(self.active_set))
-        check("k", len(self.active_set))
-        for node in self.active_set:
-            if not (0 <= node < self.total_nodes):
-                raise ValueError(f"active node {node} outside 0..{self.total_nodes - 1}")
+    __slots__ = ()
+
+    def __new__(cls, total_nodes: int, active_set: Iterable[int]):
+        check("total_nodes", total_nodes)
+        active_set = frozenset(active_set)
+        check("k", len(active_set))
+        for node in active_set:
+            if not (0 <= node < total_nodes):
+                raise ValueError(f"active node {node} outside 0..{total_nodes - 1}")
+        return super().__new__(cls, total_nodes, active_set)
 
     @property
     def num_active(self) -> int:
@@ -106,8 +107,8 @@ class Population:
         return mask
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class SchemeConfig(namedtuple("SchemeConfig",
+                              "choice_probability slot_budget master_seed")):
     """Run parameters: per-slot choice probability, slot budget, master seed.
 
     ``choice_probability`` may take the degenerate boundary values 0 (nothing
@@ -115,27 +116,23 @@ class SchemeConfig:
     values are construction errors -- nothing is clamped.
     """
 
-    choice_probability: float
-    slot_budget: int
-    master_seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "choice_probability",
-                           float(check("p", self.choice_probability)))
-        check("slots", self.slot_budget)
-        check("master_seed", self.master_seed)
+    def __new__(cls, choice_probability: float, slot_budget: int, master_seed: int):
+        choice_probability = float(check("p", choice_probability))
+        check("slots", slot_budget)
+        check("master_seed", master_seed)
+        return super().__new__(cls, choice_probability, slot_budget, master_seed)
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
+class SlotOutcome(namedtuple("SlotOutcome", "any_active_chosen decoded_disjunction")):
     """Per-slot trace entry of the node-level simulation.
 
     Slot ``i``'s chosen set is not stored: it is
     ``slot_rng(master_seed, i).random(total_nodes) < choice_probability``.
     """
 
-    any_active_chosen: bool
-    decoded_disjunction: bool
+    __slots__ = ()
 
 
 class DisjunctionOracle(ABC):
@@ -226,8 +223,8 @@ def run_scheme(population: Population, config: SchemeConfig,
     return potential, outcomes
 
 
-@dataclass(frozen=True)
-class FastRunResult:
+class FastRunResult(namedtuple("FastRunResult",
+                               "final_surplus surplus_trace slots_until_exact")):
     """Surplus-process trace of a fast-path run.
 
     ``surplus_trace[i]`` is the surplus after ``i`` slots (index 0 is the
@@ -235,9 +232,7 @@ class FastRunResult:
     the surplus hit zero, or ``None`` if it never did within the budget.
     """
 
-    final_surplus: int
-    surplus_trace: tuple[int, ...]
-    slots_until_exact: int | None
+    __slots__ = ()
 
 
 # --- surplus kernel ------------------------------------------------------------

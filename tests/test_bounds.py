@@ -286,6 +286,21 @@ def test_repetition_length_is_monotone_across_the_overflow_of_one_over_delta():
     assert lengths[-1] - lengths[0] == pytest.approx(2e12 * math.log(1.5), rel=1e-6)
 
 
+def test_plan_sizes_repetitions_where_eps_over_slots_underflows():
+    # eps/slots rounds to 0 here although ln(slots/eps) is finite
+    plan = bounds.plan_channel_uses(100, 2, 5e-324, 1.0, 1.0, 0.125)
+    assert plan.slot_error_target == 0.0
+    assert plan.repetitions == math.ceil(
+        8 * (math.log(plan.slots) - math.log(5e-324) + 1)) == 6034
+    assert plan.total == plan.slots * plan.repetitions
+    # the budget still shrinks as eps grows across the underflow's edge
+    plans = [bounds.plan_channel_uses(100, 2, i * 5e-324, 1.0, 1.0, 0.125)
+             for i in range(1, 6000, 7)]
+    assert plans[0].slot_error_target == 0.0 < plans[-1].slot_error_target
+    totals = [plan.total for plan in plans]
+    assert totals == sorted(totals, reverse=True)
+
+
 def test_budget_shrinks_to_one_slot_near_eps_one():
     assert bounds.slots_for_exact_recovery(1, 1, 1 - 1e-9) == 1
 

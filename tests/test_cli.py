@@ -60,6 +60,9 @@ def test_bounds_full_plan(capsys):
       "--power", "1"], "total_channel_uses = 33911892"),
     (["channel", "--sigma", "1", "--power", "1", "--delta", "1e-310", "--slots", "10",
       "--seed", "1"], "#   m = 5719"),
+    # eps/slots underflows to 0; ln(slots) - ln(eps) sizes the repetitions
+    (["bounds", "--n-inactive", "100", "--k", "2", "--eps", "5e-324", "--big-k", "1",
+      "--power", "1"], "total_channel_uses = 36861706"),
 ])
 def test_tiny_valid_targets_plan_finite_budgets(capsys, argv, line):
     # 1/delta and N/eps overflow a double here; their logs do not
@@ -457,6 +460,23 @@ def test_e2e_rejects_understated_norm_bound(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["channel", "--sigma", "0", "--power", "1", "--delta", "0.1"],
+    ["channel", "--noise", "uniform=0,rademacher=0", "--power", "1", "--delta", "0.1"],
+    ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0",
+     "--power", "1", "--trials", "4", "--seed", "9"],
+])
+def test_noiseless_channel_without_big_k_names_the_flag(capsys, argv):
+    # K defaults to the noise's norm bound, here 0, which no plan can use
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "the noise's norm bound is 0, so --big-k > 0 is needed" in err
+    assert "norm_bound" not in err
+    assert main([*argv, "--big-k", "1"]) == 0
+
+
 # --- benchmark tracer ------------------------------------------------------------------
 
 def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, monkeypatch):
@@ -555,4 +575,34 @@ def test_bounds_plans_without_numpy_or_the_simulation_layers():
     proc = run_python("-c", _BOUNDS_START_UP)
     assert proc.returncode == 0, proc.stderr
     assert "total_channel_uses = 92100" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+# argv: the modules to import before counting, the modules to watch, then the command
+_LOADS_NONE_OF = """
+import sys
+_, before, watched, *argv = sys.argv
+for name in filter(None, before.split(",")):
+    __import__(name)
+baseline = set(sys.modules)  # a bare interpreter's modules and those imported above
+from gtmac.cli import main
+assert main(argv) == 0
+print("loaded:", *sorted((set(sys.modules) - baseline) & set(watched.split(","))))
+"""
+
+
+@pytest.mark.parametrize("before, watched, argv", [
+    ("", "dataclasses,inspect",
+     ["bounds", "--n-inactive", "100000", "--k", "20", "--eps", "0.01", "--big-k", "1.0",
+      "--power", "1.0"]),
+    # numpy.random imports inspect itself
+    ("numpy.random", "dataclasses",
+     ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+      "--power", "1", "--trials", "3", "--seed", "9", "--threads", "1"]),
+], ids=["bounds", "e2e"])
+def test_start_up_builds_its_records_without_dataclasses(before, watched, argv):
+    # the records are namedtuples: making a frozen dataclass loads dataclasses,
+    # which loads inspect, and builds six methods per class from source
+    proc = run_python("-c", _LOADS_NONE_OF, before, watched, *argv)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded:"
