@@ -66,9 +66,14 @@ _RANGES = {
 }
 
 
-def check(key: str, value):
-    """Return ``value`` if it lies in the range named ``key``; raise otherwise."""
-    name, integer, low, high, words = _RANGES[key]
+def check(key: str, value, name: str | None = None):
+    """Return ``value`` if it lies in the range named ``key``; raise otherwise.
+
+    An error calls the value ``name`` (the CLI passes the flag), by default
+    the range's own name.
+    """
+    default_name, integer, low, high, words = _RANGES[key]
+    name = name or default_name
     kind = value.__class__
     if kind is not int and (integer or kind is not float):
         if isinstance(value, bool) or not isinstance(

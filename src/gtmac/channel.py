@@ -35,7 +35,6 @@ __all__ = [
     "uniform",
     "rademacher",
     "schedule",
-    "transmit_block",
     "slot_noise_averages",
     "gaussian_slot_error_exact",
     "RepetitionDisjunctionOracle",
@@ -149,11 +148,11 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     """Averaged noise of ``slot_count`` consecutive slots of ``repetitions`` steps.
 
     This is the noise the decoder sees: for the repetition code a slot
-    average is (number of true senders)*sqrt(P) plus this quantity, and
-    :func:`transmit_block` adds it to the superposed levels.  Slot i covers
-    steps ``start_step + i*m`` onwards, so a schedule member's step count
-    per slot is fixed by ``start_step``, m and the period, and each member's
-    share of a slot's noise sum is drawn from its exact law:
+    average is (number of senders)*sqrt(P) plus this quantity, which
+    :class:`RepetitionDisjunctionOracle` adds.  Slot i covers steps
+    ``start_step + i*m`` onwards, so a schedule member's step count per slot
+    is fixed by ``start_step``, m and the period, and each member's share of
+    a slot's noise sum is drawn from its exact law:
 
     * n gaussian(sigma) steps: one N(0, n*sigma**2) draw;
     * n rademacher(a) steps: ``a*(2*Bin(n, 1/2) - n)``;
@@ -181,29 +180,6 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     return sums / repetitions
 
 
-def transmit_block(messages: np.ndarray, repetitions: int, power: float,
-                   noise: NoiseModel, rng: np.random.Generator,
-                   start_step: int = 0) -> np.ndarray:
-    """Encode, superpose, add noise, and threshold-decode a block of slots.
-
-    ``messages`` has shape ``(senders, slot_count)``.  Each true sender adds
-    ``sqrt(P)`` at every one of the ``repetitions`` steps of its slot and a
-    false one adds 0, both within the peak constraint; the slot average above
-    ``sqrt(P)/2`` decodes true and a tie decodes false.  Returns the decoded
-    boolean per slot.  The step index for schedule noise starts at
-    ``start_step`` and advances by ``repetitions`` per slot.
-    """
-    check("repetitions", repetitions)
-    check("power", power)
-    messages = np.asarray(messages, dtype=bool)
-    if messages.ndim != 2:
-        raise ValueError(f"messages shape {messages.shape} is not (senders, slot_count)")
-    root_power = math.sqrt(power)
-    levels = messages.sum(axis=0) * root_power
-    averaged = slot_noise_averages(noise, repetitions, messages.shape[1], rng, start_step)
-    return (levels + averaged) > root_power / 2.0
-
-
 def gaussian_slot_error_exact(sigma: float, power: float, repetitions: int) -> float:
     """Exact P(|averaged gaussian noise| >= sqrt(P)/2) = 2*Q(sqrt(P*m)/(2*sigma)).
 
@@ -222,21 +198,25 @@ def gaussian_slot_error_exact(sigma: float, power: float, repetitions: int) -> f
 class RepetitionDisjunctionOracle(DisjunctionOracle):
     """Disjunction oracle realised by the repetition code over a noisy channel.
 
-    Holds its own noise stream (kept separate from the scheme's common
-    randomness) and a running step counter so consecutive decode calls keep
-    advancing any noise schedule.
+    A sender adds ``sqrt(P)`` at each of its slot's ``repetitions`` steps and
+    any other node adds 0, so a slot's average is its sender count times
+    ``sqrt(P)`` plus the averaged noise; above ``sqrt(P)/2`` decodes true and
+    a tie decodes false.  The oracle holds its own noise stream (kept apart
+    from the scheme's common randomness) and a step counter, so consecutive
+    decode calls keep advancing any noise schedule.
     """
 
     def __init__(self, noise: NoiseModel, power: float, repetitions: int,
                  rng: np.random.Generator):
         self.noise = noise
-        self.power = power
-        self.repetitions = repetitions
+        self.power = check("power", power)
+        self.repetitions = check("repetitions", repetitions)
         self.rng = rng
         self._next_step = 0
 
-    def decode_block(self, messages: np.ndarray) -> np.ndarray:
-        decoded = transmit_block(messages, self.repetitions, self.power, self.noise,
-                                 self.rng, start_step=self._next_step)
-        self._next_step += self.repetitions * len(decoded)
-        return decoded
+    def decode_block(self, senders: np.ndarray) -> np.ndarray:
+        root_power = math.sqrt(self.power)
+        averaged = slot_noise_averages(self.noise, self.repetitions, len(senders),
+                                       self.rng, self._next_step)
+        self._next_step += self.repetitions * len(senders)
+        return np.asarray(senders) * root_power + averaged > root_power / 2.0

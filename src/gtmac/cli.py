@@ -13,7 +13,8 @@ file beats the built-in defaults, and a key that names no flag of the
 subcommand is ignored.  Exit codes: 0 success, 2 bad usage/parameters (a
 flag the subcommand does not take, a malformed config file or a ``[name]``
 line in it, or a value its flag cannot parse: ``argument --k: invalid int
-value: 'abc'``), 1 runtime failure.
+value: 'abc'``), 1 runtime failure.  A handler checks each flag's range
+under the flag's name: ``--delta must be a real in (0, 1), got 1.5``.
 
 Start-up is most of a short run's time, so a module that only some runs need
 is imported where it is used.  At the top this module imports only what every
@@ -105,7 +106,7 @@ def _resolve_noise(parser, args) -> NoiseModel:
     if args.sigma is not None and args.noise is not None:
         parser.error("give either --sigma or --noise, not both")
     if args.sigma is not None:
-        return chan.gaussian(args.sigma)
+        return chan.gaussian(check("scale", args.sigma, "--sigma"))
     if args.noise is not None:
         try:
             return _parse_noise_spec(args.noise)
@@ -128,12 +129,12 @@ def _resolve_seed(args) -> int:
         import secrets  # only an unseeded run draws one
 
         return check("seed", secrets.randbits(63))
-    return check("seed", args.seed)
+    return check("seed", args.seed, "--seed")
 
 
 def _resolve_threads(args) -> int:
     threads = (os.cpu_count() or 1) if args.threads is None else args.threads
-    return check("workers", threads)
+    return check("workers", threads, "--threads")
 
 
 def _writable(path: str) -> str:
@@ -171,8 +172,12 @@ def _cmd_bounds(parser, args) -> int:
     if not have_scheme and not (have_channel and delta is not None):
         parser.error("need --n-inactive/--k/--eps, or --big-k/--power/--delta")
 
-    params = {name: getattr(args, name) for name in ("n_inactive", "k", "eps", "big_k",
-              "power", "delta", "c", "surplus_factor") if getattr(args, name) is not None}
+    params = {}
+    for name, key in (("n_inactive", "n_inactive"), ("k", "k"), ("eps", "eps"),
+                      ("big_k", "norm_bound"), ("power", "power"), ("delta", "slot_error"),
+                      ("c", "tail_constant"), ("surplus_factor", "surplus_factor")):
+        if getattr(args, name) is not None:
+            params[name] = check(key, getattr(args, name), "--" + name.replace("_", "-"))
 
     lines = []  # computed before the echo, so a bad parameter prints nothing
     if have_scheme:
@@ -214,9 +219,10 @@ def _resolve_until_exact(n, k, p, cap, trials) -> tuple[float, int]:
 
     p = optimal_choice_probability(k) if p is None else p
     cap = harness.default_slot_cap(n, k) if cap is None else cap
-    for key, value in (("n_inactive", n), ("k", k), ("p", p), ("slot_cap", cap),
-                       ("trials", trials)):
-        check(key, value)
+    for key, value, flag in (("n_inactive", n, "--n-inactive"), ("k", k, "--k"),
+                             ("p", p, "--p"), ("slot_cap", cap, "--slot-cap"),
+                             ("trials", trials, "--trials")):
+        check(key, value, flag)
     return p, cap
 
 
@@ -237,7 +243,8 @@ def _cmd_simulate(parser, args) -> int:
     mode, trials, p = args.mode, args.trials, args.p
     seed = _resolve_seed(args)
     threads = _resolve_threads(args)
-    grid = harness.default_slot_grid(args.grid_max, args.grid_step)
+    grid = harness.default_slot_grid(check("max_slot", args.grid_max, "--grid-max"),
+                                     check("step", args.grid_step, "--grid-step"))
 
     if args.preset is not None:
         if args.preset != "reference":
@@ -269,9 +276,10 @@ def _cmd_simulate(parser, args) -> int:
     elif mode == "trace":
         horizon = _require(parser, args.horizon, "--horizon")
         p = optimal_choice_probability(k) if p is None else p
-        for key, value in (("n_inactive", n), ("k", k), ("p", p),
-                           ("trace_trials", trials), ("horizon", horizon)):
-            check(key, value)
+        for key, value, flag in (("n_inactive", n, "--n-inactive"), ("k", k, "--k"),
+                                 ("p", p, "--p"), ("trace_trials", trials, "--trials"),
+                                 ("horizon", horizon, "--horizon")):
+            check(key, value, flag)
         _writable(out)
         _echo({"mode": mode, "n_inactive": n, "k": k, "p": p,
                "trials": trials, "seed": seed, "horizon": horizon, "out": out})
@@ -292,12 +300,15 @@ def _cmd_channel(parser, args) -> int:
     noise = _resolve_noise(parser, args)
     power = _require(parser, args.power, "--power")
     big_k = _resolve_big_k(parser, args, noise)
-    c = args.c
+    c, slots = args.c, args.slots
     delta = _require(parser, args.delta, "--delta")
-    slots = check("channel_slots", args.slots)
+    for key, value, flag in (("norm_bound", big_k, "--big-k"), ("power", power, "--power"),
+                             ("tail_constant", c, "--c"), ("slot_error", delta, "--delta"),
+                             ("channel_slots", slots, "--slots")):
+        check(key, value, flag)
     seed = _resolve_seed(args)
-    sized = bnd.repetition_length(big_k, power, delta, c)  # also checks K, P, delta, c
-    reps = sized if args.m is None else check("repetitions", args.m)
+    sized = bnd.repetition_length(big_k, power, delta, c)
+    reps = sized if args.m is None else check("repetitions", args.m, "--m")
 
     _echo({"noise": _format_noise(noise), "power": power, "big_k": big_k,
            "c": c, "delta": delta, "m": reps, "slots": slots, "seed": seed})
@@ -318,7 +329,9 @@ def _cmd_channel(parser, args) -> int:
     print(f"empirical_excursion_rate = {excursions / slots!r}")
     print(f"empirical_false_positive_rate = {decoded_true / slots!r}")
     print(f"target_slot_error = {delta!r}")
-    print(f"tail_bound = {math.exp(1.0 - c * reps * power / big_k**2)!r}")
+    square = big_k**2  # 0 for K below ~1e-162: the bound is then exp(-inf) = 0
+    exponent = c * reps * power / square if square else math.inf
+    print(f"tail_bound = {math.exp(1.0 - exponent)!r}")
     if noise.family == "gaussian" and noise.scale > 0:
         exact = chan.gaussian_slot_error_exact(noise.scale, power, reps)
         print(f"gaussian_exact_excursion = {exact!r}")
@@ -340,10 +353,11 @@ def _cmd_e2e(parser, args) -> int:
 
     if big_k < noise.norm_bound:
         parser.error(f"--big-k {big_k} is below the noise norm bound {noise.norm_bound}")
-    for key, value in (("n_inactive", n), ("k", k), ("eps", eps),
-                       ("norm_bound", big_k), ("power", power), ("tail_constant", c),
-                       ("trials", trials)):
-        check(key, value)
+    for key, value, flag in (("n_inactive", n, "--n-inactive"), ("k", k, "--k"),
+                             ("eps", eps, "--eps"), ("norm_bound", big_k, "--big-k"),
+                             ("power", power, "--power"), ("tail_constant", c, "--c"),
+                             ("trials", trials, "--trials")):
+        check(key, value, flag)
     if out is not None:
         _writable(out)
 

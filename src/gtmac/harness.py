@@ -15,9 +15,9 @@ End-to-end trials are seeded per trial: trial ``t`` uses the 64-bit seed
 through ``numpy.random.SeedSequence``, so any trial can be replayed in
 isolation.  The trial splits its seed into two child streams
 (``SeedSequence(seed).spawn(2)``): the scheme's common randomness (the
-active nodes' chosen slots, then the count of surviving inactive nodes) and
-the channel noise.  Which nodes are active does not matter, so no stream
-places them.
+number of active nodes chosen in each slot, then the count of surviving
+inactive nodes) and the channel noise.  Which nodes are active does not
+matter, so no stream places them.
 
 CSV files are written with a header row, comma separators, ``\\n`` line
 endings and UTF-8 encoding.  The ``csv`` module renders a float with
@@ -267,21 +267,21 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int,
 
 def decode_active_rows(k: int, p: float, slots: int, oracle: DisjunctionOracle,
                        rng: np.random.Generator) -> tuple[bool, int]:
-    """Run the scheme on the k active rows only: (an active node evicted, F).
+    """Run the scheme on the k active nodes only: (an active node evicted, F).
 
-    Draws the (k, slots) chosen matrix of the active nodes, each entry
-    Bernoulli(p), from ``rng`` and decodes it with one ``oracle.decode_block``
-    call.  An active node is evicted when it was chosen in a slot decoded
-    false; F is the number of slots decoded false.  An inactive node sends 0,
-    so it never changes a decode: given F, each of them survives the run
-    independently with probability ``(1-p)**F``.
+    Each active node joins a slot with probability p, so a slot's sender
+    count is Bin(k, p); the ``slots`` counts are drawn from ``rng`` and
+    decoded in one ``oracle.decode_block`` call.  A slot with a sender
+    decoded false evicts an active node; F is the number of slots decoded
+    false.  An inactive node sends 0, so it never changes a decode: given F,
+    each of them survives the run independently with probability ``(1-p)**F``.
     """
-    chosen = rng.random((k, slots)) < p
-    decoded = np.asarray(oracle.decode_block(chosen), dtype=bool)
+    senders = rng.binomial(k, p, slots)
+    decoded = np.asarray(oracle.decode_block(senders), dtype=bool)
     if decoded.shape != (slots,):
         raise ValueError("oracle returned wrong number of decoded slots")
     cleared = ~decoded
-    return bool((chosen & cleared).any()), int(np.count_nonzero(cleared))
+    return bool(senders[cleared].any()), int(np.count_nonzero(cleared))
 
 
 def _conditional_failure(n_inactive: int, p: float, evicted: bool,
@@ -312,13 +312,13 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     sized for the *declared* norm bound K, which must dominate the noise's
     true norm but need not equal it.
 
-    The k active rows are decoded by :func:`decode_active_rows` with
-    p = 1/(k+1).  The trial fails on an eviction; otherwise it succeeds iff
-    none of the N inactive nodes survives, a Bin(N, (1-p)**F) draw equal to
-    zero.  This is the law of :func:`gtmac.scheme.run_scheme`'s final mask
-    equalling the active mask, in O(k * slots) time and memory whatever N
-    is.  With no inactive node the plan has no slot and the potential set
-    starts exact.
+    The per-slot sender counts are drawn and decoded by
+    :func:`decode_active_rows` with p = 1/(k+1).  The trial fails on an
+    eviction; otherwise it succeeds iff none of the N inactive nodes
+    survives, a Bin(N, (1-p)**F) draw equal to zero.  This is the law of
+    :func:`gtmac.scheme.run_scheme`'s final mask equalling the active mask,
+    in O(slots) time and memory whatever N is.  With no inactive node the
+    plan has no slot and the potential set starts exact.
     """
     if plan.slots == 0:
         return True, 0.0

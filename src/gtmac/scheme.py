@@ -25,7 +25,8 @@ shrink rate is ``1/(k+1)``.
 Two executions are provided: :func:`run_scheme` simulates every node
 individually (and accepts an arbitrary disjunction oracle, e.g. a noisy
 channel code); it is the reference for
-:func:`gtmac.harness.end_to_end_trial`, which decodes only the k active rows.
+:func:`gtmac.harness.end_to_end_trial`, which draws and decodes only the
+per-slot sender counts.
 The surplus kernel samples only the surplus-size process, which is
 distributed identically when the oracle is error-free.  The kernel
 has two entry points over a block of independent runs:
@@ -138,26 +139,22 @@ class SlotOutcome(namedtuple("SlotOutcome", "any_active_chosen decoded_disjuncti
 class DisjunctionOracle(ABC):
     """Decodes the per-slot OR of all transmitted bits.
 
-    ``decode_block`` receives the active nodes' bits only: a boolean matrix
-    of shape ``(k, num_slots)`` whose rows follow ascending node order.  An
-    inactive node always sends 0, which changes neither the OR nor the
-    superposed channel level, so its row is left out.  The transmit bits do
-    not depend on the receiver's state, so whole runs are decoded in one call.
+    The channel adds what the nodes send, so ``decode_block`` receives each
+    slot's number of senders: an int vector counting the active nodes chosen
+    per slot (an inactive node always sends 0).  The transmit bits do not
+    depend on the receiver's state, so whole runs are decoded in one call.
     """
 
     @abstractmethod
-    def decode_block(self, messages: np.ndarray) -> np.ndarray:
-        """Return the decoded disjunction of each column of ``messages``."""
+    def decode_block(self, senders: np.ndarray) -> np.ndarray:
+        """Return the decoded disjunction of each slot, given its sender count."""
 
 
 class IdealDisjunctionOracle(DisjunctionOracle):
-    """Error-free disjunction: returns the exact column-wise OR."""
+    """Error-free disjunction: a slot is true iff somebody sent."""
 
-    def decode_block(self, messages: np.ndarray) -> np.ndarray:
-        messages = np.asarray(messages, dtype=bool)
-        if messages.ndim != 2:
-            raise ValueError("messages must be a (senders, num_slots) matrix")
-        return messages.any(axis=0)
+    def decode_block(self, senders: np.ndarray) -> np.ndarray:
+        return np.asarray(senders) > 0
 
 
 def slot_rng(master_seed: int, slot_index: int) -> np.random.Generator:
@@ -192,8 +189,8 @@ def run_scheme(population: Population, config: SchemeConfig,
     """Node-level simulation of the full scheme.
 
     Per slot: derive the slot RNG from the master seed, draw the chosen mask,
-    form the active nodes' transmit bits (an inactive node always sends 0),
-    decode the disjunction through ``oracle``, and apply
+    count the active nodes chosen -- the slot's senders, since an inactive
+    node always sends 0 -- decode the disjunction through ``oracle``, and apply
     :func:`receiver_update`.  Because transmit bits never depend on the
     receiver's state, all slots are sent to the oracle as one block -- which
     is exactly what lets a block channel code stand in for the ideal
@@ -206,20 +203,22 @@ def run_scheme(population: Population, config: SchemeConfig,
     """
     total = population.total_nodes
     budget = config.slot_budget
+    active = np.array(sorted(population.active_set))
     chosen = np.empty((budget, total), dtype=bool)
+    senders = np.empty(budget, dtype=np.int64)
     for i in range(budget):
         chosen[i] = slot_rng(config.master_seed, i).random(total) < config.choice_probability
+        senders[i] = np.count_nonzero(chosen[i, active])
 
-    messages = chosen[:, sorted(population.active_set)].T  # (k, num_slots)
-    decoded = np.asarray(oracle.decode_block(messages), dtype=bool)
+    decoded = np.asarray(oracle.decode_block(senders), dtype=bool)
     if decoded.shape != (budget,):
         raise ValueError("oracle returned wrong number of decoded slots")
 
     potential = np.ones(total, dtype=bool)
     for i in range(budget):
         potential = receiver_update(potential, chosen[i], bool(decoded[i]))
-    outcomes = [SlotOutcome(any_active_chosen=bool(sent), decoded_disjunction=bool(bit))
-                for sent, bit in zip(messages.any(axis=0), decoded)]
+    outcomes = [SlotOutcome(any_active_chosen=bool(count), decoded_disjunction=bool(bit))
+                for count, bit in zip(senders, decoded)]
     return potential, outcomes
 
 

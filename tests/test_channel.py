@@ -11,7 +11,7 @@ import scipy.stats
 
 from gtmac.channel import (NoiseModel, RepetitionDisjunctionOracle, gaussian,
                            gaussian_slot_error_exact, rademacher, schedule,
-                           slot_noise_averages, transmit_block, uniform)
+                           slot_noise_averages, uniform)
 
 
 def absolute_moment_ratio(model: NoiseModel, n: int) -> float:
@@ -184,79 +184,63 @@ def test_uniform_slot_sums_hold_bounded_memory():
 
 # --- encoder / channel / decoder ---------------------------------------------------
 
+def oracle_decode(senders, repetitions, power, noise, seed):
+    """One decode of ``senders`` by a fresh oracle seeded with ``seed``."""
+    oracle = RepetitionDisjunctionOracle(noise, power, repetitions,
+                                         np.random.default_rng(seed))
+    return oracle.decode_block(senders)
+
+
 def test_threshold_decode_tie_goes_to_false():
     # rademacher(0.5) noise, m = 1, P = 1: each slot average is a tie at the
     # sqrt(P)/2 = 0.5 threshold (+0.5 silent, 1 - 0.5 with a sender) or clear of it
     noise = slot_noise_averages(rademacher(0.5), 1, 200, np.random.default_rng(3))
     assert set(noise) == {-0.5, 0.5}
-    silent = transmit_block(np.zeros((1, 200), bool), 1, 1.0, rademacher(0.5),
-                            np.random.default_rng(3))
+    silent = oracle_decode(np.zeros(200, int), 1, 1.0, rademacher(0.5), 3)
     assert not silent.any()
-    sending = transmit_block(np.ones((1, 200), bool), 1, 1.0, rademacher(0.5),
-                             np.random.default_rng(3))
+    sending = oracle_decode(np.ones(200, int), 1, 1.0, rademacher(0.5), 3)
     np.testing.assert_array_equal(sending, noise > 0)
 
 
-def test_transmit_block_zero_noise_recovers_exact_disjunction():
-    rng = np.random.default_rng(5)
-    messages = rng.random((6, 40)) < 0.3
-    decoded = transmit_block(messages, 3, 2.0, gaussian(0.0), np.random.default_rng(0))
-    np.testing.assert_array_equal(decoded, messages.any(axis=0))
-
-
-def test_transmit_block_validates_shapes_and_threshold():
-    for shape in ((4,), (4, 3, 1)):
-        with pytest.raises(ValueError):
-            transmit_block(np.zeros(shape, bool), 1, 1.0, rademacher(1.0),
-                           np.random.default_rng(0))
-    # the repetition count and the power are checked where they are used
+def test_repetition_oracle_rejects_a_bad_code_and_keeps_the_threshold():
+    # the repetition count and the power are checked once, when the oracle is built
     for repetitions, power in ((0, 1.0), (1, 0.0), (1, math.inf)):
         with pytest.raises(ValueError):
-            transmit_block(np.zeros((4, 3), bool), repetitions, power, rademacher(1.0),
-                           np.random.default_rng(0))
+            RepetitionDisjunctionOracle(rademacher(1.0), power, repetitions,
+                                        np.random.default_rng(0))
     # the threshold is sqrt(P)/2: silent slots average +-1, which clears it at
     # P = 1 and ties it at P = 4
-    silent = np.zeros((4, 100), bool)
+    silent = np.zeros(100, int)
     noise = slot_noise_averages(rademacher(1.0), 1, 100, np.random.default_rng(0))
-    decoded = transmit_block(silent, 1, 1.0, rademacher(1.0), np.random.default_rng(0))
+    decoded = oracle_decode(silent, 1, 1.0, rademacher(1.0), 0)
     np.testing.assert_array_equal(decoded, noise > 0)
-    assert not transmit_block(silent, 1, 4.0, rademacher(1.0),
-                              np.random.default_rng(0)).any()
+    assert not oracle_decode(silent, 1, 4.0, rademacher(1.0), 0).any()
 
 
-def test_transmit_block_matches_scalar_pipeline():
+def test_repetition_oracle_matches_scalar_pipeline():
     # the slot pipeline written out step by step, against the block path
-    power, m, slots = 2.5, 5, 4
-    messages = np.array([[True, False, False, True],
-                         [False, False, True, True],
-                         [False, False, False, False]])
+    power, m = 2.5, 5
+    senders = np.array([1, 0, 3, 2])
     noise_model = schedule(gaussian(0.8), uniform(0.3))
-    block = transmit_block(messages, m, power, noise_model, np.random.default_rng(42))
-    noise = slot_noise_averages(noise_model, m, slots, np.random.default_rng(42))
+    block = oracle_decode(senders, m, power, noise_model, 42)
+    noise = slot_noise_averages(noise_model, m, len(senders), np.random.default_rng(42))
     root = math.sqrt(power)
-    scalar = []
-    for i in range(slots):
-        level = root * sum(bool(bit) for bit in messages[:, i])  # true senders
-        scalar.append(level + noise[i] > root / 2)
+    scalar = [root * count + noise[i] > root / 2 for i, count in enumerate(senders)]
     np.testing.assert_array_equal(block, np.array(scalar))
 
 
-def test_transmit_block_is_one_sided_and_monotone_in_senders():
+def test_repetition_oracle_is_one_sided_and_monotone_in_senders():
     # errors on all-false slots only when the averaged noise exceeds +threshold,
-    # and adding a true sender can only turn decodes from false to true
+    # and adding a sender can only turn decodes from false to true
     power, m, slots = 1.0, 9, 2000
-    silent = np.zeros((1, slots), bool)
-    decoded_silent = transmit_block(silent, m, power, gaussian(1.0),
-                                    np.random.default_rng(11))
+    decoded_silent = oracle_decode(np.zeros(slots, int), m, power, gaussian(1.0), 11)
     averaged = slot_noise_averages(gaussian(1.0), m, slots,
                                    np.random.default_rng(11))
     np.testing.assert_array_equal(decoded_silent, averaged > 0.5)
 
-    one_true = np.vstack([np.zeros(slots, bool), np.ones(slots, bool)])
-    decoded_true = transmit_block(one_true, m, power, gaussian(1.0),
-                                  np.random.default_rng(11))
+    decoded_true = oracle_decode(np.ones(slots, int), m, power, gaussian(1.0), 11)
     assert np.all(decoded_true >= decoded_silent)
-    # with a true sender the decode fails only if noise drags the slot down
+    # with a sender the decode fails only if noise drags the slot down
     np.testing.assert_array_equal(decoded_true, averaged > -0.5)
 
 
@@ -307,12 +291,14 @@ def test_empirical_gaussian_excursion_rate_matches_exact():
 # --- repetition-code oracle ---------------------------------------------------------
 
 def test_repetition_oracle_decodes_the_disjunction():
+    # without noise a slot decodes true iff it has a sender, whatever their number
     oracle = RepetitionDisjunctionOracle(gaussian(0.0), 1.0, 4, np.random.default_rng(1))
-    messages = np.array([[True, False, False, False, True],
-                         [False, False, True, False, True],
-                         [False, False, False, False, False]])
-    np.testing.assert_array_equal(oracle.decode_block(messages),
-                                  messages.any(axis=0))
+    senders = np.array([1, 0, 2, 0, 3])
+    np.testing.assert_array_equal(oracle.decode_block(senders), senders > 0)
+    counts = np.random.default_rng(5).binomial(6, 0.3, 40)
+    assert {0, 1, 2, 3} <= set(counts.tolist())
+    decoded = oracle_decode(counts, 3, 2.0, gaussian(0.0), 0)
+    np.testing.assert_array_equal(decoded, counts > 0)
 
 
 def test_repetition_oracle_advances_schedule_between_calls():
@@ -320,9 +306,9 @@ def test_repetition_oracle_advances_schedule_between_calls():
     # across calls for the second block to see the shifted pattern
     model = schedule(rademacher(1.0), gaussian(0.0))
     oracle = RepetitionDisjunctionOracle(model, 1.0, 3, np.random.default_rng(0))
-    oracle.decode_block(np.zeros((1, 1), bool))
+    oracle.decode_block(np.zeros(1, int))
     assert oracle._next_step == 3
-    oracle.decode_block(np.zeros((1, 1), bool))
+    oracle.decode_block(np.zeros(1, int))
     assert oracle._next_step == 6
 
 
@@ -332,7 +318,7 @@ def test_repetition_oracle_noise_follows_the_carried_step():
     # from step 3 holds one (average +-1/3 never does)
     model = schedule(rademacher(1.0), gaussian(0.0))
     oracle = RepetitionDisjunctionOracle(model, 1.0, 3, np.random.default_rng(8))
-    decoded = np.array([oracle.decode_block(np.zeros((1, 1), bool))[0]
+    decoded = np.array([oracle.decode_block(np.zeros(1, int))[0]
                         for _ in range(400)])
     assert not decoded[1::2].any()
     assert 20 <= decoded[0::2].sum() <= 80

@@ -63,6 +63,9 @@ def test_bounds_full_plan(capsys):
     # eps/slots underflows to 0; ln(slots) - ln(eps) sizes the repetitions
     (["bounds", "--n-inactive", "100", "--k", "2", "--eps", "5e-324", "--big-k", "1",
       "--power", "1"], "total_channel_uses = 36861706"),
+    # K**2 underflows to 0, so the tail bound exp(1 - c*m*P/K**2) is 0
+    (["channel", "--sigma", "1e-200", "--power", "1", "--delta", "0.01", "--slots", "10",
+      "--seed", "1"], "tail_bound = 0.0"),
 ])
 def test_tiny_valid_targets_plan_finite_budgets(capsys, argv, line):
     # 1/delta and N/eps overflow a double here; their logs do not
@@ -79,11 +82,11 @@ def test_bounds_requires_a_complete_parameter_set(capsys):
 
 def test_invalid_parameters_exit_2(capsys):
     for argv, named in (
-        (["bounds", "--n-inactive", "-5", "--k", "2", "--eps", "0.01"], "n_inactive"),
+        (["bounds", "--n-inactive", "-5", "--k", "2", "--eps", "0.01"], "--n-inactive"),
         (["bounds", "--n-inactive", "10", "--k", "2", "--eps", "1.5"], "eps"),
-        (["bounds", "--big-k", "inf", "--power", "1", "--delta", "0.01"], "norm_bound"),
+        (["bounds", "--big-k", "inf", "--power", "1", "--delta", "0.01"], "--big-k"),
         (["bounds", "--big-k", "1", "--power", "1", "--delta", "0.01", "--c", "inf"],
-         "tail_constant"),
+         "--c"),
         (["bounds", "--big-k", "1e200", "--power", "1", "--delta", "0.01"],
          "out of range"),
         (["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
@@ -99,6 +102,30 @@ def test_invalid_parameters_exit_2(capsys):
         captured = capsys.readouterr()
         assert named in captured.err, argv
         assert captured.out == "", argv   # nothing is echoed before the check
+
+
+@pytest.mark.parametrize("argv, flag, library_name", [
+    (["bounds", "--big-k", "1", "--power", "1", "--delta", "1.5"], "--delta", "slot_error"),
+    (["bounds", "--big-k", "1", "--power", "1", "--delta", "0.1", "--c", "0"], "--c",
+     "tail_constant"),
+    (["bounds", "--big-k", "0", "--power", "1", "--delta", "0.1"], "--big-k",
+     "norm_bound"),
+    (["channel", "--sigma", "1", "--power", "1", "--delta", "0.1", "--m", "0"], "--m",
+     "repetitions"),
+    (["channel", "--sigma", "-1", "--power", "1", "--delta", "0.1"], "--sigma", "scale"),
+    (["simulate", "--n-inactive", "10", "--k", "1", "--out", "x.csv", "--grid-step", "0"],
+     "--grid-step", "step"),
+    (["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+      "--power", "1", "--threads", "0"], "--threads", "workers"),
+])
+def test_range_errors_name_the_flag(capsys, argv, flag, library_name):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be" in captured.err
+    assert library_name not in captured.err.replace(flag, "")
+    assert captured.out == ""
 
 
 # --- simulate -----------------------------------------------------------------

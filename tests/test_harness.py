@@ -321,8 +321,8 @@ def test_active_row_path_matches_node_level_scheme(noise):
 
 def test_decode_active_rows_rejects_a_wrong_decode_shape():
     class Short(scheme.DisjunctionOracle):
-        def decode_block(self, messages):
-            return np.zeros(messages.shape[1] - 1, dtype=bool)
+        def decode_block(self, senders):
+            return np.zeros(len(senders) - 1, dtype=bool)
 
     with pytest.raises(ValueError):
         harness.decode_active_rows(2, 1 / 3, 5, Short(), np.random.default_rng(0))

@@ -191,8 +191,8 @@ def test_run_scheme_single_slot_mean_surplus():
 class _AlwaysFalseOracle(IdealDisjunctionOracle):
     """Adversarial oracle decoding 'false' on every slot."""
 
-    def decode_block(self, messages):
-        return np.zeros(np.asarray(messages).shape[1], dtype=bool)
+    def decode_block(self, senders):
+        return np.zeros(len(senders), dtype=bool)
 
 
 def test_run_scheme_noisy_oracle_can_evict_active_nodes():
@@ -205,26 +205,26 @@ def test_run_scheme_noisy_oracle_can_evict_active_nodes():
 
 
 class _RecordingOracle(IdealDisjunctionOracle):
-    """Ideal oracle that keeps the message matrix it was handed."""
+    """Ideal oracle that keeps the sender counts it was handed."""
 
-    def decode_block(self, messages):
-        self.messages = np.array(messages)
-        return super().decode_block(messages)
+    def decode_block(self, senders):
+        self.senders = np.array(senders)
+        return super().decode_block(senders)
 
 
 def test_run_scheme_hands_the_oracle_only_the_active_rows():
-    # inactive nodes always send 0, so the oracle sees a (k, l) matrix whose
-    # rows are the active nodes' chosen bits, in ascending node order
+    # inactive nodes always send 0, so the oracle sees per slot the number of
+    # active nodes chosen: the column sums of their chosen bits
     pop = Population(50, frozenset({41, 3, 17}))
     cfg = SchemeConfig(0.3, 25, master_seed=12)
     oracle = _RecordingOracle()
     run_scheme(pop, cfg, oracle)
-    assert oracle.messages.shape == (3, 25)
     chosen = np.array([slot_rng(cfg.master_seed, i).random(50) < cfg.choice_probability
                        for i in range(25)])
-    for row, node in zip(oracle.messages, (3, 17, 41)):
-        assert np.array_equal(row, chosen[:, node])
-    assert oracle.messages.any() and not oracle.messages.all()
+    expected = chosen[:, 3].astype(int) + chosen[:, 17] + chosen[:, 41]
+    np.testing.assert_array_equal(oracle.senders, expected)
+    assert oracle.senders.shape == (25,) and oracle.senders.dtype.kind == "i"
+    assert 0 in oracle.senders and oracle.senders.max() >= 2
 
 
 @settings(max_examples=40, deadline=None)
