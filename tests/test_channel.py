@@ -295,10 +295,16 @@ def test_repetition_oracle_decodes_the_disjunction():
     oracle = RepetitionDisjunctionOracle(gaussian(0.0), 1.0, 4, np.random.default_rng(1))
     senders = np.array([1, 0, 2, 0, 3])
     np.testing.assert_array_equal(oracle.decode_block(senders), senders > 0)
-    counts = np.random.default_rng(5).binomial(6, 0.3, 40)
+
+
+def test_transmit_block_zero_noise_recovers_exact_disjunction():
+    # six nodes' messages over 40 slots: the OR of each column is what a
+    # noiseless repetition code decodes from the column's sender count
+    messages = np.random.default_rng(5).random((6, 40)) < 0.3
+    counts = messages.sum(axis=0)
     assert {0, 1, 2, 3} <= set(counts.tolist())
     decoded = oracle_decode(counts, 3, 2.0, gaussian(0.0), 0)
-    np.testing.assert_array_equal(decoded, counts > 0)
+    np.testing.assert_array_equal(decoded, messages.any(axis=0))
 
 
 def test_repetition_oracle_advances_schedule_between_calls():
