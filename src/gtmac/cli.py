@@ -5,16 +5,18 @@ curves / expectation traces), ``channel`` (repetition-code slot error), and
 ``e2e`` (full noisy-channel pipeline).  Every randomized command takes
 ``--seed``; without one a fresh seed is generated and echoed so the run can
 be reproduced.  ``simulate --mode trace`` runs in one process and ignores
-``--threads``.  Each flag's type and default are declared once, in the
-parser, and each subcommand takes only the flags its handler reads.
+``--threads``.  Each flag's range, type and default are declared once, in
+``_FLAGS``, and each subcommand takes only the flags its handler reads.
 ``--config FILE`` reads flat ``key = value`` lines named after the long
 flags, and each value becomes its flag's default: flags beat the file, the
 file beats the built-in defaults, and a key that names no flag of the
 subcommand is ignored.  Exit codes: 0 success, 2 bad usage/parameters (a
 flag the subcommand does not take, a malformed config file or a ``[name]``
 line in it, or a value its flag cannot parse: ``argument --k: invalid int
-value: 'abc'``), 1 runtime failure.  A handler checks each flag's range
-under the flag's name: ``--delta must be a real in (0, 1), got 1.5``.
+value: 'abc'``), 1 runtime failure.  Every flag given, on the command line
+or in ``--config``, is range-checked once under its own name before any
+output, whether or not the mode reads it: ``--delta must be a real in (0, 1),
+got 1.5``.
 
 Start-up is most of a short run's time, so a module that only some runs need
 is imported where it is used.  At the top this module imports only what every
@@ -106,7 +108,7 @@ def _resolve_noise(parser, args) -> NoiseModel:
     if args.sigma is not None and args.noise is not None:
         parser.error("give either --sigma or --noise, not both")
     if args.sigma is not None:
-        return chan.gaussian(check("scale", args.sigma, "--sigma"))
+        return chan.gaussian(args.sigma)
     if args.noise is not None:
         try:
             return _parse_noise_spec(args.noise)
@@ -116,25 +118,29 @@ def _resolve_noise(parser, args) -> NoiseModel:
 
 
 def _resolve_big_k(parser, args, noise: NoiseModel) -> float:
-    """``--big-k``, by default the noise's norm bound, which must then be > 0."""
-    if args.big_k is not None:
-        return args.big_k
-    if not noise.norm_bound:
-        parser.error("the noise's norm bound is 0, so --big-k > 0 is needed")
-    return noise.norm_bound
+    """``--big-k``, by default the noise's norm bound, and never below that bound.
+
+    A plan sized from an understated bound would miss its error target.
+    """
+    if args.big_k is None:
+        if not noise.norm_bound:
+            parser.error("the noise's norm bound is 0, so --big-k > 0 is needed")
+        return noise.norm_bound
+    if args.big_k < noise.norm_bound:
+        parser.error(f"--big-k {args.big_k} is below the noise norm bound {noise.norm_bound}")
+    return args.big_k
 
 
 def _resolve_seed(args) -> int:
     if args.seed is None:
         import secrets  # only an unseeded run draws one
 
-        return check("seed", secrets.randbits(63))
-    return check("seed", args.seed, "--seed")
+        return secrets.randbits(63)
+    return args.seed
 
 
 def _resolve_threads(args) -> int:
-    threads = (os.cpu_count() or 1) if args.threads is None else args.threads
-    return check("workers", threads, "--threads")
+    return (os.cpu_count() or 1) if args.threads is None else args.threads
 
 
 def _writable(path: str) -> str:
@@ -172,13 +178,6 @@ def _cmd_bounds(parser, args) -> int:
     if not have_scheme and not (have_channel and delta is not None):
         parser.error("need --n-inactive/--k/--eps, or --big-k/--power/--delta")
 
-    params = {}
-    for name, key in (("n_inactive", "n_inactive"), ("k", "k"), ("eps", "eps"),
-                      ("big_k", "norm_bound"), ("power", "power"), ("delta", "slot_error"),
-                      ("c", "tail_constant"), ("surplus_factor", "surplus_factor")):
-        if getattr(args, name) is not None:
-            params[name] = check(key, getattr(args, name), "--" + name.replace("_", "-"))
-
     lines = []  # computed before the echo, so a bad parameter prints nothing
     if have_scheme:
         lines.append(f"slots_exact_recovery = {bnd.slots_for_exact_recovery(n, k, eps)}")
@@ -192,7 +191,7 @@ def _cmd_bounds(parser, args) -> int:
             lines.append(f"closed_form_reference = {plan.closed_form!r}")
     if have_channel and delta is not None:
         lines.append(f"repetition_length = {bnd.repetition_length(big_k, power, delta, c)}")
-    _echo(params)
+    _echo({_dest(flag): value for flag, _, value in _ranged(args)})
     for line in lines:
         print(line)
     return 0
@@ -212,18 +211,14 @@ def _summarize_until_exact(slots) -> str:
             f"  censored = {len(slots) - len(finished)}")
 
 
-def _resolve_until_exact(n, k, p, cap, trials) -> tuple[float, int]:
-    """``--p`` and ``--slot-cap`` of an (N, k) run, every value checked."""
+def _resolve_until_exact(n, k, p, cap) -> tuple[float, int]:
+    """``--p`` and ``--slot-cap`` of an (N, k) run, by default derived from k and N."""
     from . import harness
     from .scheme import optimal_choice_probability
 
-    p = optimal_choice_probability(k) if p is None else p
-    cap = harness.default_slot_cap(n, k) if cap is None else cap
-    for key, value, flag in (("n_inactive", n, "--n-inactive"), ("k", k, "--k"),
-                             ("p", p, "--p"), ("slot_cap", cap, "--slot-cap"),
-                             ("trials", trials, "--trials")):
-        check(key, value, flag)
-    return p, cap
+    if cap is None:  # derived, so checked here: a huge k puts it past the range
+        cap = check("slot_cap", harness.default_slot_cap(n, k), "--slot-cap")
+    return (optimal_choice_probability(k) if p is None else p), cap
 
 
 def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> None:
@@ -243,13 +238,14 @@ def _cmd_simulate(parser, args) -> int:
     mode, trials, p = args.mode, args.trials, args.p
     seed = _resolve_seed(args)
     threads = _resolve_threads(args)
-    grid = harness.default_slot_grid(check("max_slot", args.grid_max, "--grid-max"),
-                                     check("step", args.grid_step, "--grid-step"))
+    grid = harness.default_slot_grid(args.grid_max, args.grid_step)
 
     if args.preset is not None:
         if args.preset != "reference":
             parser.error(f"unknown preset {args.preset!r} (available: reference)")
-        runs = [(n, k, *_resolve_until_exact(n, k, p, args.slot_cap, trials))
+        if mode != "until-exact":
+            parser.error("--preset reference runs only --mode until-exact")
+        runs = [(n, k, *_resolve_until_exact(n, k, p, args.slot_cap))
                 for n, k in _PRESET_REFERENCE]
         outs = [_writable(os.path.join(args.out_dir, f"curve_n{n}_k{k}.csv"))
                 for n, k in _PRESET_REFERENCE]
@@ -266,7 +262,7 @@ def _cmd_simulate(parser, args) -> int:
     out = _require(parser, args.out, "--out")
 
     if mode == "until-exact":
-        p, cap = _resolve_until_exact(n, k, p, args.slot_cap, trials)
+        p, cap = _resolve_until_exact(n, k, p, args.slot_cap)
         _writable(out)
         _echo({"mode": mode, "n_inactive": n, "k": k, "p": p,
                "trials": trials, "seed": seed, "threads": threads,
@@ -276,10 +272,7 @@ def _cmd_simulate(parser, args) -> int:
     elif mode == "trace":
         horizon = _require(parser, args.horizon, "--horizon")
         p = optimal_choice_probability(k) if p is None else p
-        for key, value, flag in (("n_inactive", n, "--n-inactive"), ("k", k, "--k"),
-                                 ("p", p, "--p"), ("trace_trials", trials, "--trials"),
-                                 ("horizon", horizon, "--horizon")):
-            check(key, value, flag)
+        check("trace_trials", trials, "--trials")
         _writable(out)
         _echo({"mode": mode, "n_inactive": n, "k": k, "p": p,
                "trials": trials, "seed": seed, "horizon": horizon, "out": out})
@@ -302,13 +295,9 @@ def _cmd_channel(parser, args) -> int:
     big_k = _resolve_big_k(parser, args, noise)
     c, slots = args.c, args.slots
     delta = _require(parser, args.delta, "--delta")
-    for key, value, flag in (("norm_bound", big_k, "--big-k"), ("power", power, "--power"),
-                             ("tail_constant", c, "--c"), ("slot_error", delta, "--delta"),
-                             ("channel_slots", slots, "--slots")):
-        check(key, value, flag)
     seed = _resolve_seed(args)
     sized = bnd.repetition_length(big_k, power, delta, c)
-    reps = sized if args.m is None else check("repetitions", args.m, "--m")
+    reps = sized if args.m is None else args.m
 
     _echo({"noise": _format_noise(noise), "power": power, "big_k": big_k,
            "c": c, "delta": delta, "m": reps, "slots": slots, "seed": seed})
@@ -350,14 +339,6 @@ def _cmd_e2e(parser, args) -> int:
     c, trials, out = args.c, args.trials, args.out
     seed = _resolve_seed(args)
     threads = _resolve_threads(args)
-
-    if big_k < noise.norm_bound:
-        parser.error(f"--big-k {big_k} is below the noise norm bound {noise.norm_bound}")
-    for key, value, flag in (("n_inactive", n, "--n-inactive"), ("k", k, "--k"),
-                             ("eps", eps, "--eps"), ("norm_bound", big_k, "--big-k"),
-                             ("power", power, "--power"), ("tail_constant", c, "--c"),
-                             ("trials", trials, "--trials")):
-        check(key, value, flag)
     if out is not None:
         _writable(out)
 
@@ -380,41 +361,45 @@ def _cmd_e2e(parser, args) -> int:
     return 0
 
 
-# Every flag with its type and built-in default, declared once.
+# Every flag with the key of its range in ``_ranges`` (None: no numeric range),
+# its type and its built-in default, declared once.
 _FLAGS = {
-    "--config": dict(help="flat key=value file of flag defaults"),
-    "--n-inactive": dict(type=int, help="number of inactive nodes N"),
-    "--k": dict(type=int, help="number of active nodes"),
-    "--eps": dict(type=float, help="target error probability"),
-    "--seed": dict(type=int, help="seed base (generated if omitted)"),
-    "--trials": dict(type=int, help="Monte Carlo trials (default %(default)s)"),
-    "--out": dict(help="output CSV path"),
-    "--threads": dict(type=int, help="worker processes (default: the number of CPUs)"),
-    "--sigma": dict(type=float, help="gaussian noise std (shorthand)"),
-    "--noise": dict(help="family=scale[,family=scale...] "
-                         "(gaussian, uniform, rademacher; list = schedule)"),
-    "--power": dict(type=float, help="peak power budget P"),
-    "--big-k": dict(type=float, help="declared sub-gaussian norm bound K "
-                                     "(default: the noise's norm bound)"),
-    "--c": dict(type=float, default=bnd.GAUSSIAN_TAIL_CONSTANT,
-                help="tail constant (default %(default)s)"),
-    "--delta": dict(type=float, help="per-slot error target"),
-    "--surplus-factor": dict(type=float, default=1.0,
-                             help="surplus tolerance C (default %(default)s)"),
-    "--mode": dict(choices=("until-exact", "trace"), default="until-exact",
-                   help="error curve or surplus trace (default %(default)s)"),
-    "--p": dict(type=float, help="choice probability (default 1/(k+1))"),
-    "--slot-cap": dict(type=int, help="censor a trial after this many slots"),
-    "--grid-max": dict(type=int, default=2500,
-                       help="last slot of the error-curve grid (default %(default)s)"),
-    "--grid-step": dict(type=int, default=1,
-                        help="error-curve grid stride (default %(default)s)"),
-    "--horizon": dict(type=int, help="trace length in slots"),
-    "--preset": dict(choices=("reference",), help="run the three reference (N, k) pairs"),
-    "--out-dir": dict(default=".", help="directory for preset output (default %(default)s)"),
-    "--slots": dict(type=int, default=100_000,
-                    help="slots to simulate (default %(default)s)"),
-    "--m": dict(type=int, help="override the repetition count"),
+    "--config": (None, dict(help="flat key=value file of flag defaults")),
+    "--n-inactive": ("n_inactive", dict(type=int, help="number of inactive nodes N")),
+    "--k": ("k", dict(type=int, help="number of active nodes")),
+    "--eps": ("eps", dict(type=float, help="target error probability")),
+    "--seed": ("seed", dict(type=int, help="seed base (generated if omitted)")),
+    "--trials": ("trials", dict(type=int, help="Monte Carlo trials (default %(default)s)")),
+    "--out": (None, dict(help="output CSV path")),
+    "--threads": ("workers", dict(type=int,
+                                  help="worker processes (default: the number of CPUs)")),
+    "--sigma": ("scale", dict(type=float, help="gaussian noise std (shorthand)")),
+    "--noise": (None, dict(help="family=scale[,family=scale...] "
+                                "(gaussian, uniform, rademacher; list = schedule)")),
+    "--power": ("power", dict(type=float, help="peak power budget P")),
+    "--big-k": ("norm_bound", dict(type=float, help="declared sub-gaussian norm bound K "
+                                                    "(default: the noise's norm bound)")),
+    "--c": ("tail_constant", dict(type=float, default=bnd.GAUSSIAN_TAIL_CONSTANT,
+                                  help="tail constant (default %(default)s)")),
+    "--delta": ("slot_error", dict(type=float, help="per-slot error target")),
+    "--surplus-factor": ("surplus_factor", dict(
+        type=float, default=1.0, help="surplus tolerance C (default %(default)s)")),
+    "--mode": (None, dict(choices=("until-exact", "trace"), default="until-exact",
+                          help="error curve or surplus trace (default %(default)s)")),
+    "--p": ("p", dict(type=float, help="choice probability (default 1/(k+1))")),
+    "--slot-cap": ("slot_cap", dict(type=int, help="censor a trial after this many slots")),
+    "--grid-max": ("max_slot", dict(
+        type=int, default=2500, help="last slot of the error-curve grid (default %(default)s)")),
+    "--grid-step": ("step", dict(type=int, default=1,
+                                 help="error-curve grid stride (default %(default)s)")),
+    "--horizon": ("horizon", dict(type=int, help="trace length in slots")),
+    "--preset": (None, dict(choices=("reference",),
+                            help="run the three reference (N, k) pairs")),
+    "--out-dir": (None, dict(default=".",
+                             help="directory for preset output (default %(default)s)")),
+    "--slots": ("channel_slots", dict(type=int, default=100_000,
+                                      help="slots to simulate (default %(default)s)")),
+    "--m": ("repetitions", dict(type=int, help="override the repetition count")),
 }
 
 # Each subcommand: its summary, handler, own defaults, and the flags it reads.
@@ -434,6 +419,18 @@ _COMMANDS = {
 }
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _ranged(args):
+    """``(flag, range key, value)`` of each flag of the command that has both."""
+    for flag in _COMMANDS[args.command][3].split():
+        key, value = _FLAGS[flag][0], getattr(args, _dest(flag))
+        if key is not None and value is not None:
+            yield flag, key, value
+
+
 def build_parser(conf: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The ``gtmac`` parser; each ``conf`` value is the default of its flag.
 
@@ -449,9 +446,9 @@ def build_parser(conf: dict[str, str] | None = None) -> argparse.ArgumentParser:
     for name, (summary, handler, defaults, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flag in flags.split():
-            p.add_argument(flag, **_FLAGS[flag])
+            p.add_argument(flag, **_FLAGS[flag][1])
         p.set_defaults(handler=handler, **defaults)
-        dests = {flag[2:].replace("-", "_") for flag in flags.split()}
+        dests = {_dest(flag) for flag in flags.split()}
         p.set_defaults(**{key: value for key, value in (conf or {}).items()
                           if key in dests})
     return parser
@@ -469,6 +466,8 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser(conf)
         args = parser.parse_args(argv)
     try:
+        for flag, key, value in _ranged(args):  # each given value, before any output
+            check(key, value, flag)
         return args.handler(parser, args)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2

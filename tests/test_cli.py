@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import gtmac
-from gtmac.cli import _summarize_until_exact, main
+from gtmac._ranges import _RANGES
+from gtmac.cli import _COMMANDS, _FLAGS, _summarize_until_exact, main
 
 
 def run_cli(capsys, argv):
@@ -126,6 +127,45 @@ def test_range_errors_name_the_flag(capsys, argv, flag, library_name):
     assert f"error: {flag} must be" in captured.err
     assert library_name not in captured.err.replace(flag, "")
     assert captured.out == ""
+
+
+# A small valid run of each command, and of each form of simulate
+_VALID_RUNS = {
+    "bounds": ["bounds", "--n-inactive", "10", "--k", "1", "--eps", "0.1"],
+    "until-exact": ["simulate", "--n-inactive", "10", "--k", "1", "--trials", "2",
+                    "--threads", "1", "--grid-max", "10", "--out", "{tmp}/x.csv"],
+    "trace": ["simulate", "--mode", "trace", "--n-inactive", "10", "--k", "1",
+              "--trials", "2", "--horizon", "5", "--out", "{tmp}/x.csv"],
+    "preset": ["simulate", "--preset", "reference", "--trials", "2", "--threads", "1",
+               "--grid-max", "10", "--out-dir", "{tmp}"],
+    "channel": ["channel", "--sigma", "1", "--power", "1", "--delta", "0.1", "--slots", "10"],
+    "e2e": ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+            "--power", "1", "--trials", "2", "--threads", "1", "--out", "{tmp}/x.csv"],
+}
+
+
+def _out_of_range_flags():
+    """Each form with each flag of its command that has a range, given a value outside it."""
+    for form, argv in _VALID_RUNS.items():
+        for flag in _COMMANDS[argv[0]][3].split():
+            key = _FLAGS[flag][0]
+            if key is not None:
+                _, integer, low, *_ = _RANGES[key]
+                yield pytest.param(argv, flag, str(low - 1) if integer else "nan",
+                                   id=f"{form}{flag}")
+
+
+@pytest.mark.parametrize("argv, flag, value", _out_of_range_flags())
+def test_every_given_flag_is_range_checked_whatever_the_form_reads(
+        tmp_path, capsys, argv, flag, value):
+    assert {run[0] for run in _VALID_RUNS.values()} == set(_COMMANDS)
+    with pytest.raises(SystemExit) as info:
+        main([*(arg.format(tmp=tmp_path) for arg in argv), flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- simulate -----------------------------------------------------------------
@@ -263,6 +303,19 @@ def test_simulate_checks_inputs_before_printing(tmp_path, capsys, flags):
               "--out-dir", str(tmp_path), *flags])
     assert info.value.code == 2
     assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_preset_has_no_trace_form(tmp_path, capsys):
+    # the reference preset is three until-exact curves; it cannot run a trace
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--preset", "reference", "--mode", "trace", "--horizon", "5",
+              "--trials", "4", "--seed", "1", "--threads", "1", "--grid-max", "100",
+              "--grid-step", "50", "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--preset" in captured.err and "--mode" in captured.err
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -424,6 +477,21 @@ def test_channel_schedule_spec_and_conflicting_noise_flags(capsys):
         main(["channel", "--noise", "cauchy=1.0", "--power", "1.0",
               "--delta", "0.05"])
     assert info.value.code == 2
+
+
+def test_channel_and_e2e_reject_an_understated_norm_bound_alike(capsys):
+    # a K below the noise's norm bound would make the printed tail bound wrong
+    errors = []
+    for argv in (["channel", "--slots", "20000", "--delta", "0.01", "--seed", "1"],
+                 ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--trials", "4",
+                  "--seed", "9"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--sigma", "2", "--big-k", "1", "--power", "1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err.splitlines()[-1])
+    assert errors == ["gtmac: error: --big-k 1.0 is below the noise norm bound 2.0"] * 2
 
 
 # --- e2e ----------------------------------------------------------------------------
