@@ -101,22 +101,26 @@ def schedule(*members: NoiseModel) -> NoiseModel:
     return NoiseModel("schedule", members=tuple(members))
 
 
-# Upper bound on the uniform draws held at once by slot_noise_averages.
-_UNIFORM_CHUNK = 1 << 16
+# numpy's ``Generator.random()`` is j * 2**-53 with j uniform on 53 bits.
+_BITS = 53
+_BIT_WEIGHTS = 2.0 ** np.arange(-_BITS, 0)
+# Slots per draw of uniform noise: at most 2**16 values are held at once.
+_UNIFORM_ROWS = (1 << 16) // _BITS
 
 
 def _member_step_counts(period: int, repetitions: int, slot_count: int,
-                        start_step: int) -> np.ndarray:
+                        start_step: int, run_slots: int) -> np.ndarray:
     """Steps member j of a ``period``-cycle gets in each slot, shape (period, slots).
 
-    Slot i covers steps ``start_step + i*m .. start_step + (i+1)*m - 1`` and
-    step t goes to member ``t mod period``: every member gets ``m // period``
-    steps, and the ``m % period`` members that follow the slot's first step
-    in the cycle get one more.
+    Slots form runs of ``run_slots``; slot i of a run covers steps
+    ``start_step + i*m .. start_step + (i+1)*m - 1`` and step t goes to member
+    ``t mod period``: every member gets ``m // period`` steps, and the
+    ``m % period`` members that follow the slot's first step in the cycle get
+    one more.
     """
     base, extra = divmod(repetitions, period)
-    first = (start_step % period
-             + (repetitions % period) * np.arange(slot_count, dtype=np.int64)) % period
+    within = np.arange(slot_count, dtype=np.int64) % max(run_slots, 1)
+    first = (start_step % period + (repetitions % period) * within) % period
     behind = (np.arange(period)[:, None] - first) % period
     return base + (behind < extra)
 
@@ -125,18 +129,22 @@ def _uniform_sums(half_width: float, counts: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Per slot, the sum of ``counts[i]`` uniform draws on [-a, a].
 
-    Counts differ by at most one across slots, so the common part is a
-    (slots, steps) block of draws, made ``_UNIFORM_CHUNK`` draws at a time,
-    and the slots with one step more get one further draw each.
+    Counts differ by at most one across slots.  Of the common part n, bit b
+    of the n draws' mantissas is set in C_b ~ Bin(n, 1/2) of them,
+    independently over the 53 bits, so the n draws sum to
+    ``sum_b 2**(b-53) * C_b``: that is drawn when n > 53, and the n draws
+    themselves otherwise.  The slots with one step more get one further draw
+    each.
     """
     common = int(counts.min()) if len(counts) else 0
-    unit_sums = np.zeros(len(counts))
-    rows = max(1, _UNIFORM_CHUNK // max(common, 1))
-    for lo in range(0, len(counts), rows):
-        hi = min(lo + rows, len(counts))
-        for done in range(0, common, _UNIFORM_CHUNK):
-            width = min(_UNIFORM_CHUNK, common - done)
-            unit_sums[lo:hi] += rng.random((hi - lo, width)).sum(axis=1)
+    unit_sums = np.empty(len(counts))
+    for lo in range(0, len(counts), _UNIFORM_ROWS):
+        rows = min(_UNIFORM_ROWS, len(counts) - lo)
+        if common > _BITS:
+            part = rng.binomial(common, 0.5, (rows, _BITS)) @ _BIT_WEIGHTS
+        else:
+            part = rng.random((rows, common)).sum(axis=1)
+        unit_sums[lo:lo + rows] = part
     longer = np.flatnonzero(counts > common)
     unit_sums[longer] += rng.random(longer.size)
     # a sum of n U(0, 1) draws maps to a sum of n U(-a, a) draws by 2a*s - a*n
@@ -144,28 +152,37 @@ def _uniform_sums(half_width: float, counts: np.ndarray,
 
 
 def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
-                        rng: np.random.Generator, start_step: int = 0) -> np.ndarray:
+                        rng: np.random.Generator, start_step: int = 0,
+                        run_slots: int | None = None) -> np.ndarray:
     """Averaged noise of ``slot_count`` consecutive slots of ``repetitions`` steps.
 
     This is the noise the decoder sees: for the repetition code a slot
     average is (number of senders)*sqrt(P) plus this quantity, which
     :class:`RepetitionDisjunctionOracle` adds.  Slot i covers steps
-    ``start_step + i*m`` onwards, so a schedule member's step count per slot
-    is fixed by ``start_step``, m and the period, and each member's share of
-    a slot's noise sum is drawn from its exact law:
+    ``start_step + i*m`` onwards; with ``run_slots`` the slots are runs of
+    that many slots (it divides ``slot_count``), each run starting at
+    ``start_step`` again.  A schedule member's step count per slot is thus
+    fixed by the slot's place in its run, ``start_step``, m and the period,
+    and each member's share of a slot's noise sum is drawn from its exact
+    law:
 
     * n gaussian(sigma) steps: one N(0, n*sigma**2) draw;
     * n rademacher(a) steps: ``a*(2*Bin(n, 1/2) - n)``;
-    * n uniform(a) steps: n draws summed (Irwin-Hall has no cheap exact
-      sampler), at most 65536 held at once;
+    * n uniform(a) steps: for n > 53, 53 draws of Bin(n, 1/2), which count
+      the draws with each mantissa bit set (the law of n draws of numpy's
+      ``random()``); for n <= 53, the n draws summed;
     * a zero-scale member: nothing drawn.
 
     Memory is O(slot_count) whatever m is.  Members draw in member order.
     """
     check("repetitions", repetitions)
     check("count", slot_count)
+    run_slots = slot_count if run_slots is None else check("count", run_slots)
+    if slot_count and (run_slots == 0 or slot_count % run_slots):
+        raise ValueError(f"run_slots {run_slots} does not divide slot_count {slot_count}")
     members = model.members or (model,)
-    counts = _member_step_counts(len(members), repetitions, slot_count, start_step)
+    counts = _member_step_counts(len(members), repetitions, slot_count, start_step,
+                                 run_slots)
     sums = np.zeros(slot_count)
     for member, n in zip(members, counts):
         a = member.scale
@@ -201,9 +218,10 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
     A sender adds ``sqrt(P)`` at each of its slot's ``repetitions`` steps and
     any other node adds 0, so a slot's average is its sender count times
     ``sqrt(P)`` plus the averaged noise; above ``sqrt(P)/2`` decodes true and
-    a tie decodes false.  The oracle holds its own noise stream (kept apart
-    from the scheme's common randomness) and a step counter, so consecutive
-    decode calls keep advancing any noise schedule.
+    a tie decodes false.  The oracle holds its noise stream and a step
+    counter, so consecutive decode calls keep advancing any noise schedule.
+    ``senders`` may also be 2-D: each row is then one run of its slots, and
+    every row starts at the counter's step.
     """
 
     def __init__(self, noise: NoiseModel, power: float, repetitions: int,
@@ -215,8 +233,10 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
         self._next_step = 0
 
     def decode_block(self, senders: np.ndarray) -> np.ndarray:
+        senders = np.asarray(senders)
+        run_slots = senders.shape[-1]
         root_power = math.sqrt(self.power)
-        averaged = slot_noise_averages(self.noise, self.repetitions, len(senders),
-                                       self.rng, self._next_step)
-        self._next_step += self.repetitions * len(senders)
-        return np.asarray(senders) * root_power + averaged > root_power / 2.0
+        averaged = slot_noise_averages(self.noise, self.repetitions, senders.size,
+                                       self.rng, self._next_step, run_slots=run_slots)
+        self._next_step += self.repetitions * run_slots
+        return senders * root_power + averaged.reshape(senders.shape) > root_power / 2.0

@@ -296,8 +296,7 @@ def _cmd_channel(parser, args) -> int:
     c, slots = args.c, args.slots
     delta = _require(parser, args.delta, "--delta")
     seed = _resolve_seed(args)
-    sized = bnd.repetition_length(big_k, power, delta, c)
-    reps = sized if args.m is None else args.m
+    reps = bnd.repetition_length(big_k, power, delta, c) if args.m is None else args.m
 
     _echo({"noise": _format_noise(noise), "power": power, "big_k": big_k,
            "c": c, "delta": delta, "m": reps, "slots": slots, "seed": seed})
@@ -318,7 +317,8 @@ def _cmd_channel(parser, args) -> int:
     print(f"empirical_excursion_rate = {excursions / slots!r}")
     print(f"empirical_false_positive_rate = {decoded_true / slots!r}")
     print(f"target_slot_error = {delta!r}")
-    square = big_k**2  # 0 for K below ~1e-162: the bound is then exp(-inf) = 0
+    # inf for K above ~1e154 (the bound is then e), 0 below ~1e-162 (then 0)
+    square = big_k * big_k
     exponent = c * reps * power / square if square else math.inf
     print(f"tail_bound = {math.exp(1.0 - exponent)!r}")
     if noise.family == "gaussian" and noise.scale > 0:

@@ -10,14 +10,13 @@ kernel from ``SeedSequence((seed_base, b))``.  The block size is a constant and
 worker chunks are whole blocks, so results do not depend on execution order
 or on how many workers ran the batch.
 
-End-to-end trials are seeded per trial: trial ``t`` uses the 64-bit seed
-``trial_seed(seed_base, t)``, obtained by hashing the pair ``(seed_base, t)``
-through ``numpy.random.SeedSequence``, so any trial can be replayed in
-isolation.  The trial splits its seed into two child streams
-(``SeedSequence(seed).spawn(2)``): the scheme's common randomness (the
-number of active nodes chosen in each slot, then the count of surviving
-inactive nodes) and the channel noise.  Which nodes are active does not
-matter, so no stream places them.
+End-to-end batches are seeded per block by the same rule: a block holds
+``max(1, 2**16 // slots)`` trials, a constant of the batch's plan, and block
+``b`` is drawn by :func:`end_to_end_trial` from ``SeedSequence((seed_base,
+b))``; any block can be replayed in isolation, a single trial cannot.  The
+block's one stream draws every trial's per-slot sender counts, then the
+channel noise of all of them, then each trial's count of surviving inactive
+nodes.  Which nodes are active does not matter, so nothing places them.
 
 CSV files are written with a header row, comma separators, ``\\n`` line
 endings and UTF-8 encoding.  The ``csv`` module renders a float with
@@ -69,7 +68,10 @@ TRIAL_BLOCK = 4096  # trials per seeded block of until-exact and trace batches
 
 
 def trial_seed(seed_base: int, index: int) -> int:
-    """64-bit seed of trial ``index``: SeedSequence((seed_base, index)) hashed down."""
+    """64-bit seed of trial ``index``: SeedSequence((seed_base, index)) hashed down.
+
+    No batch seeds per trial any more; perfbench/tracing.py patches this name.
+    """
     check("index", index)
     ss = np.random.SeedSequence((seed_base, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -79,8 +81,13 @@ def _block_rng(seed_base: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed_base, block))))
 
 
-def _block_sizes(trials: int) -> list[int]:
-    return [min(TRIAL_BLOCK, trials - lo) for lo in range(0, trials, TRIAL_BLOCK)]
+def _block_sizes(trials: int, block: int = TRIAL_BLOCK) -> list[int]:
+    return [min(block, trials - lo) for lo in range(0, trials, block)]
+
+
+def _end_to_end_block(slots: int) -> int:
+    """Trials per seeded block of an end-to-end batch: about 2**16 slots."""
+    return max(1, (1 << 16) // max(slots, 1))
 
 
 def default_slot_cap(n_inactive: int, k: int) -> int:
@@ -265,45 +272,47 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int,
     )
 
 
-def decode_active_rows(k: int, p: float, slots: int, oracle: DisjunctionOracle,
-                       rng: np.random.Generator) -> tuple[bool, int]:
+def decode_active_rows(k: int, p: float, shape, oracle: DisjunctionOracle,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Run the scheme on the k active nodes only: (an active node evicted, F).
 
-    Each active node joins a slot with probability p, so a slot's sender
-    count is Bin(k, p); the ``slots`` counts are drawn from ``rng`` and
-    decoded in one ``oracle.decode_block`` call.  A slot with a sender
+    ``shape`` is ``slots`` for one run or ``(trials, slots)`` for a block of
+    runs, one per row.  Each active node joins a slot with probability p, so
+    a slot's sender count is Bin(k, p); the counts are drawn from ``rng``
+    and decoded in one ``oracle.decode_block`` call.  A slot with a sender
     decoded false evicts an active node; F is the number of slots decoded
-    false.  An inactive node sends 0, so it never changes a decode: given F,
-    each of them survives the run independently with probability ``(1-p)**F``.
+    false.  Both results hold one entry per run.  An inactive node sends 0,
+    so it never changes a decode: given F, each of them survives the run
+    independently with probability ``(1-p)**F``.
     """
-    senders = rng.binomial(k, p, slots)
+    senders = rng.binomial(k, p, shape)
     decoded = np.asarray(oracle.decode_block(senders), dtype=bool)
-    if decoded.shape != (slots,):
+    if decoded.shape != senders.shape:
         raise ValueError("oracle returned wrong number of decoded slots")
     cleared = ~decoded
-    return bool(senders[cleared].any()), int(np.count_nonzero(cleared))
+    return ((senders > 0) & cleared).any(axis=-1), np.count_nonzero(cleared, axis=-1)
 
 
-def _conditional_failure(n_inactive: int, p: float, evicted: bool,
-                         false_slots: int) -> float:
-    """P(trial fails | evicted, F): 1 - (1 - (1-p)**F)**N when nothing was evicted."""
-    if evicted:
-        return 1.0
-    if n_inactive == 0:
-        return 0.0
-    survive = (1.0 - p) ** false_slots
-    if survive == 1.0:
-        return 1.0
-    return -math.expm1(n_inactive * math.log1p(-survive))
+def _conditional_failure(n_inactive: int, evicted: np.ndarray,
+                         survive: np.ndarray) -> np.ndarray:
+    """P(trial fails | evicted, F) per trial: 1 - (1 - survive)**N when not evicted.
+
+    ``survive`` is ``(1-p)**F``, each inactive node's chance to outlast the run.
+    """
+    fail = np.full(survive.shape, float(n_inactive > 0))  # survive = 1: all N stay
+    live = survive < 1.0
+    fail[live] = -np.expm1(n_inactive * np.log1p(-survive[live]))
+    return np.where(evicted, 1.0, fail)
 
 
 def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
-                     plan: bounds.ChannelUsePlan, seed: int) -> tuple[bool, float]:
-    """One full noisy-channel trial, drawn from its exact law.
+                     plan: bounds.ChannelUsePlan, rng: np.random.Generator,
+                     trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block of ``trials`` full noisy-channel trials, drawn from their exact law.
 
-    Returns whether the active set was recovered, and the trial's failure
-    probability given (evicted, F), where F is the number of slots decoded
-    false.
+    Returns, per trial, whether the active set was recovered, and the
+    trial's failure probability given (evicted, F), where F is the number of
+    slots decoded false.
 
     ``plan`` is :func:`gtmac.bounds.plan_channel_uses` of the batch: its slot
     budget targets elimination error eps and its repetition length targets
@@ -312,35 +321,35 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     sized for the *declared* norm bound K, which must dominate the noise's
     true norm but need not equal it.
 
-    The per-slot sender counts are drawn and decoded by
-    :func:`decode_active_rows` with p = 1/(k+1).  The trial fails on an
+    The (trials, slots) sender counts are drawn and decoded by
+    :func:`decode_active_rows` with p = 1/(k+1), through one oracle whose
+    schedule restarts at step 0 in every trial.  A trial fails on an
     eviction; otherwise it succeeds iff none of the N inactive nodes
     survives, a Bin(N, (1-p)**F) draw equal to zero.  This is the law of
     :func:`gtmac.scheme.run_scheme`'s final mask equalling the active mask,
-    in O(slots) time and memory whatever N is.  With no inactive node the
-    plan has no slot and the potential set starts exact.
+    in O(trials * slots) time and memory whatever N is.  With no inactive
+    node the plan has no slot and the potential set starts exact.
     """
+    check("trials", trials)
     if plan.slots == 0:
-        return True, 0.0
-    scheme_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    scheme_rng = np.random.Generator(np.random.PCG64(scheme_ss))
-    oracle = RepetitionDisjunctionOracle(
-        noise, power, plan.repetitions, np.random.Generator(np.random.PCG64(noise_ss)))
+        return np.ones(trials, dtype=bool), np.zeros(trials)
     p = optimal_choice_probability(k)
-    evicted, false_slots = decode_active_rows(k, p, plan.slots, oracle, scheme_rng)
-    conditional = _conditional_failure(n_inactive, p, evicted, false_slots)
-    if evicted:
-        return False, conditional
-    return int(scheme_rng.binomial(n_inactive, (1.0 - p) ** false_slots)) == 0, conditional
+    oracle = RepetitionDisjunctionOracle(noise, power, plan.repetitions, rng)
+    evicted, false_slots = decode_active_rows(k, p, (trials, plan.slots), oracle, rng)
+    survive = (1.0 - p) ** false_slots
+    recovered = ~evicted & (rng.binomial(n_inactive, survive) == 0)
+    return recovered, _conditional_failure(n_inactive, evicted, survive)
 
 
 def _end_to_end_chunk(n_inactive: int, k: int, noise: NoiseModel, power: float,
-                      plan: bounds.ChannelUsePlan, seed_base: int,
+                      plan: bounds.ChannelUsePlan, trials: int, seed_base: int,
                       lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    sizes = _block_sizes(trials, _end_to_end_block(plan.slots))
     successes, conditional = zip(*(
-        end_to_end_trial(n_inactive, k, noise, power, plan, trial_seed(seed_base, t))
-        for t in range(lo, hi)))
-    return np.array(successes, dtype=bool), np.array(conditional)
+        end_to_end_trial(n_inactive, k, noise, power, plan, _block_rng(seed_base, b),
+                         sizes[b])
+        for b in range(lo, hi)))
+    return np.concatenate(successes), np.concatenate(conditional)
 
 
 def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
@@ -351,14 +360,16 @@ def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
 
     The channel-use plan depends only on the batch's parameters; it is
     computed once and shared by every trial.  ``norm_bound`` is the declared
-    K the plan is sized for.  The second result holds one bool per trial, in
-    trial order.
+    K the plan is sized for.  Trials are drawn in seeded blocks (see the
+    module docstring), and worker chunks are whole blocks.  The second
+    result holds one bool per trial, in trial order.
     """
     check("trials", trials)
     plan = bounds.plan_channel_uses(n_inactive, k, eps, norm_bound, power, tail_constant)
     worker = functools.partial(_end_to_end_chunk, n_inactive, k, noise, power, plan,
-                               seed_base)
-    parts, conditional = zip(*_run_chunked(worker, trials, workers))
+                               trials, seed_base)
+    blocks = len(_block_sizes(trials, _end_to_end_block(plan.slots)))
+    parts, conditional = zip(*_run_chunked(worker, blocks, workers))
     successes = np.concatenate(parts)
     failures = trials - int(np.count_nonzero(successes))
     summary = EndToEndSummary(

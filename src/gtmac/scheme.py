@@ -26,7 +26,7 @@ Two executions are provided: :func:`run_scheme` simulates every node
 individually (and accepts an arbitrary disjunction oracle, e.g. a noisy
 channel code); it is the reference for
 :func:`gtmac.harness.end_to_end_trial`, which draws and decodes only the
-per-slot sender counts.
+per-slot sender counts, for a block of trials at once.
 The surplus kernel samples only the surplus-size process, which is
 distributed identically when the oracle is error-free.  The kernel
 has two entry points over a block of independent runs:

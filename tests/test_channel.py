@@ -182,6 +182,56 @@ def test_uniform_slot_sums_hold_bounded_memory():
     assert averaged.std() == pytest.approx(8.0 / math.sqrt(3 * 2870), rel=0.02)
 
 
+def summed_uniform_draws(n: int, slot_count: int, rng: np.random.Generator) -> np.ndarray:
+    """Per slot, n draws of U(-1, 1) summed (test-side reference, 500 slots at a time)."""
+    return np.concatenate([2.0 * rng.random((min(500, slot_count - lo), n)).sum(axis=1) - n
+                           for lo in range(0, slot_count, 500)])
+
+
+@pytest.mark.parametrize("n", [1538, 54])
+def test_uniform_bit_count_sums_follow_the_summed_draws_law(n):
+    # above 53 steps a slot's uniform sum comes from 53 Bin(n, 1/2) counts
+    # of the draws' mantissa bits; it must have the law of n summed draws
+    slots = 20_000
+    fast = slot_noise_averages(uniform(1.0), n, slots, np.random.default_rng(31)) * n
+    slow = summed_uniform_draws(n, slots, np.random.default_rng(32))
+    assert scipy.stats.ks_2samp(fast, slow).pvalue > 1e-4
+    assert scipy.stats.ttest_ind(fast, slow).pvalue > 1e-4
+    # F test of the variances (both near n/3; the sums are near gaussian)
+    ratio = scipy.stats.f(slots - 1, slots - 1)
+    f_stat = fast.var(ddof=1) / slow.var(ddof=1)
+    assert 2.0 * min(ratio.cdf(f_stat), ratio.sf(f_stat)) > 1e-4
+    assert fast.var() == pytest.approx(n / 3.0, rel=0.05)
+
+
+def test_uniform_sums_of_at_most_53_steps_are_drawn_directly():
+    slots = 3000
+    rng = np.random.default_rng(33)
+    direct = slot_noise_averages(uniform(1.0), 53, slots, rng) * 53
+    reference = np.random.default_rng(33)
+    np.testing.assert_allclose(direct, summed_uniform_draws(53, slots, reference),
+                               rtol=0, atol=1e-12)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    # one step more is drawn from bit counts, another stream
+    rng, reference = np.random.default_rng(33), np.random.default_rng(33)
+    slot_noise_averages(uniform(1.0), 54, slots, rng)
+    summed_uniform_draws(54, slots, reference)
+    assert rng.bit_generator.state != reference.bit_generator.state
+
+
+def test_runs_of_slots_restart_the_schedule():
+    # period 3 at m = 4: member 0 gets 2 steps in slot i of a run when
+    # i % 3 == 0, else 1, and a sum of n rademacher(1) steps has n's parity
+    model = schedule(rademacher(1.0), gaussian(0.0), gaussian(0.0))
+    averaged = slot_noise_averages(model, 4, 70, np.random.default_rng(6), run_slots=10)
+    parity = np.rint(averaged * 4).astype(np.int64) % 2
+    assert parity.tolist() == [0, 1, 1, 0, 1, 1, 0, 1, 1, 0] * 7
+    with pytest.raises(ValueError):
+        slot_noise_averages(model, 4, 70, np.random.default_rng(6), run_slots=8)
+    with pytest.raises(ValueError):
+        slot_noise_averages(model, 4, 70, np.random.default_rng(6), run_slots=0)
+
+
 # --- encoder / channel / decoder ---------------------------------------------------
 
 def oracle_decode(senders, repetitions, power, noise, seed):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 import subprocess
@@ -463,6 +464,17 @@ def test_channel_checks_inputs_before_printing(capsys, flag):
     assert capsys.readouterr().out == ""
 
 
+def test_channel_m_skips_the_planner_and_a_huge_k_bounds_at_e(capsys):
+    # with --m the repetitions are not sized from K, so a K whose plan would
+    # overflow still runs; K**2 overflows to inf and the tail bound is e
+    code, out = run_cli(capsys, [
+        "channel", "--sigma", "1", "--big-k", "1e200", "--power", "1", "--delta", "0.01",
+        "--m", "5", "--slots", "10", "--seed", "1"])
+    assert code == 0
+    assert "#   m = 5" in out
+    assert f"tail_bound = {math.e!r}" in out
+
+
 def test_channel_schedule_spec_and_conflicting_noise_flags(capsys):
     code, out = run_cli(capsys, [
         "channel", "--noise", "uniform=0.5,rademacher=1.0", "--power", "1.0",
@@ -609,7 +621,7 @@ def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, monkeypatch):
             "harness.build_error_curve", "harness.end_to_end_trial",
             "harness.expectation_trace", "harness.export_csv",
             "harness.run_end_to_end_batch", "harness.run_until_exact_batch",
-            "harness.trial_seed", "scheme.receiver_update", "scheme.run_scheme",
+            "scheme.receiver_update", "scheme.run_scheme",
             "scheme.slot_rng"} <= set(calls)
 
 

@@ -218,10 +218,11 @@ def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
     # noiseless channel, generous budget: recovery succeeds
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
     success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, plan=plan,
-                                          seed=31)
-    assert success is True
-    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, seed=31)
-    assert success is True
+                                          rng=np.random.default_rng(31), trials=1)
+    assert success.dtype == bool and success.tolist() == [True]
+    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan,
+                                          np.random.default_rng(31), 1)
+    assert success.tolist() == [True]
 
 
 def test_end_to_end_batch_summary_fields():
@@ -262,6 +263,45 @@ def test_end_to_end_batch_is_worker_count_invariant():
     assert s1 == s2 and np.array_equal(r1, r2)
 
 
+def test_end_to_end_schedule_batch_over_three_blocks_is_worker_count_invariant():
+    # l = 697 slots makes blocks of 94 trials, so 200 trials are 3 blocks
+    noise = schedule(gaussian(1.0), uniform(1.0), rademacher(1.0))
+    batch = (10_000, 20, 0.05, noise, 1.0, 1.0, 0.125, 200, 36)
+    plan = bounds.plan_channel_uses(*batch[:3], *batch[4:7])
+    assert len(harness._block_sizes(200, harness._end_to_end_block(plan.slots))) >= 3
+    s1, r1 = harness.run_end_to_end_batch(*batch, workers=1)
+    s3, r3 = harness.run_end_to_end_batch(*batch, workers=3)
+    assert s1 == s3 and np.array_equal(r1, r3)
+
+
+def test_every_trial_of_a_block_restarts_the_noise_schedule(monkeypatch):
+    # a period-3 schedule at m = 4 (4 mod 3 = 1): member 0 gets 2 steps in
+    # slot i of a run when i % 3 == 0, else 1.  A sum of n rademacher(1)
+    # steps has the parity of n, so the noise shows member 0's count per
+    # slot; l = 10 slots is not a multiple of 3, so a trial that went on
+    # from the previous one's last step would see another pattern
+    from gtmac import channel
+
+    seen = []
+    channel_averages = channel.slot_noise_averages
+
+    def spy(*args, **kwargs):
+        seen.append(channel_averages(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(channel, "slot_noise_averages", spy)
+    noise = schedule(rademacher(1.0), gaussian(0.0), gaussian(0.0))
+    plan = bounds.ChannelUsePlan(slots=10, slot_error_target=0.1, repetitions=4,
+                                 total=40, closed_form=40.0)
+    harness.end_to_end_trial(30, 2, noise, 1.0, plan, np.random.default_rng(5), 7)
+    (averaged,) = seen
+    steps = 4 * np.arange(10)[:, None] + np.arange(4)  # steps of a run from step 0
+    member_0 = np.count_nonzero(steps % 3 == 0, axis=1)
+    assert member_0.tolist() == [2, 1, 1, 2, 1, 1, 2, 1, 1, 2]
+    parity = np.rint(averaged.reshape(7, 10) * 4).astype(np.int64) % 2
+    assert np.array_equal(parity, np.tile(member_0 % 2, (7, 1)))
+
+
 def _merged_columns(a: np.ndarray, b: np.ndarray, minimum: int = 20) -> np.ndarray:
     """2-row table of two count vectors, adjacent columns merged to >= ``minimum``."""
     merged, run = [], np.zeros(2, dtype=np.int64)
@@ -279,9 +319,11 @@ def _merged_columns(a: np.ndarray, b: np.ndarray, minimum: int = 20) -> np.ndarr
                                    schedule(gaussian(0.5), uniform(1.0), rademacher(0.3))],
                          ids=["ideal", "gaussian", "schedule"])
 def test_active_row_path_matches_node_level_scheme(noise):
-    # run_scheme simulates all N + k nodes; the end-to-end path decodes the k
-    # active rows and draws the N survivors from Bin(N, (1-p)^F).  N = 30,
-    # k = 2 and 20 slots fail about half the time, so both laws are visible.
+    # run_scheme simulates all N + k nodes; the end-to-end block kernel
+    # decodes the k active rows of every trial at once and draws the N
+    # survivors from Bin(N, (1-p)^F).  N = 30, k = 2 and 20 slots fail about
+    # half the time, so both laws are visible.  gaussian(0) noise decodes as
+    # the ideal oracle does.
     n_inactive, k, slots, runs = 30, 2, 20, 1500
     p = scheme.optimal_choice_probability(k)
     population = scheme.Population(n_inactive + k, frozenset({5, 21}))
@@ -301,13 +343,11 @@ def test_active_row_path_matches_node_level_scheme(noise):
         node_success[i] = np.array_equal(final, active)
         node_false[i] = sum(not slot.decoded_disjunction for slot in outcomes)
 
-    row_success = np.empty(runs, dtype=bool)
-    row_false = np.empty(runs, dtype=np.int64)
-    for i in range(runs):
-        evicted, false_slots = harness.decode_active_rows(k, p, slots, oracle(), rng)
-        row_false[i] = false_slots
-        row_success[i] = (not evicted
-                          and rng.binomial(n_inactive, (1 - p) ** false_slots) == 0)
+    plan = bounds.ChannelUsePlan(slots=slots, slot_error_target=0.01, repetitions=2,
+                                 total=2 * slots, closed_form=2.0 * slots)
+    row_success, _ = harness.end_to_end_trial(
+        n_inactive, k, gaussian(0.0) if noise is None else noise, 1.0, plan, rng, runs)
+    _, row_false = harness.decode_active_rows(k, p, (runs, slots), oracle(), rng)
 
     assert 0.1 < node_success.mean() < 0.9
     successes = [[node_success.sum(), runs - node_success.sum()],
@@ -324,8 +364,9 @@ def test_decode_active_rows_rejects_a_wrong_decode_shape():
         def decode_block(self, senders):
             return np.zeros(len(senders) - 1, dtype=bool)
 
-    with pytest.raises(ValueError):
-        harness.decode_active_rows(2, 1 / 3, 5, Short(), np.random.default_rng(0))
+    for shape in (5, (3, 5)):
+        with pytest.raises(ValueError):
+            harness.decode_active_rows(2, 1 / 3, shape, Short(), np.random.default_rng(0))
 
 
 def test_conditional_failure_rate_matches_exact_law():
@@ -335,9 +376,13 @@ def test_conditional_failure_rate_matches_exact_law():
              2000, 20260816)
     summary, _ = harness.run_end_to_end_batch(*batch)
     plan = bounds.plan_channel_uses(*batch[:3], *batch[4:7])
-    conditional = [harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan,
-                                            harness.trial_seed(batch[-1], t))[1]
-                   for t in range(summary.trials)]
+    # replay the batch block by block from each block's seed
+    sizes = harness._block_sizes(summary.trials, harness._end_to_end_block(plan.slots))
+    conditional = np.concatenate([
+        harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan,
+                                 harness._block_rng(batch[-1], b), size)[1]
+        for b, size in enumerate(sizes)])
+    assert len(conditional) == summary.trials
     assert summary.conditional_failure_rate == float(np.mean(conditional))
     se = np.std(conditional, ddof=1) / math.sqrt(summary.trials)
     exact = bounds.exact_end_to_end_failure(500, 5, scheme.optimal_choice_probability(5),
@@ -348,14 +393,27 @@ def test_conditional_failure_rate_matches_exact_law():
 def test_end_to_end_trial_conditional_failure_edge_cases():
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
     # noiseless: nothing is evicted, and 50 nodes rarely outlast the plan
-    success, conditional = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan, 31)
-    assert success
-    assert 0.0 < conditional < 0.01
-    # no inactive node: no slot, and the trial cannot fail
+    success, conditional = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan,
+                                                    np.random.default_rng(31), 1)
+    assert success.tolist() == [True]
+    assert 0.0 < conditional[0] < 0.01
+    # no inactive node: no slot, and no trial can fail
     empty = bounds.plan_channel_uses(0, 2, 0.01, 1.0, 1.0, 0.125)
-    success, conditional = harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty, 3)
-    assert success
-    assert conditional == 0.0
+    success, conditional = harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty,
+                                                    np.random.default_rng(3), 4)
+    assert success.tolist() == [True] * 4
+    assert conditional.tolist() == [0.0] * 4
+    # every slot decoded true: F = 0, so every inactive node survives; and
+    # an eviction fails the trial whatever F is
+    assert harness._conditional_failure(50, np.array([False, True]),
+                                        np.array([1.0, 0.5])).tolist() == [1.0, 1.0]
+    # the vectorised form against the per-trial formula 1 - (1 - (1-p)**F)**N
+    false_slots = np.arange(1, 120)
+    survive = (2 / 3) ** false_slots
+    expected = [-math.expm1(50 * math.log1p(-s)) for s in survive.tolist()]
+    np.testing.assert_allclose(
+        harness._conditional_failure(50, np.zeros(119, dtype=bool), survive), expected,
+        rtol=1e-12)
 
 
 def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
