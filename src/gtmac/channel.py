@@ -104,8 +104,13 @@ def schedule(*members: NoiseModel) -> NoiseModel:
 # numpy's ``Generator.random()`` is j * 2**-53 with j uniform on 53 bits.
 _BITS = 53
 _BIT_WEIGHTS = 2.0 ** np.arange(-_BITS, 0)
-# Slots per draw of uniform noise: at most 2**16 values are held at once.
-_UNIFORM_ROWS = (1 << 16) // _BITS
+# Fewest uniform steps per slot drawn from bit counts.  53 Bin(n, 1/2) draws
+# cost about as much as n random() draws near n = 780 (numpy 2.4, 2-vCPU
+# Xeon; 50x more at n = 54, half as much at n = 1538), so below 800 the n
+# draws themselves are cheaper.
+_BIT_COUNT_STEPS = 800
+# Values of uniform noise held at once.
+_UNIFORM_CHUNK = 1 << 16
 
 
 def _member_step_counts(period: int, repetitions: int, slot_count: int,
@@ -125,26 +130,35 @@ def _member_step_counts(period: int, repetitions: int, slot_count: int,
     return base + (behind < extra)
 
 
+def _bit_count_sums(steps: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` sums of ``steps`` draws of numpy's ``random()``, from bit counts.
+
+    Bit b of the draws' mantissas is set in C_b ~ Bin(steps, 1/2) of them,
+    independently over the 53 bits, so the draws sum to
+    ``sum_b 2**(b-53) * C_b``: the exact law for any ``steps``.
+    """
+    return rng.binomial(steps, 0.5, (rows, _BITS)) @ _BIT_WEIGHTS
+
+
 def _uniform_sums(half_width: float, counts: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Per slot, the sum of ``counts[i]`` uniform draws on [-a, a].
 
-    Counts differ by at most one across slots.  Of the common part n, bit b
-    of the n draws' mantissas is set in C_b ~ Bin(n, 1/2) of them,
-    independently over the 53 bits, so the n draws sum to
-    ``sum_b 2**(b-53) * C_b``: that is drawn when n > 53, and the n draws
-    themselves otherwise.  The slots with one step more get one further draw
-    each.
+    Counts differ by at most one across slots.  Their common part n is drawn
+    by :func:`_bit_count_sums` when n >= ``_BIT_COUNT_STEPS`` and as the n
+    draws themselves otherwise, ``_UNIFORM_CHUNK`` values at a time; the
+    slots with one step more get one further draw each.
     """
     common = int(counts.min()) if len(counts) else 0
+    bit_counts = common >= _BIT_COUNT_STEPS
+    rows = max(1, _UNIFORM_CHUNK // (_BITS if bit_counts else max(common, 1)))
     unit_sums = np.empty(len(counts))
-    for lo in range(0, len(counts), _UNIFORM_ROWS):
-        rows = min(_UNIFORM_ROWS, len(counts) - lo)
-        if common > _BITS:
-            part = rng.binomial(common, 0.5, (rows, _BITS)) @ _BIT_WEIGHTS
+    for lo in range(0, len(counts), rows):
+        hi = min(lo + rows, len(counts))
+        if bit_counts:
+            unit_sums[lo:hi] = _bit_count_sums(common, hi - lo, rng)
         else:
-            part = rng.random((rows, common)).sum(axis=1)
-        unit_sums[lo:lo + rows] = part
+            unit_sums[lo:hi] = rng.random((hi - lo, common)).sum(axis=1)
     longer = np.flatnonzero(counts > common)
     unit_sums[longer] += rng.random(longer.size)
     # a sum of n U(0, 1) draws maps to a sum of n U(-a, a) draws by 2a*s - a*n
@@ -168,9 +182,10 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
 
     * n gaussian(sigma) steps: one N(0, n*sigma**2) draw;
     * n rademacher(a) steps: ``a*(2*Bin(n, 1/2) - n)``;
-    * n uniform(a) steps: for n > 53, 53 draws of Bin(n, 1/2), which count
-      the draws with each mantissa bit set (the law of n draws of numpy's
-      ``random()``); for n <= 53, the n draws summed;
+    * n uniform(a) steps: for n >= 800, 53 draws of Bin(n, 1/2), which
+      count the draws with each mantissa bit set (the law of n draws of
+      numpy's ``random()``, exact for any n, and cheaper than the draws from
+      about 780 steps on); for fewer steps, the n draws summed;
     * a zero-scale member: nothing drawn.
 
     Memory is O(slot_count) whatever m is.  Members draw in member order.
@@ -221,7 +236,8 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
     a tie decodes false.  The oracle holds its noise stream and a step
     counter, so consecutive decode calls keep advancing any noise schedule.
     ``senders`` may also be 2-D: each row is then one run of its slots, and
-    every row starts at the counter's step.
+    every row starts at the counter's step; the counter then moves by one
+    run, as after a 1-D call of one row.
     """
 
     def __init__(self, noise: NoiseModel, power: float, repetitions: int,

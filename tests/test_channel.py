@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from gtmac import channel
 from gtmac.channel import (NoiseModel, RepetitionDisjunctionOracle, gaussian,
                            gaussian_slot_error_exact, rademacher, schedule,
                            slot_noise_averages, uniform)
@@ -190,10 +191,10 @@ def summed_uniform_draws(n: int, slot_count: int, rng: np.random.Generator) -> n
 
 @pytest.mark.parametrize("n", [1538, 54])
 def test_uniform_bit_count_sums_follow_the_summed_draws_law(n):
-    # above 53 steps a slot's uniform sum comes from 53 Bin(n, 1/2) counts
-    # of the draws' mantissa bits; it must have the law of n summed draws
+    # 53 Bin(n, 1/2) counts of the draws' mantissa bits give a sum with the
+    # law of n summed draws for any n > 53 (1538 is e2e_lowsnr's member count)
     slots = 20_000
-    fast = slot_noise_averages(uniform(1.0), n, slots, np.random.default_rng(31)) * n
+    fast = 2.0 * channel._bit_count_sums(n, slots, np.random.default_rng(31)) - n
     slow = summed_uniform_draws(n, slots, np.random.default_rng(32))
     assert scipy.stats.ks_2samp(fast, slow).pvalue > 1e-4
     assert scipy.stats.ttest_ind(fast, slow).pvalue > 1e-4
@@ -204,19 +205,25 @@ def test_uniform_bit_count_sums_follow_the_summed_draws_law(n):
     assert fast.var() == pytest.approx(n / 3.0, rel=0.05)
 
 
-def test_uniform_sums_of_at_most_53_steps_are_drawn_directly():
-    slots = 3000
+@pytest.mark.parametrize("n", [53, channel._BIT_COUNT_STEPS - 1])
+def test_uniform_sums_below_the_bit_count_switch_are_drawn_directly(n):
+    slots = 1000
     rng = np.random.default_rng(33)
-    direct = slot_noise_averages(uniform(1.0), 53, slots, rng) * 53
+    direct = slot_noise_averages(uniform(1.0), n, slots, rng) * n
     reference = np.random.default_rng(33)
-    np.testing.assert_allclose(direct, summed_uniform_draws(53, slots, reference),
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(direct, summed_uniform_draws(n, slots, reference),
+                               rtol=0, atol=1e-9)
     assert rng.bit_generator.state == reference.bit_generator.state
-    # one step more is drawn from bit counts, another stream
-    rng, reference = np.random.default_rng(33), np.random.default_rng(33)
-    slot_noise_averages(uniform(1.0), 54, slots, rng)
-    summed_uniform_draws(54, slots, reference)
-    assert rng.bit_generator.state != reference.bit_generator.state
+
+
+def test_uniform_sums_from_the_bit_count_switch_on_are_drawn_from_bit_counts():
+    n, slots = channel._BIT_COUNT_STEPS, 1000
+    rng = np.random.default_rng(34)
+    drawn = slot_noise_averages(uniform(1.0), n, slots, rng) * n
+    reference = np.random.default_rng(34)
+    np.testing.assert_allclose(drawn, 2.0 * channel._bit_count_sums(n, slots, reference) - n,
+                               rtol=0, atol=1e-9)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_runs_of_slots_restart_the_schedule():

@@ -300,6 +300,10 @@ def test_every_trial_of_a_block_restarts_the_noise_schedule(monkeypatch):
     assert member_0.tolist() == [2, 1, 1, 2, 1, 1, 2, 1, 1, 2]
     parity = np.rint(averaged.reshape(7, 10) * 4).astype(np.int64) % 2
     assert np.array_equal(parity, np.tile(member_0 % 2, (7, 1)))
+    # a block of runs moves an oracle's step counter by one run
+    oracle = channel.RepetitionDisjunctionOracle(noise, 1.0, 4, np.random.default_rng(5))
+    oracle.decode_block(np.zeros((7, 10), dtype=np.int64))
+    assert oracle._next_step == 4 * 10
 
 
 def _merged_columns(a: np.ndarray, b: np.ndarray, minimum: int = 20) -> np.ndarray:
