@@ -248,8 +248,14 @@ def repetition_length(norm_bound: float, power: float, slot_error: float,
 
 def _repetitions(norm_bound: float, power: float, log_inverse_error: float,
                  tail_constant: float) -> int:
-    """:func:`repetition_length` from ``ln(1/slot_error)``, its inputs unchecked."""
-    count = (norm_bound**2 / power) * (log_inverse_error + 1.0) / tail_constant
+    """:func:`repetition_length` from ``ln(1/slot_error)``, its inputs unchecked.
+
+    Raises ``OverflowError`` where the count exceeds a double (K above ~1e154).
+    """
+    count = (norm_bound * norm_bound / power) * (log_inverse_error + 1.0) / tail_constant
+    if not math.isfinite(count):
+        raise OverflowError(f"the repetition count for K = {norm_bound!r} and "
+                            f"P = {power!r} exceeds a double")
     return max(1, math.ceil(count))
 
 
@@ -274,7 +280,7 @@ def channel_uses_closed_form(n_inactive: int, k: int, eps: float,
     ``(K**2/P) * (1/c) * e*(k+1)*ln(N/eps) * (2 + ln(k+1) + ln ln(N/eps) + ln(1/eps))``
     -- algebraically identical to (real-valued slots) * (real-valued
     repetitions at per-slot error eps/slots).  Returns 0.0 when no slots are
-    needed at all (``N <= eps``).
+    needed at all (``N <= eps``), and inf where the budget exceeds a double.
     """
     check("n_inactive", n_inactive)
     check("k", k)
@@ -289,7 +295,7 @@ def channel_uses_closed_form(n_inactive: int, k: int, eps: float,
         return 0.0
     slots_real = math.e * (k + 1) * log_ratio
     bracket = 2.0 + math.log(k + 1) + math.log(log_ratio) + _log_ratio(1.0, eps)
-    return (norm_bound**2 / power) / tail_constant * slots_real * bracket
+    return (norm_bound * norm_bound / power) / tail_constant * slots_real * bracket
 
 
 def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,

@@ -16,7 +16,8 @@ false and at least ``sqrt(P)`` plus the averaged noise otherwise -- so the
 decoder errs only if the averaged noise strays ``sqrt(P)/2`` from zero,
 which happens with probability at most ``exp(1 - c*m*P/K**2)`` (tail constant
 c per family; 1/8 is valid for gaussian noise).  :func:`repetition_length`
-in :mod:`gtmac.bounds` inverts that bound.
+in :mod:`gtmac.bounds` inverts that bound.  :class:`RepetitionDisjunctionOracle`
+decodes whole runs of slots, each starting at step 0 of the noise schedule.
 """
 
 from __future__ import annotations
@@ -233,11 +234,10 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
     A sender adds ``sqrt(P)`` at each of its slot's ``repetitions`` steps and
     any other node adds 0, so a slot's average is its sender count times
     ``sqrt(P)`` plus the averaged noise; above ``sqrt(P)/2`` decodes true and
-    a tie decodes false.  The oracle holds its noise stream and a step
-    counter, so consecutive decode calls keep advancing any noise schedule.
-    ``senders`` may also be 2-D: each row is then one run of its slots, and
-    every row starts at the counter's step; the counter then moves by one
-    run, as after a 1-D call of one row.
+    a tie decodes false.  Each call decodes whole runs that start at step 0
+    of the noise schedule: a 1-D ``senders`` is one run of its slots, and a
+    2-D one holds one run per row.  Only the noise stream carries over from
+    one call to the next.
     """
 
     def __init__(self, noise: NoiseModel, power: float, repetitions: int,
@@ -246,13 +246,11 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
         self.power = check("power", power)
         self.repetitions = check("repetitions", repetitions)
         self.rng = rng
-        self._next_step = 0
 
     def decode_block(self, senders: np.ndarray) -> np.ndarray:
         senders = np.asarray(senders)
         run_slots = senders.shape[-1]
         root_power = math.sqrt(self.power)
         averaged = slot_noise_averages(self.noise, self.repetitions, senders.size,
-                                       self.rng, self._next_step, run_slots=run_slots)
-        self._next_step += self.repetitions * run_slots
+                                       self.rng, run_slots=run_slots)
         return senders * root_power + averaged.reshape(senders.shape) > root_power / 2.0

@@ -4,31 +4,28 @@ Subcommands: ``bounds`` (closed-form budgets), ``simulate`` (Monte Carlo error
 curves / expectation traces), ``channel`` (repetition-code slot error), and
 ``e2e`` (full noisy-channel pipeline).  Every randomized command takes
 ``--seed``; without one a fresh seed is generated and echoed so the run can
-be reproduced.  ``simulate --mode trace`` runs in one process and ignores
-``--threads``.  Each flag's range, type and default are declared once, in
-``_FLAGS``, and each subcommand takes only the flags its handler reads.
+be reproduced.  Each flag's range, type and default are declared once, in
+``_FLAGS``, and each form of a command once, in ``_FORMS``: ``simulate`` has
+three (``--mode until-exact``, ``--mode trace``, ``--preset reference``), each
+other command one.  A command takes the flags its forms read; a flag spelled
+(in full) on the command line that the chosen form does not read exits 2.
 ``--config FILE`` reads flat ``key = value`` lines named after the long
-flags, and each value becomes its flag's default: flags beat the file, the
-file beats the built-in defaults, and a key that names no flag of the
-subcommand is ignored.  Exit codes: 0 success, 2 bad usage/parameters (a
-flag the subcommand does not take, a malformed config file or a ``[name]``
-line in it, or a value its flag cannot parse: ``argument --k: invalid int
-value: 'abc'``), 1 runtime failure.  Every flag given, on the command line
-or in ``--config``, is range-checked once under its own name before any
-output, whether or not the mode reads it: ``--delta must be a real in (0, 1),
-got 1.5``.
+flags; each value becomes its flag's default, so flags beat the file and the
+file beats the built-in defaults, and a key the form does not read is
+ignored.  Exit codes: 0 success, 2 bad usage/parameters (an unread or missing
+flag, a malformed config file, or a value its flag cannot parse: ``argument
+--k: invalid int value: 'abc'``), 1 runtime failure.  Every flag given, on
+the command line or in ``--config``, is range-checked once under its own
+name before any output, whatever the form reads: ``--delta must be a real in
+(0, 1), got 1.5``.
 
 Start-up is most of a short run's time, so a module that only some runs need
-is imported where it is used.  At the top this module imports only what every
-command uses: ``argparse``, ``bounds`` and the range checks.  ``bounds`` plans
-in pure ``math``, so ``gtmac bounds`` loads neither numpy nor ``harness``,
-``channel`` or ``scheme``; the ``simulate``, ``channel`` and ``e2e`` handlers
-and the noise-spec helpers import those layers, and numpy, themselves.  Inside
-them, the process pool (``harness``), the config parser and the seed
+is imported where it is used.  At the top this module imports only
+``argparse``, ``bounds`` (pure ``math``) and the range checks, so ``gtmac
+bounds`` loads neither numpy nor the simulation layers; the other handlers
+import those themselves, and the process pool, the config parser and the seed
 generator load only on the branch that uses them.  The layers' records are
-``collections.namedtuple`` classes, which compile no methods from source and
-need no ``inspect``: ``gtmac bounds`` loads no ``inspect`` (numpy loads it
-for the other commands).
+``collections.namedtuple`` classes, which need no ``inspect``.
 """
 
 from __future__ import annotations
@@ -71,12 +68,6 @@ def _load_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
     return {key.replace("-", "_"): value for key, value in reader.items("config")}
 
 
-def _require(parser: argparse.ArgumentParser, value, flag: str):
-    if value is None:
-        parser.error(f"the following argument is required: {flag}")
-    return value
-
-
 def _parse_noise_spec(spec: str) -> NoiseModel:
     """Parse ``family=scale`` or a comma list of them (a per-step schedule)."""
     from . import channel as chan
@@ -89,16 +80,10 @@ def _parse_noise_spec(spec: str) -> NoiseModel:
         if "=" not in part:
             raise ValueError(f"noise spec {part!r} is not family=scale")
         family, _, raw = part.partition("=")
-        family = family.strip().lower()
-        scale = float(raw)
-        if family == "gaussian":
-            models.append(chan.gaussian(scale))
-        elif family == "uniform":
-            models.append(chan.uniform(scale))
-        elif family == "rademacher":
-            models.append(chan.rademacher(scale))
-        else:
+        family, scale = family.strip().lower(), float(raw)
+        if family not in ("gaussian", "uniform", "rademacher"):
             raise ValueError(f"unknown noise family {family!r}")
+        models.append(getattr(chan, family)(scale))
     return models[0] if len(models) == 1 else chan.schedule(*models)
 
 
@@ -191,7 +176,7 @@ def _cmd_bounds(parser, args) -> int:
             lines.append(f"closed_form_reference = {plan.closed_form!r}")
     if have_channel and delta is not None:
         lines.append(f"repetition_length = {bnd.repetition_length(big_k, power, delta, c)}")
-    _echo({_dest(flag): value for flag, _, value in _ranged(args)})
+    _echo({key: value for key, value in vars(args).items() if value is not None})
     for line in lines:
         print(line)
     return 0
@@ -211,77 +196,63 @@ def _summarize_until_exact(slots) -> str:
             f"  censored = {len(slots) - len(finished)}")
 
 
-def _resolve_until_exact(n, k, p, cap) -> tuple[float, int]:
-    """``--p`` and ``--slot-cap`` of an (N, k) run, by default derived from k and N."""
+def _until_exact_runs(args, pairs) -> tuple:
+    """Seed, threads, slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair."""
     from . import harness
     from .scheme import optimal_choice_probability
 
-    if cap is None:  # derived, so checked here: a huge k puts it past the range
-        cap = check("slot_cap", harness.default_slot_cap(n, k), "--slot-cap")
-    return (optimal_choice_probability(k) if p is None else p), cap
+    grid = harness.default_slot_grid(args.grid_max, args.grid_step)
+    # a derived cap is checked here: a huge k puts it past the range
+    runs = [(n, k, optimal_choice_probability(k) if args.p is None else args.p,
+             check("slot_cap", harness.default_slot_cap(n, k), "--slot-cap")
+             if args.slot_cap is None else args.slot_cap) for n, k in pairs]
+    return _resolve_seed(args), _resolve_threads(args), grid, runs
 
 
 def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> None:
     from . import harness
 
     slots = harness.run_until_exact_batch(n, k, p, cap, trials, seed, workers=threads)
-    curve = harness.build_error_curve(slots, grid, n, k)
-    harness.export_csv(curve, out)
+    harness.export_csv(harness.build_error_curve(slots, grid, n, k), out)
     print(_summarize_until_exact(slots))
     print(f"wrote {out}")
 
 
-def _cmd_simulate(parser, args) -> int:
+def _cmd_curve(parser, args) -> int:
+    seed, threads, grid, [(n, k, p, cap)] = _until_exact_runs(args, [(args.n_inactive, args.k)])
+    _writable(args.out)
+    _echo({**vars(args), "p": p, "slot_cap": cap, "seed": seed, "threads": threads})
+    _run_until_exact_curve(n, k, p, cap, args.trials, seed, grid, args.out, threads)
+    return 0
+
+
+def _cmd_trace(parser, args) -> int:
     from . import harness
     from .scheme import optimal_choice_probability
 
-    mode, trials, p = args.mode, args.trials, args.p
+    n, k, trials, horizon, out = args.n_inactive, args.k, args.trials, args.horizon, args.out
+    p = optimal_choice_probability(k) if args.p is None else args.p
     seed = _resolve_seed(args)
-    threads = _resolve_threads(args)
-    grid = harness.default_slot_grid(args.grid_max, args.grid_step)
+    check("trace_trials", trials, "--trials")
+    _writable(out)
+    _echo({"mode": args.mode, "n_inactive": n, "k": k, "p": p, "trials": trials,
+           "seed": seed, "horizon": horizon, "out": out})
+    trace = harness.expectation_trace(n, k, p, trials, horizon, seed)
+    harness.export_csv(trace, out)
+    print(f"final_mean_surplus = {trace.empirical_mean[-1]!r}")
+    print(f"wrote {out}")
+    return 0
 
-    if args.preset is not None:
-        if args.preset != "reference":
-            parser.error(f"unknown preset {args.preset!r} (available: reference)")
-        if mode != "until-exact":
-            parser.error("--preset reference runs only --mode until-exact")
-        runs = [(n, k, *_resolve_until_exact(n, k, p, args.slot_cap))
-                for n, k in _PRESET_REFERENCE]
-        outs = [_writable(os.path.join(args.out_dir, f"curve_n{n}_k{k}.csv"))
-                for n, k in _PRESET_REFERENCE]
-        _echo({"preset": args.preset, "trials": trials, "seed": seed,
-               "threads": threads, "out_dir": args.out_dir,
-               "grid_max": args.grid_max, "grid_step": args.grid_step})
-        for (n, k, p_run, cap_run), out in zip(runs, outs):
-            print(f"running n_inactive={n} k={k} ...")
-            _run_until_exact_curve(n, k, p_run, cap_run, trials, seed, grid, out, threads)
-        return 0
 
-    n = _require(parser, args.n_inactive, "--n-inactive")
-    k = _require(parser, args.k, "--k")
-    out = _require(parser, args.out, "--out")
-
-    if mode == "until-exact":
-        p, cap = _resolve_until_exact(n, k, p, args.slot_cap)
-        _writable(out)
-        _echo({"mode": mode, "n_inactive": n, "k": k, "p": p,
-               "trials": trials, "seed": seed, "threads": threads,
-               "grid_max": args.grid_max, "grid_step": args.grid_step,
-               "slot_cap": cap, "out": out})
-        _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads)
-    elif mode == "trace":
-        horizon = _require(parser, args.horizon, "--horizon")
-        p = optimal_choice_probability(k) if p is None else p
-        check("trace_trials", trials, "--trials")
-        _writable(out)
-        _echo({"mode": mode, "n_inactive": n, "k": k, "p": p,
-               "trials": trials, "seed": seed, "horizon": horizon, "out": out})
-        trace = harness.expectation_trace(n, k, p, trials, horizon, seed)
-        harness.export_csv(trace, out)
-        print(f"final_mean_surplus = {trace.empirical_mean[-1]!r}")
-        print(f"wrote {out}")
-    else:
-        parser.error(f"unknown mode {mode!r} (available: until-exact, trace)")
+def _cmd_preset(parser, args) -> int:
+    seed, threads, grid, runs = _until_exact_runs(args, _PRESET_REFERENCE)
+    outs = [_writable(os.path.join(args.out_dir, f"curve_n{n}_k{k}.csv"))
+            for n, k in _PRESET_REFERENCE]
+    _echo({"preset": args.preset, "trials": args.trials, "seed": seed, "threads": threads,
+           "out_dir": args.out_dir, "grid_max": args.grid_max, "grid_step": args.grid_step})
+    for (n, k, p, cap), out in zip(runs, outs):
+        print(f"running n_inactive={n} k={k} ...")
+        _run_until_exact_curve(n, k, p, cap, args.trials, seed, grid, out, threads)
     return 0
 
 
@@ -291,10 +262,8 @@ def _cmd_channel(parser, args) -> int:
     from . import channel as chan
 
     noise = _resolve_noise(parser, args)
-    power = _require(parser, args.power, "--power")
     big_k = _resolve_big_k(parser, args, noise)
-    c, slots = args.c, args.slots
-    delta = _require(parser, args.delta, "--delta")
+    power, c, delta, slots = args.power, args.c, args.delta, args.slots
     seed = _resolve_seed(args)
     reps = bnd.repetition_length(big_k, power, delta, c) if args.m is None else args.m
 
@@ -303,17 +272,12 @@ def _cmd_channel(parser, args) -> int:
 
     rng = np.random.default_rng(seed)
     threshold = math.sqrt(power) / 2.0
-    excursions = 0
-    decoded_true = 0
-    done = 0
-    batch = 200_000
-    while done < slots:
-        count = min(batch, slots - done)
-        averaged = chan.slot_noise_averages(noise, reps, count, rng,
+    excursions = decoded_true = 0
+    for done in range(0, slots, 200_000):
+        averaged = chan.slot_noise_averages(noise, reps, min(200_000, slots - done), rng,
                                             start_step=done * reps)
         excursions += int((np.abs(averaged) >= threshold).sum())
         decoded_true += int((averaged > threshold).sum())
-        done += count
     print(f"empirical_excursion_rate = {excursions / slots!r}")
     print(f"empirical_false_positive_rate = {decoded_true / slots!r}")
     print(f"target_slot_error = {delta!r}")
@@ -330,21 +294,16 @@ def _cmd_channel(parser, args) -> int:
 def _cmd_e2e(parser, args) -> int:
     from . import harness
 
-    n = _require(parser, args.n_inactive, "--n-inactive")
-    k = _require(parser, args.k, "--k")
-    eps = _require(parser, args.eps, "--eps")
+    n, k, eps, power = args.n_inactive, args.k, args.eps, args.power
     noise = _resolve_noise(parser, args)
-    power = _require(parser, args.power, "--power")
     big_k = _resolve_big_k(parser, args, noise)
     c, trials, out = args.c, args.trials, args.out
-    seed = _resolve_seed(args)
-    threads = _resolve_threads(args)
+    seed, threads = _resolve_seed(args), _resolve_threads(args)
     if out is not None:
         _writable(out)
 
-    _echo({"n_inactive": n, "k": k, "eps": eps, "noise": _format_noise(noise),
-           "power": power, "big_k": big_k, "c": c, "trials": trials,
-           "seed": seed, "threads": threads})
+    _echo({"n_inactive": n, "k": k, "eps": eps, "noise": _format_noise(noise), "power": power,
+           "big_k": big_k, "c": c, "trials": trials, "seed": seed, "threads": threads})
 
     summary, _ = harness.run_end_to_end_batch(n, k, eps, noise, big_k, power, c,
                                               trials, seed, workers=threads)
@@ -402,20 +361,43 @@ _FLAGS = {
     "--m": ("repetitions", dict(type=int, help="override the repetition count")),
 }
 
-# Each subcommand: its summary, handler, own defaults, and the flags it reads.
+# Each form of a command: its handler, its own defaults, the flags it reads
+# and the flags it requires.  A one-form command names its form after itself;
+# simulate's are named by the flag that selects them.  --config, applied
+# before the form is chosen, is every command's first flag.
+_FORMS = {
+    "bounds": (_cmd_bounds, {}, "--n-inactive --k --eps --power --big-k --c --delta "
+               "--surplus-factor", ""),
+    "simulate --mode until-exact": (
+        _cmd_curve, {"trials": 20_000}, "--n-inactive --k --seed --trials --out --threads "
+        "--mode --p --slot-cap --grid-max --grid-step", "--n-inactive --k --out"),
+    # --threads is taken and unused (one process), so one argv fits every mode
+    "simulate --mode trace": (
+        _cmd_trace, {"trials": 20_000}, "--n-inactive --k --seed --trials --out --threads "
+        "--mode --p --horizon", "--n-inactive --k --out --horizon"),
+    "simulate --preset reference": (
+        _cmd_preset, {"trials": 20_000}, "--seed --trials --threads --mode --p --slot-cap "
+        "--grid-max --grid-step --preset --out-dir", ""),
+    "channel": (_cmd_channel, {}, "--seed --sigma --noise --power --big-k --c --delta "
+                "--slots --m", "--power --delta"),
+    "e2e": (_cmd_e2e, {"trials": 2000}, "--n-inactive --k --eps --seed --trials --out "
+            "--threads --sigma --noise --power --big-k --c", "--n-inactive --k --eps --power"),
+}
+
+
+def _command(summary: str, *forms: str) -> tuple[str, tuple[str, ...], dict, str]:
+    """A command's summary, its forms, and their defaults and flags, each once."""
+    flags = " ".join(["--config", *(_FORMS[form][2] for form in forms)]).split()
+    defaults = {key: value for form in forms for key, value in _FORMS[form][1].items()}
+    return summary, forms, defaults, " ".join(dict.fromkeys(flags))
+
+
 _COMMANDS = {
-    "bounds": ("closed-form budgets, no simulation", _cmd_bounds, {},
-               "--config --n-inactive --k --eps --power --big-k --c --delta "
-               "--surplus-factor"),
-    "simulate": ("Monte Carlo error curve or surplus trace", _cmd_simulate,
-                 {"trials": 20_000},
-                 "--config --n-inactive --k --seed --trials --out --threads --mode --p "
-                 "--slot-cap --grid-max --grid-step --horizon --preset --out-dir"),
-    "channel": ("repetition-code slot error simulation", _cmd_channel, {},
-                "--config --seed --sigma --noise --power --big-k --c --delta --slots --m"),
-    "e2e": ("full pipeline over the noisy channel", _cmd_e2e, {"trials": 2000},
-            "--config --n-inactive --k --eps --seed --trials --out --threads "
-            "--sigma --noise --power --big-k --c"),
+    "bounds": _command("closed-form budgets, no simulation", "bounds"),
+    "simulate": _command("Monte Carlo error curve or surplus trace", "simulate --mode until-exact",
+                         "simulate --mode trace", "simulate --preset reference"),
+    "channel": _command("repetition-code slot error simulation", "channel"),
+    "e2e": _command("full pipeline over the noisy channel", "e2e"),
 }
 
 
@@ -423,38 +405,54 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _ranged(args):
-    """``(flag, range key, value)`` of each flag of the command that has both."""
-    for flag in _COMMANDS[args.command][3].split():
-        key, value = _FLAGS[flag][0], getattr(args, _dest(flag))
-        if key is not None and value is not None:
-            yield flag, key, value
-
-
 def build_parser(conf: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The ``gtmac`` parser; each ``conf`` value is the default of its flag.
 
-    A subcommand takes only the flags its handler reads, so any other flag
-    exits 2.  A config value is a string, which argparse converts with the
-    flag's own ``type``.  A key that names no flag of a subcommand is ignored
-    there.
+    A subcommand takes the flags its forms read, so any other flag exits 2.
+    A config value is a string, which argparse converts with the flag's own
+    ``type``.  A key that names no flag of a subcommand is ignored there.
     """
     parser = argparse.ArgumentParser(
-        prog="gtmac",
+        prog="gtmac", allow_abbrev=False,
         description="Group-testing detection of active users over a shared channel.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, handler, defaults, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
+    for name, (summary, _, defaults, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag][1])
-        p.set_defaults(handler=handler, **defaults)
         dests = {_dest(flag) for flag in flags.split()}
-        p.set_defaults(**{key: value for key, value in (conf or {}).items()
-                          if key in dests})
+        p.set_defaults(**{**defaults, **{key: value for key, value in (conf or {}).items()
+                                         if key in dests}})
     return parser
 
 
+def _checked_form(parser, args, argv: list[str]) -> str:
+    """The form ``args`` select, once every flag with a value is in range, then
+    the preset's one mode, the form's required flags, and no flag it does not read."""
+    form = args.command
+    if form == "simulate":
+        form += f" --preset {args.preset}" if args.preset else f" --mode {args.mode}"
+    flags = _COMMANDS[args.command][3].split()
+    for flag in flags:
+        key, value = _FLAGS[flag][0], getattr(args, _dest(flag))
+        if key is not None and value is not None:
+            check(key, value, flag)
+    _, _, reads, requires = _FORMS[form]
+    if form == "simulate --preset reference" and args.mode != "until-exact":
+        parser.error("--preset reference runs only --mode until-exact")
+    for flag in requires.split():
+        if getattr(args, _dest(flag)) is None:
+            parser.error(f"the following argument is required: {flag}")
+    # prefix matching is off, so an option in argv reads --flag or --flag=value
+    given = {arg.partition("=")[0] for arg in argv}
+    unread = [flag for flag in flags[1:] if flag in given and flag not in reads.split()]
+    if unread:
+        parser.error(f"{form} does not read {', '.join(unread)}")
+    return form
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:  # parse again, with the config values as flag defaults
@@ -466,9 +464,10 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser(conf)
         args = parser.parse_args(argv)
     try:
-        for flag, key, value in _ranged(args):  # each given value, before any output
-            check(key, value, flag)
-        return args.handler(parser, args)
+        handler, _, reads, _ = _FORMS[_checked_form(parser, args, argv)]
+        # the handler sees only the flags its form reads
+        return handler(parser, argparse.Namespace(
+            **{_dest(flag): getattr(args, _dest(flag)) for flag in reads.split()}))
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     except OverflowError as exc:  # a finite input too large to compute with

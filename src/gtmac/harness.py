@@ -169,14 +169,9 @@ def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
     return RunRecord(trial_seed=seed, slots_until_exact=hit, surplus_trace=trace)
 
 
-def _until_exact_chunk(n_inactive: int, k: int, p: float, slot_cap: int,
-                       trials: int, seed_base: int, lo: int, hi: int) -> np.ndarray:
-    sizes = _block_sizes(trials)
-    return np.concatenate([
-        sample_slots_until_exact(n_inactive, k, p, slot_cap,
-                                 _block_rng(seed_base, b), sizes[b])
-        for b in range(lo, hi)
-    ])
+def _seeded_blocks(kernel, sizes: list[int], seed_base: int, lo: int, hi: int) -> list:
+    """``kernel(rng, sizes[b])`` of blocks ``lo .. hi - 1``, each from its own seed."""
+    return [kernel(_block_rng(seed_base, b), sizes[b]) for b in range(lo, hi)]
 
 
 def _pool_size(threads: int, tasks: int, cpus: int) -> int:
@@ -189,31 +184,33 @@ def _chunk_ranges(units: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
 
 
-def _run_chunked(worker, units: int, workers: int) -> list:
-    """``worker(lo, hi)`` over ``0..units`` in chunks; the parts in order.
+def _run_blocks(kernel, sizes: list[int], seed_base: int, workers: int) -> list:
+    """``kernel(rng, size)`` of every seeded block, in block order.
 
-    ``worker`` is a module-level function with the batch's parameters bound
-    by :func:`functools.partial`, so it pickles into worker processes.
+    Worker chunks are whole blocks, so no result depends on the worker
+    count.  ``kernel`` is a module-level function with the batch's
+    parameters bound by :func:`functools.partial`, so it pickles into worker
+    processes.
     """
     check("workers", workers)
-    size = _pool_size(workers, units, os.cpu_count() or 1)
+    size = _pool_size(workers, len(sizes), os.cpu_count() or 1)
     if size == 1:
-        return [worker(0, units)]
+        return _seeded_blocks(kernel, sizes, seed_base, 0, len(sizes))
     # imported here: the pool's modules cost a one-worker run ~9 ms of start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    los, his = zip(*_chunk_ranges(units, size))
+    worker = functools.partial(_seeded_blocks, kernel, sizes, seed_base)
+    los, his = zip(*_chunk_ranges(len(sizes), size))
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(worker, los, his))
+        return [result for part in pool.map(worker, los, his) for result in part]
 
 
 def run_until_exact_batch(n_inactive: int, k: int, p: float, slot_cap: int,
                           trials: int, seed_base: int, workers: int = 1) -> np.ndarray:
     """Slots until exact of every trial, in trial order (int64, -1 = censored)."""
     check("trials", trials)
-    worker = functools.partial(_until_exact_chunk, n_inactive, k, p, slot_cap,
-                               trials, seed_base)
-    return np.concatenate(_run_chunked(worker, len(_block_sizes(trials)), workers))
+    kernel = functools.partial(sample_slots_until_exact, n_inactive, k, p, slot_cap)
+    return np.concatenate(_run_blocks(kernel, _block_sizes(trials), seed_base, workers))
 
 
 def build_error_curve(slots_until_exact: np.ndarray, slot_grid: tuple[int, ...],
@@ -341,17 +338,6 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     return recovered, _conditional_failure(n_inactive, evicted, survive)
 
 
-def _end_to_end_chunk(n_inactive: int, k: int, noise: NoiseModel, power: float,
-                      plan: bounds.ChannelUsePlan, trials: int, seed_base: int,
-                      lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    sizes = _block_sizes(trials, _end_to_end_block(plan.slots))
-    successes, conditional = zip(*(
-        end_to_end_trial(n_inactive, k, noise, power, plan, _block_rng(seed_base, b),
-                         sizes[b])
-        for b in range(lo, hi)))
-    return np.concatenate(successes), np.concatenate(conditional)
-
-
 def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
                          norm_bound: float, power: float, tail_constant: float,
                          trials: int, seed_base: int,
@@ -366,10 +352,9 @@ def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
     """
     check("trials", trials)
     plan = bounds.plan_channel_uses(n_inactive, k, eps, norm_bound, power, tail_constant)
-    worker = functools.partial(_end_to_end_chunk, n_inactive, k, noise, power, plan,
-                               trials, seed_base)
-    blocks = len(_block_sizes(trials, _end_to_end_block(plan.slots)))
-    parts, conditional = zip(*_run_chunked(worker, blocks, workers))
+    kernel = functools.partial(end_to_end_trial, n_inactive, k, noise, power, plan)
+    sizes = _block_sizes(trials, _end_to_end_block(plan.slots))
+    parts, conditional = zip(*_run_blocks(kernel, sizes, seed_base, workers))
     successes = np.concatenate(parts)
     failures = trials - int(np.count_nonzero(successes))
     summary = EndToEndSummary(

@@ -286,6 +286,20 @@ def test_repetition_length_is_monotone_across_the_overflow_of_one_over_delta():
     assert lengths[-1] - lengths[0] == pytest.approx(2e12 * math.log(1.5), rel=1e-6)
 
 
+def test_repetition_count_past_a_double_raises_overflow_naming_k_and_p():
+    # K = 1e200 squares past a double; the count is inf, which no int holds
+    message = r"^the repetition count for K = 1e\+200 and P = 1\.0 exceeds a double$"
+    with pytest.raises(OverflowError, match=message):
+        bounds.repetition_length(1e200, 1.0, 0.01, bounds.GAUSSIAN_TAIL_CONSTANT)
+    with pytest.raises(OverflowError, match=message):
+        bounds.plan_channel_uses(100, 2, 0.1, 1e200, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT)
+    # K*K stays finite but K*K/P does not
+    with pytest.raises(OverflowError, match=r"K = 1e\+150 and P = 1e-10 "):
+        bounds.repetition_length(1e150, 1e-10, 0.01, 1.0)
+    # the real-valued closed form reads inf there
+    assert bounds.channel_uses_closed_form(100, 2, 0.1, 1e200, 1.0, 0.125) == math.inf
+
+
 def test_plan_sizes_repetitions_where_eps_over_slots_underflows():
     # eps/slots rounds to 0 here although ln(slots/eps) is finite
     plan = bounds.plan_channel_uses(100, 2, 5e-324, 1.0, 1.0, 0.125)

@@ -15,7 +15,7 @@ import pytest
 
 import gtmac
 from gtmac._ranges import _RANGES
-from gtmac.cli import _COMMANDS, _FLAGS, _summarize_until_exact, main
+from gtmac.cli import _COMMANDS, _FLAGS, _FORMS, _summarize_until_exact, main
 
 
 def run_cli(capsys, argv):
@@ -104,6 +104,24 @@ def test_invalid_parameters_exit_2(capsys):
         captured = capsys.readouterr()
         assert named in captured.err, argv
         assert captured.out == "", argv   # nothing is echoed before the check
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--big-k", "1e200", "--power", "1", "--delta", "0.01"],
+    ["bounds", "--n-inactive", "100", "--k", "2", "--eps", "0.1", "--big-k", "1e200",
+     "--power", "1"],
+    ["channel", "--sigma", "1", "--big-k", "1e200", "--power", "1", "--delta", "0.01",
+     "--slots", "10", "--seed", "1"],
+])
+def test_planner_overflow_names_k_and_p(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        "gtmac: error: parameter out of range: "
+        "the repetition count for K = 1e+200 and P = 1.0 exceeds a double")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, flag, library_name", [
@@ -286,25 +304,124 @@ def test_simulate_preset_writes_three_curves(tmp_path, capsys):
     assert {row[3] for row in rows} == {"4"}
 
 
-@pytest.mark.parametrize("flags", [
-    ["--trials", "0"],
-    ["--p", "1.5"],
-    ["--slot-cap", "-1"],
-    ["--mode", "trace", "--trials", "1", "--horizon", "5"],
-    ["--mode", "trace", "--trials", "10", "--horizon", "0"],
-    ["--preset", "reference", "--trials", "0"],
-    ["--seed", "-1"],
-    ["--k", "0"],  # k >= 1, as for bounds and e2e
-    ["--mode", "trace", "--k", "0", "--horizon", "5"],
+# Each form of simulate, with a valid argv that gives only flags the form reads
+_SIMULATE_BASE = {
+    "simulate --mode until-exact": [
+        "simulate", "--n-inactive", "10", "--k", "1", "--seed", "7", "--threads", "1",
+        "--out", "{tmp}/x.csv"],
+    "simulate --mode trace": [
+        "simulate", "--mode", "trace", "--n-inactive", "10", "--k", "1", "--seed", "7",
+        "--threads", "1", "--trials", "10", "--horizon", "5", "--out", "{tmp}/x.csv"],
+    "simulate --preset reference": [
+        "simulate", "--preset", "reference", "--seed", "7", "--threads", "1",
+        "--out-dir", "{tmp}"],
+}
+_UNTIL_EXACT, _TRACE, _PRESET = _SIMULATE_BASE
+
+
+@pytest.mark.parametrize("flags", [  # (form, the flag and its bad value)
+    (_UNTIL_EXACT, ["--trials", "0"]),
+    (_UNTIL_EXACT, ["--p", "1.5"]),
+    (_UNTIL_EXACT, ["--slot-cap", "-1"]),
+    (_TRACE, ["--trials", "1"]),
+    (_TRACE, ["--horizon", "0"]),
+    (_PRESET, ["--trials", "0"]),
+    (_UNTIL_EXACT, ["--seed", "-1"]),
+    (_UNTIL_EXACT, ["--k", "0"]),  # k >= 1, as for bounds and e2e
+    (_TRACE, ["--k", "0"]),
 ])
 def test_simulate_checks_inputs_before_printing(tmp_path, capsys, flags):
-    with pytest.raises(SystemExit) as info:
-        main(["simulate", "--n-inactive", "10", "--k", "1", "--seed", "7",
-              "--threads", "1", "--out", str(tmp_path / "x.csv"),
-              "--out-dir", str(tmp_path), *flags])
+    form, given = flags
+    with pytest.raises(SystemExit) as info:  # of a flag given twice, the last wins
+        main([*(arg.format(tmp=tmp_path) for arg in _SIMULATE_BASE[form]), *given])
     assert info.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert f"error: {given[0]} must be" in captured.err
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+# a value each flag can take, for the flags some form of simulate does not read
+_VALID_VALUE = {"--n-inactive": "10", "--k": "1", "--out": "{tmp}/y.csv", "--horizon": "5",
+                "--slot-cap": "100", "--grid-max": "10", "--grid-step": "2",
+                "--preset": "reference", "--out-dir": "{tmp}"}
+
+
+def _unread_flags():
+    """Each form with each flag of its command that the form does not read."""
+    for _, forms, _, flags in _COMMANDS.values():
+        for form in forms:
+            reads = _FORMS[form][2].split()
+            for flag in flags.split()[1:]:  # the first, --config, every form reads
+                if flag not in reads:
+                    yield pytest.param(form, flag, id=f"{form}:{flag}")
+
+
+@pytest.mark.parametrize("form, flag", _unread_flags())
+def test_flag_the_form_does_not_read_exits_2(tmp_path, capsys, form, flag):
+    # only simulate has more than one form, so only its forms have cases
+    argv = [*_SIMULATE_BASE[form], flag, _VALID_VALUE[flag]]
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--preset", "reference", "--out", "ignored.csv", "--trials", "2",
+      "--threads", "1", "--grid-max", "10", "--seed", "1", "--out-dir", "{tmp}"],
+     "simulate --preset reference does not read --out"),
+    (["simulate", "--mode", "trace", "--n-inactive", "10", "--k", "1", "--horizon", "5",
+      "--trials", "4", "--out", "{tmp}/t.csv", "--slot-cap", "10", "--grid-max", "7"],
+     "simulate --mode trace does not read --slot-cap, --grid-max"),
+    (["simulate", "--n-inactive", "10", "--k", "1", "--out", "{tmp}/x.csv",
+      "--out-dir={tmp}"], "simulate --mode until-exact does not read --out-dir"),
+    # prefix matching is off: --hor is no --horizon
+    (["simulate", "--mode", "trace", "--n-inactive", "10", "--k", "1", "--out", "{tmp}/x.csv",
+      "--hor", "5"], "unrecognized arguments: --hor 5"),
+])
+def test_unread_flag_is_named_with_its_form(tmp_path, capsys, argv, named):
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == f"gtmac: error: {named}"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert not Path("ignored.csv").exists()
+
+
+def test_config_key_a_form_does_not_read_is_ignored(tmp_path, capsys):
+    argv = ["simulate", "--mode", "trace", "--n-inactive", "10", "--k", "1", "--trials", "5",
+            "--horizon", "3", "--seed", "4", "--out", str(tmp_path / "t.csv")]
+    code, plain = run_cli(capsys, argv)
+    assert code == 0
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"slot-cap = 10\ngrid-max = 7\nout-dir = {tmp_path}/none\n")
+    code, configured = run_cli(capsys, [*argv, "--config", str(conf)])
+    assert code == 0
+    assert configured == plain
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--n-inactive", "10", "--out", "x.csv"], "--k"),
+    (["simulate", "--n-inactive", "10", "--k", "1"], "--out"),
+    (["simulate", "--mode", "trace", "--n-inactive", "10", "--k", "1", "--out", "x.csv"],
+     "--horizon"),
+    (["channel", "--sigma", "1", "--delta", "0.1"], "--power"),
+    (["e2e", "--n-inactive", "20", "--k", "1", "--sigma", "1", "--power", "1"], "--eps"),
+])
+def test_required_flag_of_the_form_is_named(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        f"gtmac: error: the following argument is required: {flag}")
+    assert captured.out == ""
 
 
 def test_preset_has_no_trace_form(tmp_path, capsys):
