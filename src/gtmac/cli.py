@@ -230,17 +230,16 @@ def _cmd_trace(parser, args) -> int:
     from . import harness
     from .scheme import optimal_choice_probability
 
-    n, k, trials, horizon, out = args.n_inactive, args.k, args.trials, args.horizon, args.out
-    p = optimal_choice_probability(k) if args.p is None else args.p
-    seed = _resolve_seed(args)
-    check("trace_trials", trials, "--trials")
-    _writable(out)
-    _echo({"mode": args.mode, "n_inactive": n, "k": k, "p": p, "trials": trials,
-           "seed": seed, "horizon": horizon, "out": out})
-    trace = harness.expectation_trace(n, k, p, trials, horizon, seed)
-    harness.export_csv(trace, out)
+    p = optimal_choice_probability(args.k) if args.p is None else args.p
+    seed, threads = _resolve_seed(args), _resolve_threads(args)
+    check("trace_trials", args.trials, "--trials")
+    _writable(args.out)
+    _echo({**vars(args), "p": p, "seed": seed, "threads": threads})
+    trace = harness.expectation_trace(args.n_inactive, args.k, p, args.trials, args.horizon,
+                                      seed, workers=threads)
+    harness.export_csv(trace, args.out)
     print(f"final_mean_surplus = {trace.empirical_mean[-1]!r}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -251,7 +250,7 @@ def _cmd_preset(parser, args) -> int:
     _echo({"preset": args.preset, "trials": args.trials, "seed": seed, "threads": threads,
            "out_dir": args.out_dir, "grid_max": args.grid_max, "grid_step": args.grid_step})
     for (n, k, p, cap), out in zip(runs, outs):
-        print(f"running n_inactive={n} k={k} ...")
+        print(f"running n_inactive={n} k={k} p={p} slot_cap={cap} ...")
         _run_until_exact_curve(n, k, p, cap, args.trials, seed, grid, out, threads)
     return 0
 
@@ -371,7 +370,6 @@ _FORMS = {
     "simulate --mode until-exact": (
         _cmd_curve, {"trials": 20_000}, "--n-inactive --k --seed --trials --out --threads "
         "--mode --p --slot-cap --grid-max --grid-step", "--n-inactive --k --out"),
-    # --threads is taken and unused (one process), so one argv fits every mode
     "simulate --mode trace": (
         _cmd_trace, {"trials": 20_000}, "--n-inactive --k --seed --trials --out --threads "
         "--mode --p --horizon", "--n-inactive --k --out --horizon"),

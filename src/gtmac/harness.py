@@ -6,9 +6,9 @@ A batch is fully determined by its parameters and ``seed_base``.
 
 Until-exact and trace batches are seeded per block: trials
 ``b*TRIAL_BLOCK .. (b+1)*TRIAL_BLOCK - 1`` are drawn together by the surplus
-kernel from ``SeedSequence((seed_base, b))``.  The block size is a constant and
-worker chunks are whole blocks, so results do not depend on execution order
-or on how many workers ran the batch.
+kernel from ``SeedSequence((seed_base, b))``.  One runner returns every
+batch's block results in block order, and a trace adds its blocks' sums in
+that order, so no result depends on how many workers ran the batch.
 
 End-to-end batches are seeded per block by the same rule: a block holds
 ``max(1, 2**16 // slots)`` trials, a constant of the batch's plan, and block
@@ -37,13 +37,16 @@ import numpy as np
 
 from . import bounds
 from ._ranges import check, check_levels
-from .channel import NoiseModel, RepetitionDisjunctionOracle
 from .scheme import (DisjunctionOracle, Population, SchemeConfig,
                      optimal_choice_probability, run_scheme_fast,
                      sample_slots_until_exact, surplus_steps)
 # The node-level reference scheme; no batch runs it, but perfbench/tracing.py
 # patches it under this name.
 from .scheme import run_scheme  # noqa: F401
+
+TYPE_CHECKING = False  # importing typing would cost start-up
+if TYPE_CHECKING:
+    from .channel import NoiseModel
 
 __all__ = [
     "TRIAL_BLOCK",
@@ -169,40 +172,34 @@ def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
     return RunRecord(trial_seed=seed, slots_until_exact=hit, surplus_trace=trace)
 
 
-def _seeded_blocks(kernel, sizes: list[int], seed_base: int, lo: int, hi: int) -> list:
-    """``kernel(rng, sizes[b])`` of blocks ``lo .. hi - 1``, each from its own seed."""
-    return [kernel(_block_rng(seed_base, b), sizes[b]) for b in range(lo, hi)]
+def _seeded_block(kernel, sizes: list[int], seed_base: int, b: int):
+    return kernel(_block_rng(seed_base, b), sizes[b])
 
 
 def _pool_size(threads: int, tasks: int, cpus: int) -> int:
-    """Worker processes for ``tasks`` chunks: never more than threads, tasks or CPUs."""
+    """Worker processes for ``tasks`` blocks: never more than threads, tasks or CPUs."""
     return max(1, min(threads, tasks, cpus))
-
-
-def _chunk_ranges(units: int, workers: int) -> list[tuple[int, int]]:
-    chunk = max(1, math.ceil(units / (workers * 8)))
-    return [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
 
 
 def _run_blocks(kernel, sizes: list[int], seed_base: int, workers: int) -> list:
     """``kernel(rng, size)`` of every seeded block, in block order.
 
-    Worker chunks are whole blocks, so no result depends on the worker
+    Each block draws from its own seed, so no result depends on the worker
     count.  ``kernel`` is a module-level function with the batch's
     parameters bound by :func:`functools.partial`, so it pickles into worker
     processes.
     """
     check("workers", workers)
     size = _pool_size(workers, len(sizes), os.cpu_count() or 1)
+    block = functools.partial(_seeded_block, kernel, sizes, seed_base)
     if size == 1:
-        return _seeded_blocks(kernel, sizes, seed_base, 0, len(sizes))
+        return list(map(block, range(len(sizes))))
     # imported here: the pool's modules cost a one-worker run ~9 ms of start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    worker = functools.partial(_seeded_blocks, kernel, sizes, seed_base)
-    los, his = zip(*_chunk_ranges(len(sizes), size))
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return [result for part in pool.map(worker, los, his) for result in part]
+        return list(pool.map(block, range(len(sizes)),
+                             chunksize=math.ceil(len(sizes) / (8 * size))))
 
 
 def run_until_exact_batch(n_inactive: int, k: int, p: float, slot_cap: int,
@@ -237,36 +234,37 @@ def build_error_curve(slots_until_exact: np.ndarray, slot_grid: tuple[int, ...],
                       trials=trials)
 
 
-def expectation_trace(n_inactive: int, k: int, p: float, trials: int,
-                      horizon: int, seed_base: int = 0) -> ExpectationTrace:
+def _trace_block(n_inactive: int, k: int, p: float, horizon: int,
+                 rng: np.random.Generator, size: int) -> np.ndarray:
+    """Per-slot sum (row 0) and sum of squares (row 1) of ``size`` trials' surplus."""
+    sums = np.zeros((2, horizon + 1))
+    for i, surplus in enumerate(surplus_steps(n_inactive, k, p, horizon, rng, size)):
+        values = surplus.astype(float)
+        sums[:, i] = values.sum(), values @ values
+    return sums
+
+
+def expectation_trace(n_inactive: int, k: int, p: float, trials: int, horizon: int,
+                      seed_base: int = 0, workers: int = 1) -> ExpectationTrace:
     """Empirical mean surplus per slot over ``trials`` surplus-kernel runs.
 
     Each seeded block of trials is stepped together by
-    :func:`gtmac.scheme.surplus_steps`.  Slot 0 is the deterministic starting
-    surplus.  ``std_error`` is the sample standard deviation over trials
-    divided by sqrt(trials); the prediction column is
-    :func:`gtmac.bounds.expected_remaining`.
+    :func:`gtmac.scheme.surplus_steps`; block sums add up in block order.
+    Slot 0 is the deterministic starting surplus.  ``std_error`` is the
+    sample standard deviation over trials divided by sqrt(trials); the
+    prediction column is :func:`gtmac.bounds.expected_remaining`.
     """
     check("trace_trials", trials)
     check("horizon", horizon)
-    sums = np.zeros(horizon + 1)
-    sums_sq = np.zeros(horizon + 1)
-    for b, size in enumerate(_block_sizes(trials)):
-        steps = surplus_steps(n_inactive, k, p, horizon, _block_rng(seed_base, b), size)
-        for i, surplus in enumerate(steps):
-            values = surplus.astype(float)
-            sums[i] += values.sum()
-            sums_sq[i] += values @ values
+    kernel = functools.partial(_trace_block, n_inactive, k, p, horizon)
+    sums, sums_sq = sum(_run_blocks(kernel, _block_sizes(trials), seed_base, workers),
+                        np.zeros((2, horizon + 1)))
     mean = sums / trials
     variance = np.maximum(sums_sq - trials * mean * mean, 0.0) / (trials - 1)
     std_error = np.sqrt(variance / trials)
     predicted = bounds.expected_remaining(n_inactive, k, p, np.arange(horizon + 1))
-    return ExpectationTrace(
-        slots=tuple(range(horizon + 1)),
-        empirical_mean=tuple(mean.tolist()),
-        std_error=tuple(std_error.tolist()),
-        predicted_mean=tuple(predicted.tolist()),
-    )
+    return ExpectationTrace(tuple(range(horizon + 1)), tuple(mean.tolist()),
+                            tuple(std_error.tolist()), tuple(predicted.tolist()))
 
 
 def decode_active_rows(k: int, p: float, shape, oracle: DisjunctionOracle,
@@ -330,6 +328,8 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     check("trials", trials)
     if plan.slots == 0:
         return np.ones(trials, dtype=bool), np.zeros(trials)
+    from .channel import RepetitionDisjunctionOracle  # only e2e runs need the channel
+
     p = optimal_choice_probability(k)
     oracle = RepetitionDisjunctionOracle(noise, power, plan.repetitions, rng)
     evicted, false_slots = decode_active_rows(k, p, (trials, plan.slots), oracle, rng)
@@ -347,8 +347,8 @@ def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
     The channel-use plan depends only on the batch's parameters; it is
     computed once and shared by every trial.  ``norm_bound`` is the declared
     K the plan is sized for.  Trials are drawn in seeded blocks (see the
-    module docstring), and worker chunks are whole blocks.  The second
-    result holds one bool per trial, in trial order.
+    module docstring).  The second result holds one bool per trial, in trial
+    order.
     """
     check("trials", trials)
     plan = bounds.plan_channel_uses(n_inactive, k, eps, norm_bound, power, tail_constant)

@@ -210,7 +210,11 @@ def test_simulate_until_exact_is_byte_reproducible(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-def test_simulate_threads_do_not_change_results(tmp_path, capsys):
+@pytest.mark.parametrize("form", [
+    ["--grid-max", "120", "--grid-step", "10"],
+    ["--mode", "trace", "--horizon", "12"],
+], ids=["until-exact", "trace"])
+def test_simulate_threads_do_not_change_results(tmp_path, capsys, form):
     # 30 trials fill one seeded block; 9000 span three
     for trials in ("30", "9000"):
         blobs, texts = [], []
@@ -218,9 +222,9 @@ def test_simulate_threads_do_not_change_results(tmp_path, capsys):
             out = tmp_path / name
             code, text = run_cli(capsys, [
                 "simulate", "--n-inactive", "40", "--k", "2", "--trials", trials,
-                "--seed", "99", "--threads", threads, "--grid-max", "120",
-                "--grid-step", "10", "--out", str(out)])
+                "--seed", "99", "--threads", threads, *form, "--out", str(out)])
             assert code == 0
+            assert f"#   threads = {threads}" in text.splitlines()
             blobs.append(out.read_bytes())
             texts.append([line for line in text.splitlines() if "threads" not in line])
         assert blobs[0] == blobs[1]
@@ -422,6 +426,27 @@ def test_required_flag_of_the_form_is_named(capsys, argv, flag):
     assert captured.err.splitlines()[-1] == (
         f"gtmac: error: the following argument is required: {flag}")
     assert captured.out == ""
+
+
+def test_preset_names_the_p_and_slot_cap_of_each_pair(tmp_path, capsys):
+    # every curve the preset writes is censored at its slot cap, so each pair's
+    # line names the p and cap it ran with, the defaults resolved
+    from gtmac import harness
+
+    base = ["simulate", "--preset", "reference", "--trials", "2", "--threads", "1",
+            "--grid-max", "10", "--seed", "1", "--out-dir", str(tmp_path)]
+    code, text = run_cli(capsys, [*base, "--p", "0.2", "--slot-cap", "40"])
+    assert code == 0
+    assert [line for line in text.splitlines() if line.startswith("running")] == [
+        "running n_inactive=10000 k=20 p=0.2 slot_cap=40 ...",
+        "running n_inactive=100000 k=20 p=0.2 slot_cap=40 ...",
+        "running n_inactive=10000 k=30 p=0.2 slot_cap=40 ..."]
+    code, text = run_cli(capsys, base)
+    assert code == 0
+    assert [line for line in text.splitlines() if line.startswith("running")] == [
+        f"running n_inactive={n} k={k} p={1 / (k + 1)} "
+        f"slot_cap={harness.default_slot_cap(n, k)} ..."
+        for n, k in ((10_000, 20), (100_000, 20), (10_000, 30))]
 
 
 def test_preset_has_no_trace_form(tmp_path, capsys):
@@ -828,5 +853,20 @@ def test_start_up_builds_its_records_without_dataclasses(before, watched, argv):
     # the records are namedtuples: making a frozen dataclass loads dataclasses,
     # which loads inspect, and builds six methods per class from source
     proc = run_python("-c", _LOADS_NONE_OF, before, watched, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-inactive", "40", "--k", "2", "--trials", "30", "--seed", "9",
+     "--threads", "1", "--grid-max", "50", "--out", "{tmp}/curve.csv"],
+    ["simulate", "--mode", "trace", "--n-inactive", "40", "--k", "2", "--trials", "30",
+     "--seed", "9", "--threads", "1", "--horizon", "5", "--out", "{tmp}/trace.csv"],
+], ids=["until-exact", "trace"])
+def test_surplus_runs_do_not_load_the_channel(tmp_path, argv):
+    # the harness imports gtmac.channel inside end_to_end_trial, the one
+    # batch that decodes over the noisy channel
+    proc = run_python("-c", _LOADS_NONE_OF, "numpy.random", "gtmac.channel",
+                      *[arg.format(tmp=tmp_path) for arg in argv])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded:"

@@ -212,6 +212,39 @@ def test_expectation_trace_validation():
         harness.expectation_trace(10, 1, 0.5, trials=10, horizon=0)
 
 
+def test_expectation_trace_is_worker_count_invariant():
+    # three seeded blocks, so two workers really split them
+    trials = 2 * harness.TRIAL_BLOCK + 7
+    serial = harness.expectation_trace(40, 2, 1 / 3, trials, 12, seed_base=5, workers=1)
+    parallel = harness.expectation_trace(40, 2, 1 / 3, trials, 12, seed_base=5, workers=2)
+    for field in harness.ExpectationTrace._fields:
+        assert getattr(serial, field) == getattr(parallel, field), field
+
+
+def test_expectation_trace_sums_fixed_blocks_in_block_order():
+    # block b is stepped from SeedSequence((seed_base, b)); its sums add to
+    # the earlier blocks' in block order
+    trials = harness.TRIAL_BLOCK + 5
+    trace = harness.expectation_trace(40, 2, 1 / 3, trials, 6, seed_base=6)
+    sums = np.zeros(7)
+    for block, size in enumerate((harness.TRIAL_BLOCK, 5)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((6, block))))
+        for i, surplus in enumerate(scheme.surplus_steps(40, 2, 1 / 3, 6, rng, size)):
+            sums[i] += surplus.sum()
+    assert trace.empirical_mean == tuple((sums / trials).tolist())
+
+
+@pytest.mark.parametrize("run", [
+    lambda workers: harness.run_until_exact_batch(5, 1, 0.5, 10, 3, 0, workers=workers),
+    lambda workers: harness.expectation_trace(5, 1, 0.5, 3, 4, 0, workers=workers),
+    lambda workers: harness.run_end_to_end_batch(5, 1, 0.1, gaussian(1.0), 1.0, 1.0,
+                                                 0.125, 3, 0, workers=workers),
+], ids=["until-exact", "trace", "e2e"])
+def test_batch_runners_reject_a_bool_worker_count(run):
+    with pytest.raises(TypeError):
+        run(True)
+
+
 # --- end to end ----------------------------------------------------------------------
 
 def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
