@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # The surplus kernel clips its G draw at slot_cap + 1, which must be exact in
-# float64; scheme re-exports this bound.
+# float64.
 MAX_SLOT_CAP = 2**53 - 1
 
 _INF = math.inf  # no upper end for an int
@@ -51,7 +51,8 @@ _RANGES = {
     "slot_error": ("slot_error", False, _TINY, _BELOW_ONE, "a real in (0, 1)"),
     "scale": ("scale", False, 0.0, _BIG, "a finite real >= 0"),
     "sigma": ("sigma", False, _TINY, _BIG, "a finite real > 0"),
-    "repetitions": ("repetitions", True, 1, _INF, "an int >= 1"),
+    "repetitions": ("repetitions", True, 1, 2**63 - 1,  # noise step counts are int64
+                    f"an int in [1, {2**63 - 1}]"),
     "count": ("count", True, 0, _INF, "an int >= 0"),
     "channel_slots": ("slots", True, 1, _INF, "an int >= 1"),
     # experiments

@@ -6,7 +6,8 @@ The physical channel adds all transmitted reals plus a noise term:
 sub-gaussian with norm at most K, where the norm of Z is
 ``sup_n (E|Z|**n)**(1/n) / sqrt(n)``.  The noise distribution may change from
 step to step (an arbitrarily varying schedule) as long as every step respects
-the same K.
+the same K: a :class:`NoiseModel` is a list of ``(family, scale)`` members,
+and step t of a run of slots uses member ``t mod len(members)``.
 
 To convey one disjunction per slot, each transmitter repeats ``sqrt(P)`` for
 ``m`` steps when its bit is true and ``0`` when it is false; the receiver
@@ -41,65 +42,61 @@ __all__ = [
     "RepetitionDisjunctionOracle",
 ]
 
-_FAMILIES = ("gaussian", "uniform", "rademacher", "schedule")
+_FAMILIES = ("gaussian", "uniform", "rademacher")
 
 
-class NoiseModel(namedtuple("NoiseModel", "family scale members")):
-    """One noise family (or a per-step schedule of families) with its norm bound.
+class NoiseModel(namedtuple("NoiseModel", "members")):
+    """A per-step schedule of noise families, with its norm bound.
 
+    ``members`` is a non-empty tuple of ``(family, scale)`` pairs and step t
+    uses member ``t mod len(members)``; one member is a plain family.
     ``scale`` means: standard deviation for ``gaussian``, half-width for
-    ``uniform`` on [-a, a], magnitude for ``rademacher`` (fair +/-a).  A
-    ``schedule`` cycles through its member models, step t using member
-    ``t mod len(members)``; members must be base families.  ``norm_bound``
-    is a valid upper bound on the sub-gaussian norm of every step:
+    ``uniform`` on [-a, a], magnitude for ``rademacher`` (fair +/-a).
+    ``norm_bound`` is a valid upper bound on the sub-gaussian norm of every
+    step, the largest over the members of:
 
     * gaussian(sigma): the norm is ``sigma*sqrt(2/pi)`` (the n = 1 moment
       dominates), so K = sigma is an upper bound;
     * uniform(a): the norm is a/2;  K = a is an upper bound;
-    * rademacher(a): the norm is exactly a;
-    * schedule: the maximum over members.
+    * rademacher(a): the norm is exactly a.
 
     A zero scale is allowed and degenerates to noiseless steps.
     """
 
     __slots__ = ()
 
-    def __new__(cls, family: str, scale: float = 0.0,
-                members: tuple[NoiseModel, ...] = ()):
-        if family not in _FAMILIES:
-            raise ValueError(f"unknown noise family {family!r}")
-        if family == "schedule":
-            if not members:
-                raise ValueError("schedule needs at least one member model")
-            if any(m.family == "schedule" for m in members):
-                raise ValueError("schedules cannot nest")
-        else:
-            if members:
-                raise ValueError("only schedules take member models")
-            scale = float(check("scale", scale))
-        return super().__new__(cls, family, scale, members)
+    def __new__(cls, members):
+        checked = []
+        for family, scale in members:
+            if family not in _FAMILIES:
+                raise ValueError(f"unknown noise family {family!r}")
+            checked.append((family, float(check("scale", scale))))
+        if not checked:
+            raise ValueError("a noise model needs at least one member")
+        return super().__new__(cls, tuple(checked))
 
     @property
     def norm_bound(self) -> float:
-        if self.family == "schedule":
-            return max(m.norm_bound for m in self.members)
-        return self.scale
+        return max(scale for _, scale in self.members)
 
 
 def gaussian(sigma: float) -> NoiseModel:
-    return NoiseModel("gaussian", scale=sigma)
+    return NoiseModel((("gaussian", sigma),))
 
 
 def uniform(half_width: float) -> NoiseModel:
-    return NoiseModel("uniform", scale=half_width)
+    return NoiseModel((("uniform", half_width),))
 
 
 def rademacher(magnitude: float) -> NoiseModel:
-    return NoiseModel("rademacher", scale=magnitude)
+    return NoiseModel((("rademacher", magnitude),))
 
 
-def schedule(*members: NoiseModel) -> NoiseModel:
-    return NoiseModel("schedule", members=tuple(members))
+def schedule(*models: NoiseModel) -> NoiseModel:
+    """The schedule that cycles through one-member ``models``, one per step."""
+    if any(len(model.members) > 1 for model in models):
+        raise ValueError("schedules cannot nest")
+    return NoiseModel(member for model in models for member in model.members)
 
 
 # numpy's ``Generator.random()`` is j * 2**-53 with j uniform on 53 bits.
@@ -115,18 +112,17 @@ _UNIFORM_CHUNK = 1 << 16
 
 
 def _member_step_counts(period: int, repetitions: int, slot_count: int,
-                        start_step: int, run_slots: int) -> np.ndarray:
+                        run_slots: int) -> np.ndarray:
     """Steps member j of a ``period``-cycle gets in each slot, shape (period, slots).
 
     Slots form runs of ``run_slots``; slot i of a run covers steps
-    ``start_step + i*m .. start_step + (i+1)*m - 1`` and step t goes to member
-    ``t mod period``: every member gets ``m // period`` steps, and the
-    ``m % period`` members that follow the slot's first step in the cycle get
-    one more.
+    ``i*m .. (i+1)*m - 1`` and step t goes to member ``t mod period``: every
+    member gets ``m // period`` steps, and the ``m % period`` members that
+    follow the slot's first step in the cycle get one more.
     """
     base, extra = divmod(repetitions, period)
     within = np.arange(slot_count, dtype=np.int64) % max(run_slots, 1)
-    first = (start_step % period + (repetitions % period) * within) % period
+    first = extra * within % period
     behind = (np.arange(period)[:, None] - first) % period
     return base + (behind < extra)
 
@@ -167,19 +163,18 @@ def _uniform_sums(half_width: float, counts: np.ndarray,
 
 
 def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
-                        rng: np.random.Generator, start_step: int = 0,
+                        rng: np.random.Generator,
                         run_slots: int | None = None) -> np.ndarray:
     """Averaged noise of ``slot_count`` consecutive slots of ``repetitions`` steps.
 
     This is the noise the decoder sees: for the repetition code a slot
     average is (number of senders)*sqrt(P) plus this quantity, which
-    :class:`RepetitionDisjunctionOracle` adds.  Slot i covers steps
-    ``start_step + i*m`` onwards; with ``run_slots`` the slots are runs of
-    that many slots (it divides ``slot_count``), each run starting at
-    ``start_step`` again.  A schedule member's step count per slot is thus
-    fixed by the slot's place in its run, ``start_step``, m and the period,
-    and each member's share of a slot's noise sum is drawn from its exact
-    law:
+    :class:`RepetitionDisjunctionOracle` adds.  The slots are one run, or
+    with ``run_slots`` runs of that many slots (it divides ``slot_count``);
+    slot i of a run covers steps ``i*m`` onwards, so every run starts at
+    step 0 of the schedule.  A member's step count per slot is thus fixed by
+    the slot's place in its run, m and the period, and each member's share
+    of a slot's noise sum is drawn from its exact law:
 
     * n gaussian(sigma) steps: one N(0, n*sigma**2) draw;
     * n rademacher(a) steps: ``a*(2*Bin(n, 1/2) - n)``;
@@ -196,17 +191,14 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     run_slots = slot_count if run_slots is None else check("count", run_slots)
     if slot_count and (run_slots == 0 or slot_count % run_slots):
         raise ValueError(f"run_slots {run_slots} does not divide slot_count {slot_count}")
-    members = model.members or (model,)
-    counts = _member_step_counts(len(members), repetitions, slot_count, start_step,
-                                 run_slots)
+    counts = _member_step_counts(len(model.members), repetitions, slot_count, run_slots)
     sums = np.zeros(slot_count)
-    for member, n in zip(members, counts):
-        a = member.scale
+    for (family, a), n in zip(model.members, counts):
         if a == 0.0:
             continue
-        if member.family == "gaussian":
+        if family == "gaussian":
             sums += a * np.sqrt(n) * rng.standard_normal(slot_count)
-        elif member.family == "rademacher":
+        elif family == "rademacher":
             sums += a * (2.0 * rng.binomial(n, 0.5) - n)
         else:
             sums += _uniform_sums(a, n, rng)

@@ -69,22 +69,19 @@ def _load_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
 
 
 def _parse_noise_spec(spec: str) -> NoiseModel:
-    """Parse ``family=scale`` or a comma list of them (a per-step schedule)."""
-    from . import channel as chan
+    """Parse ``family=scale`` or a comma list of them (a per-step schedule);
+    :class:`~gtmac.channel.NoiseModel` judges each family and scale."""
+    from .channel import NoiseModel
 
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty noise spec")
-    models = []
-    for part in parts:
-        if "=" not in part:
+    members = []
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        family, is_pair, raw = part.partition("=")
+        if not is_pair:
             raise ValueError(f"noise spec {part!r} is not family=scale")
-        family, _, raw = part.partition("=")
-        family, scale = family.strip().lower(), float(raw)
-        if family not in ("gaussian", "uniform", "rademacher"):
-            raise ValueError(f"unknown noise family {family!r}")
-        models.append(getattr(chan, family)(scale))
-    return models[0] if len(models) == 1 else chan.schedule(*models)
+        members.append((family.strip().lower(), float(raw)))
+    if not members:
+        raise ValueError("empty noise spec")
+    return NoiseModel(members)
 
 
 def _resolve_noise(parser, args) -> NoiseModel:
@@ -149,9 +146,7 @@ def _echo(params: dict) -> None:
 
 
 def _format_noise(model: NoiseModel) -> str:
-    if model.family == "schedule":
-        return ",".join(_format_noise(m) for m in model.members)
-    return f"{model.family}={model.scale!r}"
+    return ",".join(f"{family}={scale!r}" for family, scale in model.members)
 
 
 def _cmd_bounds(parser, args) -> int:
@@ -264,7 +259,9 @@ def _cmd_channel(parser, args) -> int:
     big_k = _resolve_big_k(parser, args, noise)
     power, c, delta, slots = args.power, args.c, args.delta, args.slots
     seed = _resolve_seed(args)
-    reps = bnd.repetition_length(big_k, power, delta, c) if args.m is None else args.m
+    # --m is at least 1, so only a run without it plans; a plan gets --m's range
+    reps = args.m or check("repetitions", bnd.repetition_length(big_k, power, delta, c),
+                           "the repetitions that --big-k, --power, --delta and --c plan")
 
     _echo({"noise": _format_noise(noise), "power": power, "big_k": big_k,
            "c": c, "delta": delta, "m": reps, "slots": slots, "seed": seed})
@@ -272,9 +269,10 @@ def _cmd_channel(parser, args) -> int:
     rng = np.random.default_rng(seed)
     threshold = math.sqrt(power) / 2.0
     excursions = decoded_true = 0
-    for done in range(0, slots, 200_000):
-        averaged = chan.slot_noise_averages(noise, reps, min(200_000, slots - done), rng,
-                                            start_step=done * reps)
+    period = len(noise.members)  # 200 000 slots a chunk, rounded up to whole periods
+    chunk = -(-200_000 // period) * period  # so that every chunk starts at step 0
+    for done in range(0, slots, chunk):
+        averaged = chan.slot_noise_averages(noise, reps, min(chunk, slots - done), rng)
         excursions += int((np.abs(averaged) >= threshold).sum())
         decoded_true += int((averaged > threshold).sum())
     print(f"empirical_excursion_rate = {excursions / slots!r}")
@@ -284,8 +282,8 @@ def _cmd_channel(parser, args) -> int:
     square = big_k * big_k
     exponent = c * reps * power / square if square else math.inf
     print(f"tail_bound = {math.exp(1.0 - exponent)!r}")
-    if noise.family == "gaussian" and noise.scale > 0:
-        exact = chan.gaussian_slot_error_exact(noise.scale, power, reps)
+    if noise.norm_bound > 0 and noise == chan.gaussian(noise.norm_bound):
+        exact = chan.gaussian_slot_error_exact(noise.norm_bound, power, reps)
         print(f"gaussian_exact_excursion = {exact!r}")
     return 0
 
@@ -298,6 +296,10 @@ def _cmd_e2e(parser, args) -> int:
     big_k = _resolve_big_k(parser, args, noise)
     c, trials, out = args.c, args.trials, args.out
     seed, threads = _resolve_seed(args), _resolve_threads(args)
+    plan = bnd.plan_channel_uses(n, k, eps, big_k, power, c)
+    if plan.repetitions:  # checked as in channel; a plan with no slot has none
+        check("repetitions", plan.repetitions, "the repetitions that --n-inactive, --k, "
+              "--eps, --big-k, --power and --c plan")
     if out is not None:
         _writable(out)
 

@@ -45,7 +45,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from ._ranges import MAX_SLOT_CAP, check
+from ._ranges import check
 
 __all__ = [
     "Population",
@@ -59,7 +59,6 @@ __all__ = [
     "run_scheme",
     "run_scheme_fast",
     "slot_rng",
-    "MAX_SLOT_CAP",
     "sample_slots_until_exact",
     "surplus_steps",
 ]

@@ -223,8 +223,7 @@ def _excursion_rate(model, repetitions: int, slots: int, threshold: float,
     done = 0
     while done < slots:
         count = min(100_000, slots - done)
-        averaged = slot_noise_averages(model, repetitions, count, rng,
-                                       start_step=done * repetitions)
+        averaged = slot_noise_averages(model, repetitions, count, rng)
         hits += int((np.abs(averaged) >= threshold).sum())
         done += count
     return hits / slots

@@ -15,7 +15,8 @@ import pytest
 
 import gtmac
 from gtmac._ranges import _RANGES
-from gtmac.cli import _COMMANDS, _FLAGS, _FORMS, _summarize_until_exact, main
+from gtmac.cli import (_COMMANDS, _FLAGS, _FORMS, _parse_noise_spec, _summarize_until_exact,
+                       main)
 
 
 def run_cli(capsys, argv):
@@ -631,6 +632,56 @@ def test_channel_schedule_spec_and_conflicting_noise_flags(capsys):
         main(["channel", "--noise", "cauchy=1.0", "--power", "1.0",
               "--delta", "0.05"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("spec", ["gaussian=1.5", "uniform=0.5,rademacher=1.0,gaussian=2.0",
+                                  "rademacher=0.0", "gaussian=1e-300,uniform=0.25"])
+def test_noise_echo_parses_back_to_an_equal_model(capsys, spec):
+    code, out = run_cli(capsys, ["channel", "--noise", spec, "--big-k", "2", "--power", "1",
+                                 "--delta", "0.1", "--slots", "3", "--seed", "1"])
+    assert code == 0
+    echoed = re.search(r"^#   noise = (\S+)$", out, re.M).group(1)
+    assert _parse_noise_spec(echoed) == _parse_noise_spec(spec)
+
+
+def test_channel_chunks_hold_whole_schedule_periods(capsys, monkeypatch):
+    # every chunk but the last is a whole number of 3-member periods, so each
+    # one starts at step 0 of the schedule, where slot_noise_averages starts
+    from gtmac import channel
+
+    counts = []
+    averages = channel.slot_noise_averages
+
+    def spy(model, repetitions, slot_count, rng, *rest, **kwargs):
+        counts.append(slot_count)
+        return averages(model, repetitions, slot_count, rng, *rest, **kwargs)
+
+    monkeypatch.setattr(channel, "slot_noise_averages", spy)
+    code, _ = run_cli(capsys, ["channel", "--noise", "gaussian=1,uniform=1,rademacher=1",
+                               "--power", "1", "--delta", "0.1", "--m", "4",
+                               "--slots", "450000", "--seed", "1"])
+    assert code == 0
+    assert counts == [200_001, 200_001, 49_998]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["channel", "--sigma", "1", "--power", "1", "--delta", "0.1", "--slots", "3",
+      "--seed", "1", "--m", "100000000000000000000"], "--m"),
+    (["channel", "--sigma", "1", "--power", "1e-20", "--delta", "0.1", "--slots", "3",
+      "--seed", "1"], "--big-k, --power, --delta and --c"),
+    (["e2e", "--n-inactive", "10", "--k", "1", "--eps", "0.1", "--sigma", "1",
+      "--power", "1e-20", "--trials", "2", "--seed", "1", "--threads", "1"],
+     "--n-inactive, --k, --eps, --big-k, --power and --c"),
+])
+def test_repetitions_past_int64_exit_2_before_any_output(capsys, argv, flags):
+    # a slot's noise step counts are int64
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flags in captured.err
+    assert f"an int in [1, {2**63 - 1}]" in captured.err
 
 
 def test_channel_and_e2e_reject_an_understated_norm_bound_alike(capsys):

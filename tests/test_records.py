@@ -15,8 +15,7 @@ from gtmac.scheme import FastRunResult, Population, SchemeConfig, SlotOutcome
 RECORDS = [
     (ChannelUsePlan, dict(slots=921, slot_error_target=1.0857763300760044e-05,
                           repetitions=100, total=92100, closed_form=91490.47357391116)),
-    (NoiseModel, dict(family="schedule", scale=0.0,
-                      members=(NoiseModel("gaussian", 0.5), NoiseModel("uniform", 2.0)))),
+    (NoiseModel, dict(members=(("gaussian", 0.5), ("uniform", 2.0)))),
     (Population, dict(total_nodes=5, active_set=frozenset({1, 3}))),
     (SchemeConfig, dict(choice_probability=0.25, slot_budget=40, master_seed=7)),
     (SlotOutcome, dict(any_active_chosen=True, decoded_disjunction=False)),
@@ -68,15 +67,15 @@ def test_record_survives_a_pickle_round_trip(cls, fields):
 
 
 def test_record_defaults():
-    assert NoiseModel("gaussian") == NoiseModel("gaussian", 0.0, ())
     assert RunRecord(trial_seed=3, slots_until_exact=5).surplus_trace is None
 
 
 def test_records_coerce_their_inputs():
     config = SchemeConfig(1, 5, 0)
     assert type(config.choice_probability) is float and config.choice_probability == 1.0
-    noise = NoiseModel("rademacher", 2)
-    assert type(noise.scale) is float and noise.scale == 2.0
+    noise = NoiseModel([("rademacher", 2)])
+    assert noise.members == (("rademacher", 2.0),)
+    assert type(noise.members) is tuple and type(noise.members[0][1]) is float
     population = Population(4, [0, 2, 2])
     assert type(population.active_set) is frozenset and population.active_set == {0, 2}
 
@@ -92,13 +91,12 @@ def test_records_coerce_their_inputs():
     (lambda: SchemeConfig("0.5", 5, 0), TypeError),
     (lambda: SchemeConfig(0.5, -1, 0), ValueError),
     (lambda: SchemeConfig(0.5, 5, 2**64), ValueError),
-    (lambda: NoiseModel("laplace", 1.0), ValueError),
-    (lambda: NoiseModel("gaussian", -1.0), ValueError),
-    (lambda: NoiseModel("gaussian", "1"), TypeError),
-    (lambda: NoiseModel("gaussian", 1.0, (NoiseModel("uniform", 1.0),)), ValueError),
-    (lambda: NoiseModel("schedule"), ValueError),
-    (lambda: NoiseModel("schedule", members=(NoiseModel("schedule", members=(
-        NoiseModel("gaussian", 1.0),)),)), ValueError),
+    (lambda: NoiseModel([("laplace", 1.0)]), ValueError),
+    (lambda: NoiseModel([("gaussian", -1.0)]), ValueError),
+    (lambda: NoiseModel([("gaussian", "1")]), TypeError),
+    (lambda: NoiseModel([("uniform", 1.0), ("gaussian", float("nan"))]), ValueError),
+    (lambda: NoiseModel(()), ValueError),
+    (lambda: NoiseModel([NoiseModel([("gaussian", 1.0)])]), ValueError),
 ])
 def test_records_reject_bad_input(build, error):
     with pytest.raises(error):

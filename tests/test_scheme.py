@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtmac.scheme import (MAX_SLOT_CAP, FastRunResult, IdealDisjunctionOracle,
-                          Population, SchemeConfig, optimal_choice_probability,
-                          receiver_update, run_scheme, run_scheme_fast,
-                          sample_slots_until_exact, slot_rng, surplus_steps)
+from gtmac._ranges import MAX_SLOT_CAP
+from gtmac.scheme import (FastRunResult, IdealDisjunctionOracle, Population,
+                          SchemeConfig, optimal_choice_probability, receiver_update,
+                          run_scheme, run_scheme_fast, sample_slots_until_exact,
+                          slot_rng, surplus_steps)
 
 
 def brute_force_single_slot_law(n_inactive: int, k: int, p: float) -> dict:
