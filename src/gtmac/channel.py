@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -112,19 +113,24 @@ _UNIFORM_CHUNK = 1 << 16
 
 
 def _member_step_counts(period: int, repetitions: int, slot_count: int,
-                        run_slots: int) -> np.ndarray:
-    """Steps member j of a ``period``-cycle gets in each slot, shape (period, slots).
+                        run_slots: int) -> Iterator[np.ndarray]:
+    """Steps member j of a ``period``-cycle gets in each slot, one row per member.
 
     Slots form runs of ``run_slots``; slot i of a run covers steps
     ``i*m .. (i+1)*m - 1`` and step t goes to member ``t mod period``: every
     member gets ``m // period`` steps, and the ``m % period`` members that
-    follow the slot's first step in the cycle get one more.
+    follow the slot's first step in the cycle get one more.  The rows are
+    made one at a time, so memory is O(slot_count) whatever the period.
     """
     base, extra = divmod(repetitions, period)
-    within = np.arange(slot_count, dtype=np.int64) % max(run_slots, 1)
-    first = extra * within % period
-    behind = (np.arange(period)[:, None] - first) % period
-    return base + (behind < extra)
+    if not extra:  # every slot gives every member m / period steps: hold no index
+        for _ in range(period):
+            yield np.full(slot_count, base, dtype=np.int64)
+        return
+    # the member of each slot's first step
+    first = extra * (np.arange(slot_count, dtype=np.int64) % max(run_slots, 1)) % period
+    for j in range(period):
+        yield base + ((j - first) % period < extra)
 
 
 def _bit_count_sums(steps: int, rows: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,7 +190,8 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
       about 780 steps on); for fewer steps, the n draws summed;
     * a zero-scale member: nothing drawn.
 
-    Memory is O(slot_count) whatever m is.  Members draw in member order.
+    Memory is O(slot_count) whatever m and the number of members are.
+    Members draw in member order.
     """
     check("repetitions", repetitions)
     check("count", slot_count)

@@ -191,6 +191,39 @@ def test_uniform_slot_sums_hold_bounded_memory():
     assert averaged.std() == pytest.approx(8.0 / math.sqrt(3 * 2870), rel=0.02)
 
 
+@pytest.mark.parametrize("period, m, slots, run", [
+    (1, 7, 10, 10), (3, 4, 70, 10), (3, 6, 30, 30), (5, 2, 40, 8), (50, 4615, 302, 151),
+])
+def test_member_step_counts_match_the_broadcast_formula(period, m, slots, run):
+    counts = np.stack(list(channel._member_step_counts(period, m, slots, run)))
+    base, extra = divmod(m, period)
+    first = extra * (np.arange(slots) % run) % period
+    broadcast = base + ((np.arange(period)[:, None] - first) % period < extra)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, broadcast)
+    # and each slot's steps counted one by one, slot i of a run from step i*m
+    steps = (np.arange(slots) % run)[:, None] * m + np.arange(m)
+    direct = np.stack([np.bincount(row % period, minlength=period) for row in steps], axis=1)
+    np.testing.assert_array_equal(counts, direct)
+
+
+def test_schedule_slot_sums_hold_memory_flat_in_the_period():
+    # a (period, slots) count array for 50 members over one 200 000-slot
+    # `gtmac channel` chunk was 80 MB, and the slot sums peaked at 165 MiB
+    def peak(model):
+        tracemalloc.start()
+        try:
+            slot_noise_averages(model, 4615, 200_000, np.random.default_rng(8))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(gaussian(1.0))
+    fifty = peak(schedule(*[gaussian(1.0)] * 50))
+    assert fifty < 3 * one
+    assert fifty < 20 * 2**20
+
+
 def summed_uniform_draws(n: int, slot_count: int, rng: np.random.Generator) -> np.ndarray:
     """Per slot, n draws of U(-1, 1) summed (test-side reference, 500 slots at a time)."""
     return np.concatenate([2.0 * rng.random((min(500, slot_count - lo), n)).sum(axis=1) - n

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import os
 import re
@@ -834,6 +835,74 @@ def test_module_entry_point_runs_as_script():
                       "--k", "20", "--eps", "0.01")
     assert proc.returncode == 0
     assert "slots_exact_recovery = 921" in proc.stdout
+
+
+# the benchmark's batches at small trial counts, its bounds run, and an e2e_lowsnr
+# batch of 1500 trials: 4 blocks of 434, split between two workers
+@pytest.mark.parametrize("name, trials, threads", [
+    ("curve", 40, "1"), ("trace", 300, "1"), ("e2e_wide", 1, "1"), ("e2e_lowsnr", 30, "1"),
+    ("e2e_lowsnr", 1500, "2"), ("bounds", None, None)])
+def test_process_entry_writes_what_main_writes_in_process(tmp_path, capsys, monkeypatch,
+                                                          name, trials, threads):
+    # the process entry freezes the heap before it exits; its stdout, CSV and
+    # exit code are those of the same command run in process
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    out = tmp_path / "batch.csv"
+    if name == "bounds":
+        argv = WORKLOADS["e2e_wide"].bounds_argv()
+    else:
+        argv = WORKLOADS[name].batch_argv(7, str(out), trials)
+        argv[argv.index("--threads") + 1] = threads
+    proc = run_python("-m", "gtmac.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    blob = out.read_bytes() if out.exists() else None
+    assert (blob is None) == (name == "bounds")
+    out.unlink(missing_ok=True)
+    assert run_cli(capsys, argv) == (0, proc.stdout)
+    assert (out.read_bytes() if out.exists() else None) == blob
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--preset", "reference", "--out", "ignored.csv", "--trials", "2"], 2),
+    (["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+      "--power", "1", "--trials", "3", "--seed", "9", "--out", "{missing}/e2e.csv"], 1),
+], ids=["unread-flag", "unwritable-out"])
+def test_process_entry_keeps_the_exit_codes(tmp_path, argv, code):
+    proc = run_python("-m", "gtmac.cli",
+                      *[arg.format(missing=tmp_path / "missing") for arg in argv])
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr
+
+
+def test_main_with_argv_leaves_the_gc_state_alone(tmp_path, capsys):
+    # pytest's heap and the benchmark tracer's are never frozen
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    run_cli(capsys, ["bounds", "--n-inactive", "100", "--k", "2", "--eps", "0.1"])
+    run_cli(capsys, ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma",
+                     "0.5", "--power", "1", "--trials", "3", "--seed", "9", "--threads", "1",
+                     "--out", str(tmp_path / "e2e.csv")])
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+_AS_MAIN = """
+import atexit, gc, runpy, sys
+print("before:", gc.get_freeze_count())
+atexit.register(lambda: print("at exit:", gc.get_freeze_count() > 0))
+sys.argv = ["gtmac", "bounds", "--n-inactive", "100", "--k", "2", "--eps", "0.1"]
+runpy.run_module("gtmac.cli", run_name="__main__")
+"""
+
+
+def test_process_entry_freezes_the_heap_before_it_exits():
+    proc = run_python("-c", _AS_MAIN)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "before: 0"
+    assert any(line.startswith("slots_exact_recovery = ") for line in lines)
+    assert lines[-1] == "at exit: True"
 
 
 _START_UP = """
