@@ -26,6 +26,9 @@ if TYPE_CHECKING:
 MAX_SLOT_CAP = 2**53 - 1
 
 _INF = math.inf  # no upper end for an int
+# The upper end of an int that numpy takes as a size, a step count or the n of
+# a Bin(n, p) draw: all int64.
+_INT64 = 2**63 - 1
 _BIG = sys.float_info.max  # a real's upper end: finite
 _TINY = math.ulp(0.0)  # the smallest positive double: an open lower end at 0
 _BELOW_ONE = math.nextafter(1.0, 0.0)  # an open upper end at 1
@@ -35,8 +38,8 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)  # an open upper end at 1
 # one chained comparison, which a NaN fails.
 _RANGES = {
     # populations and the elimination scheme
-    "n_inactive": ("n_inactive", True, 0, _INF, "an int >= 0"),
-    "k": ("k", True, 1, _INF, "an int >= 1"),
+    "n_inactive": ("n_inactive", True, 0, _INT64, f"an int in [0, {_INT64}]"),
+    "k": ("k", True, 1, _INT64, f"an int in [1, {_INT64}]"),
     "total_nodes": ("total_nodes", True, 0, _INF, "an int >= 0"),
     "p": ("p", False, 0.0, 1.0, "a real in [0, 1]"),
     "slots": ("slots", True, 0, _INF, "an int >= 0"),
@@ -51,14 +54,14 @@ _RANGES = {
     "slot_error": ("slot_error", False, _TINY, _BELOW_ONE, "a real in (0, 1)"),
     "scale": ("scale", False, 0.0, _BIG, "a finite real >= 0"),
     "sigma": ("sigma", False, _TINY, _BIG, "a finite real > 0"),
-    "repetitions": ("repetitions", True, 1, 2**63 - 1,  # noise step counts are int64
-                    f"an int in [1, {2**63 - 1}]"),
+    "repetitions": ("repetitions", True, 1, _INT64, f"an int in [1, {_INT64}]"),
     "count": ("count", True, 0, _INF, "an int >= 0"),
-    "channel_slots": ("slots", True, 1, _INF, "an int >= 1"),
+    "channel_slots": ("slots", True, 1, _INT64, f"an int in [1, {_INT64}]"),
     # experiments
-    "trials": ("trials", True, 1, _INF, "an int >= 1"),
-    "trace_trials": ("trials", True, 2, _INF, "an int >= 2 for a standard error"),
-    "horizon": ("horizon", True, 1, _INF, "an int >= 1"),
+    "trials": ("trials", True, 1, _INT64, f"an int in [1, {_INT64}]"),
+    "trace_trials": ("trials", True, 2, _INT64,
+                     f"an int in [2, {_INT64}] (2 for a standard error)"),
+    "horizon": ("horizon", True, 1, _INT64, f"an int in [1, {_INT64}]"),
     "index": ("index", True, 0, _INF, "an int >= 0"),
     "seed": ("seed", True, 0, _INF, "an int >= 0"),
     "workers": ("workers", True, 1, _INF, "an int >= 1"),

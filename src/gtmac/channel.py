@@ -19,10 +19,25 @@ which happens with probability at most ``exp(1 - c*m*P/K**2)`` (tail constant
 c per family; 1/8 is valid for gaussian noise).  :func:`repetition_length`
 in :mod:`gtmac.bounds` inverts that bound.  :class:`RepetitionDisjunctionOracle`
 decodes whole runs of slots, each starting at step 0 of the noise schedule.
+
+The decoder reads only each slot's noise sum, so :func:`slot_noise_averages`
+draws it member by member: each member's m // period steps in every slot,
+then one step more in the slots that hold one more of its steps, each as the
+law of a sum of unit steps times the member's scale.  A draw of a fixed
+Bin(n, p) -- a rademacher share, the 53 bit counts of a uniform share, and
+the sender counts of :mod:`gtmac.harness` -- inverts the CDF at 2**-64 from
+one 64-bit word: thresholds ``T_i = ceil(2**64 * F(i))``, exact in Python
+ints because a double p is dyadic, and a 2**16-cell index on the word's top
+16 bits, built once per (n, p) and process.  Each atom is within 2**-64 of
+the pmf.  Where the build would cost more than about a millisecond
+(``n**2 * log2(denominator of p)`` above 2**22: n above 2048 at p = 1/2, or
+above about 270 at p = 1/(k+1)), numpy's ``binomial`` draws instead; the
+route depends on (n, p) only, so no result depends on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterator
@@ -100,37 +115,107 @@ def schedule(*models: NoiseModel) -> NoiseModel:
     return NoiseModel(member for model in models for member in model.members)
 
 
+# A fixed Bin(n, p) is drawn by table: the top _CELL_BITS bits of a 64-bit
+# word pick a cell, and the few cells that a step of the CDF splits are
+# settled by the whole word.
+_CELL_BITS = 16
+_CELL_SHIFT = 64 - _CELL_BITS  # the bits of a word below its cell index
+# Largest n**2 * log2(denominator of p) built as a table: the build's exact
+# Python-int work grows about as that product.  On a 2-vCPU Xeon Bin(1538,
+# 1/2) (2.4e6) builds in 1.4-1.7 ms and Bin(20, 1/21) (2.3e4) in 0.2 ms cold;
+# past the bound numpy's ``binomial`` draws.
+_TABLE_WORK = 1 << 22
 # numpy's ``Generator.random()`` is j * 2**-53 with j uniform on 53 bits.
 _BITS = 53
 _BIT_WEIGHTS = 2.0 ** np.arange(-_BITS, 0)
-# Fewest uniform steps per slot drawn from bit counts.  53 Bin(n, 1/2) draws
-# cost about as much as n random() draws near n = 780 (numpy 2.4, 2-vCPU
-# Xeon; 50x more at n = 54, half as much at n = 1538), so below 800 the n
-# draws themselves are cheaper.
-_BIT_COUNT_STEPS = 800
+# Fewest uniform steps per slot drawn from bit counts.  53 table draws of
+# Bin(n, 1/2) cost about as much as n random() draws near n = 150 (numpy
+# 2.4, 2-vCPU Xeon: 1.8 ms for 4530 slots, against 0.8 ms of draws at n = 60
+# and 3.5 ms at n = 300), so below the switch the draws are cheaper.
+_BIT_COUNT_STEPS = 160
 # Values of uniform noise held at once.
 _UNIFORM_CHUNK = 1 << 16
 
 
-def _member_step_counts(period: int, repetitions: int, slot_count: int,
-                        run_slots: int) -> Iterator[np.ndarray]:
-    """Steps member j of a ``period``-cycle gets in each slot, one row per member.
+@functools.lru_cache(maxsize=16)
+def _binomial_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Thresholds and cells of Bin(n, p)'s inverse CDF at 2**-64; None if costly.
+
+    A double p is a / 2**e exactly, so 2**(e*n) * F(i) is the integer sum
+    over j <= i of C(n, j) * a**j * (2**e - a)**(n - j), and each threshold
+    T_i = ceil(2**64 * F(i)) is exact.  A word w uniform on [0, 2**64) maps
+    to #{i : T_i <= w}, which is i with probability (T_i - T_{i-1}) / 2**64,
+    within 2**-64 of the pmf; the thresholds stop at the first that reaches
+    2**64.  Cell c holds the draw of every word whose top bits are c, or
+    ``len(thresholds) + 1`` if a threshold falls inside the cell.  None when
+    n**2 * e exceeds ``_TABLE_WORK``.  0 < p < 1.
+    """
+    a, denominator = p.as_integer_ratio()
+    e = denominator.bit_length() - 1
+    if n * n * e > _TABLE_WORK:
+        return None
+    b, shift = denominator - a, e * n
+    # 2**(64 + e*n) * F(i) above ``top`` makes T_i = 2**64
+    top = ((1 << 64) - 1) << shift
+    sums, term, total = [], b**n << 64, 0
+    for i in range(n):
+        total += term
+        if total > top:
+            break
+        sums.append(total)
+        term = term * (n - i) * a // ((i + 1) * b)
+    thresholds = [-(-s >> shift) for s in sums]
+    # the first cell whose words all lie at or above each threshold
+    starts = [0, *(-(-t >> _CELL_SHIFT) for t in thresholds), 1 << _CELL_BITS]
+    hard = len(sums) + 1  # no draw's value
+    cells = np.repeat(np.arange(hard, dtype=np.uint8 if hard < 256 else np.uint16),
+                      [end - start for start, end in zip(starts, starts[1:])])
+    cells[[t >> _CELL_SHIFT for t in thresholds if t % (1 << _CELL_SHIFT)]] = hard
+    thresholds = np.array(thresholds, dtype=np.uint64)
+    thresholds.flags.writeable = cells.flags.writeable = False  # shared by every caller
+    return thresholds, cells
+
+
+def _table_binomial(n: int, p: float, shape, rng: np.random.Generator) -> np.ndarray:
+    """``shape`` draws of Bin(n, p), by :func:`_binomial_table` where it has a table.
+
+    Each draw reads one 64-bit word of ``rng``'s bit generator; without a
+    table the draws are numpy's ``binomial``.  Which route a draw takes
+    depends on (n, p) alone, so no result depends on the worker count.
+    p = 0 and p = 1 draw nothing.
+    """
+    n, p = int(n), float(p)
+    if p == 0.0 or p == 1.0:
+        return np.full(shape, n if p else 0)
+    table = _binomial_table(n, p)
+    if table is None:
+        return rng.binomial(n, p, shape)
+    thresholds, cells = table
+    words = rng.bit_generator.random_raw(shape).reshape(-1)
+    draws = np.take(cells, (words >> np.uint64(_CELL_SHIFT)).view(np.int64))
+    hard = np.flatnonzero(draws == len(thresholds) + 1)
+    draws[hard] = np.searchsorted(thresholds, words[hard], side="right")
+    return draws.reshape(shape)
+
+
+def _longer_slots(period: int, repetitions: int, slot_count: int,
+                  run_slots: int) -> Iterator[np.ndarray]:
+    """The slots in which member j of a ``period``-cycle gets one step more, per member.
 
     Slots form runs of ``run_slots``; slot i of a run covers steps
     ``i*m .. (i+1)*m - 1`` and step t goes to member ``t mod period``: every
     member gets ``m // period`` steps, and the ``m % period`` members that
-    follow the slot's first step in the cycle get one more.  The rows are
-    made one at a time, so memory is O(slot_count) whatever the period.
+    follow the slot's first step in the cycle get one more.  The members are
+    done one at a time, so memory is O(slot_count) whatever the period.
     """
-    base, extra = divmod(repetitions, period)
-    if not extra:  # every slot gives every member m / period steps: hold no index
-        for _ in range(period):
-            yield np.full(slot_count, base, dtype=np.int64)
+    extra = repetitions % period
+    if not extra:  # every member gets m / period steps in every slot
+        yield from [np.empty(0, dtype=np.intp)] * period
         return
     # the member of each slot's first step
     first = extra * (np.arange(slot_count, dtype=np.int64) % max(run_slots, 1)) % period
     for j in range(period):
-        yield base + ((j - first) % period < extra)
+        yield np.flatnonzero((j - first) % period < extra)
 
 
 def _bit_count_sums(steps: int, rows: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,34 +223,39 @@ def _bit_count_sums(steps: int, rows: int, rng: np.random.Generator) -> np.ndarr
 
     Bit b of the draws' mantissas is set in C_b ~ Bin(steps, 1/2) of them,
     independently over the 53 bits, so the draws sum to
-    ``sum_b 2**(b-53) * C_b``: the exact law for any ``steps``.
+    ``sum_b 2**(b-53) * C_b``: the law of the summed draws for any ``steps``.
     """
-    return rng.binomial(steps, 0.5, (rows, _BITS)) @ _BIT_WEIGHTS
+    return _table_binomial(steps, 0.5, (rows, _BITS), rng) @ _BIT_WEIGHTS
 
 
-def _uniform_sums(half_width: float, counts: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Per slot, the sum of ``counts[i]`` uniform draws on [-a, a].
+def _gaussian_steps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` sums of n N(0, 1) steps: N(0, n) draws."""
+    return math.sqrt(n) * rng.standard_normal(size)
 
-    Counts differ by at most one across slots.  Their common part n is drawn
-    by :func:`_bit_count_sums` when n >= ``_BIT_COUNT_STEPS`` and as the n
-    draws themselves otherwise, ``_UNIFORM_CHUNK`` values at a time; the
-    slots with one step more get one further draw each.
+
+def _rademacher_steps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` sums of n fair +/-1 steps: 2*Bin(n, 1/2) - n."""
+    return 2.0 * _table_binomial(n, 0.5, size, rng) - n
+
+
+def _uniform_steps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` sums of n U(-1, 1) steps: 2s - n for s a sum of n ``random()`` draws.
+
+    s comes from :func:`_bit_count_sums` when n >= ``_BIT_COUNT_STEPS``, and
+    from the n draws themselves otherwise, ``_UNIFORM_CHUNK`` values at a time.
     """
-    common = int(counts.min()) if len(counts) else 0
-    bit_counts = common >= _BIT_COUNT_STEPS
-    rows = max(1, _UNIFORM_CHUNK // (_BITS if bit_counts else max(common, 1)))
-    unit_sums = np.empty(len(counts))
-    for lo in range(0, len(counts), rows):
-        hi = min(lo + rows, len(counts))
-        if bit_counts:
-            unit_sums[lo:hi] = _bit_count_sums(common, hi - lo, rng)
-        else:
-            unit_sums[lo:hi] = rng.random((hi - lo, common)).sum(axis=1)
-    longer = np.flatnonzero(counts > common)
-    unit_sums[longer] += rng.random(longer.size)
-    # a sum of n U(0, 1) draws maps to a sum of n U(-a, a) draws by 2a*s - a*n
-    return half_width * (2.0 * unit_sums - counts)
+    bit_counts = n >= _BIT_COUNT_STEPS
+    rows = max(1, _UNIFORM_CHUNK // (_BITS if bit_counts else n))
+    sums = np.empty(size)
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        sums[lo:hi] = (_bit_count_sums(n, hi - lo, rng) if bit_counts
+                       else rng.random((hi - lo, n)).sum(axis=1))
+    return 2.0 * sums - n
+
+
+_STEP_SUMS = {"gaussian": _gaussian_steps, "uniform": _uniform_steps,
+              "rademacher": _rademacher_steps}
 
 
 def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
@@ -178,38 +268,44 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     :class:`RepetitionDisjunctionOracle` adds.  The slots are one run, or
     with ``run_slots`` runs of that many slots (it divides ``slot_count``);
     slot i of a run covers steps ``i*m`` onwards, so every run starts at
-    step 0 of the schedule.  A member's step count per slot is thus fixed by
-    the slot's place in its run, m and the period, and each member's share
-    of a slot's noise sum is drawn from its exact law:
+    step 0 of the schedule.  A member gets c = m // period steps in every
+    slot, and one more in the slots fixed by their place in the run, m and
+    the period (none when the period divides m).  Each member draws the sum
+    of its c steps in every slot, then of its one further step in those
+    slots, each from the exact law of a sum of n unit steps, scaled by the
+    member's scale over m:
 
-    * n gaussian(sigma) steps: one N(0, n*sigma**2) draw;
-    * n rademacher(a) steps: ``a*(2*Bin(n, 1/2) - n)``;
-    * n uniform(a) steps: for n >= 800, 53 draws of Bin(n, 1/2), which
-      count the draws with each mantissa bit set (the law of n draws of
-      numpy's ``random()``, exact for any n, and cheaper than the draws from
-      about 780 steps on); for fewer steps, the n draws summed;
+    * gaussian: one N(0, n) draw;
+    * rademacher: ``2*Bin(n, 1/2) - n``;
+    * uniform on [-1, 1]: for n >= ``_BIT_COUNT_STEPS``, from 53 draws of
+      Bin(n, 1/2), which count the draws with each mantissa bit set (the
+      law of n draws of numpy's ``random()``); for fewer steps, the n draws
+      summed;
     * a zero-scale member: nothing drawn.
 
-    Memory is O(slot_count) whatever m and the number of members are.
-    Members draw in member order.
+    A Bin(n, 1/2) draw with n <= 2048 inverts its CDF at 2**-64 from one
+    64-bit word (see :func:`_table_binomial`), so each of its atoms is
+    within 2**-64 of the exact pmf.  Memory is O(slot_count)
+    whatever m and the number of members are.  Members draw in member order.
     """
     check("repetitions", repetitions)
     check("count", slot_count)
     run_slots = slot_count if run_slots is None else check("count", run_slots)
     if slot_count and (run_slots == 0 or slot_count % run_slots):
         raise ValueError(f"run_slots {run_slots} does not divide slot_count {slot_count}")
-    counts = _member_step_counts(len(model.members), repetitions, slot_count, run_slots)
-    sums = np.zeros(slot_count)
-    for (family, a), n in zip(model.members, counts):
+    period = len(model.members)
+    steps = repetitions // period
+    averages = np.zeros(slot_count)
+    for (family, a), longer in zip(model.members,
+                                   _longer_slots(period, repetitions, slot_count, run_slots)):
         if a == 0.0:
             continue
-        if family == "gaussian":
-            sums += a * np.sqrt(n) * rng.standard_normal(slot_count)
-        elif family == "rademacher":
-            sums += a * (2.0 * rng.binomial(n, 0.5) - n)
-        else:
-            sums += _uniform_sums(a, n, rng)
-    return sums / repetitions
+        step_sums, scale = _STEP_SUMS[family], a / repetitions
+        if steps:
+            averages += scale * step_sums(steps, slot_count, rng)
+        if longer.size:
+            averages[longer] += scale * step_sums(1, longer.size, rng)
+    return averages
 
 
 def gaussian_slot_error_exact(sigma: float, power: float, repetitions: int) -> float:

@@ -84,10 +84,6 @@ def _block_rng(seed_base: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed_base, block))))
 
 
-def _block_sizes(trials: int, block: int = TRIAL_BLOCK) -> list[int]:
-    return [min(block, trials - lo) for lo in range(0, trials, block)]
-
-
 def _end_to_end_block(slots: int) -> int:
     """Trials per seeded block of an end-to-end batch: about 2**16 slots."""
     return max(1, (1 << 16) // max(slots, 1))
@@ -172,8 +168,9 @@ def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
     return RunRecord(trial_seed=seed, slots_until_exact=hit, surplus_trace=trace)
 
 
-def _seeded_block(kernel, sizes: list[int], seed_base: int, b: int):
-    return kernel(_block_rng(seed_base, b), sizes[b])
+def _seeded_blocks(kernel, trials: int, block: int, seed_base: int, blocks: range) -> list:
+    """``kernel(rng, size)`` of each block b in ``blocks``: trials b*block onwards."""
+    return [kernel(_block_rng(seed_base, b), min(block, trials - b * block)) for b in blocks]
 
 
 def _pool_size(threads: int, tasks: int, cpus: int) -> int:
@@ -181,25 +178,30 @@ def _pool_size(threads: int, tasks: int, cpus: int) -> int:
     return max(1, min(threads, tasks, cpus))
 
 
-def _run_blocks(kernel, sizes: list[int], seed_base: int, workers: int) -> list:
-    """``kernel(rng, size)`` of every seeded block, in block order.
+def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int) -> list:
+    """``kernel(rng, size)`` of every seeded block of ``trials``, in block order.
 
-    Each block draws from its own seed, so no result depends on the worker
-    count.  ``kernel`` is a module-level function with the batch's
-    parameters bound by :func:`functools.partial`, so it pickles into worker
-    processes.
+    Block b holds trials ``b*block`` up to the next block's first (the last
+    block may be short) and draws from its own seed, so no result depends
+    on the worker count.  Nothing is made per block before the blocks run.
+    ``kernel`` is a module-level function with the batch's parameters bound
+    by :func:`functools.partial`, so it pickles into worker processes, which
+    run contiguous ranges of blocks.
     """
     check("workers", workers)
-    size = _pool_size(workers, len(sizes), os.cpu_count() or 1)
-    block = functools.partial(_seeded_block, kernel, sizes, seed_base)
+    count = -(-trials // block)
+    size = _pool_size(workers, count, os.cpu_count() or 1)
+    run = functools.partial(_seeded_blocks, kernel, trials, block, seed_base)
     if size == 1:
-        return list(map(block, range(len(sizes))))
+        return run(range(count))
     # imported here: the pool's modules cost a one-worker run ~9 ms of start-up
     from concurrent.futures import ProcessPoolExecutor
 
+    step = -(-count // (8 * size))
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(block, range(len(sizes)),
-                             chunksize=math.ceil(len(sizes) / (8 * size))))
+        parts = pool.map(run, (range(lo, min(lo + step, count))
+                               for lo in range(0, count, step)))
+        return [result for part in parts for result in part]
 
 
 def run_until_exact_batch(n_inactive: int, k: int, p: float, slot_cap: int,
@@ -207,7 +209,7 @@ def run_until_exact_batch(n_inactive: int, k: int, p: float, slot_cap: int,
     """Slots until exact of every trial, in trial order (int64, -1 = censored)."""
     check("trials", trials)
     kernel = functools.partial(sample_slots_until_exact, n_inactive, k, p, slot_cap)
-    return np.concatenate(_run_blocks(kernel, _block_sizes(trials), seed_base, workers))
+    return np.concatenate(_run_blocks(kernel, trials, TRIAL_BLOCK, seed_base, workers))
 
 
 def build_error_curve(slots_until_exact: np.ndarray, slot_grid: tuple[int, ...],
@@ -257,7 +259,7 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int, horizon: i
     check("trace_trials", trials)
     check("horizon", horizon)
     kernel = functools.partial(_trace_block, n_inactive, k, p, horizon)
-    sums, sums_sq = sum(_run_blocks(kernel, _block_sizes(trials), seed_base, workers),
+    sums, sums_sq = sum(_run_blocks(kernel, trials, TRIAL_BLOCK, seed_base, workers),
                         np.zeros((2, horizon + 1)))
     mean = sums / trials
     variance = np.maximum(sums_sq - trials * mean * mean, 0.0) / (trials - 1)
@@ -273,14 +275,17 @@ def decode_active_rows(k: int, p: float, shape, oracle: DisjunctionOracle,
 
     ``shape`` is ``slots`` for one run or ``(trials, slots)`` for a block of
     runs, one per row.  Each active node joins a slot with probability p, so
-    a slot's sender count is Bin(k, p); the counts are drawn from ``rng``
-    and decoded in one ``oracle.decode_block`` call.  A slot with a sender
+    a slot's sender count is Bin(k, p); the counts are drawn from ``rng``,
+    one 64-bit word each, by :func:`gtmac.channel._table_binomial`, and
+    decoded in one ``oracle.decode_block`` call.  A slot with a sender
     decoded false evicts an active node; F is the number of slots decoded
     false.  Both results hold one entry per run.  An inactive node sends 0,
     so it never changes a decode: given F, each of them survives the run
     independently with probability ``(1-p)**F``.
     """
-    senders = rng.binomial(k, p, shape)
+    from .channel import _table_binomial  # only e2e runs need the channel
+
+    senders = _table_binomial(k, p, shape, rng)
     decoded = np.asarray(oracle.decode_block(senders), dtype=bool)
     if decoded.shape != senders.shape:
         raise ValueError("oracle returned wrong number of decoded slots")
@@ -353,8 +358,8 @@ def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
     check("trials", trials)
     plan = bounds.plan_channel_uses(n_inactive, k, eps, norm_bound, power, tail_constant)
     kernel = functools.partial(end_to_end_trial, n_inactive, k, noise, power, plan)
-    sizes = _block_sizes(trials, _end_to_end_block(plan.slots))
-    parts, conditional = zip(*_run_blocks(kernel, sizes, seed_base, workers))
+    parts, conditional = zip(*_run_blocks(kernel, trials, _end_to_end_block(plan.slots),
+                                          seed_base, workers))
     successes = np.concatenate(parts)
     failures = trials - int(np.count_nonzero(successes))
     summary = EndToEndSummary(

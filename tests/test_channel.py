@@ -195,8 +195,11 @@ def test_uniform_slot_sums_hold_bounded_memory():
     (1, 7, 10, 10), (3, 4, 70, 10), (3, 6, 30, 30), (5, 2, 40, 8), (50, 4615, 302, 151),
 ])
 def test_member_step_counts_match_the_broadcast_formula(period, m, slots, run):
-    counts = np.stack(list(channel._member_step_counts(period, m, slots, run)))
+    # every member gets m // period steps, plus one in its longer slots
     base, extra = divmod(m, period)
+    counts = np.full((period, slots), base, dtype=np.int64)
+    for j, longer in enumerate(channel._longer_slots(period, m, slots, run)):
+        counts[j, longer] += 1
     first = extra * (np.arange(slots) % run) % period
     broadcast = base + ((np.arange(period)[:, None] - first) % period < extra)
     assert counts.dtype == np.int64
@@ -222,6 +225,89 @@ def test_schedule_slot_sums_hold_memory_flat_in_the_period():
     fifty = peak(schedule(*[gaussian(1.0)] * 50))
     assert fifty < 3 * one
     assert fifty < 20 * 2**20
+
+
+# --- table-inverted binomials -----------------------------------------------------
+
+def _fixed_draw_cases():
+    for k in (1, 2, 5, 13, 20, 30):
+        for p in (1 / (k + 1), 0.5):
+            yield k, p
+
+
+@pytest.mark.parametrize("n, p", list(_fixed_draw_cases()))
+def test_binomial_table_atoms_are_the_exact_pmf_at_2_to_the_minus_64(n, p):
+    # T_i = ceil(2**64 F(i)) from the exact CDF of the double p; atom i is
+    # T_i - T_{i-1}, the last atom reaching 2**64, and every atom is within
+    # one 2**-64 unit of 2**64 * pmf(i)
+    from fractions import Fraction
+
+    q = Fraction(p)
+    pmf = [math.comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(n + 1)]
+    cdf = np.cumsum(np.array(pmf, dtype=object))
+    thresholds, cells = channel._binomial_table(n, p)
+    assert thresholds.tolist() == [math.ceil(2**64 * f) for f in cdf[:len(thresholds)]]
+    assert math.ceil(2**64 * cdf[len(thresholds)]) == 2**64
+    edges = [0, *thresholds.tolist(), 2**64]
+    atoms = [hi - lo for lo, hi in zip(edges, edges[1:])] + [0] * (n - len(thresholds))
+    assert all(abs(atom - 2**64 * mass) < 1 for atom, mass in zip(atoms, pmf))
+    # a cell holds the draw of every word it covers, or marks a cell that a
+    # threshold splits
+    starts = np.arange(2**16, dtype=np.uint64) << np.uint64(48)
+    first = np.searchsorted(thresholds, starts, side="right")
+    last = np.searchsorted(thresholds, starts + np.uint64(2**48 - 1), side="right")
+    split = first != last
+    assert np.array_equal(cells[~split], first[~split])
+    assert np.all(cells[split] == len(thresholds) + 1)
+
+
+@pytest.mark.parametrize("n, p", [(20, 1 / 21), (1538, 0.5), (1, 0.5)])
+def test_table_draws_invert_one_raw_word_each(n, p):
+    draws = channel._table_binomial(n, p, (300, 70), np.random.default_rng(41))
+    words = np.random.default_rng(41).bit_generator.random_raw(300 * 70)
+    thresholds, _ = channel._binomial_table(n, p)
+    assert draws.shape == (300, 70)
+    assert np.array_equal(draws.reshape(-1),
+                          np.searchsorted(thresholds, words, side="right"))
+
+
+def _merged_counts(a: np.ndarray, b: np.ndarray, minimum: int = 20) -> np.ndarray:
+    """2-row table of two samples' value counts, adjacent values merged to >= ``minimum``."""
+    top = int(max(a.max(), b.max())) + 1
+    merged, run = [], np.zeros(2, dtype=np.int64)
+    for column in zip(np.bincount(a, minlength=top), np.bincount(b, minlength=top)):
+        run += column
+        if run.min() >= minimum:
+            merged.append(run)
+            run = np.zeros(2, dtype=np.int64)
+    merged[-1] = merged[-1] + run
+    return np.array(merged).T
+
+
+@pytest.mark.parametrize("k", [1, 5, 20, 200])
+@pytest.mark.parametrize("fair", [False, True], ids=["p=1/(k+1)", "p=1/2"])
+def test_table_binomial_matches_numpy_binomial(k, fair):
+    p = 0.5 if fair else 1 / (k + 1)
+    assert channel._binomial_table(k, p) is not None
+    table = channel._table_binomial(k, p, 200_000, np.random.default_rng(43))
+    reference = np.random.default_rng(44).binomial(k, p, 200_000)
+    counts = _merged_counts(table.astype(np.int64), reference)
+    if counts.shape[1] > 1:
+        assert scipy.stats.chi2_contingency(counts).pvalue > 1e-4
+    assert table.min() >= 0 and table.max() <= k
+
+
+def test_table_binomial_edges_draw_nothing_and_large_tables_fall_back():
+    rng = np.random.default_rng(45)
+    state = rng.bit_generator.state
+    assert channel._table_binomial(7, 0.0, (2, 3), rng).tolist() == [[0] * 3] * 2
+    assert channel._table_binomial(7, 1.0, 4, rng).tolist() == [7] * 4
+    assert rng.bit_generator.state == state
+    # Bin(4000, 1/2) costs more to tabulate than the ~1 ms bound: numpy draws it
+    assert 4000**2 > channel._TABLE_WORK
+    assert channel._binomial_table(4000, 0.5) is None
+    drawn = channel._table_binomial(4000, 0.5, 50, np.random.default_rng(46))
+    assert np.array_equal(drawn, np.random.default_rng(46).binomial(4000, 0.5, 50))
 
 
 def summed_uniform_draws(n: int, slot_count: int, rng: np.random.Generator) -> np.ndarray:

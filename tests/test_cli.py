@@ -98,7 +98,7 @@ def test_invalid_parameters_exit_2(capsys):
         (["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
           "--power", "1", "--trials", "2", "--seed", "-1"], "seed"),
         (["e2e", "--n-inactive", "20", "--k", "0", "--eps", "0.2", "--sigma", "0.5",
-          "--power", "1", "--trials", "2", "--seed", "9"], "k must be an int >= 1"),
+          "--power", "1", "--trials", "2", "--seed", "9"], "k must be an int in [1, "),
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -683,6 +683,37 @@ def test_repetitions_past_int64_exit_2_before_any_output(capsys, argv, flags):
     assert captured.out == ""
     assert flags in captured.err
     assert f"an int in [1, {2**63 - 1}]" in captured.err
+
+
+_E2E = ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5",
+        "--power", "1", "--trials", "2", "--seed", "1", "--threads", "1"]
+_TRACE = ["simulate", "--mode", "trace", "--n-inactive", "10", "--k", "1", "--trials", "2",
+          "--horizon", "5", "--seed", "1", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_E2E, "--n-inactive", 2**63),
+    (_E2E, "--k", 2**63),
+    (_E2E, "--trials", 2**63),
+    (["simulate", "--n-inactive", "10", "--k", "1", "--seed", "1", "--threads", "1"],
+     "--trials", 2**63),
+    (_TRACE, "--trials", 2**63),
+    (_TRACE, "--horizon", 2**63),
+    (["channel", "--sigma", "1", "--power", "1", "--delta", "0.1", "--seed", "1"],
+     "--slots", 2**64),
+], ids=["e2e-n-inactive", "e2e-k", "e2e-trials", "until-exact-trials", "trace-trials",
+        "trace-horizon", "channel-slots"])
+def test_sizes_past_int64_exit_2_before_any_output(tmp_path, capsys, argv, flag, value):
+    # each reaches numpy as a size or as the n of a Bin(n, p) draw, both int64
+    out = [] if argv[0] == "channel" else ["--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, *out, flag, str(value)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be an int in [" in captured.err
+    assert f"{2**63 - 1}]" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_channel_and_e2e_reject_an_understated_norm_bound_alike(capsys):

@@ -80,6 +80,29 @@ def test_until_exact_batch_seeds_fixed_blocks():
         assert np.array_equal(slots[lo:hi], expected)
 
 
+class BlockRan(Exception):
+    """Raised by :func:`refuse_block` (module level, so it pickles into workers)."""
+
+
+def refuse_block(rng, size):
+    raise BlockRan(size)
+
+
+def block_size(rng, size):
+    return size
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_runner_sizes_each_block_from_its_index(workers):
+    assert harness._run_blocks(block_size, 10, 4, 0, workers) == [4, 4, 2]
+    assert harness._run_blocks(block_size, 8, 4, 0, workers) == [4, 4]
+    # 2**62 trials are 2**50 blocks: a list of their sizes would not fit in
+    # memory, so the first block's error must come before any such list
+    with pytest.raises(BlockRan) as info:
+        harness._run_blocks(refuse_block, 2**62, harness.TRIAL_BLOCK, 0, workers)
+    assert info.value.args == (harness.TRIAL_BLOCK,)
+
+
 def test_pool_size_never_exceeds_threads_tasks_or_cpus():
     assert harness._pool_size(1000, 245, 2) == 2
     assert harness._pool_size(3, 1, 8) == 1
@@ -301,7 +324,7 @@ def test_end_to_end_schedule_batch_over_three_blocks_is_worker_count_invariant()
     noise = schedule(gaussian(1.0), uniform(1.0), rademacher(1.0))
     batch = (10_000, 20, 0.05, noise, 1.0, 1.0, 0.125, 200, 36)
     plan = bounds.plan_channel_uses(*batch[:3], *batch[4:7])
-    assert len(harness._block_sizes(200, harness._end_to_end_block(plan.slots))) >= 3
+    assert 200 > 2 * harness._end_to_end_block(plan.slots)
     s1, r1 = harness.run_end_to_end_batch(*batch, workers=1)
     s3, r3 = harness.run_end_to_end_batch(*batch, workers=3)
     assert s1 == s3 and np.array_equal(r1, r3)
@@ -410,11 +433,12 @@ def test_conditional_failure_rate_matches_exact_law():
     summary, _ = harness.run_end_to_end_batch(*batch)
     plan = bounds.plan_channel_uses(*batch[:3], *batch[4:7])
     # replay the batch block by block from each block's seed
-    sizes = harness._block_sizes(summary.trials, harness._end_to_end_block(plan.slots))
+    block = harness._end_to_end_block(plan.slots)
     conditional = np.concatenate([
         harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan,
-                                 harness._block_rng(batch[-1], b), size)[1]
-        for b, size in enumerate(sizes)])
+                                 harness._block_rng(batch[-1], b // block),
+                                 min(block, summary.trials - b))[1]
+        for b in range(0, summary.trials, block)])
     assert len(conditional) == summary.trials
     assert summary.conditional_failure_rate == float(np.mean(conditional))
     se = np.std(conditional, ddof=1) / math.sqrt(summary.trials)
