@@ -1,4 +1,4 @@
-"""Closed-form performance guarantees for the elimination scheme.
+"""Every closed-form law of the scheme and of the noisy channel, each written once.
 
 All logarithms are natural.  Throughout, ``n_inactive`` is the number N of
 inactive nodes, ``k`` the number of active ones, and the per-slot choice
@@ -12,13 +12,15 @@ constant ``-1/ln(1 - p(1-p)**k)`` is below ``e(k+1)``, and a Markov argument
 turns the expected surplus into a tail bound, giving budgets proportional to
 ``e(k+1)`` times a logarithm.
 
-The scalar planners -- :func:`slots_for_surplus_bound`,
-:func:`slots_for_exact_recovery`, :func:`repetition_length`,
-:func:`channel_uses_closed_form` and :func:`plan_channel_uses` -- are pure
-``math`` and never load numpy, so ``gtmac bounds`` starts without it.  Only
-the functions that build arrays need numpy, and it is imported when they run:
-:func:`expected_remaining`, :func:`theoretical_error_curve`,
-:func:`exact_error_curve` and :func:`exact_end_to_end_failure`.  A planner
+The scheme's laws are the slot budgets, the expected surplus, its bound and
+the exact ideal-oracle error curve; the channel's are the tail bound
+:func:`slot_error_bound` on a slot's error and its inverse
+:func:`repetition_length`, the exact gaussian excursion
+:func:`gaussian_slot_error_exact` and :func:`exact_end_to_end_failure`.  Both
+exact failures sum the survivors law ``1 - (1 - (1-p)**F)**N`` over a
+binomial F, and the harness reads it for each end-to-end trial.  The scalar
+laws are pure ``math`` and never load numpy, so ``gtmac bounds`` starts
+without it; a law that builds arrays imports numpy when it runs.  A planner
 takes the log of a ratio such as ``N/eps``; where that ratio overflows a
 double, its log is taken as a difference of logs instead, so a tiny valid
 ``eps`` or ``delta`` still gives a finite budget.
@@ -44,6 +46,8 @@ __all__ = [
     "theoretical_error_curve",
     "exact_error_curve",
     "exact_end_to_end_failure",
+    "gaussian_slot_error_exact",
+    "slot_error_bound",
     "repetition_length",
     "channel_uses_closed_form",
     "plan_channel_uses",
@@ -152,12 +156,23 @@ def _binomial_pmf(trials: int, prob: float, log_fact: np.ndarray) -> np.ndarray:
     return np.exp(log_pmf)
 
 
-def _some_left(n_inactive: int, p: float, top: int) -> np.ndarray:
-    """P(some of N inactive nodes survives u useful slots) = 1 - (1 - (1-p)**u)**N, u = 0..top."""
+def _survivors(n_inactive: int, p: float, false_slots) -> np.ndarray:
+    """The survivors law ``1 - (1 - (1-p)**F)**N``, per F in ``false_slots``: P(some of
+    N inactive nodes outlasts F slots decoded false), each w.p. (1-p)**F."""
     import numpy as np
 
-    with np.errstate(divide="ignore"):
-        return -np.expm1(n_inactive * np.log1p(-np.power(1.0 - p, np.arange(top + 1))))
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at F = 0
+        return -np.expm1(n_inactive * np.log1p(-(1.0 - p) ** false_slots))
+
+
+def _elimination(n_inactive: int, p: float, q: float, levels) -> np.ndarray:
+    """``sum_F Bin(F; l, q) * survivors(F)`` for each l in ``levels``: P(some
+    inactive node survives l slots, each decoded false w.p. q independently)."""
+    import numpy as np
+
+    top = int(max(levels, default=0))
+    log_fact, left = _log_factorials(top), _survivors(n_inactive, p, np.arange(top + 1))
+    return np.array([_binomial_pmf(level, q, log_fact) @ left[:level + 1] for level in levels])
 
 
 def exact_error_curve(n_inactive: int, k: int, p: float,
@@ -179,26 +194,21 @@ def exact_error_curve(n_inactive: int, k: int, p: float,
 
     if n_inactive == 0:
         return np.zeros(len(levels))
-    top = int(levels.max(initial=0))
-    log_fact = _log_factorials(top)
-    some_left = _some_left(n_inactive, p, top)
-    r = (1.0 - p) ** k
-    return np.array([_binomial_pmf(level, r, log_fact) @ some_left[:level + 1]
-                     for level in levels])
+    return _elimination(n_inactive, p, (1.0 - p) ** k, levels)
 
 
 def exact_end_to_end_failure(n_inactive: int, k: int, p: float, slots: int,
                              repetitions: int, sigma: float, power: float) -> float:
     """Exact failure probability of the noisy scheme under gaussian(sigma) noise.
 
-    The slot average's noise is N(0, sigma**2/m), so a slot with no active
-    node chosen (probability r = (1-p)**k) decodes true w.p.
-    ``fp = Q(sqrt(m*P)/(2*sigma))``, and one with j active nodes chosen
-    decodes false w.p. ``fn_j = Phi(sqrt(m)*(sqrt(P)/2 - j*sqrt(P))/sigma)``,
-    which evicts an active node.  Per slot, a = r*(1 - fp) is a useful slot
-    decoded false, d = sum_j Bin(j; k, p)*fn_j an eviction and b = 1 - a - d
-    neither.  Inactive nodes never change a decode, so given F useful false
-    slots each survives w.p. (1-p)**F independently, and
+    Under N(0, sigma**2/m) averaged noise a slot with no active node chosen
+    (probability r = (1-p)**k) decodes true w.p. ``fp = Q(sqrt(m*P)/(2*sigma))``,
+    and one with j chosen decodes false, which evicts an active node, w.p.
+    ``fn_j = Q((2j - 1)*sqrt(m*P)/(2*sigma))`` (both :func:`_gaussian_miss`).
+    Per slot, a = r*(1 - fp) is a useful slot decoded false, d = sum_j Bin(j;
+    k, p)*fn_j an eviction and b = 1 - a - d neither.  Inactive nodes never
+    change a decode, so given F useful false slots each survives w.p.
+    (1-p)**F independently, and
     ``P(success) = sum_F C(l, F) a**F b**(l-F) (1 - (1-p)**F)**N``.  The
     failure is returned as ``1 - (1-d)**l`` plus a sum of nonnegative terms,
     which keeps small values accurate; it costs O(l + k).
@@ -210,23 +220,54 @@ def exact_end_to_end_failure(n_inactive: int, k: int, p: float, slots: int,
     check("repetitions", repetitions)
     check("sigma", sigma)
     check("power", power)
-    import numpy as np
-
-    root_m = math.sqrt(repetitions)
-    root_power = math.sqrt(power)
-    false_positive = 0.5 * math.erfc(root_m * root_power / (2.0 * sigma) / math.sqrt(2.0))
-    useful = (1.0 - p) ** k * (1.0 - false_positive)
-    j = np.arange(1, k + 1)
-    false_negative = 0.5 * np.array([math.erfc(-x / math.sqrt(2.0)) for x in
-                                     root_m * (root_power / 2.0 - j * root_power) / sigma])
-    evict = float(_binomial_pmf(k, p, _log_factorials(k))[1:] @ false_negative)
+    errors = [0.5 * _gaussian_miss(sigma, power, repetitions, j) for j in range(k + 1)]
+    useful = (1.0 - p) ** k * (1.0 - errors[0])
+    evict = float(_binomial_pmf(k, p, _log_factorials(k))[1:] @ errors[1:])
     evicted = -math.expm1(slots * math.log1p(-evict))  # 1 - (1-d)**l
     if n_inactive == 0:
         return evicted
     # given no eviction, F ~ Bin(l, a/(1-d))
-    weights = _binomial_pmf(slots, useful / (1.0 - evict), _log_factorials(slots))
-    left = float(weights @ _some_left(n_inactive, p, slots))
+    left = float(_elimination(n_inactive, p, useful / (1.0 - evict), [slots])[0])
     return min(1.0, evicted + (1.0 - evicted) * left)  # the weights sum to 1 +- ulp
+
+
+def gaussian_slot_error_exact(sigma: float, power: float, repetitions: int) -> float:
+    """Exact P(|averaged gaussian noise| >= sqrt(P)/2) = 2*Q(sqrt(P*m)/(2*sigma)).
+
+    The averaged noise of m i.i.d. N(0, sigma^2) steps is N(0, sigma^2/m).
+    This bounds the decoder's error on any message pattern (for all-false
+    slots the error is one-sided, half this value).
+    """
+    check("sigma", sigma)
+    check("power", power)
+    check("repetitions", repetitions)
+    return _gaussian_miss(sigma, power, repetitions, 0)
+
+
+def _gaussian_miss(sigma: float, power: float, repetitions: int, senders: int) -> float:
+    """``erfc(|2c-1| * sqrt(m*P)/(2*sigma) / sqrt(2))``, c = ``senders``: twice the decode
+    error of c senders, and at c = 0 the excursion (not 2Q, which rounds twice)."""
+    x = math.sqrt(power * repetitions) / (2.0 * sigma)
+    return math.erfc(abs(2 * senders - 1) * x / math.sqrt(2.0))
+
+
+def slot_error_bound(norm_bound: float, power: float, repetitions: int,
+                     tail_constant: float) -> float:
+    """``exp(1 - c*m*P/K**2)``: the slot error bound that :func:`repetition_length` inverts.
+
+    Where c*m*P or K**2 is 0 or inf as a double, their quotient comes from logs.
+    """
+    check("norm_bound", norm_bound)
+    check("power", power)
+    check("repetitions", repetitions)
+    check("tail_constant", tail_constant)
+    product, square = tail_constant * repetitions * power, norm_bound * norm_bound
+    if 0.0 < product < math.inf and 0.0 < square < math.inf:
+        exponent = product / square
+    else:  # exp(709) is near the largest double; past ~745 the bound is 0 anyway
+        exponent = math.exp(min(709.0, math.log(tail_constant) + math.log(repetitions)
+                                + math.log(power) - 2.0 * math.log(norm_bound)))
+    return math.exp(1.0 - exponent)
 
 
 def repetition_length(norm_bound: float, power: float, slot_error: float,

@@ -16,19 +16,17 @@ nonnegative amounts, the slot average is the averaged noise when all bits are
 false and at least ``sqrt(P)`` plus the averaged noise otherwise -- so the
 decoder errs only if the averaged noise strays ``sqrt(P)/2`` from zero,
 which happens with probability at most ``exp(1 - c*m*P/K**2)`` (tail constant
-c per family; 1/8 is valid for gaussian noise).  :func:`repetition_length`
-in :mod:`gtmac.bounds` inverts that bound.  :class:`RepetitionDisjunctionOracle`
-decodes whole runs of slots, each starting at step 0 of the noise schedule.
+c per family; 1/8 is valid for gaussian noise).  That bound, its inverse and
+the exact gaussian excursion are laws of :mod:`gtmac.bounds`; this module only
+samples, and :class:`RepetitionDisjunctionOracle` decodes runs of slots.
 
 The decoder reads only each slot's noise sum, so :func:`slot_noise_averages`
-draws it member by member: each member's m // period steps in every slot,
-then one step more in the slots that hold one more of its steps, each as the
-law of a sum of unit steps times the member's scale.  A draw of a fixed
-Bin(n, p) -- a rademacher share, the 53 bit counts of a uniform share, and
-the sender counts of :mod:`gtmac.harness` -- inverts the CDF at 2**-64 from
-one 64-bit word: thresholds ``T_i = ceil(2**64 * F(i))``, exact in Python
-ints because a double p is dyadic, and a 2**16-cell index on the word's top
-16 bits, built once per (n, p) and process.  Each atom is within 2**-64 of
+draws each member's share of it from the law of a sum of unit steps.  A draw
+of a fixed Bin(n, p) -- a rademacher share, the 53 bit counts of a uniform
+share, and the sender counts of :mod:`gtmac.harness` -- inverts the CDF at
+2**-64 from one 64-bit word: thresholds ``T_i = ceil(2**64 * F(i))``, exact in
+Python ints because a double p is dyadic, and a 2**16-cell index on the word's
+top 16 bits, built once per (n, p) and process.  Each atom is within 2**-64 of
 the pmf.  Where the build would cost more than about a millisecond
 (``n**2 * log2(denominator of p)`` above 2**22: n above 2048 at p = 1/2, or
 above about 270 at p = 1/(k+1)), numpy's ``binomial`` draws instead; the
@@ -40,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -54,7 +51,6 @@ __all__ = [
     "rademacher",
     "schedule",
     "slot_noise_averages",
-    "gaussian_slot_error_exact",
     "RepetitionDisjunctionOracle",
 ]
 
@@ -198,26 +194,6 @@ def _table_binomial(n: int, p: float, shape, rng: np.random.Generator) -> np.nda
     return draws.reshape(shape)
 
 
-def _longer_slots(period: int, repetitions: int, slot_count: int,
-                  run_slots: int) -> Iterator[np.ndarray]:
-    """The slots in which member j of a ``period``-cycle gets one step more, per member.
-
-    Slots form runs of ``run_slots``; slot i of a run covers steps
-    ``i*m .. (i+1)*m - 1`` and step t goes to member ``t mod period``: every
-    member gets ``m // period`` steps, and the ``m % period`` members that
-    follow the slot's first step in the cycle get one more.  The members are
-    done one at a time, so memory is O(slot_count) whatever the period.
-    """
-    extra = repetitions % period
-    if not extra:  # every member gets m / period steps in every slot
-        yield from [np.empty(0, dtype=np.intp)] * period
-        return
-    # the member of each slot's first step
-    first = extra * (np.arange(slot_count, dtype=np.int64) % max(run_slots, 1)) % period
-    for j in range(period):
-        yield np.flatnonzero((j - first) % period < extra)
-
-
 def _bit_count_sums(steps: int, rows: int, rng: np.random.Generator) -> np.ndarray:
     """``rows`` sums of ``steps`` draws of numpy's ``random()``, from bit counts.
 
@@ -272,21 +248,11 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     slot, and one more in the slots fixed by their place in the run, m and
     the period (none when the period divides m).  Each member draws the sum
     of its c steps in every slot, then of its one further step in those
-    slots, each from the exact law of a sum of n unit steps, scaled by the
-    member's scale over m:
-
-    * gaussian: one N(0, n) draw;
-    * rademacher: ``2*Bin(n, 1/2) - n``;
-    * uniform on [-1, 1]: for n >= ``_BIT_COUNT_STEPS``, from 53 draws of
-      Bin(n, 1/2), which count the draws with each mantissa bit set (the
-      law of n draws of numpy's ``random()``); for fewer steps, the n draws
-      summed;
-    * a zero-scale member: nothing drawn.
-
-    A Bin(n, 1/2) draw with n <= 2048 inverts its CDF at 2**-64 from one
-    64-bit word (see :func:`_table_binomial`), so each of its atoms is
-    within 2**-64 of the exact pmf.  Memory is O(slot_count)
-    whatever m and the number of members are.  Members draw in member order.
+    slots, each from the exact law of a sum of n unit steps in its family
+    (``_STEP_SUMS``; a binomial draw is :func:`_table_binomial`'s), scaled
+    by the member's scale over m; a zero-scale member draws nothing.  Memory
+    is O(slot_count) whatever m and the number of members are.  Members draw
+    in member order.
     """
     check("repetitions", repetitions)
     check("count", slot_count)
@@ -294,33 +260,22 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     if slot_count and (run_slots == 0 or slot_count % run_slots):
         raise ValueError(f"run_slots {run_slots} does not divide slot_count {slot_count}")
     period = len(model.members)
-    steps = repetitions // period
+    steps, extra = divmod(repetitions, period)
+    # slot i of a run starts at step i*m, at member i*m mod period; that member
+    # and the extra - 1 after it get one step more (none if the period divides m)
+    first = (extra * (np.arange(slot_count, dtype=np.int64) % max(run_slots, 1)) % period
+             if extra else np.empty(0, dtype=np.int64))
     averages = np.zeros(slot_count)
-    for (family, a), longer in zip(model.members,
-                                   _longer_slots(period, repetitions, slot_count, run_slots)):
+    for j, (family, a) in enumerate(model.members):
         if a == 0.0:
             continue
         step_sums, scale = _STEP_SUMS[family], a / repetitions
         if steps:
             averages += scale * step_sums(steps, slot_count, rng)
+        longer = np.flatnonzero((j - first) % period < extra)
         if longer.size:
             averages[longer] += scale * step_sums(1, longer.size, rng)
     return averages
-
-
-def gaussian_slot_error_exact(sigma: float, power: float, repetitions: int) -> float:
-    """Exact P(|averaged gaussian noise| >= sqrt(P)/2) = 2*Q(sqrt(P*m)/(2*sigma)).
-
-    The averaged noise of m i.i.d. N(0, sigma^2) steps is N(0, sigma^2/m);
-    this is the probability that it leaves the decoding-safe band.  It upper
-    bounds the decoder's actual error on any message pattern (for all-false
-    slots the error is one-sided, half this value).
-    """
-    check("sigma", sigma)
-    check("power", power)
-    check("repetitions", repetitions)
-    x = math.sqrt(power * repetitions) / (2.0 * sigma)
-    return math.erfc(x / math.sqrt(2.0))
 
 
 class RepetitionDisjunctionOracle(DisjunctionOracle):

@@ -291,12 +291,9 @@ def _cmd_channel(parser, args) -> int:
     print(f"empirical_excursion_rate = {excursions / slots!r}")
     print(f"empirical_false_positive_rate = {decoded_true / slots!r}")
     print(f"target_slot_error = {delta!r}")
-    # inf for K above ~1e154 (the bound is then e), 0 below ~1e-162 (then 0)
-    square = big_k * big_k
-    exponent = c * reps * power / square if square else math.inf
-    print(f"tail_bound = {math.exp(1.0 - exponent)!r}")
+    print(f"tail_bound = {bnd.slot_error_bound(big_k, power, reps, c)!r}")
     if noise.norm_bound > 0 and noise == chan.gaussian(noise.norm_bound):
-        exact = chan.gaussian_slot_error_exact(noise.norm_bound, power, reps)
+        exact = bnd.gaussian_slot_error_exact(noise.norm_bound, power, reps)
         print(f"gaussian_exact_excursion = {exact!r}")
     return 0
 

@@ -16,7 +16,8 @@ End-to-end batches are seeded per block by the same rule: a block holds
 b))``; any block can be replayed in isolation, a single trial cannot.  The
 block's one stream draws every trial's per-slot sender counts, then the
 channel noise of all of them, then each trial's count of surviving inactive
-nodes.  Which nodes are active does not matter, so nothing places them.
+nodes, whose law given the decodes is the survivors law of :mod:`gtmac.bounds`.
+Which nodes are active does not matter, so nothing places them.
 
 CSV files are written with a header row, comma separators, ``\\n`` line
 endings and UTF-8 encoding.  The ``csv`` module renders a float with
@@ -135,9 +136,8 @@ class EndToEndSummary(namedtuple("EndToEndSummary",
     """Failure statistics of an end-to-end batch plus its channel budget.
 
     ``conditional_failure_rate`` is the mean over trials of each trial's
-    failure probability given its decoded slots: 1 after an eviction, else
-    ``1 - (1 - (1-p)**F)**N`` for F slots decoded false.  It estimates the
-    same failure probability as ``failure_rate`` with less variance.
+    failure probability given its decoded slots (see :func:`end_to_end_trial`);
+    it estimates the same probability as ``failure_rate`` with less variance.
     """
 
     __slots__ = ()
@@ -280,8 +280,7 @@ def decode_active_rows(k: int, p: float, shape, oracle: DisjunctionOracle,
     decoded in one ``oracle.decode_block`` call.  A slot with a sender
     decoded false evicts an active node; F is the number of slots decoded
     false.  Both results hold one entry per run.  An inactive node sends 0,
-    so it never changes a decode: given F, each of them survives the run
-    independently with probability ``(1-p)**F``.
+    so it never changes a decode.
     """
     from .channel import _table_binomial  # only e2e runs need the channel
 
@@ -293,26 +292,14 @@ def decode_active_rows(k: int, p: float, shape, oracle: DisjunctionOracle,
     return ((senders > 0) & cleared).any(axis=-1), np.count_nonzero(cleared, axis=-1)
 
 
-def _conditional_failure(n_inactive: int, evicted: np.ndarray,
-                         survive: np.ndarray) -> np.ndarray:
-    """P(trial fails | evicted, F) per trial: 1 - (1 - survive)**N when not evicted.
-
-    ``survive`` is ``(1-p)**F``, each inactive node's chance to outlast the run.
-    """
-    fail = np.full(survive.shape, float(n_inactive > 0))  # survive = 1: all N stay
-    live = survive < 1.0
-    fail[live] = -np.expm1(n_inactive * np.log1p(-survive[live]))
-    return np.where(evicted, 1.0, fail)
-
-
 def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
                      plan: bounds.ChannelUsePlan, rng: np.random.Generator,
                      trials: int) -> tuple[np.ndarray, np.ndarray]:
     """A block of ``trials`` full noisy-channel trials, drawn from their exact law.
 
     Returns, per trial, whether the active set was recovered, and the
-    trial's failure probability given (evicted, F), where F is the number of
-    slots decoded false.
+    trial's failure probability given (evicted, F), F the slots decoded
+    false: 1 after an eviction, else the survivors law ``bounds._survivors``.
 
     ``plan`` is :func:`gtmac.bounds.plan_channel_uses` of the batch: its slot
     budget targets elimination error eps and its repetition length targets
@@ -338,9 +325,8 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     p = optimal_choice_probability(k)
     oracle = RepetitionDisjunctionOracle(noise, power, plan.repetitions, rng)
     evicted, false_slots = decode_active_rows(k, p, (trials, plan.slots), oracle, rng)
-    survive = (1.0 - p) ** false_slots
-    recovered = ~evicted & (rng.binomial(n_inactive, survive) == 0)
-    return recovered, _conditional_failure(n_inactive, evicted, survive)
+    recovered = ~evicted & (rng.binomial(n_inactive, (1.0 - p) ** false_slots) == 0)
+    return recovered, np.where(evicted, 1.0, bounds._survivors(n_inactive, p, false_slots))
 
 
 def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,

@@ -10,9 +10,9 @@ import pytest
 import scipy.stats
 
 from gtmac import channel
-from gtmac.channel import (NoiseModel, RepetitionDisjunctionOracle, gaussian,
-                           gaussian_slot_error_exact, rademacher, schedule,
-                           slot_noise_averages, uniform)
+from gtmac.bounds import gaussian_slot_error_exact
+from gtmac.channel import (NoiseModel, RepetitionDisjunctionOracle, gaussian, rademacher,
+                           schedule, slot_noise_averages, uniform)
 
 
 def absolute_moment_ratio(model: NoiseModel, n: int) -> float:
@@ -195,19 +195,24 @@ def test_uniform_slot_sums_hold_bounded_memory():
     (1, 7, 10, 10), (3, 4, 70, 10), (3, 6, 30, 30), (5, 2, 40, 8), (50, 4615, 302, 151),
 ])
 def test_member_step_counts_match_the_broadcast_formula(period, m, slots, run):
-    # every member gets m // period steps, plus one in its longer slots
+    # every member gets m // period steps, plus one in the slots the formula names
     base, extra = divmod(m, period)
-    counts = np.full((period, slots), base, dtype=np.int64)
-    for j, longer in enumerate(channel._longer_slots(period, m, slots, run)):
-        counts[j, longer] += 1
     first = extra * (np.arange(slots) % run) % period
     broadcast = base + ((np.arange(period)[:, None] - first) % period < extra)
-    assert counts.dtype == np.int64
-    np.testing.assert_array_equal(counts, broadcast)
-    # and each slot's steps counted one by one, slot i of a run from step i*m
+    # the formula against each slot's steps counted one by one, slot i of a run from step i*m
     steps = (np.arange(slots) % run)[:, None] * m + np.arange(m)
     direct = np.stack([np.bincount(row % period, minlength=period) for row in steps], axis=1)
-    np.testing.assert_array_equal(counts, direct)
+    np.testing.assert_array_equal(broadcast, direct)
+    # slot_noise_averages against the formula: a lone rademacher(1) member j
+    # among noiseless ones sums its n steps to 2B - n, whose parity is n's
+    for j in range(period):
+        members = [gaussian(0.0)] * period
+        members[j] = rademacher(1.0)
+        averages = slot_noise_averages(schedule(*members), m, slots,
+                                       np.random.default_rng(j), run_slots=run)
+        sums = np.rint(m * averages).astype(np.int64)
+        assert np.all(np.abs(sums) <= broadcast[j])
+        np.testing.assert_array_equal(sums % 2, broadcast[j] % 2)
 
 
 def test_schedule_slot_sums_hold_memory_flat_in_the_period():

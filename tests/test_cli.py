@@ -70,9 +70,22 @@ def test_bounds_full_plan(capsys):
     # K**2 underflows to 0, so the tail bound exp(1 - c*m*P/K**2) is 0
     (["channel", "--sigma", "1e-200", "--power", "1", "--delta", "0.01", "--slots", "10",
       "--seed", "1"], "tail_bound = 0.0"),
+    # c*m*P and K**2 both overflow (inf/inf is nan), then both underflow (0/0);
+    # from logs the exponents are 5e-90 and 5e-200, and the bounds e
+    (["channel", "--sigma", "1", "--big-k", "1e200", "--power", "1e10", "--c", "1e300",
+      "--delta", "0.01", "--m", "5", "--slots", "10", "--seed", "1"],
+     f"tail_bound = {math.e!r}"),
+    (["channel", "--sigma", "1e-200", "--big-k", "1e-200", "--power", "1e-300", "--c",
+      "1e-300", "--delta", "0.01", "--m", "5", "--slots", "10", "--seed", "1"],
+     f"tail_bound = {math.e!r}"),
+    # a subnormal excursion, printed as erfc itself: twice the one-sided
+    # 0.5*erfc would read 4.348514146179947e-308
+    (["channel", "--sigma", "1", "--power", "1", "--delta", "0.01", "--m", "5631",
+      "--slots", "10", "--seed", "1"], "gaussian_exact_excursion = 4.3485141461799476e-308"),
 ])
 def test_tiny_valid_targets_plan_finite_budgets(capsys, argv, line):
-    # 1/delta and N/eps overflow a double here; their logs do not
+    # 1/delta and N/eps overflow a double here, and the tail bound's terms
+    # leave its range; their logs do not
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert line in out.splitlines()
@@ -964,6 +977,8 @@ import sys
 from gtmac.cli import main
 assert main(["bounds", "--n-inactive", "100000", "--k", "20", "--eps", "0.01",
              "--big-k", "1.0", "--power", "1.0"]) == 0
+from gtmac import bounds
+print(bounds.gaussian_slot_error_exact(1.0, 1.0, 45), bounds.slot_error_bound(1.0, 1.0, 45, 0.125))
 heavy = {"numpy", "gtmac.harness", "gtmac.channel", "gtmac.scheme"}
 print("loaded:", *sorted(set(sys.modules) & heavy))
 """
@@ -975,6 +990,8 @@ def test_bounds_plans_without_numpy_or_the_simulation_layers():
     proc = run_python("-c", _BOUNDS_START_UP)
     assert proc.returncode == 0, proc.stderr
     assert "total_channel_uses = 92100" in proc.stdout
+    # so do the slot laws: the gaussian excursion and the tail bound at m = 45
+    assert f"{7.962301575908114e-4!r} {math.exp(1 - 45 / 8)!r}" in proc.stdout.splitlines()
     assert proc.stdout.splitlines()[-1] == "loaded:"
 
 

@@ -460,17 +460,20 @@ def test_end_to_end_trial_conditional_failure_edge_cases():
                                                     np.random.default_rng(3), 4)
     assert success.tolist() == [True] * 4
     assert conditional.tolist() == [0.0] * 4
-    # every slot decoded true: F = 0, so every inactive node survives; and
-    # an eviction fails the trial whatever F is
-    assert harness._conditional_failure(50, np.array([False, True]),
-                                        np.array([1.0, 0.5])).tolist() == [1.0, 1.0]
-    # the vectorised form against the per-trial formula 1 - (1 - (1-p)**F)**N
+    # every slot decoded true: F = 0, so every inactive node survives
+    assert bounds._survivors(50, 0.5, np.array([0, 1]))[0] == 1.0
+    # an eviction fails the trial whatever F is: noise this loud evicts an
+    # active node in every trial
+    success, conditional = harness.end_to_end_trial(50, 2, gaussian(1e3), 1.0, plan,
+                                                    np.random.default_rng(5), 8)
+    assert success.tolist() == [False] * 8
+    assert conditional.tolist() == [1.0] * 8
+    # the vectorised law against the per-trial formula 1 - (1 - (1-p)**F)**N
     false_slots = np.arange(1, 120)
     survive = (2 / 3) ** false_slots
     expected = [-math.expm1(50 * math.log1p(-s)) for s in survive.tolist()]
-    np.testing.assert_allclose(
-        harness._conditional_failure(50, np.zeros(119, dtype=bool), survive), expected,
-        rtol=1e-12)
+    np.testing.assert_allclose(bounds._survivors(50, 1 / 3, false_slots), expected,
+                               rtol=1e-12)
 
 
 def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
