@@ -49,7 +49,6 @@ __all__ = [
     "gaussian",
     "uniform",
     "rademacher",
-    "schedule",
     "slot_noise_averages",
     "RepetitionDisjunctionOracle",
 ]
@@ -84,8 +83,25 @@ class NoiseModel(namedtuple("NoiseModel", "members")):
                 raise ValueError(f"unknown noise family {family!r}")
             checked.append((family, float(check("scale", scale))))
         if not checked:
-            raise ValueError("a noise model needs at least one member")
+            raise ValueError("empty noise spec")
         return super().__new__(cls, tuple(checked))
+
+    @classmethod
+    def parse(cls, spec: str) -> NoiseModel:
+        """The model ``family=scale[,family=scale...]`` spells (:attr:`spec` prints
+        it); blank items are skipped, and a family is read without case or padding."""
+        members = []
+        for part in filter(None, (p.strip() for p in spec.split(","))):
+            family, is_pair, raw = part.partition("=")
+            if not is_pair:
+                raise ValueError(f"noise spec {part!r} is not family=scale")
+            members.append((family.strip().lower(), float(raw)))
+        return cls(members)
+
+    @property
+    def spec(self) -> str:
+        """The model as :meth:`parse` reads it, each scale by its ``repr``."""
+        return ",".join(f"{family}={scale!r}" for family, scale in self.members)
 
     @property
     def norm_bound(self) -> float:
@@ -102,13 +118,6 @@ def uniform(half_width: float) -> NoiseModel:
 
 def rademacher(magnitude: float) -> NoiseModel:
     return NoiseModel((("rademacher", magnitude),))
-
-
-def schedule(*models: NoiseModel) -> NoiseModel:
-    """The schedule that cycles through one-member ``models``, one per step."""
-    if any(len(model.members) > 1 for model in models):
-        raise ValueError("schedules cannot nest")
-    return NoiseModel(member for model in models for member in model.members)
 
 
 # A fixed Bin(n, p) is drawn by table: the top _CELL_BITS bits of a 64-bit

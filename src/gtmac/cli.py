@@ -81,22 +81,6 @@ def _load_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
     return {key.replace("-", "_"): value for key, value in reader.items("config")}
 
 
-def _parse_noise_spec(spec: str) -> NoiseModel:
-    """Parse ``family=scale`` or a comma list of them (a per-step schedule);
-    :class:`~gtmac.channel.NoiseModel` judges each family and scale."""
-    from .channel import NoiseModel
-
-    members = []
-    for part in filter(None, (p.strip() for p in spec.split(","))):
-        family, is_pair, raw = part.partition("=")
-        if not is_pair:
-            raise ValueError(f"noise spec {part!r} is not family=scale")
-        members.append((family.strip().lower(), float(raw)))
-    if not members:
-        raise ValueError("empty noise spec")
-    return NoiseModel(members)
-
-
 def _resolve_noise(parser, args) -> NoiseModel:
     from . import channel as chan
 
@@ -106,7 +90,7 @@ def _resolve_noise(parser, args) -> NoiseModel:
         return chan.gaussian(args.sigma)
     if args.noise is not None:
         try:
-            return _parse_noise_spec(args.noise)
+            return chan.NoiseModel.parse(args.noise)
         except ValueError as exc:
             parser.error(f"--noise: {exc}")
     parser.error("the following argument is required: --sigma or --noise")
@@ -152,14 +136,30 @@ def _writable(path: str) -> str:
     return path
 
 
+def _check_memory(parser, arrays) -> None:
+    """Exit 2 unless the ``(bytes, flags)`` arrays a form must hold at once fit.
+
+    Each size is a lower bound on what its flags make the form allocate, and
+    the room is the smaller of physical memory and the address-space limit,
+    so a run this refuses could not have finished in memory.  The message
+    names the flags of the largest array.
+    """
+    import resource  # only a simulate form pays for it
+
+    need = sum(size for size, _ in arrays)
+    room = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if limit != resource.RLIM_INFINITY:
+        room = min(room, limit)
+    if need > room:
+        parser.error(f"the arrays of {max(arrays)[1]} take at least {need} bytes, more "
+                     f"than the {room} bytes of memory this process can have")
+
+
 def _echo(params: dict) -> None:
     print("# effective parameters")
     for key in sorted(params):
         print(f"#   {key} = {params[key]}")
-
-
-def _format_noise(model: NoiseModel) -> str:
-    return ",".join(f"{family}={scale!r}" for family, scale in model.members)
 
 
 def _cmd_bounds(parser, args) -> int:
@@ -204,11 +204,20 @@ def _summarize_until_exact(slots) -> str:
             f"  censored = {len(slots) - len(finished)}")
 
 
-def _until_exact_runs(args, pairs) -> tuple:
-    """Seed, threads, slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair."""
+def _until_exact_runs(parser, args, pairs) -> tuple:
+    """Seed, threads, slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair.
+
+    Exits 2 first if a run cannot hold its results (8 bytes a trial, with
+    their concatenated and sorted copies) next to the grid (a tuple and an
+    int64 array, 8 bytes a point each).
+    """
     from . import harness
     from .scheme import optimal_choice_probability
 
+    points = args.grid_max // args.grid_step + 1
+    _check_memory(parser, [(24 * args.trials, f"--trials {args.trials}"),
+                           (16 * points, f"--grid-max {args.grid_max} and "
+                                         f"--grid-step {args.grid_step}")])
     grid = harness.default_slot_grid(args.grid_max, args.grid_step)
     # a derived cap is checked here: a huge k puts it past the range
     runs = [(n, k, optimal_choice_probability(k) if args.p is None else args.p,
@@ -227,7 +236,8 @@ def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> No
 
 
 def _cmd_curve(parser, args) -> int:
-    seed, threads, grid, [(n, k, p, cap)] = _until_exact_runs(args, [(args.n_inactive, args.k)])
+    seed, threads, grid, [(n, k, p, cap)] = _until_exact_runs(parser, args,
+                                                          [(args.n_inactive, args.k)])
     _writable(args.out)
     _echo({**vars(args), "p": p, "slot_cap": cap, "seed": seed, "threads": threads})
     _run_until_exact_curve(n, k, p, cap, args.trials, seed, grid, args.out, threads)
@@ -241,6 +251,10 @@ def _cmd_trace(parser, args) -> int:
     p = optimal_choice_probability(args.k) if args.p is None else args.p
     seed, threads = _resolve_seed(args), _resolve_threads(args)
     check("trace_trials", args.trials, "--trials")
+    # every seeded block's (2, horizon + 1) sums, and the total they add up to
+    blocks = -(-args.trials // harness.TRIAL_BLOCK) + 1
+    _check_memory(parser, [(16 * (args.horizon + 1) * blocks,
+                            f"--horizon {args.horizon} and --trials {args.trials}")])
     _writable(args.out)
     _echo({**vars(args), "p": p, "seed": seed, "threads": threads})
     trace = harness.expectation_trace(args.n_inactive, args.k, p, args.trials, args.horizon,
@@ -252,7 +266,7 @@ def _cmd_trace(parser, args) -> int:
 
 
 def _cmd_preset(parser, args) -> int:
-    seed, threads, grid, runs = _until_exact_runs(args, _PRESET_REFERENCE)
+    seed, threads, grid, runs = _until_exact_runs(parser, args, _PRESET_REFERENCE)
     outs = [_writable(os.path.join(args.out_dir, f"curve_n{n}_k{k}.csv"))
             for n, k in _PRESET_REFERENCE]
     _echo({"preset": args.preset, "trials": args.trials, "seed": seed, "threads": threads,
@@ -276,7 +290,7 @@ def _cmd_channel(parser, args) -> int:
     reps = args.m or check("repetitions", bnd.repetition_length(big_k, power, delta, c),
                            "the repetitions that --big-k, --power, --delta and --c plan")
 
-    _echo({"noise": _format_noise(noise), "power": power, "big_k": big_k,
+    _echo({"noise": noise.spec, "power": power, "big_k": big_k,
            "c": c, "delta": delta, "m": reps, "slots": slots, "seed": seed})
 
     rng = np.random.default_rng(seed)
@@ -313,11 +327,11 @@ def _cmd_e2e(parser, args) -> int:
     if out is not None:
         _writable(out)
 
-    _echo({"n_inactive": n, "k": k, "eps": eps, "noise": _format_noise(noise), "power": power,
+    _echo({"n_inactive": n, "k": k, "eps": eps, "noise": noise.spec, "power": power,
            "big_k": big_k, "c": c, "trials": trials, "seed": seed, "threads": threads})
 
-    summary, _ = harness.run_end_to_end_batch(n, k, eps, noise, big_k, power, c,
-                                              trials, seed, workers=threads)
+    summary, _ = harness.run_end_to_end_batch(n, k, eps, noise, power, plan, trials, seed,
+                                              workers=threads)
     print(f"slots = {summary.slots}")
     print(f"repetitions = {summary.repetitions}")
     print(f"total_channel_uses = {summary.total_channel_uses}")

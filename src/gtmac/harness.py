@@ -301,12 +301,12 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     trial's failure probability given (evicted, F), F the slots decoded
     false: 1 after an eviction, else the survivors law ``bounds._survivors``.
 
-    ``plan`` is :func:`gtmac.bounds.plan_channel_uses` of the batch: its slot
-    budget targets elimination error eps and its repetition length targets
-    per-slot decoding error ``eps/slots``, so the failure probability is at
-    most ``2*eps``.  ``noise`` is the channel's actual noise; the plan is
-    sized for the *declared* norm bound K, which must dominate the noise's
-    true norm but need not equal it.
+    ``plan`` is the batch's :class:`gtmac.bounds.ChannelUsePlan`.  Sized for
+    eps, its slot budget targets elimination error eps and its repetition
+    length per-slot decoding error ``eps/slots``, so the failure probability
+    is at most ``2*eps``.  ``noise`` is the channel's actual noise; the plan
+    is sized for the *declared* norm bound K, which must dominate the
+    noise's true norm but need not equal it.
 
     The (trials, slots) sender counts are drawn and decoded by
     :func:`decode_active_rows` with p = 1/(k+1), through one oracle whose
@@ -330,19 +330,18 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
 
 
 def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
-                         norm_bound: float, power: float, tail_constant: float,
-                         trials: int, seed_base: int,
+                         power: float, plan: bounds.ChannelUsePlan, trials: int,
+                         seed_base: int,
                          workers: int = 1) -> tuple[EndToEndSummary, np.ndarray]:
     """All end-to-end trials: the failure summary and each trial's success.
 
-    The channel-use plan depends only on the batch's parameters; it is
-    computed once and shared by every trial.  ``norm_bound`` is the declared
-    K the plan is sized for.  Trials are drawn in seeded blocks (see the
-    module docstring).  The second result holds one bool per trial, in trial
-    order.
+    Every trial runs ``plan``, the batch's channel-use plan, sized for
+    target error ``eps`` (see :func:`end_to_end_trial`); nothing here plans.
+    Trials are drawn in seeded blocks (see the module docstring).  The
+    second result holds one bool per trial, in trial order.
     """
+    check("eps", eps)
     check("trials", trials)
-    plan = bounds.plan_channel_uses(n_inactive, k, eps, norm_bound, power, tail_constant)
     kernel = functools.partial(end_to_end_trial, n_inactive, k, noise, power, plan)
     parts, conditional = zip(*_run_blocks(kernel, trials, _end_to_end_block(plan.slots),
                                           seed_base, workers))

@@ -12,7 +12,7 @@ import scipy.stats
 from gtmac import channel
 from gtmac.bounds import gaussian_slot_error_exact
 from gtmac.channel import (NoiseModel, RepetitionDisjunctionOracle, gaussian, rademacher,
-                           schedule, slot_noise_averages, uniform)
+                           slot_noise_averages, uniform)
 
 
 def absolute_moment_ratio(model: NoiseModel, n: int) -> float:
@@ -43,16 +43,44 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         gaussian(float("inf"))
     with pytest.raises(ValueError):
-        schedule()
-    with pytest.raises(ValueError):
-        schedule(schedule(gaussian(1.0), uniform(1.0)), rademacher(1.0))  # no nesting
+        NoiseModel([])
 
 
 def test_declared_norm_bounds():
     assert gaussian(1.5).norm_bound == 1.5
     assert uniform(2.0).norm_bound == 2.0
     assert rademacher(0.25).norm_bound == 0.25
-    assert schedule(gaussian(0.5), rademacher(2.0)).norm_bound == 2.0
+    assert NoiseModel.parse("gaussian=0.5,rademacher=2.0").norm_bound == 2.0
+
+
+@pytest.mark.parametrize("model", [
+    gaussian(1.5), uniform(0.0), rademacher(1e-300),
+    NoiseModel([("uniform", 0.5), ("rademacher", 1.0), ("gaussian", 2.0)]),
+    NoiseModel.parse("gaussian=8,uniform=8,rademacher=8"),
+    NoiseModel.parse(" Gaussian = 8 ,UNIFORM=1e-3,, rademacher =8 "),
+], ids=["gaussian", "uniform", "rademacher", "three", "lowsnr", "padded"])
+def test_spec_parses_back_to_an_equal_model(model):
+    assert NoiseModel.parse(model.spec) == model
+
+
+def test_parse_reads_families_without_case_or_padding():
+    padded = NoiseModel.parse(" Gaussian = 8 ,UNIFORM=1e-3,, rademacher =8 ")
+    assert padded.members == (("gaussian", 8.0), ("uniform", 0.001), ("rademacher", 8.0))
+    assert padded.spec == "gaussian=8.0,uniform=0.001,rademacher=8.0"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("", "empty noise spec"),
+    (" , ", "empty noise spec"),
+    ("gaussian", "noise spec 'gaussian' is not family=scale"),
+    ("cauchy=1", "unknown noise family 'cauchy'"),
+    ("gaussian=abc", "could not convert string to float: 'abc'"),
+    ("gaussian=1,uniform=-1", "scale must be a finite real >= 0, got -1.0"),
+])
+def test_malformed_specs_raise_value_error(spec, message):
+    with pytest.raises(ValueError) as info:
+        NoiseModel.parse(spec)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("model", [gaussian(1.0), gaussian(1.7), uniform(2.3),
@@ -95,7 +123,7 @@ def per_step_averages(model: NoiseModel, repetitions: int, slot_count: int,
 
 def test_schedule_cycles_through_members():
     # at m = 1 the slot averages are the steps
-    model = schedule(rademacher(3.0), gaussian(0.0))
+    model = NoiseModel.parse("rademacher=3,gaussian=0")
     draws = slot_noise_averages(model, 1, 10, np.random.default_rng(0))
     assert all(abs(v) == 3.0 for v in draws[0::2])   # even steps: +-3
     assert all(v == 0.0 for v in draws[1::2])        # odd steps: degenerate gaussian
@@ -118,7 +146,7 @@ def test_block_sampler_statistics():
     (gaussian(1.3), 7, 5),
     (uniform(0.8), 7, 5),
     (rademacher(0.6), 7, 5),
-    (schedule(gaussian(1.0), uniform(2.0), rademacher(0.5)), 8, 4),  # 8 mod 3 = 2
+    (NoiseModel.parse("gaussian=1,uniform=2,rademacher=0.5"), 8, 4),  # 8 mod 3 = 2
 ])
 def test_slot_sums_follow_the_per_step_law(model, m, start):
     # two-sample tests of the exact-sum sampler against one draw per step, over
@@ -145,7 +173,7 @@ def test_slot_sums_follow_the_per_step_law(model, m, start):
 def test_slot_sums_with_fewer_steps_than_members():
     # m = 1 over a 3-cycle from step 1: slot 0 holds no uniform step, so the
     # first uniform draw belongs to slot 2, not to slot 0
-    model = rotated(schedule(uniform(0.25), rademacher(3.0), gaussian(0.0)), 1)
+    model = rotated(NoiseModel.parse("uniform=0.25,rademacher=3,gaussian=0"), 1)
     draws = slot_noise_averages(model, 1, 30, np.random.default_rng(4))
     assert all(abs(v) == 3.0 for v in draws[0::3])
     assert all(v == 0.0 for v in draws[1::3])
@@ -169,11 +197,11 @@ def test_slot_sums_with_fewer_steps_than_members():
 def test_zero_scale_members_draw_nothing():
     rng = np.random.default_rng(9)
     state = rng.bit_generator.state
-    model = rotated(schedule(gaussian(0.0), uniform(0.0), rademacher(0.0)), 2)
+    model = rotated(NoiseModel.parse("gaussian=0,uniform=0,rademacher=0"), 2)
     assert np.all(slot_noise_averages(model, 5, 100, rng) == 0.0)
     assert rng.bit_generator.state == state
     # a zero-scale member leaves the others' law alone
-    mixed = slot_noise_averages(schedule(gaussian(0.0), rademacher(1.0)), 4, 1000,
+    mixed = slot_noise_averages(NoiseModel.parse("gaussian=0,rademacher=1"), 4, 1000,
                                 np.random.default_rng(9))
     assert set(mixed) <= {-0.5, 0.0, 0.5}
 
@@ -206,9 +234,9 @@ def test_member_step_counts_match_the_broadcast_formula(period, m, slots, run):
     # slot_noise_averages against the formula: a lone rademacher(1) member j
     # among noiseless ones sums its n steps to 2B - n, whose parity is n's
     for j in range(period):
-        members = [gaussian(0.0)] * period
-        members[j] = rademacher(1.0)
-        averages = slot_noise_averages(schedule(*members), m, slots,
+        members = [("gaussian", 0.0)] * period
+        members[j] = ("rademacher", 1.0)
+        averages = slot_noise_averages(NoiseModel(members), m, slots,
                                        np.random.default_rng(j), run_slots=run)
         sums = np.rint(m * averages).astype(np.int64)
         assert np.all(np.abs(sums) <= broadcast[j])
@@ -227,7 +255,7 @@ def test_schedule_slot_sums_hold_memory_flat_in_the_period():
             tracemalloc.stop()
 
     one = peak(gaussian(1.0))
-    fifty = peak(schedule(*[gaussian(1.0)] * 50))
+    fifty = peak(NoiseModel([("gaussian", 1.0)] * 50))
     assert fifty < 3 * one
     assert fifty < 20 * 2**20
 
@@ -361,7 +389,7 @@ def test_uniform_sums_from_the_bit_count_switch_on_are_drawn_from_bit_counts():
 def test_runs_of_slots_restart_the_schedule():
     # period 3 at m = 4: member 0 gets 2 steps in slot i of a run when
     # i % 3 == 0, else 1, and a sum of n rademacher(1) steps has n's parity
-    model = schedule(rademacher(1.0), gaussian(0.0), gaussian(0.0))
+    model = NoiseModel.parse("rademacher=1,gaussian=0,gaussian=0")
     averaged = slot_noise_averages(model, 4, 70, np.random.default_rng(6), run_slots=10)
     parity = np.rint(averaged * 4).astype(np.int64) % 2
     assert parity.tolist() == [0, 1, 1, 0, 1, 1, 0, 1, 1, 0] * 7
@@ -410,7 +438,7 @@ def test_repetition_oracle_matches_scalar_pipeline():
     # the slot pipeline written out step by step, against the block path
     power, m = 2.5, 5
     senders = np.array([1, 0, 3, 2])
-    noise_model = schedule(gaussian(0.8), uniform(0.3))
+    noise_model = NoiseModel.parse("gaussian=0.8,uniform=0.3")
     block = oracle_decode(senders, m, power, noise_model, 42)
     noise = slot_noise_averages(noise_model, m, len(senders), np.random.default_rng(42))
     root = math.sqrt(power)
@@ -501,7 +529,7 @@ def test_repetition_oracle_starts_every_call_at_step_0():
     # rademacher steps (average 2/3 w.p. 1/4 clears sqrt(P)/2 = 1/2), one
     # from step 3 would hold one (average +-1/3 never does).  Every call is a
     # run from step 0, so the second call of each pair decodes true as often
-    model = schedule(rademacher(1.0), gaussian(0.0))
+    model = NoiseModel.parse("rademacher=1,gaussian=0")
     oracle = RepetitionDisjunctionOracle(model, 1.0, 3, np.random.default_rng(8))
     decoded = np.array([oracle.decode_block(np.zeros(1, int))[0]
                         for _ in range(400)])

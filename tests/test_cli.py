@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ import pytest
 
 import gtmac
 from gtmac._ranges import _RANGES
-from gtmac.cli import (_COMMANDS, _FLAGS, _FORMS, _parse_noise_spec, _summarize_until_exact,
-                       main)
+from gtmac.channel import NoiseModel
+from gtmac.cli import _COMMANDS, _FLAGS, _FORMS, _summarize_until_exact, main
 
 
 def run_cli(capsys, argv):
@@ -655,7 +656,7 @@ def test_noise_echo_parses_back_to_an_equal_model(capsys, spec):
                                  "--delta", "0.1", "--slots", "3", "--seed", "1"])
     assert code == 0
     echoed = re.search(r"^#   noise = (\S+)$", out, re.M).group(1)
-    assert _parse_noise_spec(echoed) == _parse_noise_spec(spec)
+    assert NoiseModel.parse(echoed) == NoiseModel.parse(spec)
 
 
 def test_channel_chunks_hold_whole_schedule_periods(capsys, monkeypatch):
@@ -726,6 +727,60 @@ def test_sizes_past_int64_exit_2_before_any_output(tmp_path, capsys, argv, flag,
     assert captured.out == ""
     assert f"error: {flag} must be an int in [" in captured.err
     assert f"{2**63 - 1}]" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_e2e_plans_its_channel_uses_once(tmp_path, capsys, monkeypatch):
+    # the repetitions check before the echo and the batch run one plan
+    from gtmac import bounds
+
+    calls = []
+    plan_channel_uses = bounds.plan_channel_uses
+
+    def counted(*args):
+        calls.append(args)
+        return plan_channel_uses(*args)
+
+    monkeypatch.setattr(bounds, "plan_channel_uses", counted)
+    code, out = run_cli(capsys, [*_E2E, "--out", str(tmp_path / "e2e.csv")])
+    assert code == 0 and "failures = " in out
+    assert len(calls) == 1
+
+
+def _limit_address_space() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+_UNTIL_EXACT = ["simulate", "--n-inactive", "10000", "--k", "20", "--trials", "2", "--seed",
+                "1", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ([*_TRACE, "--horizon", str(10**15)], "--horizon 1000000000000000"),
+    ([*_TRACE, "--horizon", str(10**9)], "--horizon 1000000000"),
+    ([*_UNTIL_EXACT, "--trials", str(2**63 - 1)], f"--trials {2**63 - 1}"),
+    ([*_UNTIL_EXACT, "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
+    (["simulate", "--preset", "reference", "--trials", "2", "--seed", "1", "--threads", "1",
+      "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
+], ids=["trace-horizon", "trace-horizon-2GiB", "until-exact-trials", "until-exact-grid",
+        "preset-grid"])
+def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
+    # each form's largest arrays would not fit: 16 PB of trace sums or of
+    # grid, 221 EB of until-exact results, or at 10**9 slots 32 GB of trace
+    # sums against the child's 2 GiB of address space
+    place = ["--out-dir", str(tmp_path)] if "--preset" in argv else [
+        "--out", str(tmp_path / "x.csv")]
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "gtmac.cli", *argv, *place],
+                          capture_output=True, text=True, timeout=30, cwd=tmp_path,
+                          env=_child_env(), preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert time.perf_counter() - started < 10
+    assert proc.stdout == ""
+    assert f"error: the arrays of {flag}" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 
@@ -865,13 +920,17 @@ def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, monkeypatch):
 
 # --- packaging ------------------------------------------------------------------------
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child ``python`` that imports the gtmac under test."""
+    package_root = str(Path(gtmac.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A child ``python`` that imports the gtmac under test, installed or not."""
-    package_root = str(Path(gtmac.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=_child_env())
 
 
 def test_module_entry_point_runs_as_script():

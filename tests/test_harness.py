@@ -12,7 +12,7 @@ import scipy.stats
 
 from gtmac import bounds, harness, scheme
 from gtmac._ranges import check_levels
-from gtmac.channel import RepetitionDisjunctionOracle, gaussian, rademacher, schedule, uniform
+from gtmac.channel import NoiseModel, RepetitionDisjunctionOracle, gaussian, rademacher
 
 
 # --- seeding -----------------------------------------------------------------
@@ -116,10 +116,10 @@ def test_batch_runners_validate_parameters():
     for p, trials in ((0.5, 0), (1.5, 10)):
         with pytest.raises(ValueError):
             harness.run_until_exact_batch(5, 1, p, cap, trials, 0)
+    plan = bounds.plan_channel_uses(5, 1, 0.1, 1.0, 1.0, 0.125)
     for power, trials in ((math.inf, 10), (1.0, 0)):
         with pytest.raises(ValueError):
-            harness.run_end_to_end_batch(5, 1, 0.1, gaussian(1.0), 1.0, power, 0.125,
-                                         trials, 0)
+            harness.run_end_to_end_batch(5, 1, 0.1, gaussian(1.0), power, plan, trials, 0)
 
 
 # --- error curves ----------------------------------------------------------------
@@ -260,8 +260,9 @@ def test_expectation_trace_sums_fixed_blocks_in_block_order():
 @pytest.mark.parametrize("run", [
     lambda workers: harness.run_until_exact_batch(5, 1, 0.5, 10, 3, 0, workers=workers),
     lambda workers: harness.expectation_trace(5, 1, 0.5, 3, 4, 0, workers=workers),
-    lambda workers: harness.run_end_to_end_batch(5, 1, 0.1, gaussian(1.0), 1.0, 1.0,
-                                                 0.125, 3, 0, workers=workers),
+    lambda workers: harness.run_end_to_end_batch(
+        5, 1, 0.1, gaussian(1.0), 1.0, bounds.plan_channel_uses(5, 1, 0.1, 1.0, 1.0, 0.125),
+        3, 0, workers=workers),
 ], ids=["until-exact", "trace", "e2e"])
 def test_batch_runners_reject_a_bool_worker_count(run):
     with pytest.raises(TypeError):
@@ -282,38 +283,41 @@ def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
 
 
 def test_end_to_end_batch_summary_fields():
-    noise = schedule(gaussian(1.0), rademacher(1.0))
-    summary, successes = harness.run_end_to_end_batch(40, 2, 0.1, noise, 1.0, 1.0,
-                                                      0.125, 40, 32)
+    noise = NoiseModel.parse("gaussian=1,rademacher=1")
+    plan = bounds.plan_channel_uses(40, 2, 0.1, 1.0, 1.0, 0.125)
+    summary, successes = harness.run_end_to_end_batch(40, 2, 0.1, noise, 1.0, plan, 40, 32)
     assert summary.trials == 40
     assert successes.dtype == bool and successes.shape == (40,)
     assert summary.failures == int((~successes).sum())
     assert summary.failure_rate == summary.failures / 40
     assert summary.two_epsilon == pytest.approx(0.2)
-    plan = bounds.plan_channel_uses(40, 2, 0.1, 1.0, 1.0, 0.125)
     assert (summary.slots, summary.repetitions, summary.total_channel_uses) == \
         (plan.slots, plan.repetitions, plan.total)
     # the declared K dominates every member family of the schedule
     assert noise.norm_bound <= 1.0
 
 
-def test_end_to_end_batch_plans_once(monkeypatch):
-    calls = []
-    plan_channel_uses = bounds.plan_channel_uses
+def test_end_to_end_batch_runs_the_plan_it_is_given(monkeypatch):
+    # the batch plans nothing itself: every block runs the caller's plan
+    plan = bounds.plan_channel_uses(40, 2, 0.1, 1.0, 1.0, 0.125)
+    calls, blocks = [], []
+    trial = harness.end_to_end_trial
 
-    def counted(*args):
-        calls.append(args)
-        return plan_channel_uses(*args)
+    def recorded(n_inactive, k, noise, power, block_plan, rng, trials):
+        blocks.append(block_plan)
+        return trial(n_inactive, k, noise, power, block_plan, rng, trials)
 
-    monkeypatch.setattr(bounds, "plan_channel_uses", counted)
-    summary, _ = harness.run_end_to_end_batch(40, 2, 0.1, gaussian(1.0), 1.0, 1.0,
-                                              0.125, 40, 34, workers=1)
+    monkeypatch.setattr(bounds, "plan_channel_uses", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "end_to_end_trial", recorded)
+    summary, _ = harness.run_end_to_end_batch(40, 2, 0.1, gaussian(1.0), 1.0, plan, 40, 34,
+                                              workers=1)
     assert summary.trials == 40
-    assert 1 <= len(calls) <= 2
+    assert calls == [] and blocks and all(block is plan for block in blocks)
 
 
 def test_end_to_end_batch_is_worker_count_invariant():
-    batch = (30, 2, 0.1, gaussian(1.0), 1.0, 1.0, 0.125, 24, 33)
+    batch = (30, 2, 0.1, gaussian(1.0), 1.0,
+             bounds.plan_channel_uses(30, 2, 0.1, 1.0, 1.0, 0.125), 24, 33)
     s1, r1 = harness.run_end_to_end_batch(*batch, workers=1)
     s2, r2 = harness.run_end_to_end_batch(*batch, workers=4)
     assert s1 == s2 and np.array_equal(r1, r2)
@@ -321,9 +325,9 @@ def test_end_to_end_batch_is_worker_count_invariant():
 
 def test_end_to_end_schedule_batch_over_three_blocks_is_worker_count_invariant():
     # l = 697 slots makes blocks of 94 trials, so 200 trials are 3 blocks
-    noise = schedule(gaussian(1.0), uniform(1.0), rademacher(1.0))
-    batch = (10_000, 20, 0.05, noise, 1.0, 1.0, 0.125, 200, 36)
-    plan = bounds.plan_channel_uses(*batch[:3], *batch[4:7])
+    noise = NoiseModel.parse("gaussian=1,uniform=1,rademacher=1")
+    plan = bounds.plan_channel_uses(10_000, 20, 0.05, 1.0, 1.0, 0.125)
+    batch = (10_000, 20, 0.05, noise, 1.0, plan, 200, 36)
     assert 200 > 2 * harness._end_to_end_block(plan.slots)
     s1, r1 = harness.run_end_to_end_batch(*batch, workers=1)
     s3, r3 = harness.run_end_to_end_batch(*batch, workers=3)
@@ -346,7 +350,7 @@ def test_every_trial_of_a_block_restarts_the_noise_schedule(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(channel, "slot_noise_averages", spy)
-    noise = schedule(rademacher(1.0), gaussian(0.0), gaussian(0.0))
+    noise = NoiseModel.parse("rademacher=1,gaussian=0,gaussian=0")
     plan = bounds.ChannelUsePlan(slots=10, slot_error_target=0.1, repetitions=4,
                                  total=40, closed_form=40.0)
     harness.end_to_end_trial(30, 2, noise, 1.0, plan, np.random.default_rng(5), 7)
@@ -372,7 +376,7 @@ def _merged_columns(a: np.ndarray, b: np.ndarray, minimum: int = 20) -> np.ndarr
 
 
 @pytest.mark.parametrize("noise", [None, gaussian(0.5),
-                                   schedule(gaussian(0.5), uniform(1.0), rademacher(0.3))],
+                                   NoiseModel.parse("gaussian=0.5,uniform=1,rademacher=0.3")],
                          ids=["ideal", "gaussian", "schedule"])
 def test_active_row_path_matches_node_level_scheme(noise):
     # run_scheme simulates all N + k nodes; the end-to-end block kernel
@@ -428,10 +432,9 @@ def test_decode_active_rows_rejects_a_wrong_decode_shape():
 def test_conditional_failure_rate_matches_exact_law():
     # criterion 6's batch: the mean of the per-trial conditional failure
     # probabilities estimates the exact failure probability
-    batch = (500, 5, 0.05, gaussian(1.0), 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT,
-             2000, 20260816)
+    plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT)
+    batch = (500, 5, 0.05, gaussian(1.0), 1.0, plan, 2000, 20260816)
     summary, _ = harness.run_end_to_end_batch(*batch)
-    plan = bounds.plan_channel_uses(*batch[:3], *batch[4:7])
     # replay the batch block by block from each block's seed
     block = harness._end_to_end_block(plan.slots)
     conditional = np.concatenate([
@@ -480,8 +483,9 @@ def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
     # a trial holds k x slots bits, never a vector over the N inactive nodes
     tracemalloc.start()
     try:
+        plan = bounds.plan_channel_uses(10**6, 20, 0.01, 1.0, 1.0, 0.125)
         summary, _ = harness.run_end_to_end_batch(10**6, 20, 0.01, gaussian(1.0), 1.0,
-                                                  1.0, 0.125, 20, 35)
+                                                  plan, 20, 35)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
