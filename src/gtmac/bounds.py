@@ -99,10 +99,7 @@ def slots_for_surplus_bound(n_inactive: int, k: int, eps: float,
     check("k", k)
     check("eps", eps)
     check("surplus_factor", surplus_factor)
-    log_argument = _log_ratio(n_inactive, k, eps, surplus_factor)
-    if log_argument <= 0.0:
-        return 0
-    return math.ceil(math.e * (k + 1) * log_argument)
+    return _slot_budget(k, _log_ratio(n_inactive, k, eps, surplus_factor))
 
 
 def slots_for_exact_recovery(n_inactive: int, k: int, eps: float) -> int:
@@ -114,7 +111,11 @@ def slots_for_exact_recovery(n_inactive: int, k: int, eps: float) -> int:
     check("n_inactive", n_inactive)
     check("k", k)
     check("eps", eps)
-    log_argument = _log_ratio(n_inactive, eps)
+    return _slot_budget(k, _log_ratio(n_inactive, eps))
+
+
+def _slot_budget(k: int, log_argument: float) -> int:
+    """``ceil(e*(k+1) * L)`` slots for L = ``log_argument``, 0 where L <= 0."""
     if log_argument <= 0.0:
         return 0
     return math.ceil(math.e * (k + 1) * log_argument)
@@ -329,8 +330,6 @@ def channel_uses_closed_form(n_inactive: int, k: int, eps: float,
     check("norm_bound", norm_bound)
     check("power", power)
     check("tail_constant", tail_constant)
-    if n_inactive == 0:
-        return 0.0
     log_ratio = _log_ratio(n_inactive, eps)
     if log_ratio <= 0.0:
         return 0.0

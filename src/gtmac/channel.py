@@ -18,7 +18,8 @@ decoder errs only if the averaged noise strays ``sqrt(P)/2`` from zero,
 which happens with probability at most ``exp(1 - c*m*P/K**2)`` (tail constant
 c per family; 1/8 is valid for gaussian noise).  That bound, its inverse and
 the exact gaussian excursion are laws of :mod:`gtmac.bounds`; this module only
-samples, and :class:`RepetitionDisjunctionOracle` decodes runs of slots.
+samples: :class:`RepetitionDisjunctionOracle` decodes runs of slots, and
+:func:`slot_error_rates` counts the slots whose noise alone reaches ``sqrt(P)/2``.
 
 The decoder reads only each slot's noise sum, so :func:`slot_noise_averages`
 draws each member's share of it from the law of a sum of unit steps.  A draw
@@ -51,6 +52,7 @@ __all__ = [
     "rademacher",
     "slot_noise_averages",
     "RepetitionDisjunctionOracle",
+    "slot_error_rates",
 ]
 
 _FAMILIES = ("gaussian", "uniform", "rademacher")
@@ -292,11 +294,11 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
 
     A sender adds ``sqrt(P)`` at each of its slot's ``repetitions`` steps and
     any other node adds 0, so a slot's average is its sender count times
-    ``sqrt(P)`` plus the averaged noise; above ``sqrt(P)/2`` decodes true and
-    a tie decodes false.  Each call decodes whole runs that start at step 0
-    of the noise schedule: a 1-D ``senders`` is one run of its slots, and a
-    2-D one holds one run per row.  Only the noise stream carries over from
-    one call to the next.
+    ``sqrt(P)`` plus the averaged noise; above ``threshold`` = ``sqrt(P)/2``
+    decodes true and a tie decodes false.  Each call decodes whole runs that
+    start at step 0 of the noise schedule: a 1-D ``senders`` is one run of its
+    slots, and a 2-D one holds one run per row.  Only the noise stream carries
+    over from one call to the next.
     """
 
     def __init__(self, noise: NoiseModel, power: float, repetitions: int,
@@ -304,6 +306,7 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
         self.noise = noise
         self.power = check("power", power)
         self.repetitions = check("repetitions", repetitions)
+        self.threshold = math.sqrt(self.power) / 2.0
         self.rng = rng
 
     def decode_block(self, senders: np.ndarray) -> np.ndarray:
@@ -312,4 +315,22 @@ class RepetitionDisjunctionOracle(DisjunctionOracle):
         root_power = math.sqrt(self.power)
         averaged = slot_noise_averages(self.noise, self.repetitions, senders.size,
                                        self.rng, run_slots=run_slots)
-        return senders * root_power + averaged.reshape(senders.shape) > root_power / 2.0
+        return senders * root_power + averaged.reshape(senders.shape) > self.threshold
+
+
+def slot_error_rates(noise: NoiseModel, power: float, repetitions: int, slots: int,
+                     seed: int) -> tuple[float, float]:
+    """Rates of |noise| >= t (excursions) and noise > t (decoded true) over ``slots``
+    slots from ``seed``, t the oracle's ``threshold``; drawn in chunks of 200 000
+    rounded up to whole schedule periods, each starting at step 0 as a run does."""
+    check("channel_slots", slots)
+    rng = np.random.default_rng(seed)
+    threshold = RepetitionDisjunctionOracle(noise, power, repetitions, rng).threshold
+    excursions = decoded_true = 0
+    period = len(noise.members)
+    chunk = -(-200_000 // period) * period
+    for done in range(0, slots, chunk):
+        averaged = slot_noise_averages(noise, repetitions, min(chunk, slots - done), rng)
+        excursions += int((np.abs(averaged) >= threshold).sum())
+        decoded_true += int((averaged > threshold).sum())
+    return excursions / slots, decoded_true / slots

@@ -19,32 +19,26 @@ the command line or in ``--config``, is range-checked once under its own
 name before any output, whatever the form reads: ``--delta must be a real in
 (0, 1), got 1.5``.
 
-Start-up is most of a short run's time, so a module that only some runs need
-is imported where it is used.  At the top this module imports only
-``argparse``, ``bounds`` (pure ``math``) and the range checks, so ``gtmac
-bounds`` loads neither numpy nor the simulation layers; the other handlers
-import those themselves, and the process pool, the config parser and the seed
-generator load only on the branch that uses them.  The layers' records are
-``collections.namedtuple`` classes, which need no ``inspect``.
+This module parses, refuses, echoes and prints; each number it prints comes
+from a layer, so it uses neither numpy nor ``math``.  Start-up is most of a
+short run's time: at the top it imports only ``argparse``, ``bounds`` (pure
+``math``) and the range checks, so ``gtmac bounds`` loads no numpy and no
+simulation layer; each other handler imports the layers it runs, and the
+process pool, config parser and seed generator load only where used.  The
+records are ``collections.namedtuple`` classes, which need no ``inspect``.
 
-Exit is a fixed cost too: CPython clears every module at exit and runs full
-collections over the import graph of numpy, ``argparse`` and ``site``.  So a
-process entry (``python -m gtmac.cli`` or the ``gtmac`` script, both calling
-``main()`` without arguments) ends with ``gc.freeze()``, which moves every
-tracked object to the permanent generation that those collections skip; the
-OS reclaims its pages instead.  The time from ``main`` returning to the
-parent's ``wait4`` returning fell from about 30 to 8.5 ms for a ``simulate``
-or ``e2e`` batch, and from 12 to 3.5 ms for ``gtmac bounds`` (medians of 21
-interleaved runs on one pinned CPU of a 2-vCPU Xeon).  stdout and stderr are
-still flushed, atexit handlers still run and the exit code is unchanged;
-``main(argv)`` called in process leaves the gc state alone.
+Exit is a fixed cost too: CPython runs full collections over the import graph
+at exit.  So a process entry (``python -m gtmac.cli`` or the ``gtmac`` script,
+both calling ``main()`` without arguments) ends with ``gc.freeze()``, which
+moves every tracked object to the permanent generation those collections skip
+(the README gives the timings).  Flushes, atexit handlers and the exit code
+are unchanged; ``main(argv)`` called in process leaves the gc state alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import re
 import sys
@@ -144,7 +138,7 @@ def _check_memory(parser, arrays) -> None:
     so a run this refuses could not have finished in memory.  The message
     names the flags of the largest array.
     """
-    import resource  # only a simulate form pays for it
+    import resource  # only a simulate or e2e run pays for it
 
     need = sum(size for size, _ in arrays)
     room = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -190,32 +184,17 @@ def _cmd_bounds(parser, args) -> int:
     return 0
 
 
-def _summarize_until_exact(slots) -> str:
-    import numpy as np
-
-    finished = np.sort(slots[slots >= 0]).tolist()
-    if finished:  # the median as statistics.median gives it, without its import
-        half, odd = divmod(len(finished), 2)
-        med = finished[half] if odd else (finished[half - 1] + finished[half]) / 2
-        mx = finished[-1]
-    else:
-        med = mx = float("nan")
-    return (f"trials = {len(slots)}  median_slots = {med}  max_slots = {mx}"
-            f"  censored = {len(slots) - len(finished)}")
-
-
 def _until_exact_runs(parser, args, pairs) -> tuple:
     """Seed, threads, slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair.
 
-    Exits 2 first if a run cannot hold its results (8 bytes a trial, with
-    their concatenated and sorted copies) next to the grid (a tuple and an
-    int64 array, 8 bytes a point each).
+    Exits 2 first if a run cannot hold its results and their sorted copy (8 bytes
+    a trial each) beside the grid's tuple and int64 array (8 bytes a point each).
     """
     from . import harness
     from .scheme import optimal_choice_probability
 
     points = args.grid_max // args.grid_step + 1
-    _check_memory(parser, [(24 * args.trials, f"--trials {args.trials}"),
+    _check_memory(parser, [(16 * args.trials, f"--trials {args.trials}"),
                            (16 * points, f"--grid-max {args.grid_max} and "
                                          f"--grid-step {args.grid_step}")])
     grid = harness.default_slot_grid(args.grid_max, args.grid_step)
@@ -230,8 +209,10 @@ def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> No
     from . import harness
 
     slots = harness.run_until_exact_batch(n, k, p, cap, trials, seed, workers=threads)
-    harness.export_csv(harness.build_error_curve(slots, grid, n, k), out)
-    print(_summarize_until_exact(slots))
+    curve = harness.build_error_curve(slots, grid, n, k)
+    harness.export_csv(curve, out)
+    print(f"trials = {curve.trials}  median_slots = {curve.median_slots}  "
+          f"max_slots = {curve.max_slots}  censored = {curve.censored}")
     print(f"wrote {out}")
 
 
@@ -278,8 +259,6 @@ def _cmd_preset(parser, args) -> int:
 
 
 def _cmd_channel(parser, args) -> int:
-    import numpy as np
-
     from . import channel as chan
 
     noise = _resolve_noise(parser, args)
@@ -293,17 +272,9 @@ def _cmd_channel(parser, args) -> int:
     _echo({"noise": noise.spec, "power": power, "big_k": big_k,
            "c": c, "delta": delta, "m": reps, "slots": slots, "seed": seed})
 
-    rng = np.random.default_rng(seed)
-    threshold = math.sqrt(power) / 2.0
-    excursions = decoded_true = 0
-    period = len(noise.members)  # 200 000 slots a chunk, rounded up to whole periods
-    chunk = -(-200_000 // period) * period  # so that every chunk starts at step 0
-    for done in range(0, slots, chunk):
-        averaged = chan.slot_noise_averages(noise, reps, min(chunk, slots - done), rng)
-        excursions += int((np.abs(averaged) >= threshold).sum())
-        decoded_true += int((averaged > threshold).sum())
-    print(f"empirical_excursion_rate = {excursions / slots!r}")
-    print(f"empirical_false_positive_rate = {decoded_true / slots!r}")
+    excursions, false_positives = chan.slot_error_rates(noise, power, reps, slots, seed)
+    print(f"empirical_excursion_rate = {excursions!r}")
+    print(f"empirical_false_positive_rate = {false_positives!r}")
     print(f"target_slot_error = {delta!r}")
     print(f"tail_bound = {bnd.slot_error_bound(big_k, power, reps, c)!r}")
     if noise.norm_bound > 0 and noise == chan.gaussian(noise.norm_bound):
@@ -324,6 +295,13 @@ def _cmd_e2e(parser, args) -> int:
     if plan.repetitions:  # checked as in channel; a plan with no slot has none
         check("repetitions", plan.repetitions, "the repetitions that --n-inactive, --k, "
               "--eps, --big-k, --power and --c plan")
+    # each trial's success and failure probability (9 bytes) and their
+    # concatenated copies; one block's noise averages and the float sums its
+    # decode compares, 8 bytes a slot each, beside its sender counts
+    block = min(trials, harness._end_to_end_block(plan.slots))
+    _check_memory(parser, [(18 * trials, f"--trials {trials}"),
+                           (16 * block * plan.slots,
+                            f"--n-inactive {n}, --k {k} and --eps {eps}")])
     if out is not None:
         _writable(out)
 

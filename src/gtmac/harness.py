@@ -22,8 +22,8 @@ Which nodes are active does not matter, so nothing places them.
 CSV files are written with a header row, comma separators, ``\\n`` line
 endings and UTF-8 encoding.  The ``csv`` module renders a float with
 ``repr``, so ``float()`` of a field recovers the exact value; result objects
-hold Python ints and floats (``.tolist()`` of the numpy results), never
-numpy scalars, whose ``repr`` is not a number.
+(an :class:`ErrorCurve`'s summary fields too) hold Python ints and floats,
+never numpy scalars, whose ``repr`` is not a number.
 """
 
 from __future__ import annotations
@@ -117,8 +117,10 @@ class RunRecord(namedtuple("RunRecord", "trial_seed slots_until_exact surplus_tr
 
 
 class ErrorCurve(namedtuple("ErrorCurve",
-                            "slot_grid observed_frequency theoretical_bound trials")):
-    """Observed error frequency per grid slot, paired with the analytic bound."""
+                            "slot_grid observed_frequency theoretical_bound trials "
+                            "censored median_slots max_slots")):
+    """Observed error frequency per grid slot beside the analytic bound, as the CSV holds
+    them; then the censored count, and the other trials' median and max slots (or nan)."""
 
     __slots__ = ()
 
@@ -214,11 +216,11 @@ def run_until_exact_batch(n_inactive: int, k: int, p: float, slot_cap: int,
 
 def build_error_curve(slots_until_exact: np.ndarray, slot_grid: tuple[int, ...],
                       n_inactive: int, k: int) -> ErrorCurve:
-    """Observed frequency of non-recovery per grid slot.
+    """Observed frequency of non-recovery per grid slot, and the trials' summary.
 
     ``slots_until_exact`` holds one entry per trial, -1 for a censored trial.
     A trial counts as failed at grid slot L when it needed more than L slots;
-    censored trials count as failed everywhere.
+    censored trials count as failed everywhere.  Both are read off one sort.
     """
     finished = np.asarray(slots_until_exact, dtype=np.int64)
     trials = len(finished)
@@ -227,13 +229,19 @@ def build_error_curve(slots_until_exact: np.ndarray, slot_grid: tuple[int, ...],
     grid = check_levels(slot_grid)
     if len(grid) == 0:
         raise ValueError("slot_grid must not be empty")
-    ordered = np.sort(np.where(finished < 0, np.iinfo(np.int64).max, finished))
+    done = int(np.count_nonzero(finished >= 0))
+    ordered = np.where(finished < 0, np.iinfo(np.int64).max, finished)
+    ordered.sort()  # in place: the only sort, censored trials last
     observed = (trials - np.searchsorted(ordered, grid, side="right")) / trials
     bound = bounds.theoretical_error_curve(n_inactive, k, grid)
+    # the middle one or two finished trials, as statistics.median takes them
+    low, high = ordered[[(done - 1) // 2, done // 2]].tolist() if done else [math.nan] * 2
     return ErrorCurve(slot_grid=tuple(grid.tolist()),
                       observed_frequency=tuple(observed.tolist()),
                       theoretical_bound=tuple(bound.tolist()),
-                      trials=trials)
+                      trials=trials, censored=trials - done,
+                      median_slots=low if done % 2 else (low + high) / 2,
+                      max_slots=int(ordered[done - 1]) if done else math.nan)
 
 
 def _trace_block(n_inactive: int, k: int, p: float, horizon: int,

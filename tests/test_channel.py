@@ -505,6 +505,30 @@ def test_empirical_gaussian_excursion_rate_matches_exact():
     assert abs(rate - exact) <= 3 * se
 
 
+@pytest.mark.parametrize("spec", ["gaussian=1", "gaussian=1,uniform=1,rademacher=1",
+                                  "rademacher=1"])
+def test_slot_error_rates_replay_the_chunked_threshold_counts(spec):
+    # the rates are counts over period-aligned chunks of 200 000 slots or more,
+    # each drawn by slot_noise_averages from one default_rng(seed) stream
+    noise, power, m, slots, seed = NoiseModel.parse(spec), 1.0, 4, 450_000, 11
+    rng, period = np.random.default_rng(seed), len(noise.members)
+    chunk = -(-200_000 // period) * period
+    averaged = np.concatenate([slot_noise_averages(noise, m, min(chunk, slots - done), rng)
+                               for done in range(0, slots, chunk)])
+    excursions = np.count_nonzero(np.abs(averaged) >= 0.5)
+    decoded_true = np.count_nonzero(averaged > 0.5)
+    assert channel.slot_error_rates(noise, power, m, slots, seed) == (
+        excursions / slots, decoded_true / slots)
+    if spec == "rademacher=1":
+        # four +-1 steps average to 0.5 in about a quarter of the slots: a
+        # tie is an excursion but not a decoded true, as in the oracle
+        ties = np.count_nonzero(averaged == 0.5)
+        assert ties > slots // 5
+        assert excursions == ties + np.count_nonzero(averaged == -0.5) + np.count_nonzero(
+            np.abs(averaged) == 1.0)
+        assert decoded_true == np.count_nonzero(averaged == 1.0)
+
+
 # --- repetition-code oracle ---------------------------------------------------------
 
 def test_repetition_oracle_decodes_the_disjunction():

@@ -18,7 +18,7 @@ import pytest
 import gtmac
 from gtmac._ranges import _RANGES
 from gtmac.channel import NoiseModel
-from gtmac.cli import _COMMANDS, _FLAGS, _FORMS, _summarize_until_exact, main
+from gtmac.cli import _COMMANDS, _FLAGS, _FORMS, main
 
 
 def run_cli(capsys, argv):
@@ -266,10 +266,17 @@ def test_e2e_threads_do_not_change_results(tmp_path, capsys):
 def test_until_exact_summary_keeps_the_median_format(slots):
     import statistics
 
+    from gtmac import harness
+
     finished = [s for s in slots if s >= 0]
     med = statistics.median(finished) if finished else float("nan")
     mx = max(finished) if finished else float("nan")
-    assert _summarize_until_exact(np.array(slots)) == (
+    curve = harness.build_error_curve(np.array(slots), (0, 4), 10, 2)
+    summary = (curve.trials, curve.median_slots, curve.max_slots, curve.censored)
+    # Python scalars, which print as the summary line always has
+    assert [type(value) for value in summary] == [int, type(med), type(mx), int]
+    assert (f"trials = {curve.trials}  median_slots = {curve.median_slots}  "
+            f"max_slots = {curve.max_slots}  censored = {curve.censored}") == (
         f"trials = {len(slots)}  median_slots = {med}  max_slots = {mx}"
         f"  censored = {len(slots) - len(finished)}")
 
@@ -764,12 +771,17 @@ _UNTIL_EXACT = ["simulate", "--n-inactive", "10000", "--k", "20", "--trials", "2
     ([*_UNTIL_EXACT, "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
     (["simulate", "--preset", "reference", "--trials", "2", "--seed", "1", "--threads", "1",
       "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
+    ([*_E2E, "--trials", str(2**63 - 1)], f"--trials {2**63 - 1}"),
+    (["e2e", "--n-inactive", "10", "--k", "100000000000", "--eps", "0.1", "--sigma", "1",
+      "--power", "1", "--trials", "1", "--seed", "1", "--threads", "1"],
+     "--n-inactive 10, --k 100000000000 and --eps 0.1"),
 ], ids=["trace-horizon", "trace-horizon-2GiB", "until-exact-trials", "until-exact-grid",
-        "preset-grid"])
+        "preset-grid", "e2e-trials", "e2e-block"])
 def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
     # each form's largest arrays would not fit: 16 PB of trace sums or of
-    # grid, 221 EB of until-exact results, or at 10**9 slots 32 GB of trace
-    # sums against the child's 2 GiB of address space
+    # grid, 147 EB of until-exact or 166 EB of e2e results, 20 TB of one
+    # e2e block's 1.25e12 slots, or at 10**9 slots 32 GB of trace sums
+    # against the child's 2 GiB of address space
     place = ["--out-dir", str(tmp_path)] if "--preset" in argv else [
         "--out", str(tmp_path / "x.csv")]
     started = time.perf_counter()
@@ -782,6 +794,23 @@ def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
     assert f"error: the arrays of {flag}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_until_exact_curve_holds_its_results_and_one_sorted_copy(tmp_path, capsys):
+    # the results (8 bytes a trial) and the curve's one sorted copy: the
+    # summary line is read off that copy, not sorted again
+    import tracemalloc
+
+    trials = 200_000
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, [*_UNTIL_EXACT, "--trials", str(trials),
+                                     "--out", str(tmp_path / "curve.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and f"trials = {trials}  median_slots = " in out
+    assert peak < 24 * trials
 
 
 def test_channel_and_e2e_reject_an_understated_norm_bound_alike(capsys):

@@ -514,7 +514,7 @@ def test_error_curve_csv_roundtrip_and_layout(tmp_path):
     curve = harness.ErrorCurve(slot_grid=(0, 5, 10),
                                observed_frequency=(1.0, 0.25, 0.1),
                                theoretical_bound=(1.0, 0.5, 0.0078125),
-                               trials=400)
+                               trials=400, censored=40, median_slots=4.5, max_slots=12)
     path = tmp_path / "curve.csv"
     harness.export_csv(curve, str(path))
     assert "\r" not in path.read_text(encoding="utf-8")

@@ -22,7 +22,8 @@ RECORDS = [
     (FastRunResult, dict(final_surplus=0, surplus_trace=(3, 1, 0), slots_until_exact=2)),
     (RunRecord, dict(trial_seed=11, slots_until_exact=None, surplus_trace=(4, 4))),
     (ErrorCurve, dict(slot_grid=(0, 1), observed_frequency=(1.0, 0.5),
-                      theoretical_bound=(1.0, 0.75), trials=2)),
+                      theoretical_bound=(1.0, 0.75), trials=2, censored=1,
+                      median_slots=1, max_slots=1)),
     (ExpectationTrace, dict(slots=(0, 1), empirical_mean=(9.0, 6.5),
                             std_error=(0.0, 0.25), predicted_mean=(9.0, 6.75))),
     (EndToEndSummary, dict(trials=8, failures=1, failure_rate=0.125,
