@@ -65,7 +65,7 @@ _RANGES = {
     "index": ("index", True, 0, _INF, "an int >= 0"),
     "seed": ("seed", True, 0, _INF, "an int >= 0"),
     "workers": ("workers", True, 1, _INF, "an int >= 1"),
-    "max_slot": ("max_slot", True, 0, _INF, "an int >= 0"),
+    "max_slot": ("max_slot", True, 0, _INT64, f"an int in [0, {_INT64}]"),
     "step": ("step", True, 1, _INF, "an int >= 1"),
 }
 

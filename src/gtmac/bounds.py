@@ -159,9 +159,12 @@ def _binomial_pmf(trials: int, prob: float, log_fact: np.ndarray) -> np.ndarray:
 
 def _survivors(n_inactive: int, p: float, false_slots) -> np.ndarray:
     """The survivors law ``1 - (1 - (1-p)**F)**N``, per F in ``false_slots``: P(some of
-    N inactive nodes outlasts F slots decoded false), each w.p. (1-p)**F."""
+    N inactive nodes outlasts F slots decoded false), each w.p. (1-p)**F.  With
+    no inactive node it is 0 at every F, where ``0 * log(0)`` would be nan."""
     import numpy as np
 
+    if n_inactive == 0:
+        return np.zeros(np.shape(false_slots))
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf at F = 0
         return -np.expm1(n_inactive * np.log1p(-(1.0 - p) ** false_slots))
 
@@ -190,12 +193,7 @@ def exact_error_curve(n_inactive: int, k: int, p: float,
     check("n_inactive", n_inactive)
     check("k", k)
     check("p", p)
-    levels = check_levels(levels)
-    import numpy as np
-
-    if n_inactive == 0:
-        return np.zeros(len(levels))
-    return _elimination(n_inactive, p, (1.0 - p) ** k, levels)
+    return _elimination(n_inactive, p, (1.0 - p) ** k, check_levels(levels))
 
 
 def exact_end_to_end_failure(n_inactive: int, k: int, p: float, slots: int,
@@ -225,8 +223,6 @@ def exact_end_to_end_failure(n_inactive: int, k: int, p: float, slots: int,
     useful = (1.0 - p) ** k * (1.0 - errors[0])
     evict = float(_binomial_pmf(k, p, _log_factorials(k))[1:] @ errors[1:])
     evicted = -math.expm1(slots * math.log1p(-evict))  # 1 - (1-d)**l
-    if n_inactive == 0:
-        return evicted
     # given no eviction, F ~ Bin(l, a/(1-d))
     left = float(_elimination(n_inactive, p, useful / (1.0 - evict), [slots])[0])
     return min(1.0, evicted + (1.0 - evicted) * left)  # the weights sum to 1 +- ulp

@@ -3,21 +3,22 @@
 Subcommands: ``bounds`` (closed-form budgets), ``simulate`` (Monte Carlo error
 curves / expectation traces), ``channel`` (repetition-code slot error), and
 ``e2e`` (full noisy-channel pipeline).  Every randomized command takes
-``--seed``; without one a fresh seed is generated and echoed so the run can
-be reproduced.  Each flag's range, type and default are declared once, in
-``_FLAGS``, and each form of a command once, in ``_FORMS``: ``simulate`` has
-three (``--mode until-exact``, ``--mode trace``, ``--preset reference``), each
-other command one.  A command takes the flags its forms read; a flag spelled
-(in full) on the command line that the chosen form does not read exits 2.
-``--config FILE`` reads flat ``key = value`` lines named after the long
-flags; each value becomes its flag's default, so flags beat the file and the
-file beats the built-in defaults, and a key the form does not read is
-ignored.  Exit codes: 0 success, 2 bad usage/parameters (an unread or missing
-flag, a malformed config file, or a value its flag cannot parse: ``argument
---k: invalid int value: 'abc'``), 1 runtime failure.  Every flag given, on
-the command line or in ``--config``, is range-checked once under its own
-name before any output, whatever the form reads: ``--delta must be a real in
-(0, 1), got 1.5``.
+``--seed``; without one ``main`` draws a fresh 63-bit seed from ``secrets``
+before the form runs, and the form echoes it so the run can be reproduced
+(``--threads``, likewise, is the CPU count unless given).  Each flag's range,
+type and default are declared once, in ``_FLAGS``, and each form of a command
+once, in ``_FORMS``: ``simulate`` has three (``--mode until-exact``, ``--mode
+trace``, ``--preset reference``), each other command one.  A command takes the
+flags its forms read; a flag spelled (in full) on the command line that the
+chosen form does not read exits 2.  ``--config FILE`` reads flat ``key =
+value`` lines named after the long flags; each value becomes its flag's
+default, so flags beat the file and the file beats the built-in defaults, and
+a key the form does not read is ignored.  Exit codes: 0 success, 2 bad
+usage/parameters (an unread or missing flag, a malformed config file, or a
+value its flag cannot parse: ``argument --k: invalid int value: 'abc'``), 1
+runtime failure.  Every flag given, on the command line or in ``--config``, is
+range-checked once under its own name before any output, whatever the form
+reads: ``--delta must be a real in (0, 1), got 1.5``.
 
 This module parses, refuses, echoes and prints; each number it prints comes
 from a layer, so it uses neither numpy nor ``math``.  Start-up is most of a
@@ -75,45 +76,31 @@ def _load_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
     return {key.replace("-", "_"): value for key, value in reader.items("config")}
 
 
-def _resolve_noise(parser, args) -> NoiseModel:
+def _resolve_noise(parser, args) -> tuple[NoiseModel, float]:
+    """The noise model and ``--big-k``: by default its norm bound, and never below it.
+
+    A plan sized from an understated bound would miss its error target.
+    """
     from . import channel as chan
 
     if args.sigma is not None and args.noise is not None:
         parser.error("give either --sigma or --noise, not both")
     if args.sigma is not None:
-        return chan.gaussian(args.sigma)
-    if args.noise is not None:
+        noise = chan.gaussian(args.sigma)
+    elif args.noise is not None:
         try:
-            return chan.NoiseModel.parse(args.noise)
+            noise = chan.NoiseModel.parse(args.noise)
         except ValueError as exc:
             parser.error(f"--noise: {exc}")
-    parser.error("the following argument is required: --sigma or --noise")
-
-
-def _resolve_big_k(parser, args, noise: NoiseModel) -> float:
-    """``--big-k``, by default the noise's norm bound, and never below that bound.
-
-    A plan sized from an understated bound would miss its error target.
-    """
+    else:
+        parser.error("the following argument is required: --sigma or --noise")
     if args.big_k is None:
         if not noise.norm_bound:
             parser.error("the noise's norm bound is 0, so --big-k > 0 is needed")
-        return noise.norm_bound
+        return noise, noise.norm_bound
     if args.big_k < noise.norm_bound:
         parser.error(f"--big-k {args.big_k} is below the noise norm bound {noise.norm_bound}")
-    return args.big_k
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        import secrets  # only an unseeded run draws one
-
-        return secrets.randbits(63)
-    return args.seed
-
-
-def _resolve_threads(args) -> int:
-    return (os.cpu_count() or 1) if args.threads is None else args.threads
+    return noise, args.big_k
 
 
 def _writable(path: str) -> str:
@@ -185,7 +172,7 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _until_exact_runs(parser, args, pairs) -> tuple:
-    """Seed, threads, slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair.
+    """The slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair.
 
     Exits 2 first if a run cannot hold its results and their sorted copy (8 bytes
     a trial each) beside the grid's tuple and int64 array (8 bytes a point each).
@@ -197,18 +184,20 @@ def _until_exact_runs(parser, args, pairs) -> tuple:
     _check_memory(parser, [(16 * args.trials, f"--trials {args.trials}"),
                            (16 * points, f"--grid-max {args.grid_max} and "
                                          f"--grid-step {args.grid_step}")])
-    grid = harness.default_slot_grid(args.grid_max, args.grid_step)
+    grid = range(0, args.grid_max + 1, args.grid_step)
     # a derived cap is checked here: a huge k puts it past the range
     runs = [(n, k, optimal_choice_probability(k) if args.p is None else args.p,
              check("slot_cap", harness.default_slot_cap(n, k), "--slot-cap")
              if args.slot_cap is None else args.slot_cap) for n, k in pairs]
-    return _resolve_seed(args), _resolve_threads(args), grid, runs
+    return grid, runs
 
 
-def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> None:
+def _run_until_exact_curve(args, grid, run, out) -> None:
     from . import harness
 
-    slots = harness.run_until_exact_batch(n, k, p, cap, trials, seed, workers=threads)
+    n, k, p, cap = run
+    slots = harness.run_until_exact_batch(n, k, p, cap, args.trials, args.seed,
+                                          workers=args.threads)
     curve = harness.build_error_curve(slots, grid, n, k)
     harness.export_csv(curve, out)
     print(f"trials = {curve.trials}  median_slots = {curve.median_slots}  "
@@ -217,11 +206,10 @@ def _run_until_exact_curve(n, k, p, cap, trials, seed, grid, out, threads) -> No
 
 
 def _cmd_curve(parser, args) -> int:
-    seed, threads, grid, [(n, k, p, cap)] = _until_exact_runs(parser, args,
-                                                          [(args.n_inactive, args.k)])
+    grid, [run] = _until_exact_runs(parser, args, [(args.n_inactive, args.k)])
     _writable(args.out)
-    _echo({**vars(args), "p": p, "slot_cap": cap, "seed": seed, "threads": threads})
-    _run_until_exact_curve(n, k, p, cap, args.trials, seed, grid, args.out, threads)
+    _echo({**vars(args), "p": run[2], "slot_cap": run[3]})
+    _run_until_exact_curve(args, grid, run, args.out)
     return 0
 
 
@@ -230,16 +218,15 @@ def _cmd_trace(parser, args) -> int:
     from .scheme import optimal_choice_probability
 
     p = optimal_choice_probability(args.k) if args.p is None else args.p
-    seed, threads = _resolve_seed(args), _resolve_threads(args)
     check("trace_trials", args.trials, "--trials")
     # every seeded block's (2, horizon + 1) sums, and the total they add up to
     blocks = -(-args.trials // harness.TRIAL_BLOCK) + 1
     _check_memory(parser, [(16 * (args.horizon + 1) * blocks,
                             f"--horizon {args.horizon} and --trials {args.trials}")])
     _writable(args.out)
-    _echo({**vars(args), "p": p, "seed": seed, "threads": threads})
+    _echo({**vars(args), "p": p})
     trace = harness.expectation_trace(args.n_inactive, args.k, p, args.trials, args.horizon,
-                                      seed, workers=threads)
+                                      args.seed, workers=args.threads)
     harness.export_csv(trace, args.out)
     print(f"final_mean_surplus = {trace.empirical_mean[-1]!r}")
     print(f"wrote {args.out}")
@@ -247,24 +234,22 @@ def _cmd_trace(parser, args) -> int:
 
 
 def _cmd_preset(parser, args) -> int:
-    seed, threads, grid, runs = _until_exact_runs(parser, args, _PRESET_REFERENCE)
+    grid, runs = _until_exact_runs(parser, args, _PRESET_REFERENCE)
     outs = [_writable(os.path.join(args.out_dir, f"curve_n{n}_k{k}.csv"))
             for n, k in _PRESET_REFERENCE]
-    _echo({"preset": args.preset, "trials": args.trials, "seed": seed, "threads": threads,
-           "out_dir": args.out_dir, "grid_max": args.grid_max, "grid_step": args.grid_step})
+    _echo({key: getattr(args, key) for key in
+           ("preset", "trials", "seed", "threads", "out_dir", "grid_max", "grid_step")})
     for (n, k, p, cap), out in zip(runs, outs):
         print(f"running n_inactive={n} k={k} p={p} slot_cap={cap} ...")
-        _run_until_exact_curve(n, k, p, cap, args.trials, seed, grid, out, threads)
+        _run_until_exact_curve(args, grid, (n, k, p, cap), out)
     return 0
 
 
 def _cmd_channel(parser, args) -> int:
     from . import channel as chan
 
-    noise = _resolve_noise(parser, args)
-    big_k = _resolve_big_k(parser, args, noise)
-    power, c, delta, slots = args.power, args.c, args.delta, args.slots
-    seed = _resolve_seed(args)
+    noise, big_k = _resolve_noise(parser, args)
+    power, c, delta, slots, seed = args.power, args.c, args.delta, args.slots, args.seed
     # --m is at least 1, so only a run without it plans; a plan gets --m's range
     reps = args.m or check("repetitions", bnd.repetition_length(big_k, power, delta, c),
                            "the repetitions that --big-k, --power, --delta and --c plan")
@@ -287,29 +272,26 @@ def _cmd_e2e(parser, args) -> int:
     from . import harness
 
     n, k, eps, power = args.n_inactive, args.k, args.eps, args.power
-    noise = _resolve_noise(parser, args)
-    big_k = _resolve_big_k(parser, args, noise)
-    c, trials, out = args.c, args.trials, args.out
-    seed, threads = _resolve_seed(args), _resolve_threads(args)
+    noise, big_k = _resolve_noise(parser, args)
+    c, trials, out, seed, threads = args.c, args.trials, args.out, args.seed, args.threads
     plan = bnd.plan_channel_uses(n, k, eps, big_k, power, c)
     if plan.repetitions:  # checked as in channel; a plan with no slot has none
         check("repetitions", plan.repetitions, "the repetitions that --n-inactive, --k, "
               "--eps, --big-k, --power and --c plan")
-    # each trial's success and failure probability (9 bytes) and their
-    # concatenated copies; one block's noise averages and the float sums its
-    # decode compares, 8 bytes a slot each, beside its sender counts
-    block = min(trials, harness._end_to_end_block(plan.slots))
-    _check_memory(parser, [(18 * trials, f"--trials {trials}"),
-                           (16 * block * plan.slots,
-                            f"--n-inactive {n}, --k {k} and --eps {eps}")])
+    # each trial's success and failure probability (9 bytes) and the
+    # probabilities' concatenated copy; a block of at least one trial, whose
+    # noise averages and the float sums its decode compares take 8 bytes a
+    # slot each, beside its sender counts
+    _check_memory(parser, [(17 * trials, f"--trials {trials}"),
+                           (16 * plan.slots, f"--n-inactive {n}, --k {k} and --eps {eps}")])
     if out is not None:
         _writable(out)
 
     _echo({"n_inactive": n, "k": k, "eps": eps, "noise": noise.spec, "power": power,
            "big_k": big_k, "c": c, "trials": trials, "seed": seed, "threads": threads})
 
-    summary, _ = harness.run_end_to_end_batch(n, k, eps, noise, power, plan, trials, seed,
-                                              workers=threads)
+    summary = harness.run_end_to_end_batch(n, k, eps, noise, power, plan, trials, seed,
+                                           workers=threads)
     print(f"slots = {summary.slots}")
     print(f"repetitions = {summary.repetitions}")
     print(f"total_channel_uses = {summary.total_channel_uses}")
@@ -473,9 +455,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         form = _checked_form(parser, args, sys.argv[1:] if argv is None else argv)
         handler, _, reads, _ = _FORMS[form]
-        # the handler sees only the flags its form reads
-        return handler(parser, argparse.Namespace(
-            **{_dest(flag): getattr(args, _dest(flag)) for flag in reads.split()}))
+        reads = reads.split()
+        # the handler sees only the flags its form reads, seed and workers decided
+        run = argparse.Namespace(**{_dest(flag): getattr(args, _dest(flag)) for flag in reads})
+        if "--seed" in reads and run.seed is None:
+            import secrets  # only an unseeded run draws one
+
+            run.seed = secrets.randbits(63)
+        if "--threads" in reads and run.threads is None:
+            run.threads = os.cpu_count() or 1
+        return handler(parser, run)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     except OverflowError as exc:  # a finite input too large to compute with

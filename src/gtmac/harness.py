@@ -47,6 +47,8 @@ from .scheme import run_scheme  # noqa: F401
 
 TYPE_CHECKING = False  # importing typing would cost start-up
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .channel import NoiseModel
 
 __all__ = [
@@ -57,7 +59,6 @@ __all__ = [
     "EndToEndSummary",
     "trial_seed",
     "default_slot_cap",
-    "default_slot_grid",
     "simulate_until_exact",
     "run_until_exact_batch",
     "build_error_curve",
@@ -94,13 +95,6 @@ def default_slot_cap(n_inactive: int, k: int) -> int:
     """Hard stop for run-until-exact: 100x the typical e(k+1)ln N scale."""
     grown = max(1.0, math.log(max(n_inactive, 1)))
     return math.ceil(100.0 * math.e * (k + 1) * grown)
-
-
-def default_slot_grid(max_slot: int, step: int) -> tuple[int, ...]:
-    """Slot grid the error curve is evaluated on: 0..max_slot in ``step`` strides."""
-    check("max_slot", max_slot)
-    check("step", step)
-    return tuple(range(0, max_slot + 1, step))
 
 
 class RunRecord(namedtuple("RunRecord", "trial_seed slots_until_exact surplus_trace",
@@ -214,13 +208,14 @@ def run_until_exact_batch(n_inactive: int, k: int, p: float, slot_cap: int,
     return np.concatenate(_run_blocks(kernel, trials, TRIAL_BLOCK, seed_base, workers))
 
 
-def build_error_curve(slots_until_exact: np.ndarray, slot_grid: tuple[int, ...],
+def build_error_curve(slots_until_exact: np.ndarray, slot_grid: Sequence[int],
                       n_inactive: int, k: int) -> ErrorCurve:
     """Observed frequency of non-recovery per grid slot, and the trials' summary.
 
-    ``slots_until_exact`` holds one entry per trial, -1 for a censored trial.
-    A trial counts as failed at grid slot L when it needed more than L slots;
-    censored trials count as failed everywhere.  Both are read off one sort.
+    ``slots_until_exact`` holds one entry per trial, -1 for a censored trial,
+    and ``slot_grid`` slots >= 0, as a tuple or a ``range`` does.  A trial
+    counts as failed at grid slot L when it needed more than L slots; censored
+    trials count as failed everywhere.  Both are read off one sort.
     """
     finished = np.asarray(slots_until_exact, dtype=np.int64)
     trials = len(finished)
@@ -339,23 +334,21 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
 
 def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
                          power: float, plan: bounds.ChannelUsePlan, trials: int,
-                         seed_base: int,
-                         workers: int = 1) -> tuple[EndToEndSummary, np.ndarray]:
-    """All end-to-end trials: the failure summary and each trial's success.
+                         seed_base: int, workers: int = 1) -> EndToEndSummary:
+    """The failure summary of all end-to-end trials.
 
     Every trial runs ``plan``, the batch's channel-use plan, sized for
     target error ``eps`` (see :func:`end_to_end_trial`); nothing here plans.
-    Trials are drawn in seeded blocks (see the module docstring).  The
-    second result holds one bool per trial, in trial order.
+    Trials are drawn in seeded blocks (see the module docstring), and their
+    failures are counted per block.
     """
     check("eps", eps)
     check("trials", trials)
     kernel = functools.partial(end_to_end_trial, n_inactive, k, noise, power, plan)
     parts, conditional = zip(*_run_blocks(kernel, trials, _end_to_end_block(plan.slots),
                                           seed_base, workers))
-    successes = np.concatenate(parts)
-    failures = trials - int(np.count_nonzero(successes))
-    summary = EndToEndSummary(
+    failures = trials - sum(int(np.count_nonzero(part)) for part in parts)
+    return EndToEndSummary(
         trials=trials,
         failures=failures,
         failure_rate=failures / trials,
@@ -365,7 +358,6 @@ def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
         repetitions=plan.repetitions,
         total_channel_uses=plan.total,
     )
-    return summary, successes
 
 
 # --- CSV layer ---------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_criterion_1_error_curve_reproduction():
     slots = harness.run_until_exact_batch(n, k, scheme.optimal_choice_probability(k),
                                           harness.default_slot_cap(n, k), trials, SEED,
                                           workers=WORKERS)
-    grid = harness.default_slot_grid(2500, 1)
+    grid = range(2501)
     curve = harness.build_error_curve(slots, grid, n, k)
     elapsed = time.perf_counter() - started
 
@@ -262,8 +262,8 @@ def test_criterion_5_repetition_code_slot_error():
 def test_criterion_6_end_to_end_guarantee():
     started = time.perf_counter()
     plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT)
-    summary, _ = harness.run_end_to_end_batch(500, 5, 0.05, gaussian(1.0), 1.0, plan, 2000,
-                                              SEED, workers=WORKERS)
+    summary = harness.run_end_to_end_batch(500, 5, 0.05, gaussian(1.0), 1.0, plan, 2000,
+                                           SEED, workers=WORKERS)
     elapsed = time.perf_counter() - started
 
     problems = []

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtmac
 from gtmac._ranges import _RANGES
@@ -203,6 +208,50 @@ def test_every_given_flag_is_range_checked_whatever_the_form_reads(
     assert list(tmp_path.iterdir()) == []
 
 
+# The form each valid run is of
+_FORM_OF_RUN = {"bounds": "bounds", "until-exact": "simulate --mode until-exact",
+                "trace": "simulate --mode trace", "preset": "simulate --preset reference",
+                "channel": "channel", "e2e": "e2e"}
+# Values at the edges of what a flag parses: int64's ends and one past it, 0,
+# -1, NaN, the infinities, subnormals, an underscore, a hex literal, and
+# Arabic-Indic and fullwidth digits, which int() and float() read as 10 and 7
+_EDGE_VALUES = ("0", "-1", str(-2**63), str(2**63), "nan", "inf", "-inf", "5e-324",
+                "-5e-324", "1e-310", "1_0", "0x10", "\u0661\u0660", "\uff17")
+
+
+@st.composite
+def _edge_runs(draw):
+    """A valid run with one or two of the flags its form reads set to edge values.
+
+    ``--slots`` and ``--trials`` never reach int64's end: ``channel --slots
+    9223372036854775807`` is a valid run that would not end.
+    """
+    run = draw(st.sampled_from(sorted(_VALID_RUNS)))
+    reads = [flag for flag in _FORMS[_FORM_OF_RUN[run]][2].split()
+             if flag not in ("--out", "--out-dir")]
+    argv = list(_VALID_RUNS[run])
+    for flag in draw(st.lists(st.sampled_from(reads), min_size=1, max_size=2, unique=True)):
+        large = () if flag in ("--slots", "--trials") else (str(2**63 - 1),)
+        argv += [flag, draw(st.sampled_from(_EDGE_VALUES + large))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_edge_runs())
+def test_edge_values_run_or_exit_2_with_no_output(argv):
+    assert set(_FORM_OF_RUN) == set(_VALID_RUNS) and set(_FORM_OF_RUN.values()) == set(_FORMS)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        argv = [arg.format(tmp=tmp) for arg in argv]
+        try:
+            assert main(argv) == 0, argv
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, err.getvalue())
+            assert out.getvalue() == "", argv
+            assert os.listdir(tmp) == [], argv
+
+
 # --- simulate -----------------------------------------------------------------
 
 def test_simulate_missing_out_exits_2(capsys):
@@ -296,23 +345,31 @@ def test_simulate_trace_mode(tmp_path, capsys):
     assert float(rows[0][1]) == 100.0
 
 
-def test_simulate_generates_and_echoes_a_seed(tmp_path, capsys):
-    out = tmp_path / "auto.csv"
-    code, text = run_cli(capsys, [
-        "simulate", "--n-inactive", "10", "--k", "1", "--trials", "5",
-        "--threads", "1", "--grid-max", "50", "--grid-step", "10",
-        "--out", str(out)])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-inactive", "10", "--k", "1", "--trials", "5", "--grid-max", "50",
+     "--grid-step", "10", "--out", "{tmp}/auto.csv"],
+    ["simulate", "--mode", "trace", "--n-inactive", "10", "--k", "1", "--trials", "5",
+     "--horizon", "5", "--out", "{tmp}/auto.csv"],
+    ["simulate", "--preset", "reference", "--trials", "2", "--grid-max", "10",
+     "--out-dir", "{tmp}"],
+    ["channel", "--sigma", "1", "--power", "1", "--delta", "0.1", "--slots", "10"],
+    ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--sigma", "0.5", "--power",
+     "1", "--trials", "2", "--out", "{tmp}/auto.csv"],
+], ids=["until-exact", "trace", "preset", "channel", "e2e"])
+def test_simulate_generates_and_echoes_a_seed(tmp_path, capsys, argv):
+    # without --seed and --threads a run draws a seed and takes every CPU, and
+    # echoes both; replaying the echoed seed reproduces stdout and every file
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, text = run_cli(capsys, argv)
     assert code == 0
     match = re.search(r"^#   seed = (\d+)$", text, re.MULTILINE)
     assert match is not None
-    # replaying the echoed seed reproduces the file exactly
-    first = out.read_bytes()
-    code, _ = run_cli(capsys, [
-        "simulate", "--n-inactive", "10", "--k", "1", "--trials", "5",
-        "--threads", "1", "--grid-max", "50", "--grid-step", "10",
-        "--seed", match.group(1), "--out", str(out)])
-    assert code == 0
-    assert out.read_bytes() == first
+    threads = [line for line in text.splitlines() if line.startswith("#   threads = ")]
+    assert threads == ([] if argv[0] == "channel" else [f"#   threads = {os.cpu_count() or 1}"])
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    code, replay = run_cli(capsys, [*argv, "--seed", match.group(1)])
+    assert code == 0 and replay == text
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 
 def test_simulate_preset_writes_three_curves(tmp_path, capsys):
@@ -722,10 +779,14 @@ _TRACE = ["simulate", "--mode", "trace", "--n-inactive", "10", "--k", "1", "--tr
     (_TRACE, "--horizon", 2**63),
     (["channel", "--sigma", "1", "--power", "1", "--delta", "0.1", "--seed", "1"],
      "--slots", 2**64),
+    # a grid of two points, 0 and 2**63, whose last level no int64 holds
+    (["simulate", "--n-inactive", "10", "--k", "1", "--seed", "1", "--threads", "1",
+      "--grid-step", str(2**63)], "--grid-max", 2**63),
 ], ids=["e2e-n-inactive", "e2e-k", "e2e-trials", "until-exact-trials", "trace-trials",
-        "trace-horizon", "channel-slots"])
+        "trace-horizon", "channel-slots", "until-exact-grid-max"])
 def test_sizes_past_int64_exit_2_before_any_output(tmp_path, capsys, argv, flag, value):
-    # each reaches numpy as a size or as the n of a Bin(n, p) draw, both int64
+    # each reaches numpy as a size, a grid level or the n of a Bin(n, p) draw,
+    # all int64
     out = [] if argv[0] == "channel" else ["--out", str(tmp_path / "x.csv")]
     with pytest.raises(SystemExit) as info:
         main([*argv, *out, flag, str(value)])
@@ -779,7 +840,7 @@ _UNTIL_EXACT = ["simulate", "--n-inactive", "10000", "--k", "20", "--trials", "2
         "preset-grid", "e2e-trials", "e2e-block"])
 def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
     # each form's largest arrays would not fit: 16 PB of trace sums or of
-    # grid, 147 EB of until-exact or 166 EB of e2e results, 20 TB of one
+    # grid, 147 EB of until-exact or 157 EB of e2e results, 20 TB of one
     # e2e block's 1.25e12 slots, or at 10**9 slots 32 GB of trace sums
     # against the child's 2 GiB of address space
     place = ["--out-dir", str(tmp_path)] if "--preset" in argv else [

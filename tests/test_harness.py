@@ -138,7 +138,7 @@ def test_build_error_curve_counts_strictly_larger_and_censored():
 def test_build_error_curve_matches_per_level_means():
     # one sort plus searchsorted gives the very floats of a per-level mean
     slots = np.random.default_rng(12).integers(-1, 60, size=997)
-    grid = harness.default_slot_grid(70, 1)
+    grid = range(71)
     curve = harness.build_error_curve(slots, grid, 10, 1)
     assert curve.observed_frequency == tuple(
         float(((slots < 0) | (slots > level)).mean()) for level in grid)
@@ -196,16 +196,6 @@ def test_error_curve_observed_rate_tracks_truth_small_case():
         truth = 0.75**level
         se = math.sqrt(truth * (1 - truth) / trials)
         assert abs(freq - truth) <= 4 * se
-
-
-def test_default_slot_grid():
-    grid = harness.default_slot_grid(10, 2)
-    assert grid == (0, 2, 4, 6, 8, 10)
-    assert len(harness.default_slot_grid(2500, 1)) == 2501
-    with pytest.raises(ValueError):
-        harness.default_slot_grid(-1, 1)
-    with pytest.raises(ValueError):
-        harness.default_slot_grid(10, 0)
 
 
 # --- expectation trace -------------------------------------------------------------
@@ -285,8 +275,14 @@ def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
 def test_end_to_end_batch_summary_fields():
     noise = NoiseModel.parse("gaussian=1,rademacher=1")
     plan = bounds.plan_channel_uses(40, 2, 0.1, 1.0, 1.0, 0.125)
-    summary, successes = harness.run_end_to_end_batch(40, 2, 0.1, noise, 1.0, plan, 40, 32)
+    summary = harness.run_end_to_end_batch(40, 2, 0.1, noise, 1.0, plan, 40, 32)
     assert summary.trials == 40
+    # replay the batch block by block from each block's seed
+    block = harness._end_to_end_block(plan.slots)
+    successes = np.concatenate([
+        harness.end_to_end_trial(40, 2, noise, 1.0, plan, harness._block_rng(32, b // block),
+                                 min(block, 40 - b))[0]
+        for b in range(0, 40, block)])
     assert successes.dtype == bool and successes.shape == (40,)
     assert summary.failures == int((~successes).sum())
     assert summary.failure_rate == summary.failures / 40
@@ -309,8 +305,8 @@ def test_end_to_end_batch_runs_the_plan_it_is_given(monkeypatch):
 
     monkeypatch.setattr(bounds, "plan_channel_uses", lambda *args: calls.append(args))
     monkeypatch.setattr(harness, "end_to_end_trial", recorded)
-    summary, _ = harness.run_end_to_end_batch(40, 2, 0.1, gaussian(1.0), 1.0, plan, 40, 34,
-                                              workers=1)
+    summary = harness.run_end_to_end_batch(40, 2, 0.1, gaussian(1.0), 1.0, plan, 40, 34,
+                                           workers=1)
     assert summary.trials == 40
     assert calls == [] and blocks and all(block is plan for block in blocks)
 
@@ -318,9 +314,8 @@ def test_end_to_end_batch_runs_the_plan_it_is_given(monkeypatch):
 def test_end_to_end_batch_is_worker_count_invariant():
     batch = (30, 2, 0.1, gaussian(1.0), 1.0,
              bounds.plan_channel_uses(30, 2, 0.1, 1.0, 1.0, 0.125), 24, 33)
-    s1, r1 = harness.run_end_to_end_batch(*batch, workers=1)
-    s2, r2 = harness.run_end_to_end_batch(*batch, workers=4)
-    assert s1 == s2 and np.array_equal(r1, r2)
+    assert (harness.run_end_to_end_batch(*batch, workers=1)
+            == harness.run_end_to_end_batch(*batch, workers=4))
 
 
 def test_end_to_end_schedule_batch_over_three_blocks_is_worker_count_invariant():
@@ -329,9 +324,8 @@ def test_end_to_end_schedule_batch_over_three_blocks_is_worker_count_invariant()
     plan = bounds.plan_channel_uses(10_000, 20, 0.05, 1.0, 1.0, 0.125)
     batch = (10_000, 20, 0.05, noise, 1.0, plan, 200, 36)
     assert 200 > 2 * harness._end_to_end_block(plan.slots)
-    s1, r1 = harness.run_end_to_end_batch(*batch, workers=1)
-    s3, r3 = harness.run_end_to_end_batch(*batch, workers=3)
-    assert s1 == s3 and np.array_equal(r1, r3)
+    assert (harness.run_end_to_end_batch(*batch, workers=1)
+            == harness.run_end_to_end_batch(*batch, workers=3))
 
 
 def test_every_trial_of_a_block_restarts_the_noise_schedule(monkeypatch):
@@ -434,7 +428,7 @@ def test_conditional_failure_rate_matches_exact_law():
     # probabilities estimates the exact failure probability
     plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT)
     batch = (500, 5, 0.05, gaussian(1.0), 1.0, plan, 2000, 20260816)
-    summary, _ = harness.run_end_to_end_batch(*batch)
+    summary = harness.run_end_to_end_batch(*batch)
     # replay the batch block by block from each block's seed
     block = harness._end_to_end_block(plan.slots)
     conditional = np.concatenate([
@@ -479,13 +473,24 @@ def test_end_to_end_trial_conditional_failure_edge_cases():
                                rtol=1e-12)
 
 
+def test_end_to_end_batch_without_inactive_nodes_never_fails():
+    # a hand-built 3-slot plan with N = 0: noiseless decodes evict no active
+    # node, and a trial whose 3 slots all had a sender has F = 0, where the
+    # survivors law 1 - (1 - (1-p)**F)**N would read 0 * log(0)
+    plan = bounds.ChannelUsePlan(slots=3, slot_error_target=0.01, repetitions=2, total=6,
+                                 closed_form=6.0)
+    summary = harness.run_end_to_end_batch(0, 2, 0.1, gaussian(0.0), 1.0, plan, 50, 1)
+    assert (summary.failures, summary.conditional_failure_rate) == (0, 0.0)
+    assert bounds._survivors(0, 1 / 3, np.arange(4)).tolist() == [0.0] * 4
+
+
 def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
     # a trial holds k x slots bits, never a vector over the N inactive nodes
     tracemalloc.start()
     try:
         plan = bounds.plan_channel_uses(10**6, 20, 0.01, 1.0, 1.0, 0.125)
-        summary, _ = harness.run_end_to_end_batch(10**6, 20, 0.01, gaussian(1.0), 1.0,
-                                                  plan, 20, 35)
+        summary = harness.run_end_to_end_batch(10**6, 20, 0.01, gaussian(1.0), 1.0,
+                                               plan, 20, 35)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -550,7 +555,7 @@ def test_csv_of_numpy_computed_results_parses_back_exactly(tmp_path):
     # a result would be written as "np.float64(...)", which float() rejects
     slots = harness.run_until_exact_batch(60, 2, 1 / 3, harness.default_slot_cap(60, 2),
                                           50, 42)
-    curve = harness.build_error_curve(slots, harness.default_slot_grid(40, 5), 60, 2)
+    curve = harness.build_error_curve(slots, range(0, 41, 5), 60, 2)
     trace = harness.expectation_trace(60, 2, 1 / 3, trials=30, horizon=6, seed_base=42)
     harness.export_csv(curve, str(tmp_path / "curve.csv"))
     harness.export_csv(trace, str(tmp_path / "trace.csv"))
@@ -570,8 +575,7 @@ def test_export_csv_is_byte_identical_across_calls(tmp_path):
     for name in ("a.csv", "b.csv"):
         records = harness.run_until_exact_batch(60, 2, 1 / 3,
                                                 harness.default_slot_cap(60, 2), 50, 41)
-        curve = harness.build_error_curve(records, harness.default_slot_grid(200, 5),
-                                          60, 2)
+        curve = harness.build_error_curve(records, range(0, 201, 5), 60, 2)
         path = tmp_path / name
         harness.export_csv(curve, str(path))
         paths.append(path.read_bytes())
