@@ -20,15 +20,15 @@ nodes, whose law given the decodes is the survivors law of :mod:`gtmac.bounds`.
 Which nodes are active does not matter, so nothing places them.
 
 CSV files are written with a header row, comma separators, ``\\n`` line
-endings and UTF-8 encoding.  The ``csv`` module renders a float with
-``repr``, so ``float()`` of a field recovers the exact value; result objects
-(an :class:`ErrorCurve`'s summary fields too) hold Python ints and floats,
-never numpy scalars, whose ``repr`` is not a number.
+endings and UTF-8 encoding.  Each field is the ``repr`` of its value, as the
+``csv`` module would write it (no field needs quoting), so ``float()`` of a
+field recovers the exact value; result objects (an :class:`ErrorCurve`'s
+summary fields too) hold Python ints and floats, never numpy scalars, whose
+``repr`` is not a number.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
@@ -370,9 +370,8 @@ _END_TO_END_HEADER = ["trials", "failures", "failure_rate", "two_epsilon",
 
 def _write_rows(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def export_csv(result, path: str) -> None:

@@ -33,7 +33,10 @@ has two entry points over a block of independent runs:
 :func:`sample_slots_until_exact` draws the slots until exact recovery in O(1)
 per run from its exact law, and the step kernel advances the surplus of
 every run slot by slot (:func:`surplus_steps`); :func:`run_scheme_fast` is
-the single-run form of the latter.
+the single-run form of the latter.  The runs of a block are exchangeable, so
+the step kernel keeps only the law of each slot's multiset of surpluses, not
+which run holds which surplus: it draws only for the runs still inexact, and
+binomials only for the useful ones, in ascending order of their surplus.
 """
 
 from __future__ import annotations
@@ -283,12 +286,20 @@ def surplus_steps(n_inactive: int, k: int, p: float, slots: int,
     """Surplus of ``count`` independent runs after 0, 1, ..., ``slots`` slots.
 
     Yields ``slots + 1`` int64 vectors of length ``count``, advancing every
-    run by one slot per vector.  Draw layout per slot: ``count`` uniforms (a
-    run's slot is discarded when its uniform is below ``1 - (1-p)**k``), then
-    ``count`` binomials (Binomial(surplus, p) on a useful slot, Binomial(0, p)
-    otherwise).  Once every run is exact no further draws are made and the
-    same zero vector is yielded for the remaining slots, so callers must not
-    modify the vectors they receive.
+    run by one slot per vector.  A vector holds the block's surpluses in no
+    fixed order: each slot the useful runs trade places, sorted by surplus,
+    and a run that reaches 0 keeps its entry.  The runs are exchangeable, so
+    the joint law of the slots' multisets of surpluses -- and of any sum over
+    the runs -- is that of ``count`` independent chains.
+
+    Draw layout per slot: one uniform per live run (surplus > 0), in entry
+    order (a run's slot is discarded when its uniform is below
+    ``1 - (1-p)**k``), then Binomial(surplus, p) for each useful live run, in
+    ascending order of surplus; discarded and exact runs draw no binomial.
+    With ``count = 1`` that is one uniform per slot while the run is inexact,
+    and one binomial per useful slot.  Once every run is exact no further
+    draws are made and the same zero vector is yielded for the remaining
+    slots, so callers must not modify the vectors they receive.
     """
     check("n_inactive", n_inactive)
     check("k", k)
@@ -301,11 +312,16 @@ def _steps(n_inactive, discard_prob, p, slots, rng, count):
     surplus = np.full(count, n_inactive, dtype=np.int64)
     yield surplus
     for done in range(slots):
-        if not surplus.any():
+        live = np.flatnonzero(surplus)
+        if not live.size:
             yield from itertools.repeat(surplus, slots - done)
             return
-        useful = rng.random(count) >= discard_prob
-        surplus = surplus - rng.binomial(np.where(useful, surplus, 0), p)
+        useful = live[rng.random(live.size) >= discard_prob]
+        # runs are exchangeable, so sorting the useful ones changes no law of
+        # the block; equal counts side by side let numpy keep its set-up
+        trials = np.sort(surplus[useful])
+        surplus = surplus.copy()
+        surplus[useful] = trials - rng.binomial(trials, p)
         yield surplus
 
 
@@ -321,8 +337,8 @@ def run_scheme_fast(population: Population, config: SchemeConfig) -> FastRunResu
     of the population size.
 
     This is :func:`surplus_steps` for a single run, drawing from
-    ``numpy.random.default_rng(config.master_seed)``: per slot one uniform,
-    then one binomial (with zero trials when the slot is discarded).
+    ``numpy.random.default_rng(config.master_seed)``: per slot until the run
+    is exact one uniform, then one binomial when the slot is useful.
     """
     rng = np.random.default_rng(config.master_seed)
     path = np.concatenate(list(surplus_steps(

@@ -345,6 +345,23 @@ def test_simulate_trace_mode(tmp_path, capsys):
     assert float(rows[0][1]) == 100.0
 
 
+@pytest.mark.parametrize("flags,level", [
+    (["--n-inactive", "10", "--p", "0"], "10.0"),  # nobody is ever chosen
+    (["--n-inactive", "10", "--p", "1"], "10.0"),  # every slot is discarded
+    (["--n-inactive", "0"], "0.0"),                # nothing to eliminate
+], ids=["p0", "p1", "no-inactive"])
+def test_simulate_trace_of_a_degenerate_chain_is_constant(tmp_path, capsys, flags, level):
+    out = tmp_path / "trace.csv"
+    code, text = run_cli(capsys, [
+        "simulate", "--mode", "trace", *flags, "--k", "2", "--horizon", "3",
+        "--trials", "5", "--seed", "1", "--threads", "1", "--out", str(out)])
+    assert code == 0
+    assert f"final_mean_surplus = {level}\n" in text
+    assert out.read_text(encoding="utf-8") == (
+        "slot,empirical_mean,std_error,predicted_mean\n"
+        + "".join(f"{slot},{level},0.0,{level}\n" for slot in range(4)))
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n-inactive", "10", "--k", "1", "--trials", "5", "--grid-max", "50",
      "--grid-step", "10", "--out", "{tmp}/auto.csv"],

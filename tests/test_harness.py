@@ -218,6 +218,20 @@ def test_expectation_trace_matches_prediction_within_3_se():
         assert delta <= 3 * trace.std_error[i]
 
 
+@pytest.mark.parametrize("n_inactive,p,level", [
+    (10, 0.0, 10.0),   # nobody is ever chosen
+    (10, 1.0, 10.0),   # every slot is discarded
+    (0, 1 / 3, 0.0),   # nothing to eliminate
+], ids=["p0", "p1", "no-inactive"])
+def test_degenerate_trace_is_the_constant_path(n_inactive, p, level):
+    # two blocks: no run of either is ever live and useful
+    trace = harness.expectation_trace(n_inactive, 2, p, trials=harness.TRIAL_BLOCK + 5,
+                                      horizon=6, seed_base=3)
+    assert trace.empirical_mean == (level,) * 7
+    assert trace.std_error == (0.0,) * 7
+    assert trace.predicted_mean == (level,) * 7
+
+
 def test_expectation_trace_validation():
     with pytest.raises(ValueError):
         harness.expectation_trace(10, 1, 0.5, trials=1, horizon=5)
@@ -548,6 +562,36 @@ def test_end_to_end_summary_csv_roundtrip(tmp_path):
     _assert_csv_holds(path, ["trials", "failures", "failure_rate", "two_epsilon",
                              "l", "m", "total_channel_uses"],
                       [(2000, 31, 31 / 2000, 0.1, 151, 73, 151 * 73)])
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e300,
+                math.inf, -math.inf, math.nan)
+_INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("result,header,rows", [
+    (harness.ErrorCurve(tuple(range(9)), _EDGE_FLOATS, _EDGE_FLOATS[::-1], _INT64_MAX,
+                        0, 4.5, 8),
+     ["l", "observed_frequency", "theoretical_bound", "trials"],
+     [(l, f, b, _INT64_MAX) for l, f, b in zip(range(9), _EDGE_FLOATS, _EDGE_FLOATS[::-1])]),
+    (harness.ExpectationTrace(tuple(range(9)), _EDGE_FLOATS, _EDGE_FLOATS[::-1],
+                              _EDGE_FLOATS),
+     ["slot", "empirical_mean", "std_error", "predicted_mean"],
+     list(zip(range(9), _EDGE_FLOATS, _EDGE_FLOATS[::-1], _EDGE_FLOATS))),
+    (harness.EndToEndSummary(_INT64_MAX, 0, -0.0, 5e-324, math.nan, 0, _INT64_MAX, 1),
+     ["trials", "failures", "failure_rate", "two_epsilon", "l", "m", "total_channel_uses"],
+     [(_INT64_MAX, 0, -0.0, math.nan, 0, _INT64_MAX, 1)]),
+], ids=["curve", "trace", "e2e"])
+def test_csv_bytes_are_those_of_the_csv_module(tmp_path, result, header, rows):
+    # the writer joins each field's repr; the csv module writes the same bytes
+    path = tmp_path / "out.csv"
+    harness.export_csv(result, str(path))
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_csv_of_numpy_computed_results_parses_back_exactly(tmp_path):

@@ -397,6 +397,78 @@ def test_sampler_validates_inputs():
         surplus_steps(True, 2, 0.5, 3, rng, 1)
 
 
+def _chain_transition(n_inactive, k, p):
+    """Exact one-slot law of one run's surplus: row m is the law of M' given M = m."""
+    useful = (1.0 - p) ** k
+    step = np.diag(np.full(n_inactive + 1, 1.0 - useful))
+    for m in range(n_inactive + 1):
+        for removed in range(m + 1):
+            step[m, m - removed] += (useful * math.comb(m, removed)
+                                     * p**removed * (1.0 - p)**(m - removed))
+    return step
+
+
+def _chisquare_pooled(observed, expected):
+    """Chi-square p-value, the cells expected below 5 pooled into one."""
+    from scipy.stats import chisquare
+    small = expected < 5
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    keep = expected > 0
+    return chisquare(observed[keep], expected[keep]).pvalue
+
+
+def test_step_kernel_matches_the_chain_law_at_every_slot():
+    # the yielded vectors are in no fixed order, so only each slot's values
+    # are compared, against the chain started at N
+    n_inactive, k, p, slots, count = 4, 2, 0.5, 4, 400_000
+    step = _chain_transition(n_inactive, k, p)
+    law = np.eye(n_inactive + 1)[n_inactive]
+    steps = surplus_steps(n_inactive, k, p, slots, np.random.default_rng(13), count)
+    assert np.all(next(steps) == n_inactive)
+    for surplus in steps:
+        law = law @ step
+        observed = np.bincount(surplus, minlength=n_inactive + 1)
+        assert _chisquare_pooled(observed, law * count) > 1e-3
+
+
+def test_step_kernel_keeps_the_joint_law_of_two_runs_across_slots():
+    # (sorted slot-1 pair, sorted slot-2 pair) of two-run blocks against two
+    # independent chains: sorting the useful runs must not couple the slots
+    n_inactive, k, p, blocks = 3, 1, 0.5, 20_000
+    step = _chain_transition(n_inactive, k, p)
+    states = range(n_inactive + 1)
+    cells = {}
+    for a, b, c, d in itertools.product(states, repeat=4):
+        mass = (step[n_inactive, a] * step[a, b]) * (step[n_inactive, c] * step[c, d])
+        key = (min(a, c), max(a, c), min(b, d), max(b, d))
+        cells[key] = cells.get(key, 0.0) + mass
+    keys = sorted(cells)
+    index = {key: i for i, key in enumerate(keys)}
+    observed = np.zeros(len(keys))
+    rng = np.random.default_rng(14)
+    for _ in range(blocks):
+        _, first, second = surplus_steps(n_inactive, k, p, 2, rng, 2)
+        observed[index[(*sorted(first.tolist()), *sorted(second.tolist()))]] += 1
+    expected = np.array([cells[key] for key in keys]) * blocks
+    assert _chisquare_pooled(observed, expected) > 1e-3
+
+
+def test_single_run_draws_one_uniform_per_live_slot_and_a_binomial_per_useful_one():
+    n_inactive, k, p, slots = 6, 1, 0.5, 40
+    rng = np.random.default_rng(5)
+    path = [int(surplus[0]) for surplus in surplus_steps(n_inactive, k, p, slots, rng, 1)]
+    replay = np.random.default_rng(5)
+    surplus, expected = n_inactive, [n_inactive]
+    for _ in range(slots):
+        if surplus and replay.random() >= 1.0 - (1.0 - p) ** k:
+            surplus -= int(replay.binomial(surplus, p))
+        expected.append(surplus)
+    assert path == expected
+    assert expected[-1] == 0  # so no draw is made once the run is exact
+    assert rng.random() == replay.random()
+
+
 def test_sampler_and_step_kernel_agree_in_law():
     # two-sample chi-square on T at small (N, k), plus each against the exact law
     from scipy.stats import chi2_contingency, chisquare
