@@ -38,9 +38,8 @@ import numpy as np
 
 from . import bounds
 from ._ranges import check, check_levels
-from .scheme import (DisjunctionOracle, Population, SchemeConfig,
-                     optimal_choice_probability, run_scheme_fast,
-                     sample_slots_until_exact, surplus_steps)
+from .scheme import (Population, SchemeConfig, optimal_choice_probability,
+                     run_scheme_fast, sample_slots_until_exact, surplus_steps)
 # The node-level reference scheme; no batch runs it, but perfbench/tracing.py
 # patches it under this name.
 from .scheme import run_scheme  # noqa: F401
@@ -63,7 +62,6 @@ __all__ = [
     "run_until_exact_batch",
     "build_error_curve",
     "expectation_trace",
-    "decode_active_rows",
     "end_to_end_trial",
     "run_end_to_end_batch",
     "export_csv",
@@ -272,27 +270,24 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int, horizon: i
                             tuple(std_error.tolist()), tuple(predicted.tolist()))
 
 
-def decode_active_rows(k: int, p: float, shape, oracle: DisjunctionOracle,
-                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Run the scheme on the k active nodes only: (an active node evicted, F).
+def _comp(n_inactive: int, p: float, senders: np.ndarray, decoded: np.ndarray,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The COMP receiver on a block of decoded slots, one trial per row.
 
-    ``shape`` is ``slots`` for one run or ``(trials, slots)`` for a block of
-    runs, one per row.  Each active node joins a slot with probability p, so
-    a slot's sender count is Bin(k, p); the counts are drawn from ``rng``,
-    one 64-bit word each, by :func:`gtmac.channel._table_binomial`, and
-    decoded in one ``oracle.decode_block`` call.  A slot with a sender
-    decoded false evicts an active node; F is the number of slots decoded
-    false.  Both results hold one entry per run.  An inactive node sends 0,
-    so it never changes a decode.
+    ``senders`` holds each slot's count of active senders, ``decoded`` its
+    decoded bit.  A slot with a sender decoded false evicts an active node,
+    and the trial fails.  Otherwise each of the N inactive nodes outlasts the
+    F slots decoded false with probability (1-p)**F independently, and the
+    trial succeeds iff a Bin(N, (1-p)**F) draw from ``rng`` is zero.  Returns,
+    per trial, whether the active set was recovered and its failure
+    probability given (evicted, F): 1 after an eviction, else
+    ``bounds._survivors``.
     """
-    from .channel import _table_binomial  # only e2e runs need the channel
-
-    senders = _table_binomial(k, p, shape, rng)
-    decoded = np.asarray(oracle.decode_block(senders), dtype=bool)
-    if decoded.shape != senders.shape:
-        raise ValueError("oracle returned wrong number of decoded slots")
     cleared = ~decoded
-    return ((senders > 0) & cleared).any(axis=-1), np.count_nonzero(cleared, axis=-1)
+    evicted = ((senders > 0) & cleared).any(axis=-1)
+    false_slots = np.count_nonzero(cleared, axis=-1)
+    recovered = ~evicted & (rng.binomial(n_inactive, (1.0 - p) ** false_slots) == 0)
+    return recovered, np.where(evicted, 1.0, bounds._survivors(n_inactive, p, false_slots))
 
 
 def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
@@ -301,8 +296,7 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     """A block of ``trials`` full noisy-channel trials, drawn from their exact law.
 
     Returns, per trial, whether the active set was recovered, and the
-    trial's failure probability given (evicted, F), F the slots decoded
-    false: 1 after an eviction, else the survivors law ``bounds._survivors``.
+    trial's failure probability given its decoded slots (see :func:`_comp`).
 
     ``plan`` is the batch's :class:`gtmac.bounds.ChannelUsePlan`.  Sized for
     eps, its slot budget targets elimination error eps and its repetition
@@ -311,25 +305,26 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     is sized for the *declared* norm bound K, which must dominate the
     noise's true norm but need not equal it.
 
-    The (trials, slots) sender counts are drawn and decoded by
-    :func:`decode_active_rows` with p = 1/(k+1), through one oracle whose
-    schedule restarts at step 0 in every trial.  A trial fails on an
-    eviction; otherwise it succeeds iff none of the N inactive nodes
-    survives, a Bin(N, (1-p)**F) draw equal to zero.  This is the law of
-    :func:`gtmac.scheme.run_scheme`'s final mask equalling the active mask,
-    in O(trials * slots) time and memory whatever N is.  With no inactive
-    node the plan has no slot and the potential set starts exact.
+    Each active node joins a slot with probability p = 1/(k+1), so a slot's
+    sender count is Bin(k, p).  The (trials, slots) counts are drawn from
+    ``rng``, one 64-bit word each, by :func:`gtmac.channel._table_binomial`,
+    and decoded in one ``decode_block`` call of an oracle whose schedule
+    restarts at step 0 in every trial; an inactive node sends 0, so it never
+    changes a decode.  :func:`_comp` then decides each trial.  This is the
+    law of :func:`gtmac.scheme.run_scheme`'s final mask equalling the active
+    mask, in O(trials * slots) time and memory whatever N is.  With no
+    inactive node the plan has no slot and the potential set starts exact.
     """
     check("trials", trials)
     if plan.slots == 0:
         return np.ones(trials, dtype=bool), np.zeros(trials)
-    from .channel import RepetitionDisjunctionOracle  # only e2e runs need the channel
+    # only e2e runs need the channel
+    from .channel import RepetitionDisjunctionOracle, _table_binomial
 
     p = optimal_choice_probability(k)
     oracle = RepetitionDisjunctionOracle(noise, power, plan.repetitions, rng)
-    evicted, false_slots = decode_active_rows(k, p, (trials, plan.slots), oracle, rng)
-    recovered = ~evicted & (rng.binomial(n_inactive, (1.0 - p) ** false_slots) == 0)
-    return recovered, np.where(evicted, 1.0, bounds._survivors(n_inactive, p, false_slots))
+    senders = _table_binomial(k, p, (trials, plan.slots), rng)
+    return _comp(n_inactive, p, senders, oracle.decode_block(senders), rng)
 
 
 def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,

@@ -943,6 +943,75 @@ def test_e2e_without_inactive_nodes_succeeds_trivially(tmp_path, capsys):
     assert row == ["5", "0", "0.0", "0.2", "0", "0", "0"]
 
 
+# stdout and CSV of the e2e_lowsnr batch and of an N = 1e6 gaussian batch,
+# each up to its "wrote" line; a change that keeps the e2e stream must keep
+# these bytes
+_E2E_GOLDEN = [
+    (["--n-inactive", "500", "--k", "5", "--eps", "0.05",
+      "--noise", "gaussian=8,uniform=8,rademacher=8", "--power", "1", "--trials", "1500"],
+     (
+       '# effective parameters\n'
+       '#   big_k = 8.0\n'
+       '#   c = 0.125\n'
+       '#   eps = 0.05\n'
+       '#   k = 5\n'
+       '#   n_inactive = 500\n'
+       '#   noise = gaussian=8.0,uniform=8.0,rademacher=8.0\n'
+       '#   power = 1.0\n'
+       '#   seed = 7\n'
+       '#   threads = 1\n'
+       '#   trials = 1500\n'
+       'slots = 151\n'
+       'repetitions = 4615\n'
+       'total_channel_uses = 696865\n'
+       'failures = 21 / 1500\n'
+       'failure_rate = 0.014\n'
+       'conditional_failure_rate = 0.014090005972671096\n'
+       'two_epsilon = 0.1\n'
+     ),
+     (
+       'trials,failures,failure_rate,two_epsilon,l,m,total_channel_uses\n'
+       '1500,21,0.014,0.1,151,4615,696865\n'
+     )),
+    (["--n-inactive", "1000000", "--k", "20", "--eps", "0.01", "--sigma", "1",
+      "--power", "1", "--trials", "200"],
+     (
+       '# effective parameters\n'
+       '#   big_k = 1.0\n'
+       '#   c = 0.125\n'
+       '#   eps = 0.01\n'
+       '#   k = 20\n'
+       '#   n_inactive = 1000000\n'
+       '#   noise = gaussian=1.0\n'
+       '#   power = 1.0\n'
+       '#   seed = 7\n'
+       '#   threads = 1\n'
+       '#   trials = 200\n'
+       'slots = 1052\n'
+       'repetitions = 101\n'
+       'total_channel_uses = 106252\n'
+       'failures = 2 / 200\n'
+       'failure_rate = 0.01\n'
+       'conditional_failure_rate = 0.00544722216880637\n'
+       'two_epsilon = 0.02\n'
+     ),
+     (
+       'trials,failures,failure_rate,two_epsilon,l,m,total_channel_uses\n'
+       '200,2,0.01,0.02,1052,101,106252\n'
+     )),
+]
+
+
+@pytest.mark.parametrize("argv, stdout, table", _E2E_GOLDEN, ids=["lowsnr", "million"])
+def test_e2e_stdout_and_csv_are_pinned(tmp_path, capsys, argv, stdout, table):
+    out = tmp_path / "e2e.csv"
+    code, text = run_cli(capsys, ["e2e", *argv, "--seed", "7", "--threads", "1",
+                                  "--out", str(out)])
+    assert code == 0
+    assert text == f"{stdout}wrote {out}\n"
+    assert out.read_text(encoding="utf-8") == table
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n-inactive", "40", "--k", "2", "--out", "{missing}/x.csv"],
     ["simulate", "--mode", "trace", "--n-inactive", "40", "--k", "2",

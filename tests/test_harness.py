@@ -386,9 +386,9 @@ def _merged_columns(a: np.ndarray, b: np.ndarray, minimum: int = 20) -> np.ndarr
 @pytest.mark.parametrize("noise", [None, gaussian(0.5),
                                    NoiseModel.parse("gaussian=0.5,uniform=1,rademacher=0.3")],
                          ids=["ideal", "gaussian", "schedule"])
-def test_active_row_path_matches_node_level_scheme(noise):
+def test_active_row_path_matches_node_level_scheme(noise, monkeypatch):
     # run_scheme simulates all N + k nodes; the end-to-end block kernel
-    # decodes the k active rows of every trial at once and draws the N
+    # decodes the k active rows of every trial at once and _comp draws the N
     # survivors from Bin(N, (1-p)^F).  N = 30, k = 2 and 20 slots fail about
     # half the time, so both laws are visible.  gaussian(0) noise decodes as
     # the ideal oracle does.
@@ -411,30 +411,57 @@ def test_active_row_path_matches_node_level_scheme(noise):
         node_success[i] = np.array_equal(final, active)
         node_false[i] = sum(not slot.decoded_disjunction for slot in outcomes)
 
+    # the block's _table_binomial counts go into its one decode_block call
+    blocks = []
+    decode_block = RepetitionDisjunctionOracle.decode_block
+
+    def spy(self, senders):
+        blocks.append((senders, decode_block(self, senders)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(RepetitionDisjunctionOracle, "decode_block", spy)
     plan = bounds.ChannelUsePlan(slots=slots, slot_error_target=0.01, repetitions=2,
                                  total=2 * slots, closed_form=2.0 * slots)
     row_success, _ = harness.end_to_end_trial(
         n_inactive, k, gaussian(0.0) if noise is None else noise, 1.0, plan, rng, runs)
-    _, row_false = harness.decode_active_rows(k, p, (runs, slots), oracle(), rng)
+    ((senders, decoded),) = blocks
+    assert senders.shape == decoded.shape == (runs, slots)
+    decodes = [decoded]
+    if noise is None:
+        decodes.append(scheme.IdealDisjunctionOracle().decode_block(senders))
 
     assert 0.1 < node_success.mean() < 0.9
-    successes = [[node_success.sum(), runs - node_success.sum()],
-                 [row_success.sum(), runs - row_success.sum()]]
-    assert scipy.stats.fisher_exact(successes).pvalue > 1e-3
+    for success in [row_success] + [harness._comp(n_inactive, p, senders, bits, rng)[0]
+                                     for bits in decodes]:
+        successes = [[node_success.sum(), runs - node_success.sum()],
+                     [success.sum(), runs - success.sum()]]
+        assert scipy.stats.fisher_exact(successes).pvalue > 1e-3
     table = _merged_columns(np.bincount(node_false, minlength=slots + 1),
-                            np.bincount(row_false, minlength=slots + 1))
+                            np.bincount(np.count_nonzero(~decoded, axis=1),
+                                        minlength=slots + 1))
     assert table.shape[1] >= 4
     assert scipy.stats.chi2_contingency(table).pvalue > 1e-3
 
 
-def test_decode_active_rows_rejects_a_wrong_decode_shape():
-    class Short(scheme.DisjunctionOracle):
-        def decode_block(self, senders):
-            return np.zeros(len(senders) - 1, dtype=bool)
-
-    for shape in (5, (3, 5)):
-        with pytest.raises(ValueError):
-            harness.decode_active_rows(2, 1 / 3, shape, Short(), np.random.default_rng(0))
+def test_comp_decides_each_trial_from_its_senders_and_decodes():
+    rng = np.random.default_rng(0)
+    n_inactive, p = 3, 0.5
+    useful = np.zeros(60, dtype=np.int64)
+    # row 0: a busy slot decoded false evicts, though 59 more false slots clear
+    # every inactive node; row 1: of its slots decoded true, slot 0 is useful
+    # and slot 1 busy, and neither is in F = 2; row 2: every slot decoded true
+    # leaves F = 0
+    senders = np.array([np.r_[1, useful[1:]], np.r_[0, 2, useful[2:]], useful])
+    decoded = np.array([np.zeros(60, dtype=bool), np.arange(60) < 58,
+                        np.ones(60, dtype=bool)])
+    recovered, conditional = harness._comp(n_inactive, p, senders, decoded, rng)
+    assert not recovered[0] and conditional[0] == 1.0
+    assert conditional[1] == pytest.approx(1 - (1 - (1 - p) ** 2) ** n_inactive)
+    assert not recovered[2] and conditional[2] == 1.0
+    # with no inactive node a trial fails only through an eviction
+    recovered, conditional = harness._comp(0, p, senders, decoded, rng)
+    assert recovered.tolist() == [False, True, True]
+    assert conditional.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_conditional_failure_rate_matches_exact_law():

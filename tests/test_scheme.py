@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtmac._ranges import MAX_SLOT_CAP
-from gtmac.scheme import (FastRunResult, IdealDisjunctionOracle, Population,
-                          SchemeConfig, optimal_choice_probability, receiver_update,
-                          run_scheme, run_scheme_fast, sample_slots_until_exact,
-                          slot_rng, surplus_steps)
+from gtmac.scheme import (DisjunctionOracle, FastRunResult, IdealDisjunctionOracle,
+                          Population, SchemeConfig, optimal_choice_probability,
+                          receiver_update, run_scheme, run_scheme_fast,
+                          sample_slots_until_exact, slot_rng, surplus_steps)
 
 
 def brute_force_single_slot_law(n_inactive: int, k: int, p: float) -> dict:
@@ -226,6 +226,17 @@ def test_run_scheme_hands_the_oracle_only_the_active_rows():
     np.testing.assert_array_equal(oracle.senders, expected)
     assert oracle.senders.shape == (25,) and oracle.senders.dtype.kind == "i"
     assert 0 in oracle.senders and oracle.senders.max() >= 2
+
+
+def test_run_scheme_rejects_a_wrong_decode_shape():
+    # a user oracle may return one decode too few; the scheme checks the shape
+    class Short(DisjunctionOracle):
+        def decode_block(self, senders):
+            return np.zeros(len(senders) - 1, dtype=bool)
+
+    for budget in (1, 5):
+        with pytest.raises(ValueError, match="wrong number of decoded slots"):
+            run_scheme(Population(6, frozenset({2})), SchemeConfig(1 / 3, budget, 4), Short())
 
 
 @settings(max_examples=40, deadline=None)
