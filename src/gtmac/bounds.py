@@ -49,7 +49,6 @@ __all__ = [
     "gaussian_slot_error_exact",
     "slot_error_bound",
     "repetition_length",
-    "channel_uses_closed_form",
     "plan_channel_uses",
 ]
 
@@ -302,23 +301,28 @@ class ChannelUsePlan(namedtuple("ChannelUsePlan",
     """Joint budget: slots, per-slot error target, repetitions, total steps.
 
     ``total`` is the exact integer product ``slots * repetitions`` actually
-    spent.  ``closed_form`` is the analytic reference obtained by substituting
-    the real-valued slot budget into the product before any rounding; the
-    integer ceilings can push ``total`` slightly above it.
+    spent.  ``closed_form`` is the analytic reference, the real-valued slot
+    budget times the real-valued repetitions at per-slot error eps/slots
+    before any rounding, in fully expanded form:
+    ``(K**2/P) * (1/c) * e*(k+1)*ln(N/eps) * (2 + ln(k+1) + ln ln(N/eps) + ln(1/eps))``.
+    The integer ceilings can push ``total`` slightly above it.  It reads 0.0
+    where no slot is needed (``N <= eps``), and inf where it exceeds a double.
     """
 
     __slots__ = ()
 
 
-def channel_uses_closed_form(n_inactive: int, k: int, eps: float,
-                             norm_bound: float, power: float,
-                             tail_constant: float) -> float:
-    """Real-valued channel-use budget in fully expanded form.
+def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
+                      power: float, tail_constant: float) -> ChannelUsePlan:
+    """Derive the end-to-end budget for overall error at most ``2*eps``.
 
-    ``(K**2/P) * (1/c) * e*(k+1)*ln(N/eps) * (2 + ln(k+1) + ln ln(N/eps) + ln(1/eps))``
-    -- algebraically identical to (real-valued slots) * (real-valued
-    repetitions at per-slot error eps/slots).  Returns 0.0 when no slots are
-    needed at all (``N <= eps``), and inf where the budget exceeds a double.
+    The slot budget, :func:`slots_for_exact_recovery`'s, covers the
+    elimination failure w.p. <= eps; splitting a further eps uniformly over
+    the slots (per-slot target ``eps/slots``) and a union bound cover the
+    decoding failures, for ``2*eps`` overall.  The repetitions are
+    :func:`repetition_length`'s at that target, sized from ``ln(slots/eps)``,
+    which stays finite where the target is subnormal or underflows to 0.0.
+    Every parameter is checked once, also when no slot is needed (N = 0).
     """
     check("n_inactive", n_inactive)
     check("k", k)
@@ -327,40 +331,17 @@ def channel_uses_closed_form(n_inactive: int, k: int, eps: float,
     check("power", power)
     check("tail_constant", tail_constant)
     log_ratio = _log_ratio(n_inactive, eps)
-    if log_ratio <= 0.0:
-        return 0.0
-    slots_real = math.e * (k + 1) * log_ratio
-    bracket = 2.0 + math.log(k + 1) + math.log(log_ratio) + _log_ratio(1.0, eps)
-    return (norm_bound * norm_bound / power) / tail_constant * slots_real * bracket
-
-
-def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
-                      power: float, tail_constant: float) -> ChannelUsePlan:
-    """Derive the end-to-end budget for overall error at most ``2*eps``.
-
-    The slot budget covers the elimination failure w.p. <= eps; splitting a
-    further eps uniformly over the slots (per-slot target ``eps/slots``) and
-    a union bound cover the decoding failures, for ``2*eps`` overall.  Every
-    parameter is checked, also when no slot is needed (N = 0).  Where
-    ``eps/slots`` underflows to 0, the repetitions are sized from
-    ``ln(slots) - ln(eps)``, which stays finite, and the target reads 0.0.
-    """
-    closed_form = channel_uses_closed_form(n_inactive, k, eps, norm_bound,
-                                           power, tail_constant)
-    slots = slots_for_exact_recovery(n_inactive, k, eps)
+    slots = _slot_budget(k, log_ratio)
     if slots == 0:
         return ChannelUsePlan(slots=0, slot_error_target=0.0, repetitions=0,
-                              total=0, closed_form=closed_form)
-    slot_error = eps / slots
-    if slot_error:
-        repetitions = repetition_length(norm_bound, power, slot_error, tail_constant)
-    else:  # the target underflows; channel_uses_closed_form checked K, P and c
-        repetitions = _repetitions(norm_bound, power, _log_ratio(slots, eps),
-                                   tail_constant)
+                              total=0, closed_form=0.0)
+    repetitions = _repetitions(norm_bound, power, _log_ratio(slots, eps), tail_constant)
+    slots_real = math.e * (k + 1) * log_ratio
+    bracket = 2.0 + math.log(k + 1) + math.log(log_ratio) + _log_ratio(1.0, eps)
     return ChannelUsePlan(
         slots=slots,
-        slot_error_target=slot_error,
+        slot_error_target=eps / slots,
         repetitions=repetitions,
         total=slots * repetitions,
-        closed_form=closed_form,
+        closed_form=(norm_bound * norm_bound / power) / tail_constant * slots_real * bracket,
     )

@@ -55,8 +55,6 @@ __all__ = [
     "slot_error_rates",
 ]
 
-_FAMILIES = ("gaussian", "uniform", "rademacher")
-
 
 class NoiseModel(namedtuple("NoiseModel", "members")):
     """A per-step schedule of noise families, with its norm bound.
@@ -81,7 +79,7 @@ class NoiseModel(namedtuple("NoiseModel", "members")):
     def __new__(cls, members):
         checked = []
         for family, scale in members:
-            if family not in _FAMILIES:
+            if family not in _STEP_SUMS:
                 raise ValueError(f"unknown noise family {family!r}")
             checked.append((family, float(check("scale", scale))))
         if not checked:
@@ -241,6 +239,7 @@ def _uniform_steps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return 2.0 * sums - n
 
 
+# The noise families, each with its sampler: NoiseModel accepts exactly these.
 _STEP_SUMS = {"gaussian": _gaussian_steps, "uniform": _uniform_steps,
               "rademacher": _rademacher_steps}
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -196,7 +198,7 @@ def test_closed_form_equals_real_valued_product():
     ]:
         slots_real = E * (k + 1) * math.log(n / eps)
         reps_real = (big_k**2 / power) * (math.log(slots_real / eps) + 1) / c
-        closed = bounds.channel_uses_closed_form(n, k, eps, big_k, power, c)
+        closed = bounds.plan_channel_uses(n, k, eps, big_k, power, c).closed_form
         assert closed == pytest.approx(slots_real * reps_real, rel=1e-9)
 
 
@@ -264,10 +266,10 @@ def test_planners_stay_finite_where_their_ratio_overflows():
         3 * E * (math.log(100) - math.log(1e-310))) == 5859
     assert bounds.slots_for_surplus_bound(100, 2, 1e-310, 1.0) == 5853
     log_ratio = math.log(100) - math.log(1e-310)
-    assert bounds.channel_uses_closed_form(100, 2, 1e-310, 1.0, 1.0, 0.125) == pytest.approx(
+    plan = bounds.plan_channel_uses(100, 2, 1e-310, 1.0, 1.0, 0.125)
+    assert plan.closed_form == pytest.approx(
         8 * 3 * E * log_ratio * (2 + math.log(3) + math.log(log_ratio) - math.log(1e-310)),
         rel=1e-12)
-    plan = bounds.plan_channel_uses(100, 2, 1e-310, 1.0, 1.0, 0.125)
     assert (plan.slots, plan.repetitions, plan.total) == (5859, 5788, 5859 * 5788)
     # a denominator k*eps*C that underflows to 0, or overflows to infinity
     assert bounds.slots_for_surplus_bound(100, 1, 1e-200, 1e-200) == math.ceil(
@@ -296,8 +298,10 @@ def test_repetition_count_past_a_double_raises_overflow_naming_k_and_p():
     # K*K stays finite but K*K/P does not
     with pytest.raises(OverflowError, match=r"K = 1e\+150 and P = 1e-10 "):
         bounds.repetition_length(1e150, 1e-10, 0.01, 1.0)
-    # the real-valued closed form reads inf there
-    assert bounds.channel_uses_closed_form(100, 2, 0.1, 1e200, 1.0, 0.125) == math.inf
+    # at K = 1e153 the count (5.9e307) still fits a double, but the real-valued
+    # closed form reads inf
+    plan = bounds.plan_channel_uses(100, 2, 0.1, 1e153, 1.0, 0.125)
+    assert plan.repetitions < sys.float_info.max and plan.closed_form == math.inf
 
 
 def test_plan_sizes_repetitions_where_eps_over_slots_underflows():
@@ -313,6 +317,37 @@ def test_plan_sizes_repetitions_where_eps_over_slots_underflows():
     assert plans[0].slot_error_target == 0.0 < plans[-1].slot_error_target
     totals = [plan.total for plan in plans]
     assert totals == sorted(totals, reverse=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 10**12), k=st.integers(1, 10**4),
+       eps=st.floats(5e-324, 0.999), big_k=st.floats(1e-3, 1e3),
+       power=st.floats(1e-3, 1e3), c=st.floats(1e-3, 10.0))
+def test_plan_agrees_with_the_public_planners(n, k, eps, big_k, power, c):
+    # the plan folds its planners into one pass; it must not drift from them
+    plan = bounds.plan_channel_uses(n, k, eps, big_k, power, c)
+    assert plan.slots == bounds.slots_for_exact_recovery(n, k, eps)
+    assert plan.total == plan.slots * plan.repetitions
+    if plan.slots and eps / plan.slots >= sys.float_info.min:
+        assert plan.repetitions == bounds.repetition_length(big_k, power, eps / plan.slots, c)
+
+
+def test_plan_sizes_the_exact_ceiling_where_eps_over_slots_is_subnormal():
+    # m = ceil((K**2/P) * (ln(slots) - ln(eps) + 1) / c) in 60-digit decimals,
+    # on a grid whose targets eps/slots run from normal doubles down to 0.0
+    grid = [10.0 ** (-300 - 23 * i / 59) for i in range(60)]
+    misses = []
+    with localcontext() as context:
+        context.prec = 60
+        for eps, n, k, (big_k, power, c) in itertools.product(
+                grid, (100, 10**4, 10**6), (2, 20, 100),
+                ((1.0, 1.0, 0.125), (8.0, 1.0, 0.125), (3.0, 0.5, 0.05))):
+            plan = bounds.plan_channel_uses(n, k, eps, big_k, power, c)
+            exact = (Decimal(big_k) ** 2 / Decimal(power)
+                     * (Decimal(plan.slots).ln() - Decimal(eps).ln() + 1) / Decimal(c))
+            if plan.repetitions != math.ceil(exact):
+                misses.append((eps, n, k, big_k, plan.repetitions, math.ceil(exact)))
+    assert misses == []
 
 
 def test_budget_shrinks_to_one_slot_near_eps_one():

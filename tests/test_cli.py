@@ -88,6 +88,9 @@ def test_bounds_full_plan(capsys):
     # 0.5*erfc would read 4.348514146179947e-308
     (["channel", "--sigma", "1", "--power", "1", "--delta", "0.01", "--m", "5631",
       "--slots", "10", "--seed", "1"], "gaussian_exact_excursion = 4.3485141461799476e-308"),
+    # eps/slots = 2.5e-323 is subnormal; ln(slots/eps) sizes the exact ceiling
+    (["bounds", "--n-inactive", "10000", "--k", "20", "--eps", "1e-318", "--big-k", "1",
+      "--power", "1"], "repetitions = 5952"),
 ])
 def test_tiny_valid_targets_plan_finite_budgets(capsys, argv, line):
     # 1/delta and N/eps overflow a double here, and the tail bound's terms
@@ -95,6 +98,164 @@ def test_tiny_valid_targets_plan_finite_budgets(capsys, argv, line):
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert line in out.splitlines()
+
+
+# The whole stdout of `gtmac bounds`: the benchmark workloads' argv (curve,
+# trace, e2e_wide, e2e_lowsnr), N = 1e6, no inactive node, eps/slots subnormal
+# and underflowing to 0, and a channel-only plan at a subnormal delta.
+_BOUNDS_GOLDEN = [
+    (['--n-inactive', '10000', '--k', '20', '--eps', '0.01'],
+     (
+       '# effective parameters\n'
+       '#   c = 0.125\n'
+       '#   eps = 0.01\n'
+       '#   k = 20\n'
+       '#   n_inactive = 10000\n'
+       '#   surplus_factor = 1.0\n'
+       'slots_exact_recovery = 789\n'
+       'slots_surplus_bound = 618\n'
+     )),
+    (['--n-inactive', '1000', '--k', '3', '--eps', '0.01'],
+     (
+       '# effective parameters\n'
+       '#   c = 0.125\n'
+       '#   eps = 0.01\n'
+       '#   k = 3\n'
+       '#   n_inactive = 1000\n'
+       '#   surplus_factor = 1.0\n'
+       'slots_exact_recovery = 126\n'
+       'slots_surplus_bound = 114\n'
+     )),
+    ([
+      '--n-inactive', '100000', '--k', '20', '--eps', '0.01', '--big-k', '1.0',
+      '--power', '1.0'],
+     (
+       '# effective parameters\n'
+       '#   big_k = 1.0\n'
+       '#   c = 0.125\n'
+       '#   eps = 0.01\n'
+       '#   k = 20\n'
+       '#   n_inactive = 100000\n'
+       '#   power = 1.0\n'
+       '#   surplus_factor = 1.0\n'
+       'slots_exact_recovery = 921\n'
+       'slots_surplus_bound = 750\n'
+       'slot_error_target = 1.0857763300760044e-05\n'
+       'repetitions = 100\n'
+       'total_channel_uses = 92100\n'
+       'closed_form_reference = 91490.47357391116\n'
+     )),
+    ([
+      '--n-inactive', '500', '--k', '5', '--eps', '0.05', '--big-k', '8.0', '--power',
+      '1.0'],
+     (
+       '# effective parameters\n'
+       '#   big_k = 8.0\n'
+       '#   c = 0.125\n'
+       '#   eps = 0.05\n'
+       '#   k = 5\n'
+       '#   n_inactive = 500\n'
+       '#   power = 1.0\n'
+       '#   surplus_factor = 1.0\n'
+       'slots_exact_recovery = 151\n'
+       'slots_surplus_bound = 124\n'
+       'slot_error_target = 0.00033112582781456954\n'
+       'repetitions = 4615\n'
+       'total_channel_uses = 696865\n'
+       'closed_form_reference = 692804.9828427291\n'
+     )),
+    ([
+      '--n-inactive', '1000000', '--k', '20', '--eps', '0.01', '--big-k', '1',
+      '--power', '1'],
+     (
+       '# effective parameters\n'
+       '#   big_k = 1.0\n'
+       '#   c = 0.125\n'
+       '#   eps = 0.01\n'
+       '#   k = 20\n'
+       '#   n_inactive = 1000000\n'
+       '#   power = 1.0\n'
+       '#   surplus_factor = 1.0\n'
+       'slots_exact_recovery = 1052\n'
+       'slots_surplus_bound = 881\n'
+       'slot_error_target = 9.505703422053232e-06\n'
+       'repetitions = 101\n'
+       'total_channel_uses = 106252\n'
+       'closed_form_reference = 105683.83361996485\n'
+     )),
+    ([
+      '--n-inactive', '0', '--k', '20', '--eps', '0.01', '--big-k', '1', '--power',
+      '1'],
+     (
+       '# effective parameters\n'
+       '#   big_k = 1.0\n'
+       '#   c = 0.125\n'
+       '#   eps = 0.01\n'
+       '#   k = 20\n'
+       '#   n_inactive = 0\n'
+       '#   power = 1.0\n'
+       '#   surplus_factor = 1.0\n'
+       'slots_exact_recovery = 0\n'
+       'slots_surplus_bound = 0\n'
+       'slot_error_target = 0.0\n'
+       'repetitions = 0\n'
+       'total_channel_uses = 0\n'
+       'closed_form_reference = 0.0\n'
+     )),
+    ([
+      '--n-inactive', '100', '--k', '2', '--eps', '1e-310', '--big-k', '1', '--power',
+      '1'],
+     (
+       '# effective parameters\n'
+       '#   big_k = 1.0\n'
+       '#   c = 0.125\n'
+       '#   eps = 1e-310\n'
+       '#   k = 2\n'
+       '#   n_inactive = 100\n'
+       '#   power = 1.0\n'
+       '#   surplus_factor = 1.0\n'
+       'slots_exact_recovery = 5859\n'
+       'slots_surplus_bound = 5853\n'
+       'slot_error_target = 1.7067759e-314\n'
+       'repetitions = 5788\n'
+       'total_channel_uses = 33911892\n'
+       'closed_form_reference = 33907888.89468872\n'
+     )),
+    ([
+      '--n-inactive', '100', '--k', '2', '--eps', '5e-324', '--big-k', '1', '--power',
+      '1'],
+     (
+       '# effective parameters\n'
+       '#   big_k = 1.0\n'
+       '#   c = 0.125\n'
+       '#   eps = 5e-324\n'
+       '#   k = 2\n'
+       '#   n_inactive = 100\n'
+       '#   power = 1.0\n'
+       '#   surplus_factor = 1.0\n'
+       'slots_exact_recovery = 6109\n'
+       'slots_surplus_bound = 6103\n'
+       'slot_error_target = 0.0\n'
+       'repetitions = 6034\n'
+       'total_channel_uses = 36861706\n'
+       'closed_form_reference = 36853252.12549575\n'
+     )),
+    (['--big-k', '1', '--power', '1', '--delta', '4e-309'],
+     (
+       '# effective parameters\n'
+       '#   big_k = 1.0\n'
+       '#   c = 0.125\n'
+       '#   delta = 4e-309\n'
+       '#   power = 1.0\n'
+       '#   surplus_factor = 1.0\n'
+       'repetition_length = 5689\n'
+     )),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", _BOUNDS_GOLDEN, ids=['curve', 'trace', 'e2e_wide', 'e2e_lowsnr', 'million', 'no_inactive', 'eps_1e-310', 'eps_5e-324', 'delta_4e-309'])
+def test_bounds_stdout_is_pinned(capsys, argv, stdout):
+    assert run_cli(capsys, ["bounds", *argv]) == (0, stdout)
 
 
 def test_bounds_requires_a_complete_parameter_set(capsys):
