@@ -71,7 +71,8 @@ _RANGES = {
 
 
 def check(key: str, value, name: str | None = None):
-    """Return ``value`` if it lies in the range named ``key``; raise otherwise.
+    """Return ``value`` as a Python int or float (a numpy scalar is converted)
+    if it lies in the range named ``key``; raise otherwise.
 
     An error calls the value ``name`` (the CLI passes the flag), by default
     the range's own name.
@@ -84,6 +85,7 @@ def check(key: str, value, name: str | None = None):
                 value, numbers.Integral if integer else numbers.Real):
             raise TypeError(f"{name} must be {'an int' if integer else 'a real'}, "
                             f"got {value!r}")
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
     if not low <= value <= high:
         raise ValueError(f"{name} must be {words}, got {value!r}")
     return value

@@ -23,7 +23,9 @@ laws are pure ``math`` and never load numpy, so ``gtmac bounds`` starts
 without it; a law that builds arrays imports numpy when it runs.  A planner
 takes the log of a ratio such as ``N/eps``; where that ratio overflows a
 double, its log is taken as a difference of logs instead, so a tiny valid
-``eps`` or ``delta`` still gives a finite budget.
+``eps`` or ``delta`` still gives a finite budget.  Every law computes with the
+Python int or float that its range check returns, so a numpy scalar argument
+takes the same route as the Python one.
 """
 
 from __future__ import annotations
@@ -79,9 +81,7 @@ def _log_ratio(numerator: float, *factors: float) -> float:
 
 def expected_remaining(n_inactive: int, k: int, p: float, levels) -> np.ndarray:
     """Expected surplus ``N * (1 - p*(1-p)**k)**l`` after l slots, each l in ``levels``."""
-    check("n_inactive", n_inactive)
-    check("k", k)
-    check("p", p)
+    n_inactive, k, p = check("n_inactive", n_inactive), check("k", k), check("p", p)
     return n_inactive * (1.0 - p * (1.0 - p) ** k) ** check_levels(levels)
 
 
@@ -94,10 +94,8 @@ def slots_for_surplus_bound(n_inactive: int, k: int, eps: float,
     nothing to eliminate) the guarantee already holds with zero slots, and 0
     is returned.
     """
-    check("n_inactive", n_inactive)
-    check("k", k)
-    check("eps", eps)
-    check("surplus_factor", surplus_factor)
+    n_inactive, k, eps = check("n_inactive", n_inactive), check("k", k), check("eps", eps)
+    surplus_factor = check("surplus_factor", surplus_factor)
     return _slot_budget(k, _log_ratio(n_inactive, k, eps, surplus_factor))
 
 
@@ -107,9 +105,7 @@ def slots_for_exact_recovery(n_inactive: int, k: int, eps: float) -> int:
     This is the surplus bound pushed below one node (surplus factor 1/k):
     ``ceil(e*(k+1) * ln(N/eps))``.  Returns 0 when N = 0.
     """
-    check("n_inactive", n_inactive)
-    check("k", k)
-    check("eps", eps)
+    n_inactive, k, eps = check("n_inactive", n_inactive), check("k", k), check("eps", eps)
     return _slot_budget(k, _log_ratio(n_inactive, eps))
 
 
@@ -128,8 +124,7 @@ def theoretical_error_curve(n_inactive: int, k: int, levels) -> np.ndarray:
     capped at 1.  It is the reference curve the Monte Carlo error frequencies
     are compared against.
     """
-    check("n_inactive", n_inactive)
-    check("k", k)
+    n_inactive, k = check("n_inactive", n_inactive), check("k", k)
     levels = check_levels(levels)
     import numpy as np
 
@@ -189,9 +184,7 @@ def exact_error_curve(n_inactive: int, k: int, p: float,
     accurate.  Each level costs O(l); the binomial weights come from a
     log-factorial table.
     """
-    check("n_inactive", n_inactive)
-    check("k", k)
-    check("p", p)
+    n_inactive, k, p = check("n_inactive", n_inactive), check("k", k), check("p", p)
     return _elimination(n_inactive, p, (1.0 - p) ** k, check_levels(levels))
 
 
@@ -211,13 +204,9 @@ def exact_end_to_end_failure(n_inactive: int, k: int, p: float, slots: int,
     failure is returned as ``1 - (1-d)**l`` plus a sum of nonnegative terms,
     which keeps small values accurate; it costs O(l + k).
     """
-    check("n_inactive", n_inactive)
-    check("k", k)
-    check("p", p)
-    check("slots", slots)
-    check("repetitions", repetitions)
-    check("sigma", sigma)
-    check("power", power)
+    n_inactive, k, p = check("n_inactive", n_inactive), check("k", k), check("p", p)
+    slots, repetitions = check("slots", slots), check("repetitions", repetitions)
+    sigma, power = check("sigma", sigma), check("power", power)
     errors = [0.5 * _gaussian_miss(sigma, power, repetitions, j) for j in range(k + 1)]
     useful = (1.0 - p) ** k * (1.0 - errors[0])
     evict = float(_binomial_pmf(k, p, _log_factorials(k))[1:] @ errors[1:])
@@ -234,9 +223,8 @@ def gaussian_slot_error_exact(sigma: float, power: float, repetitions: int) -> f
     This bounds the decoder's error on any message pattern (for all-false
     slots the error is one-sided, half this value).
     """
-    check("sigma", sigma)
-    check("power", power)
-    check("repetitions", repetitions)
+    sigma, power = check("sigma", sigma), check("power", power)
+    repetitions = check("repetitions", repetitions)
     return _gaussian_miss(sigma, power, repetitions, 0)
 
 
@@ -253,10 +241,9 @@ def slot_error_bound(norm_bound: float, power: float, repetitions: int,
 
     Where c*m*P or K**2 is 0 or inf as a double, their quotient comes from logs.
     """
-    check("norm_bound", norm_bound)
-    check("power", power)
-    check("repetitions", repetitions)
-    check("tail_constant", tail_constant)
+    norm_bound, power = check("norm_bound", norm_bound), check("power", power)
+    repetitions = check("repetitions", repetitions)
+    tail_constant = check("tail_constant", tail_constant)
     product, square = tail_constant * repetitions * power, norm_bound * norm_bound
     if 0.0 < product < math.inf and 0.0 < square < math.inf:
         exponent = product / square
@@ -276,10 +263,9 @@ def repetition_length(norm_bound: float, power: float, slot_error: float,
     ``slot_error >= 1`` makes the bound degenerate and is rejected.  A slot
     takes at least one repetition, also where ``K**2/P`` underflows to 0.
     """
-    check("norm_bound", norm_bound)
-    check("power", power)
-    check("slot_error", slot_error)
-    check("tail_constant", tail_constant)
+    norm_bound, power = check("norm_bound", norm_bound), check("power", power)
+    slot_error = check("slot_error", slot_error)
+    tail_constant = check("tail_constant", tail_constant)
     return _repetitions(norm_bound, power, _log_ratio(1.0, slot_error), tail_constant)
 
 
@@ -324,12 +310,9 @@ def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
     which stays finite where the target is subnormal or underflows to 0.0.
     Every parameter is checked once, also when no slot is needed (N = 0).
     """
-    check("n_inactive", n_inactive)
-    check("k", k)
-    check("eps", eps)
-    check("norm_bound", norm_bound)
-    check("power", power)
-    check("tail_constant", tail_constant)
+    n_inactive, k, eps = check("n_inactive", n_inactive), check("k", k), check("eps", eps)
+    norm_bound, power = check("norm_bound", norm_bound), check("power", power)
+    tail_constant = check("tail_constant", tail_constant)
     log_ratio = _log_ratio(n_inactive, eps)
     slots = _slot_budget(k, log_ratio)
     if slots == 0:

@@ -32,6 +32,9 @@ the pmf.  Where the build would cost more than about a millisecond
 (``n**2 * log2(denominator of p)`` above 2**22: n above 2048 at p = 1/2, or
 above about 270 at p = 1/(k+1)), numpy's ``binomial`` draws instead; the
 route depends on (n, p) only, so no result depends on the worker count.
+
+An oracle is any object with ``decode_block`` (see :func:`gtmac.scheme.run_scheme`),
+so this module imports only numpy and :mod:`gtmac._ranges`, never the scheme.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from collections import namedtuple
 import numpy as np
 
 from ._ranges import check
-from .scheme import DisjunctionOracle
 
 __all__ = [
     "NoiseModel",
@@ -288,7 +290,7 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     return averages
 
 
-class RepetitionDisjunctionOracle(DisjunctionOracle):
+class RepetitionDisjunctionOracle:
     """Disjunction oracle realised by the repetition code over a noisy channel.
 
     A sender adds ``sqrt(P)`` at each of its slot's ``repetitions`` steps and

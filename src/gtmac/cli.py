@@ -39,9 +39,11 @@ are unchanged; ``main(argv)`` called in process leaves the gc state alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import re
+import shutil
 import sys
 
 from . import bounds as bnd
@@ -396,12 +398,16 @@ def build_parser(conf: dict[str, str] | None = None) -> argparse.ArgumentParser:
     A config value is a string, which argparse converts with the flag's own
     ``type``.  A key that names no flag of a subcommand is ignored there.
     """
+    # argparse measures the terminal for every formatter, one per flag added;
+    # measure it once and pass the width argparse would compute
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="gtmac", allow_abbrev=False,
+        prog="gtmac", allow_abbrev=False, formatter_class=formatter,
         description="Group-testing detection of active users over a shared channel.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, _, defaults, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False, formatter_class=formatter)
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag][1])
         dests = {_dest(flag) for flag in flags.split()}

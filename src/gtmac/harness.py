@@ -155,11 +155,11 @@ def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
         slots = int(sample_slots_until_exact(n_inactive, k, p, cap,
                                              np.random.default_rng(seed), 1)[0])
         return RunRecord(trial_seed=seed, slots_until_exact=None if slots < 0 else slots)
-    run = run_scheme_fast(Population(n_inactive + k, frozenset(range(k))),
-                          SchemeConfig(p, cap, seed))
-    hit = run.slots_until_exact
-    trace = run.surplus_trace if hit is None else run.surplus_trace[:hit + 1]
-    return RunRecord(trial_seed=seed, slots_until_exact=hit, surplus_trace=trace)
+    path = run_scheme_fast(Population(n_inactive + k, frozenset(range(k))),
+                           SchemeConfig(p, cap, seed))
+    hit = path.index(0) if 0 in path else None
+    return RunRecord(trial_seed=seed, slots_until_exact=hit,
+                     surplus_trace=path if hit is None else path[:hit + 1])
 
 
 def _seeded_blocks(kernel, trials: int, block: int, seed_base: int, blocks: range) -> list:
@@ -364,17 +364,18 @@ _END_TO_END_HEADER = ["trials", "failures", "failure_rate", "two_epsilon",
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
+    """The header, then every field's ``repr``: one ``%`` fills a ``%r`` per field."""
+    cells = tuple([cell for row in rows for cell in row])
+    template = ",".join(["%r"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.write(",".join(header) + "\n" + template * (len(cells) // len(header)) % cells)
 
 
 def export_csv(result, path: str) -> None:
     """Write a result object to ``path``; identical inputs give identical bytes."""
     if isinstance(result, ErrorCurve):
-        rows = [[l, f, b, result.trials]
-                for l, f, b in zip(result.slot_grid, result.observed_frequency,
-                                   result.theoretical_bound)]
+        rows = zip(result.slot_grid, result.observed_frequency, result.theoretical_bound,
+                   [result.trials] * len(result.slot_grid))
         _write_rows(path, _ERROR_CURVE_HEADER, rows)
     elif isinstance(result, ExpectationTrace):
         rows = zip(result.slots, result.empirical_mean, result.std_error,

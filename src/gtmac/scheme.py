@@ -23,8 +23,9 @@ number of lingering inactive nodes shrinks geometrically in expectation (see
 shrink rate is ``1/(k+1)``.
 
 Two executions are provided: :func:`run_scheme` simulates every node
-individually (and accepts an arbitrary disjunction oracle, e.g. a noisy
-channel code); it is the reference for
+individually (and accepts any disjunction oracle: an object whose
+``decode_block(senders)`` returns one bool per slot, e.g. a noisy channel
+code); it is the reference for
 :func:`gtmac.harness.end_to_end_trial`, which draws and decodes only the
 per-slot sender counts, for a block of trials at once.
 The surplus kernel samples only the surplus-size process, which is
@@ -33,7 +34,8 @@ has two entry points over a block of independent runs:
 :func:`sample_slots_until_exact` draws the slots until exact recovery in O(1)
 per run from its exact law, and the step kernel advances the surplus of
 every run slot by slot (:func:`surplus_steps`); :func:`run_scheme_fast` is
-the single-run form of the latter.  The runs of a block are exchangeable, so
+the single-run form of the latter and returns the surplus path as a tuple of
+ints.  The runs of a block are exchangeable, so
 the step kernel keeps only the law of each slot's multiset of surpluses, not
 which run holds which surplus: it draws only for the runs still inexact, and
 binomials only for the useful ones, in ascending order of their surplus.
@@ -42,7 +44,6 @@ binomials only for the useful ones, in ascending order of their surplus.
 from __future__ import annotations
 
 import itertools
-from abc import ABC, abstractmethod
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
@@ -54,8 +55,6 @@ __all__ = [
     "Population",
     "SchemeConfig",
     "SlotOutcome",
-    "FastRunResult",
-    "DisjunctionOracle",
     "IdealDisjunctionOracle",
     "optimal_choice_probability",
     "receiver_update",
@@ -138,21 +137,7 @@ class SlotOutcome(namedtuple("SlotOutcome", "any_active_chosen decoded_disjuncti
     __slots__ = ()
 
 
-class DisjunctionOracle(ABC):
-    """Decodes the per-slot OR of all transmitted bits.
-
-    The channel adds what the nodes send, so ``decode_block`` receives each
-    slot's number of senders: an int vector counting the active nodes chosen
-    per slot (an inactive node always sends 0).  The transmit bits do not
-    depend on the receiver's state, so whole runs are decoded in one call.
-    """
-
-    @abstractmethod
-    def decode_block(self, senders: np.ndarray) -> np.ndarray:
-        """Return the decoded disjunction of each slot, given its sender count."""
-
-
-class IdealDisjunctionOracle(DisjunctionOracle):
+class IdealDisjunctionOracle:
     """Error-free disjunction: a slot is true iff somebody sent."""
 
     def decode_block(self, senders: np.ndarray) -> np.ndarray:
@@ -187,15 +172,18 @@ def receiver_update(potential: np.ndarray, chosen: np.ndarray,
 
 
 def run_scheme(population: Population, config: SchemeConfig,
-               oracle: DisjunctionOracle) -> tuple[np.ndarray, list[SlotOutcome]]:
+               oracle) -> tuple[np.ndarray, list[SlotOutcome]]:
     """Node-level simulation of the full scheme.
 
     Per slot: derive the slot RNG from the master seed, draw the chosen mask,
     count the active nodes chosen -- the slot's senders, since an inactive
     node always sends 0 -- decode the disjunction through ``oracle``, and apply
-    :func:`receiver_update`.  Because transmit bits never depend on the
-    receiver's state, all slots are sent to the oracle as one block -- which
-    is exactly what lets a block channel code stand in for the ideal
+    :func:`receiver_update`.  An oracle is any object whose
+    ``decode_block(senders)`` maps the slots' sender counts to one decoded
+    bool per slot, e.g. :class:`IdealDisjunctionOracle` or
+    :class:`gtmac.channel.RepetitionDisjunctionOracle`.  Because transmit bits
+    never depend on the receiver's state, all slots go to the oracle as one
+    block -- which is what lets a block channel code stand in for the ideal
     disjunction.
 
     Returns the final potential set as a bool vector over the nodes (entry
@@ -222,18 +210,6 @@ def run_scheme(population: Population, config: SchemeConfig,
     outcomes = [SlotOutcome(any_active_chosen=bool(count), decoded_disjunction=bool(bit))
                 for count, bit in zip(senders, decoded)]
     return potential, outcomes
-
-
-class FastRunResult(namedtuple("FastRunResult",
-                               "final_surplus surplus_trace slots_until_exact")):
-    """Surplus-process trace of a fast-path run.
-
-    ``surplus_trace[i]`` is the surplus after ``i`` slots (index 0 is the
-    starting value).  ``slots_until_exact`` is the first slot index at which
-    the surplus hit zero, or ``None`` if it never did within the budget.
-    """
-
-    __slots__ = ()
 
 
 # --- surplus kernel ------------------------------------------------------------
@@ -325,25 +301,22 @@ def _steps(n_inactive, discard_prob, p, slots, rng, count):
         yield surplus
 
 
-def run_scheme_fast(population: Population, config: SchemeConfig) -> FastRunResult:
+def run_scheme_fast(population: Population, config: SchemeConfig) -> tuple[int, ...]:
     """Sample only the surplus process, skipping per-node bookkeeping.
 
     Under the error-free oracle the surplus M evolves as a Markov chain: with
     probability ``1 - (1-p)**k`` some active node is chosen (slot discarded,
     M unchanged); otherwise every surviving inactive node is independently
     chosen with probability p, so the number removed is Binomial(M, p).  The
-    resulting trace has exactly the distribution of ``|P_i| - k`` under
-    :func:`run_scheme` with the ideal oracle, at a per-slot cost independent
-    of the population size.
+    returned path, the surplus after 0, 1, ..., ``slot_budget`` slots, has
+    exactly the distribution of ``|P_i| - k`` under :func:`run_scheme` with
+    the ideal oracle, at a per-slot cost independent of the population size.
 
     This is :func:`surplus_steps` for a single run, drawing from
     ``numpy.random.default_rng(config.master_seed)``: per slot until the run
     is exact one uniform, then one binomial when the slot is useful.
     """
     rng = np.random.default_rng(config.master_seed)
-    path = np.concatenate(list(surplus_steps(
+    return tuple(np.concatenate(list(surplus_steps(
         population.num_inactive, population.num_active,
-        config.choice_probability, config.slot_budget, rng, 1)))
-    zeros = np.flatnonzero(path == 0)
-    return FastRunResult(final_surplus=int(path[-1]), surplus_trace=tuple(path.tolist()),
-                         slots_until_exact=int(zeros[0]) if zeros.size else None)
+        config.choice_probability, config.slot_budget, rng, 1))).tolist())

@@ -7,6 +7,7 @@ import math
 import sys
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,6 +303,27 @@ def test_repetition_count_past_a_double_raises_overflow_naming_k_and_p():
     # closed form reads inf
     plan = bounds.plan_channel_uses(100, 2, 0.1, 1e153, 1.0, 0.125)
     assert plan.repetitions < sys.float_info.max and plan.closed_form == math.inf
+
+
+@pytest.mark.parametrize("law, args, at", [
+    (bounds.slots_for_exact_recovery, (100, 2, 1e-310), 0),
+    (bounds.slots_for_surplus_bound, (100, 2, 1e-310, 1.0), 2),
+    (bounds.plan_channel_uses, (100, 2, 1e-310, 1.0, 1.0, 0.125), 2),
+    (bounds.slot_error_bound, (1e200, 1e10, 5, 1e300), 0),
+    (bounds.repetition_length, (1e200, 1.0, 0.01, 0.125), 0),
+], ids=["exact-recovery", "surplus-bound", "plan", "slot-error-bound", "repetitions"])
+def test_numpy_scalars_take_the_routes_of_python_ones(law, args, at):
+    # numpy arithmetic on an argument would overflow (and warn) where the
+    # Python value takes a log route; each law computes with Python scalars
+    def outcome(call_args):
+        try:
+            return repr(law(*call_args))
+        except OverflowError as exc:
+            return str(exc)
+
+    numpy_args = list(args)
+    numpy_args[at] = (np.int64 if type(args[at]) is int else np.float64)(args[at])
+    assert outcome(numpy_args) == outcome(args)
 
 
 def test_plan_sizes_repetitions_where_eps_over_slots_underflows():

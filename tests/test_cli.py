@@ -820,6 +820,24 @@ def test_help_lists_every_flag(capsys, command, flags, default):
     assert default in " ".join(text.split())
 
 
+def test_build_parser_measures_the_terminal_once(monkeypatch, capsys):
+    # argparse measures the terminal for each formatter it makes, one per flag
+    # added; the parser is given the width once, and its help pages use it
+    import shutil
+
+    from gtmac.cli import build_parser
+    measure, calls = shutil.get_terminal_size, []
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *args: calls.append(args) or measure(*args))
+    parser = build_parser()
+    assert len(calls) == 1
+    for argv in ([], *([command] for command in _COMMANDS)):
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--help"])
+        assert capsys.readouterr().out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["channel", "--sigma", "1", "--power", "1", "--delta", "0.01", "--slots", "100",
      "--seed", "1", "--out", "{tmp}/chan.csv", "--trials", "5"],
@@ -1433,4 +1451,15 @@ def test_surplus_runs_do_not_load_the_channel(tmp_path, argv):
     proc = run_python("-c", _LOADS_NONE_OF, "numpy.random", "gtmac.channel",
                       *[arg.format(tmp=tmp_path) for arg in argv])
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+def test_channel_command_does_not_load_the_scheme_layer():
+    # an oracle is any object with decode_block, so the channel code
+    # subclasses nothing of gtmac.scheme and simulates without it
+    proc = run_python("-c", _LOADS_NONE_OF, "numpy.random", "gtmac.scheme,gtmac.harness",
+                      "channel", "--noise", "gaussian=1,uniform=2", "--power", "1",
+                      "--delta", "0.01", "--slots", "100", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "empirical_excursion_rate = " in proc.stdout
     assert proc.stdout.splitlines()[-1] == "loaded:"

@@ -9,7 +9,7 @@ import pytest
 from gtmac.bounds import ChannelUsePlan
 from gtmac.channel import NoiseModel
 from gtmac.harness import EndToEndSummary, ErrorCurve, ExpectationTrace, RunRecord
-from gtmac.scheme import FastRunResult, Population, SchemeConfig, SlotOutcome
+from gtmac.scheme import Population, SchemeConfig, SlotOutcome
 
 # Each record type with one instance's fields, in the pinned field order.
 RECORDS = [
@@ -19,7 +19,6 @@ RECORDS = [
     (Population, dict(total_nodes=5, active_set=frozenset({1, 3}))),
     (SchemeConfig, dict(choice_probability=0.25, slot_budget=40, master_seed=7)),
     (SlotOutcome, dict(any_active_chosen=True, decoded_disjunction=False)),
-    (FastRunResult, dict(final_surplus=0, surplus_trace=(3, 1, 0), slots_until_exact=2)),
     (RunRecord, dict(trial_seed=11, slots_until_exact=None, surplus_trace=(4, 4))),
     (ErrorCurve, dict(slot_grid=(0, 1), observed_frequency=(1.0, 0.5),
                       theoretical_bound=(1.0, 0.75), trials=2, censored=1,
