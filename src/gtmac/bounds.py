@@ -56,8 +56,8 @@ __all__ = [
 
 # Tail constant c for which the averaged-noise excursion probability of the
 # repetition code is at most exp(1 - c*m*P/K**2).  The value 1/8 is safe for
-# gaussian noise declared with K = sigma: the exact excursion probability is
-# 2Q(sqrt(P*m)/(2*sigma)) <= 2*exp(-P*m/(8*sigma**2)) < e*exp(-P*m/(8*sigma**2)).
+# any noise whose steps have variance proxy K (E exp(tZ) <= exp(t**2 K**2/2)):
+# the excursion probability is at most 2*exp(-P*m/(8*K**2)) < e*exp(-P*m/(8*K**2)).
 GAUSSIAN_TAIL_CONSTANT = 0.125
 
 
@@ -257,9 +257,10 @@ def repetition_length(norm_bound: float, power: float, slot_error: float,
                       tail_constant: float) -> int:
     """Repetitions per slot so a sub-gaussian-noise slot errs w.p. <= ``slot_error``.
 
-    Evaluates ``ceil((K**2 / P) * (ln(1/delta) + 1) / c)`` where K bounds the
-    sub-gaussian norm of each noise step, P is the input power budget and c is
-    the family's tail constant (see :data:`GAUSSIAN_TAIL_CONSTANT`).  A target
+    Evaluates ``ceil((K**2 / P) * (ln(1/delta) + 1) / c)`` where K is a
+    variance proxy of each noise step (``E exp(tZ) <= exp(t**2 * K**2 / 2)``),
+    P is the input power budget and c is the tail constant (see
+    :data:`GAUSSIAN_TAIL_CONSTANT`).  A target
     ``slot_error >= 1`` makes the bound degenerate and is rejected.  A slot
     takes at least one repetition, also where ``K**2/P`` underflows to 0.
     """
@@ -309,6 +310,7 @@ def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
     :func:`repetition_length`'s at that target, sized from ``ln(slots/eps)``,
     which stays finite where the target is subnormal or underflows to 0.0.
     Every parameter is checked once, also when no slot is needed (N = 0).
+    K (``norm_bound``) is a variance proxy, as in :func:`repetition_length`.
     """
     n_inactive, k, eps = check("n_inactive", n_inactive), check("k", k), check("eps", eps)
     norm_bound, power = check("norm_bound", norm_bound), check("power", power)

@@ -3,11 +3,13 @@
 The physical channel adds all transmitted reals plus a noise term:
 ``Y_t = sum_r x_{r,t} + Z_t``.  Inputs obey a peak power constraint
 ``|x| <= sqrt(P)``.  The noise steps are independent, zero mean, and
-sub-gaussian with norm at most K, where the norm of Z is
-``sup_n (E|Z|**n)**(1/n) / sqrt(n)``.  The noise distribution may change from
-step to step (an arbitrarily varying schedule) as long as every step respects
-the same K: a :class:`NoiseModel` is a list of ``(family, scale)`` members,
-and step t of a run of slots uses member ``t mod len(members)``.
+sub-gaussian with variance proxy K: ``E exp(tZ) <= exp(t**2 * K**2 / 2)`` for
+every real t.  (The sub-gaussian norm ``sup_n (E|Z|**n)**(1/n) / sqrt(n)`` is
+not such a K: a gaussian of norm 1 breaks the bound below.)  The noise
+distribution may change from step to step (an arbitrarily varying schedule)
+as long as every step respects the same K: a :class:`NoiseModel` is a list
+of ``(family, scale)`` members, and step t of a run of slots uses member
+``t mod len(members)``.
 
 To convey one disjunction per slot, each transmitter repeats ``sqrt(P)`` for
 ``m`` steps when its bit is true and ``0`` when it is false; the receiver
@@ -15,11 +17,12 @@ averages the slot and compares against ``sqrt(P)/2``.  Since senders only add
 nonnegative amounts, the slot average is the averaged noise when all bits are
 false and at least ``sqrt(P)`` plus the averaged noise otherwise -- so the
 decoder errs only if the averaged noise strays ``sqrt(P)/2`` from zero,
-which happens with probability at most ``exp(1 - c*m*P/K**2)`` (tail constant
-c per family; 1/8 is valid for gaussian noise).  That bound, its inverse and
-the exact gaussian excursion are laws of :mod:`gtmac.bounds`; this module only
-samples: :class:`RepetitionDisjunctionOracle` decodes runs of slots, and
-:func:`slot_error_rates` counts the slots whose noise alone reaches ``sqrt(P)/2``.
+which happens with probability at most ``exp(1 - c*m*P/K**2)`` for a tail
+constant c up to :meth:`NoiseModel.tail_constant_limit` (at least 1/8).  That
+bound, its inverse and the exact gaussian excursion are laws of
+:mod:`gtmac.bounds`; this module only samples: :class:`RepetitionDisjunctionOracle`
+decodes runs of slots, :func:`slot_error_rates` counts the slots whose noise
+alone reaches ``sqrt(P)/2``.
 
 The decoder reads only each slot's noise sum, so :func:`slot_noise_averages`
 draws each member's share of it from the law of a sum of unit steps.  A draw
@@ -59,19 +62,19 @@ __all__ = [
 
 
 class NoiseModel(namedtuple("NoiseModel", "members")):
-    """A per-step schedule of noise families, with its norm bound.
+    """A per-step schedule of noise families, with its variance proxy.
 
     ``members`` is a non-empty tuple of ``(family, scale)`` pairs and step t
     uses member ``t mod len(members)``; one member is a plain family.
     ``scale`` means: standard deviation for ``gaussian``, half-width for
     ``uniform`` on [-a, a], magnitude for ``rademacher`` (fair +/-a).
-    ``norm_bound`` is a valid upper bound on the sub-gaussian norm of every
-    step, the largest over the members of:
+    ``norm_bound`` is the largest scale, a valid variance proxy K of every
+    step (``E exp(tZ) <= exp(t**2 * K**2 / 2)``), since a step's smallest
+    proxy s is at most its scale:
 
-    * gaussian(sigma): the norm is ``sigma*sqrt(2/pi)`` (the n = 1 moment
-      dominates), so K = sigma is an upper bound;
-    * uniform(a): the norm is a/2;  K = a is an upper bound;
-    * rademacher(a): the norm is exactly a.
+    * gaussian(sigma): s = sigma exactly;
+    * uniform(a): ``sinh(ta)/(ta) <= exp(t**2 * a**2 / 6)``, so s = a/sqrt(3);
+    * rademacher(a): ``cosh(ta) <= exp(t**2 * a**2 / 2)``, so s = a.
 
     A zero scale is allowed and degenerates to noiseless steps.
     """
@@ -108,6 +111,15 @@ class NoiseModel(namedtuple("NoiseModel", "members")):
     @property
     def norm_bound(self) -> float:
         return max(scale for _, scale in self.members)
+
+    def tail_constant_limit(self, norm_bound: float) -> float:
+        """The largest c whose ``exp(1 - c*m*P/K**2)``, K = ``norm_bound``, bounds a
+        slot's decode error: the least ``K**2/(8*s**2)`` over the members, s their
+        proxies (inf if every scale is 0), as m averaged steps stray sqrt(P)/2 with
+        probability at most ``2*exp(-m*P/(8*s**2))``.  K/a is squared: never nan.
+        """
+        return min((norm_bound / a * (norm_bound / a) * _TAIL_LIMITS[family]
+                    for family, a in self.members if a), default=math.inf)
 
 
 def gaussian(sigma: float) -> NoiseModel:
@@ -244,6 +256,8 @@ def _uniform_steps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
 # The noise families, each with its sampler: NoiseModel accepts exactly these.
 _STEP_SUMS = {"gaussian": _gaussian_steps, "uniform": _uniform_steps,
               "rademacher": _rademacher_steps}
+# a**2 / (8*s**2) per family, s the proxy at scale a: exact, as 8*(a/sqrt(3))**2 is not
+_TAIL_LIMITS = {"gaussian": 0.125, "uniform": 0.375, "rademacher": 0.125}
 
 
 def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,

@@ -81,7 +81,8 @@ def _load_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
 def _resolve_noise(parser, args) -> tuple[NoiseModel, float]:
     """The noise model and ``--big-k``: by default its norm bound, and never below it.
 
-    A plan sized from an understated bound would miss its error target.
+    A plan sized from an understated bound, or from a ``--c`` above what the
+    noise's proxies prove for it, would miss its error target.
     """
     from . import channel as chan
 
@@ -96,13 +97,16 @@ def _resolve_noise(parser, args) -> tuple[NoiseModel, float]:
             parser.error(f"--noise: {exc}")
     else:
         parser.error("the following argument is required: --sigma or --noise")
-    if args.big_k is None:
-        if not noise.norm_bound:
-            parser.error("the noise's norm bound is 0, so --big-k > 0 is needed")
-        return noise, noise.norm_bound
-    if args.big_k < noise.norm_bound:
-        parser.error(f"--big-k {args.big_k} is below the noise norm bound {noise.norm_bound}")
-    return noise, args.big_k
+    big_k = noise.norm_bound if args.big_k is None else args.big_k
+    if not big_k:
+        parser.error("the noise's norm bound is 0, so --big-k > 0 is needed")
+    if big_k < noise.norm_bound:
+        parser.error(f"--big-k {big_k} is below the noise norm bound {noise.norm_bound}")
+    limit = noise.tail_constant_limit(big_k)
+    if args.c > limit:
+        parser.error(f"--c {args.c} is above {limit!r}, the largest tail constant "
+                     "K**2/(8*s**2) that the noise's variance proxies s prove")
+    return noise, big_k
 
 
 def _writable(path: str) -> str:
@@ -323,7 +327,7 @@ _FLAGS = {
     "--noise": (None, dict(help="family=scale[,family=scale...] "
                                 "(gaussian, uniform, rademacher; list = schedule)")),
     "--power": ("power", dict(type=float, help="peak power budget P")),
-    "--big-k": ("norm_bound", dict(type=float, help="declared sub-gaussian norm bound K "
+    "--big-k": ("norm_bound", dict(type=float, help="declared noise variance proxy K "
                                                     "(default: the noise's norm bound)")),
     "--c": ("tail_constant", dict(type=float, default=bnd.GAUSSIAN_TAIL_CONSTANT,
                                   help="tail constant (default %(default)s)")),

@@ -38,11 +38,10 @@ import numpy as np
 
 from . import bounds
 from ._ranges import check, check_levels
-from .scheme import (Population, SchemeConfig, optimal_choice_probability,
-                     run_scheme_fast, sample_slots_until_exact, surplus_steps)
-# The node-level reference scheme; no batch runs it, but perfbench/tracing.py
-# patches it under this name.
-from .scheme import run_scheme  # noqa: F401
+from .scheme import optimal_choice_probability, sample_slots_until_exact, surplus_steps
+# The node-level reference scheme and the single-run step kernel; no batch runs
+# either, but perfbench/tracing.py patches both under these names.
+from .scheme import run_scheme, run_scheme_fast  # noqa: F401
 
 TYPE_CHECKING = False  # importing typing would cost start-up
 if TYPE_CHECKING:
@@ -95,14 +94,12 @@ def default_slot_cap(n_inactive: int, k: int) -> int:
     return math.ceil(100.0 * math.e * (k + 1) * grown)
 
 
-class RunRecord(namedtuple("RunRecord", "trial_seed slots_until_exact surplus_trace",
-                           defaults=(None,))):
+class RunRecord(namedtuple("RunRecord", "trial_seed slots_until_exact")):
     """Result of one until-exact trial.
 
     ``slots_until_exact`` is the slot at which the potential set became the
     active set; ``None`` means the trial was censored at the slot cap (it
-    counts as a failure at every grid point).  ``surplus_trace`` holds the
-    surplus after 0, 1, ... slots when the trial collected it, else ``None``.
+    counts as a failure at every grid point).
     """
 
     __slots__ = ()
@@ -138,28 +135,18 @@ class EndToEndSummary(namedtuple("EndToEndSummary",
 
 
 def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
-                         slot_cap: int | None = None,
-                         collect_trace: bool = False) -> RunRecord:
+                         slot_cap: int | None = None) -> RunRecord:
     """One run of the surplus kernel until the potential set is exact.
 
-    The kernel is identical in law to the node-level scheme with the
-    error-free oracle; draws come from ``numpy.random.default_rng(seed)``.
-    Stops at ``slot_cap`` (default :func:`default_slot_cap`) and reports a
-    censored record if the surplus is still positive there.  Without a trace
-    the slot count is sampled in O(1) (:func:`sample_slots_until_exact`);
-    with ``collect_trace`` the surplus is stepped slot by slot through
-    :func:`run_scheme_fast` and the count is read off that path.
+    The slot count is sampled in O(1) by :func:`sample_slots_until_exact`,
+    identical in law to the node-level scheme with the error-free oracle;
+    draws come from ``numpy.random.default_rng(seed)``.  A run still inexact
+    at ``slot_cap`` (default :func:`default_slot_cap`) is censored.
     """
     cap = default_slot_cap(n_inactive, k) if slot_cap is None else slot_cap
-    if not collect_trace:
-        slots = int(sample_slots_until_exact(n_inactive, k, p, cap,
-                                             np.random.default_rng(seed), 1)[0])
-        return RunRecord(trial_seed=seed, slots_until_exact=None if slots < 0 else slots)
-    path = run_scheme_fast(Population(n_inactive + k, frozenset(range(k))),
-                           SchemeConfig(p, cap, seed))
-    hit = path.index(0) if 0 in path else None
-    return RunRecord(trial_seed=seed, slots_until_exact=hit,
-                     surplus_trace=path if hit is None else path[:hit + 1])
+    slots = int(sample_slots_until_exact(n_inactive, k, p, cap,
+                                         np.random.default_rng(seed), 1)[0])
+    return RunRecord(trial_seed=seed, slots_until_exact=None if slots < 0 else slots)
 
 
 def _seeded_blocks(kernel, trials: int, block: int, seed_base: int, blocks: range) -> list:
@@ -302,8 +289,8 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     eps, its slot budget targets elimination error eps and its repetition
     length per-slot decoding error ``eps/slots``, so the failure probability
     is at most ``2*eps``.  ``noise`` is the channel's actual noise; the plan
-    is sized for the *declared* norm bound K, which must dominate the
-    noise's true norm but need not equal it.
+    is sized for the *declared* K, which must be a variance proxy of every
+    step (``E exp(tZ) <= exp(t**2 * K**2 / 2)``), not its sub-gaussian norm.
 
     Each active node joins a slot with probability p = 1/(k+1), so a slot's
     sender count is Bin(k, p).  The (trials, slots) counts are drawn from

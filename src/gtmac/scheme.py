@@ -94,14 +94,6 @@ class Population(namedtuple("Population", "total_nodes active_set")):
                 raise ValueError(f"active node {node} outside 0..{total_nodes - 1}")
         return super().__new__(cls, total_nodes, active_set)
 
-    @property
-    def num_active(self) -> int:
-        return len(self.active_set)
-
-    @property
-    def num_inactive(self) -> int:
-        return self.total_nodes - len(self.active_set)
-
     def active_mask(self) -> np.ndarray:
         """Boolean vector, entry ``i`` true iff node ``i`` is active."""
         mask = np.zeros(self.total_nodes, dtype=bool)
@@ -301,22 +293,22 @@ def _steps(n_inactive, discard_prob, p, slots, rng, count):
         yield surplus
 
 
-def run_scheme_fast(population: Population, config: SchemeConfig) -> tuple[int, ...]:
-    """Sample only the surplus process, skipping per-node bookkeeping.
+def run_scheme_fast(n_inactive: int, k: int, p: float, slots: int,
+                    seed: int) -> tuple[int, ...]:
+    """The surplus after 0, 1, ..., ``slots`` slots of one run, as ints.
 
     Under the error-free oracle the surplus M evolves as a Markov chain: with
     probability ``1 - (1-p)**k`` some active node is chosen (slot discarded,
     M unchanged); otherwise every surviving inactive node is independently
     chosen with probability p, so the number removed is Binomial(M, p).  The
-    returned path, the surplus after 0, 1, ..., ``slot_budget`` slots, has
-    exactly the distribution of ``|P_i| - k`` under :func:`run_scheme` with
-    the ideal oracle, at a per-slot cost independent of the population size.
+    path has exactly the distribution of ``|P_i| - k`` under
+    :func:`run_scheme` with the ideal oracle, at a per-slot cost independent
+    of the population size.
 
     This is :func:`surplus_steps` for a single run, drawing from
-    ``numpy.random.default_rng(config.master_seed)``: per slot until the run
-    is exact one uniform, then one binomial when the slot is useful.
+    ``numpy.random.default_rng(seed)``, ``seed`` a 64-bit unsigned int: per
+    slot until the run is exact one uniform, then one binomial when the slot
+    is useful.
     """
-    rng = np.random.default_rng(config.master_seed)
-    return tuple(np.concatenate(list(surplus_steps(
-        population.num_inactive, population.num_active,
-        config.choice_probability, config.slot_budget, rng, 1))).tolist())
+    rng = np.random.default_rng(check("master_seed", seed))
+    return tuple(np.concatenate(list(surplus_steps(n_inactive, k, p, slots, rng, 1))).tolist())

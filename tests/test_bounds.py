@@ -105,6 +105,21 @@ def test_exact_end_to_end_failure_reference_values():
         assert got == pytest.approx(want, rel=1e-4)
 
 
+def test_the_plan_holds_for_k_a_variance_proxy_not_the_subgaussian_norm():
+    # the plan for K = P = 1, c = 1/8 meets 2*eps when K is the gaussian's
+    # variance proxy sigma = 1; the gaussian whose sub-gaussian norm
+    # sup_n (E|Z|**n)**(1/n)/sqrt(n) = sigma*sqrt(2/pi) is 1 exceeds it
+    def failure_over_2eps(n, k, eps, sigma):
+        plan = bounds.plan_channel_uses(n, k, eps, 1.0, 1.0, 0.125)
+        return bounds.exact_end_to_end_failure(
+            n, k, 1 / (k + 1), plan.slots, plan.repetitions, sigma, 1.0) / (2 * eps)
+
+    assert max(failure_over_2eps(n, k, eps, 1.0)
+               for n, k in ((10**6, 20), (10**4, 5), (100, 1))
+               for eps in (1e-2, 1e-3, 1e-4, 1e-6, 1e-9)) < 1  # 0.270 at most
+    assert failure_over_2eps(10**6, 20, 1e-4, math.sqrt(math.pi / 2)) > 1  # 3.14
+
+
 def test_exact_end_to_end_failure_matches_scipy_sum():
     import numpy as np
     from scipy.stats import binom, norm

@@ -53,6 +53,29 @@ def test_declared_norm_bounds():
     assert NoiseModel.parse("gaussian=0.5,rademacher=2.0").norm_bound == 2.0
 
 
+@pytest.mark.parametrize("family, log_mgf", [
+    ("gaussian", lambda t: t * t / 2),
+    ("uniform", lambda t: math.log(math.sinh(t) / t)),
+    ("rademacher", lambda t: math.log(math.cosh(t))),
+])
+def test_tail_constant_limit_is_each_familys_variance_proxy(family, log_mgf):
+    # a step of scale 1 with limit c has proxy s**2 = 1/(8c): E exp(tZ) <= exp(t**2 s**2/2)
+    proxy = 1.0 / (8.0 * NoiseModel([(family, 1.0)]).tail_constant_limit(1.0))
+    for t in np.linspace(0.01, 50.0, 500):
+        assert log_mgf(t) <= t * t * proxy / 2 * (1 + 1e-12)
+    # a smaller proxy fails near t = 0, where log E exp(tZ) ~ t**2 Var Z / 2
+    assert log_mgf(1e-3) > (1e-3) ** 2 * proxy * 0.999 / 2
+    # K/a is squared: K = 2a quadruples the limit, and an overflow reads inf
+    assert NoiseModel([(family, 0.5)]).tail_constant_limit(1.0) == 4 / (8.0 * proxy)
+    assert NoiseModel([(family, 1.0)]).tail_constant_limit(1e200) == math.inf
+
+
+def test_tail_constant_limit_takes_the_least_member_and_skips_zero_scales():
+    schedule = NoiseModel.parse("gaussian=0.5,uniform=2,rademacher=1")
+    assert schedule.tail_constant_limit(2.0) == 0.375  # the uniform member's
+    assert NoiseModel.parse("uniform=0,rademacher=0").tail_constant_limit(1.0) == math.inf
+
+
 @pytest.mark.parametrize("model", [
     gaussian(1.5), uniform(0.0), rademacher(1e-300),
     NoiseModel([("uniform", 0.5), ("rademacher", 1.0), ("gaussian", 2.0)]),

@@ -1085,6 +1085,39 @@ def test_channel_and_e2e_reject_an_understated_norm_bound_alike(capsys):
     assert errors == ["gtmac: error: --big-k 1.0 is below the noise norm bound 2.0"] * 2
 
 
+_C_RUNS = {  # each noisy command with its other flags
+    "e2e": ["e2e", "--n-inactive", "1000", "--k", "3", "--eps", "0.01", "--power", "1",
+            "--trials", "20", "--seed", "1", "--threads", "1"],
+    "channel": ["channel", "--power", "1", "--delta", "0.01", "--slots", "1000", "--seed", "1"],
+    "channel --m": ["channel", "--power", "1", "--delta", "0.01", "--m", "40", "--slots",
+                    "1000", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", _C_RUNS)
+@pytest.mark.parametrize("noise, limit, above", [
+    (["--sigma", "1"], "0.125", "0.1250001"),
+    (["--noise", "uniform=1"], "0.375", "0.38"),
+    (["--noise", "gaussian=0.5,uniform=2,rademacher=1"], "0.375", "0.38"),
+    (["--sigma", "1", "--big-k", "2"], "0.5", "0.51"),
+], ids=["gaussian", "uniform", "schedule", "big-k"])
+def test_a_tail_constant_the_noise_does_not_prove_exits_2(tmp_path, capsys, command,
+                                                           noise, limit, above):
+    # the plan meets its error target only for c <= K**2/(8*s**2), s each
+    # member's variance proxy: sigma, a/sqrt(3) for uniform, a for rademacher
+    out = tmp_path / "c.csv"
+    argv = [*_C_RUNS[command], *noise, *(["--out", str(out)] if command == "e2e" else [])]
+    for c in (above, "1e300"):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--c", c])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines()[-1].startswith(f"gtmac: error: --c {float(c)} is above ")
+    code, text = run_cli(capsys, [*argv, "--c", limit])
+    assert code == 0 and f"#   c = {float(limit)}" in text
+
+
 # --- e2e ----------------------------------------------------------------------------
 
 def test_e2e_smoke_and_csv(tmp_path, capsys):

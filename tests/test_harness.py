@@ -37,26 +37,23 @@ def test_default_slot_cap_scales_and_handles_tiny_populations():
 
 def test_simulate_until_exact_trivial_cases():
     assert harness.simulate_until_exact(0, 3, 0.3, seed=1).slots_until_exact == 0
-    for collect_trace in (False, True):  # k >= 1 on both paths
-        with pytest.raises(ValueError):
-            harness.simulate_until_exact(5, 0, 1.0, seed=2, collect_trace=collect_trace)
+    with pytest.raises(ValueError):  # k >= 1
+        harness.simulate_until_exact(5, 0, 1.0, seed=2)
 
 
 def test_simulate_until_exact_censors_at_cap():
-    rec = harness.simulate_until_exact(50, 2, 1e-6, seed=3, slot_cap=10,
-                                       collect_trace=True)
+    rec = harness.simulate_until_exact(50, 2, 1e-6, seed=3, slot_cap=10)
     assert rec.slots_until_exact is None
-    assert len(rec.surplus_trace) == 11
-    assert rec.surplus_trace[-1] > 0
 
 
-def test_simulate_until_exact_trace_and_determinism():
-    rec = harness.simulate_until_exact(100, 3, 0.25, seed=4, collect_trace=True)
-    assert rec.surplus_trace[0] == 100
-    assert rec.surplus_trace[-1] == 0
-    assert len(rec.surplus_trace) == rec.slots_until_exact + 1
-    again = harness.simulate_until_exact(100, 3, 0.25, seed=4, collect_trace=True)
-    assert rec == again
+def test_simulate_until_exact_is_deterministic():
+    # one O(1) draw from default_rng(seed): the batch kernel's single run
+    rec = harness.simulate_until_exact(100, 3, 0.25, seed=4)
+    assert rec == (4, rec.slots_until_exact) and rec.slots_until_exact > 0
+    assert rec == harness.simulate_until_exact(100, 3, 0.25, seed=4)
+    cap = harness.default_slot_cap(100, 3)
+    draw = scheme.sample_slots_until_exact(100, 3, 0.25, cap, np.random.default_rng(4), 1)
+    assert rec.slots_until_exact == int(draw[0])
 
 
 def test_until_exact_batch_is_worker_count_invariant():

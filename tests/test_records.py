@@ -19,7 +19,7 @@ RECORDS = [
     (Population, dict(total_nodes=5, active_set=frozenset({1, 3}))),
     (SchemeConfig, dict(choice_probability=0.25, slot_budget=40, master_seed=7)),
     (SlotOutcome, dict(any_active_chosen=True, decoded_disjunction=False)),
-    (RunRecord, dict(trial_seed=11, slots_until_exact=None, surplus_trace=(4, 4))),
+    (RunRecord, dict(trial_seed=11, slots_until_exact=None)),
     (ErrorCurve, dict(slot_grid=(0, 1), observed_frequency=(1.0, 0.5),
                       theoretical_bound=(1.0, 0.75), trials=2, censored=1,
                       median_slots=1, max_slots=1)),
@@ -64,10 +64,6 @@ def test_record_survives_a_pickle_round_trip(cls, fields):
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is cls
     assert copy == record
-
-
-def test_record_defaults():
-    assert RunRecord(trial_seed=3, slots_until_exact=5).surplus_trace is None
 
 
 def test_records_coerce_their_inputs():

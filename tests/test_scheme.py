@@ -77,7 +77,7 @@ def test_optimal_choice_probability_rejects_bad_k():
 
 def test_population_validation():
     pop = Population(5, frozenset({0, 4}))
-    assert pop.num_active == 2 and pop.num_inactive == 3
+    assert len(pop.active_set) == 2
     assert list(pop.active_mask()) == [True, False, False, False, True]
     with pytest.raises(ValueError):
         Population(3, frozenset({3}))
@@ -163,7 +163,7 @@ def test_run_scheme_ideal_oracle_invariants():
         assert not (active & ~nxt).any()
         state = nxt
     assert np.array_equal(state, final)
-    assert final.sum() - pop.num_active >= 0
+    assert final.sum() - len(pop.active_set) >= 0
     # p = 0 chooses nobody, so no slot removes anything
     final, outcomes = run_scheme(pop, SchemeConfig(0.0, 5, 5), IdealDisjunctionOracle())
     assert np.array_equal(final, np.ones(40, dtype=bool))
@@ -184,7 +184,7 @@ def test_run_scheme_single_slot_mean_surplus():
     for seed in range(runs):
         final, _ = run_scheme(pop, SchemeConfig(1 / 3, 1, seed),
                               IdealDisjunctionOracle())
-        surpluses[seed] = final.sum() - pop.num_active
+        surpluses[seed] = final.sum() - len(pop.active_set)
     se = surpluses.std(ddof=1) / math.sqrt(runs)
     assert abs(surpluses.mean() - 2300 / 27) <= 3 * se
 
@@ -267,27 +267,30 @@ def test_slot_rng_substreams_are_reproducible_and_distinct():
 # --- fast path --------------------------------------------------------------------
 
 def test_fast_path_trace_shape_and_determinism():
-    pop = Population(25, frozenset({0, 1, 2}))
-    cfg = SchemeConfig(0.25, 50, master_seed=17)
-    path = run_scheme_fast(pop, cfg)
+    path = run_scheme_fast(22, 3, 0.25, 50, 17)
     assert type(path) is tuple and all(type(v) is int for v in path)
     assert len(path) == 51
     assert path[0] == 22
-    assert path == run_scheme_fast(pop, cfg)
+    assert path == run_scheme_fast(22, 3, 0.25, 50, 17)
+
+
+def test_fast_path_is_the_single_run_step_kernel():
+    kernel = surplus_steps(22, 3, 0.25, 50, np.random.default_rng(17), 1)
+    assert run_scheme_fast(22, 3, 0.25, 50, 17) == tuple(int(v[0]) for v in kernel)
+    for seed in (-1, 2**64):  # the 64-bit range of a master seed
+        with pytest.raises(ValueError):
+            run_scheme_fast(22, 3, 0.25, 50, seed)
 
 
 def test_fast_path_surplus_never_increases():
-    pop = Population(200, frozenset(range(4)))
-    path = run_scheme_fast(pop, SchemeConfig(0.2, 300, master_seed=1))
+    path = run_scheme_fast(196, 4, 0.2, 300, 1)
     assert all(b <= a for a, b in zip(path, path[1:]))
     if 0 in path:
         assert all(v == 0 for v in path[path.index(0):])
 
 
 def test_fast_path_p0_stasis():
-    pop = Population(60, frozenset(range(3)))
-    path = run_scheme_fast(pop, SchemeConfig(0.0, 40, master_seed=2))
-    assert path == (57,) * 41
+    assert run_scheme_fast(57, 3, 0.0, 40, 2) == (57,) * 41
 
 
 def test_fast_path_k0_p1_finishes_in_one_slot():
@@ -299,8 +302,7 @@ def test_fast_path_k0_p1_finishes_in_one_slot():
 
 
 def test_fast_path_empty_population_is_immediately_exact():
-    pop = Population(2, frozenset({0, 1}))
-    assert run_scheme_fast(pop, SchemeConfig(0.5, 4, master_seed=4)) == (0, 0, 0, 0, 0)
+    assert run_scheme_fast(0, 2, 0.5, 4, 4) == (0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("n_inactive,k", [(3, 1), (2, 2), (4, 1), (1, 3)])
