@@ -48,7 +48,7 @@ _RANGES = {
     # budgets and the channel
     "eps": ("eps", False, _TINY, _BELOW_ONE, "a real in (0, 1)"),
     "surplus_factor": ("surplus_factor", False, _TINY, _BIG, "a finite real > 0"),
-    "norm_bound": ("norm_bound", False, _TINY, _BIG, "a finite real > 0"),
+    "variance_proxy": ("variance_proxy", False, _TINY, _BIG, "a finite real > 0"),
     "power": ("power", False, _TINY, _BIG, "a finite real > 0"),
     "tail_constant": ("tail_constant", False, _TINY, _BIG, "a finite real > 0"),
     "slot_error": ("slot_error", False, _TINY, _BELOW_ONE, "a real in (0, 1)"),

@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "GAUSSIAN_TAIL_CONSTANT",
+    "TAIL_CONSTANT",
     "ChannelUsePlan",
     "expected_remaining",
     "slots_for_surplus_bound",
@@ -58,7 +58,7 @@ __all__ = [
 # repetition code is at most exp(1 - c*m*P/K**2).  The value 1/8 is safe for
 # any noise whose steps have variance proxy K (E exp(tZ) <= exp(t**2 K**2/2)):
 # the excursion probability is at most 2*exp(-P*m/(8*K**2)) < e*exp(-P*m/(8*K**2)).
-GAUSSIAN_TAIL_CONSTANT = 0.125
+TAIL_CONSTANT = 0.125
 
 
 def _log_ratio(numerator: float, *factors: float) -> float:
@@ -235,50 +235,50 @@ def _gaussian_miss(sigma: float, power: float, repetitions: int, senders: int) -
     return math.erfc(abs(2 * senders - 1) * x / math.sqrt(2.0))
 
 
-def slot_error_bound(norm_bound: float, power: float, repetitions: int,
+def slot_error_bound(variance_proxy: float, power: float, repetitions: int,
                      tail_constant: float) -> float:
     """``exp(1 - c*m*P/K**2)``: the slot error bound that :func:`repetition_length` inverts.
 
     Where c*m*P or K**2 is 0 or inf as a double, their quotient comes from logs.
     """
-    norm_bound, power = check("norm_bound", norm_bound), check("power", power)
+    variance_proxy, power = check("variance_proxy", variance_proxy), check("power", power)
     repetitions = check("repetitions", repetitions)
     tail_constant = check("tail_constant", tail_constant)
-    product, square = tail_constant * repetitions * power, norm_bound * norm_bound
+    product, square = tail_constant * repetitions * power, variance_proxy * variance_proxy
     if 0.0 < product < math.inf and 0.0 < square < math.inf:
         exponent = product / square
     else:  # exp(709) is near the largest double; past ~745 the bound is 0 anyway
         exponent = math.exp(min(709.0, math.log(tail_constant) + math.log(repetitions)
-                                + math.log(power) - 2.0 * math.log(norm_bound)))
+                                + math.log(power) - 2.0 * math.log(variance_proxy)))
     return math.exp(1.0 - exponent)
 
 
-def repetition_length(norm_bound: float, power: float, slot_error: float,
+def repetition_length(variance_proxy: float, power: float, slot_error: float,
                       tail_constant: float) -> int:
     """Repetitions per slot so a sub-gaussian-noise slot errs w.p. <= ``slot_error``.
 
     Evaluates ``ceil((K**2 / P) * (ln(1/delta) + 1) / c)`` where K is a
     variance proxy of each noise step (``E exp(tZ) <= exp(t**2 * K**2 / 2)``),
     P is the input power budget and c is the tail constant (see
-    :data:`GAUSSIAN_TAIL_CONSTANT`).  A target
+    :data:`TAIL_CONSTANT`).  A target
     ``slot_error >= 1`` makes the bound degenerate and is rejected.  A slot
     takes at least one repetition, also where ``K**2/P`` underflows to 0.
     """
-    norm_bound, power = check("norm_bound", norm_bound), check("power", power)
+    variance_proxy, power = check("variance_proxy", variance_proxy), check("power", power)
     slot_error = check("slot_error", slot_error)
     tail_constant = check("tail_constant", tail_constant)
-    return _repetitions(norm_bound, power, _log_ratio(1.0, slot_error), tail_constant)
+    return _repetitions(variance_proxy, power, _log_ratio(1.0, slot_error), tail_constant)
 
 
-def _repetitions(norm_bound: float, power: float, log_inverse_error: float,
+def _repetitions(variance_proxy: float, power: float, log_inverse_error: float,
                  tail_constant: float) -> int:
     """:func:`repetition_length` from ``ln(1/slot_error)``, its inputs unchecked.
 
     Raises ``OverflowError`` where the count exceeds a double (K above ~1e154).
     """
-    count = (norm_bound * norm_bound / power) * (log_inverse_error + 1.0) / tail_constant
+    count = (variance_proxy * variance_proxy / power) * (log_inverse_error + 1.0) / tail_constant
     if not math.isfinite(count):
-        raise OverflowError(f"the repetition count for K = {norm_bound!r} and "
+        raise OverflowError(f"the repetition count for K = {variance_proxy!r} and "
                             f"P = {power!r} exceeds a double")
     return max(1, math.ceil(count))
 
@@ -299,7 +299,7 @@ class ChannelUsePlan(namedtuple("ChannelUsePlan",
     __slots__ = ()
 
 
-def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
+def plan_channel_uses(n_inactive: int, k: int, eps: float, variance_proxy: float,
                       power: float, tail_constant: float) -> ChannelUsePlan:
     """Derive the end-to-end budget for overall error at most ``2*eps``.
 
@@ -310,17 +310,17 @@ def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
     :func:`repetition_length`'s at that target, sized from ``ln(slots/eps)``,
     which stays finite where the target is subnormal or underflows to 0.0.
     Every parameter is checked once, also when no slot is needed (N = 0).
-    K (``norm_bound``) is a variance proxy, as in :func:`repetition_length`.
+    K is ``variance_proxy``, as in :func:`repetition_length`.
     """
     n_inactive, k, eps = check("n_inactive", n_inactive), check("k", k), check("eps", eps)
-    norm_bound, power = check("norm_bound", norm_bound), check("power", power)
+    variance_proxy, power = check("variance_proxy", variance_proxy), check("power", power)
     tail_constant = check("tail_constant", tail_constant)
     log_ratio = _log_ratio(n_inactive, eps)
     slots = _slot_budget(k, log_ratio)
     if slots == 0:
         return ChannelUsePlan(slots=0, slot_error_target=0.0, repetitions=0,
                               total=0, closed_form=0.0)
-    repetitions = _repetitions(norm_bound, power, _log_ratio(slots, eps), tail_constant)
+    repetitions = _repetitions(variance_proxy, power, _log_ratio(slots, eps), tail_constant)
     slots_real = math.e * (k + 1) * log_ratio
     bracket = 2.0 + math.log(k + 1) + math.log(log_ratio) + _log_ratio(1.0, eps)
     return ChannelUsePlan(
@@ -328,5 +328,6 @@ def plan_channel_uses(n_inactive: int, k: int, eps: float, norm_bound: float,
         slot_error_target=eps / slots,
         repetitions=repetitions,
         total=slots * repetitions,
-        closed_form=(norm_bound * norm_bound / power) / tail_constant * slots_real * bracket,
+        closed_form=(variance_proxy * variance_proxy / power) / tail_constant
+        * slots_real * bracket,
     )

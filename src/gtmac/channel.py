@@ -3,13 +3,12 @@
 The physical channel adds all transmitted reals plus a noise term:
 ``Y_t = sum_r x_{r,t} + Z_t``.  Inputs obey a peak power constraint
 ``|x| <= sqrt(P)``.  The noise steps are independent, zero mean, and
-sub-gaussian with variance proxy K: ``E exp(tZ) <= exp(t**2 * K**2 / 2)`` for
-every real t.  (The sub-gaussian norm ``sup_n (E|Z|**n)**(1/n) / sqrt(n)`` is
-not such a K: a gaussian of norm 1 breaks the bound below.)  The noise
-distribution may change from step to step (an arbitrarily varying schedule)
-as long as every step respects the same K: a :class:`NoiseModel` is a list
-of ``(family, scale)`` members, and step t of a run of slots uses member
-``t mod len(members)``.
+sub-gaussian: a step has variance proxy s if ``E exp(tZ) <= exp(t**2 * s**2 /
+2)`` for every real t.  (The sub-gaussian norm ``sup_n (E|Z|**n)**(1/n) /
+sqrt(n)`` is not such an s: a gaussian of norm 1 breaks the bound below.)  The
+noise distribution may change from step to step (an arbitrarily varying
+schedule): a :class:`NoiseModel` is a list of ``(family, scale)`` members, and
+step t of a run of slots uses member ``t mod len(members)``.
 
 To convey one disjunction per slot, each transmitter repeats ``sqrt(P)`` for
 ``m`` steps when its bit is true and ``0`` when it is false; the receiver
@@ -17,12 +16,14 @@ averages the slot and compares against ``sqrt(P)/2``.  Since senders only add
 nonnegative amounts, the slot average is the averaged noise when all bits are
 false and at least ``sqrt(P)`` plus the averaged noise otherwise -- so the
 decoder errs only if the averaged noise strays ``sqrt(P)/2`` from zero,
-which happens with probability at most ``exp(1 - c*m*P/K**2)`` for a tail
-constant c up to :meth:`NoiseModel.tail_constant_limit` (at least 1/8).  That
-bound, its inverse and the exact gaussian excursion are laws of
-:mod:`gtmac.bounds`; this module only samples: :class:`RepetitionDisjunctionOracle`
-decodes runs of slots, :func:`slot_error_rates` counts the slots whose noise
-alone reaches ``sqrt(P)/2``.
+with probability at most ``2*exp(-m*P/(8*s**2))``, s the largest member
+proxy.  So a plan's bound ``exp(1 - c*m*P/K**2)`` holds when ``c <=
+K**2/(8*s**2)`` for every member (:meth:`NoiseModel.tail_constant_limit`):
+``uniform=3`` (s = sqrt(3)) at K = 2 proves c up to 0.1667.  That bound, its
+inverse and the exact gaussian excursion are laws of :mod:`gtmac.bounds`;
+this module only samples: :class:`RepetitionDisjunctionOracle` decodes runs
+of slots, :func:`slot_error_rates` counts the slots whose noise alone
+reaches ``sqrt(P)/2``.
 
 The decoder reads only each slot's noise sum, so :func:`slot_noise_averages`
 draws each member's share of it from the law of a sum of unit steps.  A draw
@@ -62,21 +63,18 @@ __all__ = [
 
 
 class NoiseModel(namedtuple("NoiseModel", "members")):
-    """A per-step schedule of noise families, with its variance proxy.
+    """A per-step schedule of noise families, with its variance proxies.
 
     ``members`` is a non-empty tuple of ``(family, scale)`` pairs and step t
     uses member ``t mod len(members)``; one member is a plain family.
     ``scale`` means: standard deviation for ``gaussian``, half-width for
-    ``uniform`` on [-a, a], magnitude for ``rademacher`` (fair +/-a).
-    ``norm_bound`` is the largest scale, a valid variance proxy K of every
-    step (``E exp(tZ) <= exp(t**2 * K**2 / 2)``), since a step's smallest
-    proxy s is at most its scale:
-
-    * gaussian(sigma): s = sigma exactly;
-    * uniform(a): ``sinh(ta)/(ta) <= exp(t**2 * a**2 / 6)``, so s = a/sqrt(3);
-    * rademacher(a): ``cosh(ta) <= exp(t**2 * a**2 / 2)``, so s = a.
-
-    A zero scale is allowed and degenerates to noiseless steps.
+    ``uniform`` on [-a, a], magnitude for ``rademacher`` (fair +/-a).  Each
+    family's proxy s per unit scale is in ``_FAMILIES``.  A declared K and
+    tail constant c are certified when ``c <= K**2/(8*s**2)`` for every
+    member (:meth:`tail_constant_limit`): ``uniform=3`` at K = 2 proves c up
+    to 0.1667.  ``largest_scale``, the CLI's default K, is at least every
+    proxy, so it proves the default c = 1/8.  A zero scale is allowed and
+    degenerates to noiseless steps.
     """
 
     __slots__ = ()
@@ -84,7 +82,7 @@ class NoiseModel(namedtuple("NoiseModel", "members")):
     def __new__(cls, members):
         checked = []
         for family, scale in members:
-            if family not in _STEP_SUMS:
+            if family not in _FAMILIES:
                 raise ValueError(f"unknown noise family {family!r}")
             checked.append((family, float(check("scale", scale))))
         if not checked:
@@ -109,16 +107,17 @@ class NoiseModel(namedtuple("NoiseModel", "members")):
         return ",".join(f"{family}={scale!r}" for family, scale in self.members)
 
     @property
-    def norm_bound(self) -> float:
+    def largest_scale(self) -> float:
         return max(scale for _, scale in self.members)
 
-    def tail_constant_limit(self, norm_bound: float) -> float:
-        """The largest c whose ``exp(1 - c*m*P/K**2)``, K = ``norm_bound``, bounds a
-        slot's decode error: the least ``K**2/(8*s**2)`` over the members, s their
-        proxies (inf if every scale is 0), as m averaged steps stray sqrt(P)/2 with
-        probability at most ``2*exp(-m*P/(8*s**2))``.  K/a is squared: never nan.
+    def tail_constant_limit(self, variance_proxy: float) -> float:
+        """The largest c whose ``exp(1 - c*m*P/K**2)``, K = ``variance_proxy``, bounds
+        a slot's decode error: the least ``K**2/(8*s**2) = (K/a)**2 * (a**2/s**2) / 8``
+        over the members of scale a > 0 (inf if every scale is 0), as m averaged
+        steps stray sqrt(P)/2 with probability at most ``2*exp(-m*P/(8*s**2))``.
+        K/a is squared: never nan, and inf where it overflows.
         """
-        return min((norm_bound / a * (norm_bound / a) * _TAIL_LIMITS[family]
+        return min((variance_proxy / a * (variance_proxy / a) * (_FAMILIES[family][1] / 8)
                     for family, a in self.members if a), default=math.inf)
 
 
@@ -253,11 +252,13 @@ def _uniform_steps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return 2.0 * sums - n
 
 
-# The noise families, each with its sampler: NoiseModel accepts exactly these.
-_STEP_SUMS = {"gaussian": _gaussian_steps, "uniform": _uniform_steps,
-              "rademacher": _rademacher_steps}
-# a**2 / (8*s**2) per family, s the proxy at scale a: exact, as 8*(a/sqrt(3))**2 is not
-_TAIL_LIMITS = {"gaussian": 0.125, "uniform": 0.375, "rademacher": 0.125}
+# The noise families NoiseModel accepts, each with its sampler of n-step sums
+# at unit scale and a**2/s**2 at scale a, s its variance proxy, as an exact int:
+#   gaussian(a):   E exp(tZ) = exp(t**2 * a**2 / 2), so s = a;
+#   uniform(a):    sinh(ta)/(ta) <= exp(t**2 * a**2 / 6), so s = a/sqrt(3);
+#   rademacher(a): cosh(ta) <= exp(t**2 * a**2 / 2), so s = a.
+_FAMILIES = {"gaussian": (_gaussian_steps, 1), "uniform": (_uniform_steps, 3),
+             "rademacher": (_rademacher_steps, 1)}
 
 
 def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
@@ -275,7 +276,7 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     the period (none when the period divides m).  Each member draws the sum
     of its c steps in every slot, then of its one further step in those
     slots, each from the exact law of a sum of n unit steps in its family
-    (``_STEP_SUMS``; a binomial draw is :func:`_table_binomial`'s), scaled
+    (``_FAMILIES``; a binomial draw is :func:`_table_binomial`'s), scaled
     by the member's scale over m; a zero-scale member draws nothing.  Memory
     is O(slot_count) whatever m and the number of members are.  Members draw
     in member order.
@@ -295,7 +296,7 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     for j, (family, a) in enumerate(model.members):
         if a == 0.0:
             continue
-        step_sums, scale = _STEP_SUMS[family], a / repetitions
+        step_sums, scale = _FAMILIES[family][0], a / repetitions
         if steps:
             averages += scale * step_sums(steps, slot_count, rng)
         longer = np.flatnonzero((j - first) % period < extra)

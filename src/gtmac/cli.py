@@ -79,10 +79,10 @@ def _load_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
 
 
 def _resolve_noise(parser, args) -> tuple[NoiseModel, float]:
-    """The noise model and ``--big-k``: by default its norm bound, and never below it.
+    """The noise model and ``--big-k`` K, by default the noise's largest scale.
 
-    A plan sized from an understated bound, or from a ``--c`` above what the
-    noise's proxies prove for it, would miss its error target.
+    One rule certifies a plan, ``--c`` at most K**2/(8*s**2) for each member's variance
+    proxy s: ``--noise uniform=3 --big-k 2`` (s = sqrt(3)) runs at c = 1/8.
     """
     from . import channel as chan
 
@@ -97,15 +97,13 @@ def _resolve_noise(parser, args) -> tuple[NoiseModel, float]:
             parser.error(f"--noise: {exc}")
     else:
         parser.error("the following argument is required: --sigma or --noise")
-    big_k = noise.norm_bound if args.big_k is None else args.big_k
+    big_k = noise.largest_scale if args.big_k is None else args.big_k
     if not big_k:
-        parser.error("the noise's norm bound is 0, so --big-k > 0 is needed")
-    if big_k < noise.norm_bound:
-        parser.error(f"--big-k {big_k} is below the noise norm bound {noise.norm_bound}")
+        parser.error("the noise's scales are all 0, so --big-k > 0 is needed")
     limit = noise.tail_constant_limit(big_k)
     if args.c > limit:
         parser.error(f"--c {args.c} is above {limit!r}, the largest tail constant "
-                     "K**2/(8*s**2) that the noise's variance proxies s prove")
+                     f"K**2/(8*s**2) at --big-k {big_k} for the noise's variance proxies s")
     return noise, big_k
 
 
@@ -268,8 +266,8 @@ def _cmd_channel(parser, args) -> int:
     print(f"empirical_false_positive_rate = {false_positives!r}")
     print(f"target_slot_error = {delta!r}")
     print(f"tail_bound = {bnd.slot_error_bound(big_k, power, reps, c)!r}")
-    if noise.norm_bound > 0 and noise == chan.gaussian(noise.norm_bound):
-        exact = bnd.gaussian_slot_error_exact(noise.norm_bound, power, reps)
+    if noise.largest_scale > 0 and noise == chan.gaussian(noise.largest_scale):
+        exact = bnd.gaussian_slot_error_exact(noise.largest_scale, power, reps)
         print(f"gaussian_exact_excursion = {exact!r}")
     return 0
 
@@ -327,9 +325,9 @@ _FLAGS = {
     "--noise": (None, dict(help="family=scale[,family=scale...] "
                                 "(gaussian, uniform, rademacher; list = schedule)")),
     "--power": ("power", dict(type=float, help="peak power budget P")),
-    "--big-k": ("norm_bound", dict(type=float, help="declared noise variance proxy K "
-                                                    "(default: the noise's norm bound)")),
-    "--c": ("tail_constant", dict(type=float, default=bnd.GAUSSIAN_TAIL_CONSTANT,
+    "--big-k": ("variance_proxy", dict(type=float, help="declared noise variance proxy K "
+                                                        "(default: the noise's largest scale)")),
+    "--c": ("tail_constant", dict(type=float, default=bnd.TAIL_CONSTANT,
                                   help="tail constant (default %(default)s)")),
     "--delta": ("slot_error", dict(type=float, help="per-slot error target")),
     "--surplus-factor": ("surplus_factor", dict(

@@ -289,8 +289,8 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     eps, its slot budget targets elimination error eps and its repetition
     length per-slot decoding error ``eps/slots``, so the failure probability
     is at most ``2*eps``.  ``noise`` is the channel's actual noise; the plan
-    is sized for the *declared* K, which must be a variance proxy of every
-    step (``E exp(tZ) <= exp(t**2 * K**2 / 2)``), not its sub-gaussian norm.
+    is sized for the *declared* K and c, which need ``c <= K**2/(8*s**2)`` for
+    every step's variance proxy s (at c = 1/8: K a proxy, not the sub-gaussian norm).
 
     Each active node joins a slot with probability p = 1/(k+1), so a slot's
     sender count is Bin(k, p).  The (trials, slots) counts are drawn from

@@ -261,7 +261,7 @@ def test_criterion_5_repetition_code_slot_error():
 
 def test_criterion_6_end_to_end_guarantee():
     started = time.perf_counter()
-    plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT)
+    plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.TAIL_CONSTANT)
     summary = harness.run_end_to_end_batch(500, 5, 0.05, gaussian(1.0), 1.0, plan, 2000,
                                            SEED, workers=WORKERS)
     elapsed = time.perf_counter() - started

@@ -31,7 +31,7 @@ def test_surplus_budget_reference_value():
 
 def test_repetition_length_reference_values():
     assert bounds.repetition_length(1.0, 1.0, 0.01, 0.125) == 45
-    # doubling the norm bound quadruples the repetitions (up to ceiling)
+    # doubling K quadruples the repetitions (up to ceiling)
     assert bounds.repetition_length(2.0, 1.0, 0.01, 0.125) == 180  # ceil(179.365)
 
 
@@ -99,7 +99,7 @@ def test_exact_end_to_end_failure_reference_values():
     # (N, k, eps) -> the gaussian plan at sigma = P = 1, c = 1/8, p = 1/(k+1)
     for n, k, eps, slots, m, want in ((500, 5, 0.05, 151, 73, 0.014482),
                                       (10**6, 20, 0.01, 1052, 101, 0.0053939)):
-        plan = bounds.plan_channel_uses(n, k, eps, 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT)
+        plan = bounds.plan_channel_uses(n, k, eps, 1.0, 1.0, bounds.TAIL_CONSTANT)
         assert (plan.slots, plan.repetitions) == (slots, m)
         got = bounds.exact_end_to_end_failure(n, k, 1 / (k + 1), slots, m, 1.0, 1.0)
         assert got == pytest.approx(want, rel=1e-4)
@@ -308,9 +308,9 @@ def test_repetition_count_past_a_double_raises_overflow_naming_k_and_p():
     # K = 1e200 squares past a double; the count is inf, which no int holds
     message = r"^the repetition count for K = 1e\+200 and P = 1\.0 exceeds a double$"
     with pytest.raises(OverflowError, match=message):
-        bounds.repetition_length(1e200, 1.0, 0.01, bounds.GAUSSIAN_TAIL_CONSTANT)
+        bounds.repetition_length(1e200, 1.0, 0.01, bounds.TAIL_CONSTANT)
     with pytest.raises(OverflowError, match=message):
-        bounds.plan_channel_uses(100, 2, 0.1, 1e200, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT)
+        bounds.plan_channel_uses(100, 2, 0.1, 1e200, 1.0, bounds.TAIL_CONSTANT)
     # K*K stays finite but K*K/P does not
     with pytest.raises(OverflowError, match=r"K = 1e\+150 and P = 1e-10 "):
         bounds.repetition_length(1e150, 1e-10, 0.01, 1.0)
@@ -431,5 +431,5 @@ def test_rejects_nonpositive_population_parameters():
         bounds.slots_for_exact_recovery(100, True, 0.1)
 
 
-def test_gaussian_tail_constant_value():
-    assert bounds.GAUSSIAN_TAIL_CONSTANT == 0.125
+def test_tail_constant_value():
+    assert bounds.TAIL_CONSTANT == 0.125

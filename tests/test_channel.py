@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gtmac import channel
+from gtmac import bounds, channel
 from gtmac.bounds import gaussian_slot_error_exact
 from gtmac.channel import (NoiseModel, RepetitionDisjunctionOracle, gaussian, rademacher,
                            slot_noise_averages, uniform)
@@ -46,11 +46,11 @@ def test_noise_model_validation():
         NoiseModel([])
 
 
-def test_declared_norm_bounds():
-    assert gaussian(1.5).norm_bound == 1.5
-    assert uniform(2.0).norm_bound == 2.0
-    assert rademacher(0.25).norm_bound == 0.25
-    assert NoiseModel.parse("gaussian=0.5,rademacher=2.0").norm_bound == 2.0
+def test_largest_scales():
+    assert gaussian(1.5).largest_scale == 1.5
+    assert uniform(2.0).largest_scale == 2.0
+    assert rademacher(0.25).largest_scale == 0.25
+    assert NoiseModel.parse("gaussian=0.5,rademacher=2.0").largest_scale == 2.0
 
 
 @pytest.mark.parametrize("family, log_mgf", [
@@ -74,6 +74,20 @@ def test_tail_constant_limit_takes_the_least_member_and_skips_zero_scales():
     schedule = NoiseModel.parse("gaussian=0.5,uniform=2,rademacher=1")
     assert schedule.tail_constant_limit(2.0) == 0.375  # the uniform member's
     assert NoiseModel.parse("uniform=0,rademacher=0").tail_constant_limit(1.0) == math.inf
+
+
+@pytest.mark.parametrize("spec", ["gaussian=1.5", "uniform=3", "rademacher=1e-300",
+                                  "gaussian=8,uniform=8,rademacher=8",
+                                  "uniform=0.5,rademacher=0,gaussian=2"])
+def test_the_largest_scale_proves_the_default_tail_constant(spec):
+    model = NoiseModel.parse(spec)
+    assert model.tail_constant_limit(model.largest_scale) >= bounds.TAIL_CONSTANT
+
+
+def test_k_below_the_largest_scale_is_proved_by_the_proxy():
+    # uniform on [-3, 3] has proxy sqrt(3) < 2, so K = 2 proves c up to 4/24
+    assert uniform(3.0).tail_constant_limit(2.0) == pytest.approx(1 / 6, rel=1e-15)
+    assert gaussian(3.0).tail_constant_limit(2.0) < bounds.TAIL_CONSTANT
 
 
 @pytest.mark.parametrize("model", [
@@ -109,16 +123,16 @@ def test_malformed_specs_raise_value_error(spec, message):
 @pytest.mark.parametrize("model", [gaussian(1.0), gaussian(1.7), uniform(2.3),
                                    rademacher(0.9)])
 def test_norm_bound_dominates_all_moment_ratios(model):
-    # the declared K really is an upper bound on sup_n (E|Z|^n)^(1/n)/sqrt(n)
+    # the largest scale, the default K, bounds sup_n (E|Z|^n)^(1/n)/sqrt(n)
     ratios = [absolute_moment_ratio(model, n) for n in range(1, 41)]
-    assert max(ratios) <= model.norm_bound + 1e-12
+    assert max(ratios) <= model.largest_scale + 1e-12
     # and the n = 1 ratio identifies the actual norm of each family
     [(family, scale)] = model.members
     if family == "gaussian":
         assert ratios[0] == pytest.approx(scale * math.sqrt(2 / math.pi))
         assert max(ratios) == ratios[0]
     if family == "rademacher":
-        assert max(ratios) == pytest.approx(model.norm_bound)  # K is tight
+        assert max(ratios) == pytest.approx(model.largest_scale)  # K is tight
 
 
 def rotated(model: NoiseModel, steps: int) -> NoiseModel:
@@ -182,7 +196,7 @@ def test_slot_sums_follow_the_per_step_law(model, m, start):
         # the average takes the m + 1 values a*(2b - m)/m: chi-square on the
         # counts of each step sum 2b - m (rounded, as the two sides sum in
         # different orders)
-        fast_sums, slow_sums = (np.rint(side * m / model.norm_bound)
+        fast_sums, slow_sums = (np.rint(side * m / model.largest_scale)
                                 for side in (fast, slow))
         values = np.union1d(fast_sums, slow_sums)
         table = [[np.count_nonzero(side == v) for v in values]

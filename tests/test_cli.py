@@ -311,7 +311,7 @@ def test_planner_overflow_names_k_and_p(capsys, argv):
     (["bounds", "--big-k", "1", "--power", "1", "--delta", "0.1", "--c", "0"], "--c",
      "tail_constant"),
     (["bounds", "--big-k", "0", "--power", "1", "--delta", "0.1"], "--big-k",
-     "norm_bound"),
+     "variance_proxy"),
     (["channel", "--sigma", "1", "--power", "1", "--delta", "0.1", "--m", "0"], "--m",
      "repetitions"),
     (["channel", "--sigma", "-1", "--power", "1", "--delta", "0.1"], "--sigma", "scale"),
@@ -1070,19 +1070,45 @@ def test_until_exact_curve_holds_its_results_and_one_sorted_copy(tmp_path, capsy
     assert peak < 24 * trials
 
 
-def test_channel_and_e2e_reject_an_understated_norm_bound_alike(capsys):
-    # a K below the noise's norm bound would make the printed tail bound wrong
+def test_channel_and_e2e_reject_an_understated_norm_bound_alike(tmp_path, capsys):
+    # K = 1 under sigma = 2 proves c up to 1/32, below the default 1/8, so the
+    # printed tail bound would be wrong: one message for both commands
+    out = tmp_path / "e2e.csv"
     errors = []
     for argv in (["channel", "--slots", "20000", "--delta", "0.01", "--seed", "1"],
                  ["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2", "--trials", "4",
-                  "--seed", "9"]):
+                  "--seed", "9", "--out", str(out)]):
         with pytest.raises(SystemExit) as info:
             main([*argv, "--sigma", "2", "--big-k", "1", "--power", "1"])
         assert info.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "" and not out.exists()
         errors.append(captured.err.splitlines()[-1])
-    assert errors == ["gtmac: error: --big-k 1.0 is below the noise norm bound 2.0"] * 2
+    assert errors == ["gtmac: error: --c 0.125 is above 0.03125, the largest tail constant "
+                      "K**2/(8*s**2) at --big-k 1.0 for the noise's variance proxies s"] * 2
+
+
+def test_channel_k_below_the_largest_scale_keeps_its_tail_bound(capsys):
+    # uniform on [-3, 3] has proxy sqrt(3), so K = 2 proves c up to 1/6 >= 1/8
+    code, out = run_cli(capsys, ["channel", "--noise", "uniform=3", "--big-k", "2",
+                                 "--power", "1", "--delta", "0.01", "--slots", "20000",
+                                 "--seed", "1"])
+    assert code == 0
+    rates = dict(re.findall(r"^(\w+) = (\S+)$", out, re.M))
+    assert float(rates["empirical_excursion_rate"]) <= float(rates["tail_bound"])
+
+
+def test_e2e_k_below_the_largest_scale_keeps_its_guarantee(capsys):
+    # the plan for K = 2 under uniform=3 fails at most 2*eps, up to 3 standard errors
+    trials = 2000
+    code, out = run_cli(capsys, ["e2e", "--n-inactive", "500", "--k", "5", "--eps", "0.05",
+                                 "--noise", "uniform=3", "--big-k", "2", "--power", "1",
+                                 "--trials", str(trials), "--seed", "20261020",
+                                 "--threads", "1"])
+    assert code == 0
+    rate = float(re.search(r"^failure_rate = (\S+)$", out, re.M).group(1))
+    two_eps = 2 * 0.05
+    assert rate <= two_eps + 3 * math.sqrt(two_eps * (1 - two_eps) / trials)
 
 
 _C_RUNS = {  # each noisy command with its other flags
@@ -1240,12 +1266,18 @@ def test_unwritable_output_fails_before_any_trial(tmp_path, capsys, argv):
     assert "final_mean_surplus" not in out
 
 
-def test_e2e_rejects_understated_norm_bound(capsys):
+def test_e2e_rejects_understated_norm_bound(tmp_path, capsys):
+    out = tmp_path / "e2e.csv"
     with pytest.raises(SystemExit) as info:
         main(["e2e", "--n-inactive", "20", "--k", "1", "--eps", "0.2",
               "--sigma", "2.0", "--big-k", "1.0", "--power", "1.0",
-              "--trials", "4", "--seed", "9"])
+              "--trials", "4", "--seed", "9", "--out", str(out)])
     assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines()[-1] == (
+        "gtmac: error: --c 0.125 is above 0.03125, the largest tail constant "
+        "K**2/(8*s**2) at --big-k 1.0 for the noise's variance proxies s")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1255,13 +1287,13 @@ def test_e2e_rejects_understated_norm_bound(capsys):
      "--power", "1", "--trials", "4", "--seed", "9"],
 ])
 def test_noiseless_channel_without_big_k_names_the_flag(capsys, argv):
-    # K defaults to the noise's norm bound, here 0, which no plan can use
+    # K defaults to the noise's largest scale, here 0, which no plan can use
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert "the noise's norm bound is 0, so --big-k > 0 is needed" in err
-    assert "norm_bound" not in err
+    assert "the noise's scales are all 0, so --big-k > 0 is needed" in err
+    assert "variance_proxy" not in err
     assert main([*argv, "--big-k", "1"]) == 0
 
 

@@ -301,7 +301,7 @@ def test_end_to_end_batch_summary_fields():
     assert (summary.slots, summary.repetitions, summary.total_channel_uses) == \
         (plan.slots, plan.repetitions, plan.total)
     # the declared K dominates every member family of the schedule
-    assert noise.norm_bound <= 1.0
+    assert noise.largest_scale <= 1.0
 
 
 def test_end_to_end_batch_runs_the_plan_it_is_given(monkeypatch):
@@ -464,7 +464,7 @@ def test_comp_decides_each_trial_from_its_senders_and_decodes():
 def test_conditional_failure_rate_matches_exact_law():
     # criterion 6's batch: the mean of the per-trial conditional failure
     # probabilities estimates the exact failure probability
-    plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.GAUSSIAN_TAIL_CONSTANT)
+    plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.TAIL_CONSTANT)
     batch = (500, 5, 0.05, gaussian(1.0), 1.0, plan, 2000, 20260816)
     summary = harness.run_end_to_end_batch(*batch)
     # replay the batch block by block from each block's seed
