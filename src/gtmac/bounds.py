@@ -285,10 +285,10 @@ def _repetitions(variance_proxy: float, power: float, log_inverse_error: float,
 
 class ChannelUsePlan(namedtuple("ChannelUsePlan",
                                 "slots slot_error_target repetitions total closed_form")):
-    """Joint budget: slots, per-slot error target, repetitions, total steps.
-
-    ``total`` is the exact integer product ``slots * repetitions`` actually
-    spent.  ``closed_form`` is the analytic reference, the real-valued slot
+    """Joint budget that :func:`plan_channel_uses` returns: slots, per-slot error
+    target, repetitions, total steps.  An end-to-end run reads only the slots
+    (ℓ) and repetitions (m), as plain numbers; ``total`` is their exact integer
+    product.  ``closed_form`` is the analytic reference, the real-valued slot
     budget times the real-valued repetitions at per-slot error eps/slots
     before any rounding, in fully expanded form:
     ``(K**2/P) * (1/c) * e*(k+1)*ln(N/eps) * (2 + ln(k+1) + ln ln(N/eps) + ln(1/eps))``.

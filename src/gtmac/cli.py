@@ -294,8 +294,8 @@ def _cmd_e2e(parser, args) -> int:
     _echo({"n_inactive": n, "k": k, "eps": eps, "noise": noise.spec, "power": power,
            "big_k": big_k, "c": c, "trials": trials, "seed": seed, "threads": threads})
 
-    summary = harness.run_end_to_end_batch(n, k, eps, noise, power, plan, trials, seed,
-                                           workers=threads)
+    summary = harness.run_end_to_end_batch(n, k, eps, noise, power, plan.slots,
+                                           plan.repetitions, trials, seed, workers=threads)
     print(f"slots = {summary.slots}")
     print(f"repetitions = {summary.repetitions}")
     print(f"total_channel_uses = {summary.total_channel_uses}")

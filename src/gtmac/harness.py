@@ -6,12 +6,13 @@ A batch is fully determined by its parameters and ``seed_base``.
 
 Until-exact and trace batches are seeded per block: trials
 ``b*TRIAL_BLOCK .. (b+1)*TRIAL_BLOCK - 1`` are drawn together by the surplus
-kernel from ``SeedSequence((seed_base, b))``.  One runner returns every
-batch's block results in block order, and a trace adds its blocks' sums in
-that order, so no result depends on how many workers ran the batch.
+kernel from ``SeedSequence((seed_base, b))``: blocks and slots share one seed
+rule, :func:`gtmac.scheme.slot_rng`, which this module binds at import.  One
+runner returns every batch's block results in block order, and a trace adds
+its blocks' sums in that order, so no result depends on the worker count.
 
 End-to-end batches are seeded per block by the same rule: a block holds
-``max(1, 2**16 // slots)`` trials, a constant of the batch's plan, and block
+``max(1, 2**16 // slots)`` trials, a constant of the batch's ℓ, and block
 ``b`` is drawn by :func:`end_to_end_trial` from ``SeedSequence((seed_base,
 b))``; any block can be replayed in isolation, a single trial cannot.  The
 block's one stream draws every trial's per-slot sender counts, then the
@@ -39,6 +40,7 @@ import numpy as np
 from . import bounds
 from ._ranges import check, check_levels
 from .scheme import optimal_choice_probability, sample_slots_until_exact, surplus_steps
+from .scheme import slot_rng as _block_rng
 # The node-level reference scheme and the single-run step kernel; no batch runs
 # either, but perfbench/tracing.py patches both under these names.
 from .scheme import run_scheme, run_scheme_fast  # noqa: F401
@@ -77,10 +79,6 @@ def trial_seed(seed_base: int, index: int) -> int:
     check("index", index)
     ss = np.random.SeedSequence((seed_base, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _block_rng(seed_base: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed_base, block))))
 
 
 def _end_to_end_block(slots: int) -> int:
@@ -124,7 +122,8 @@ class ExpectationTrace(namedtuple("ExpectationTrace",
 class EndToEndSummary(namedtuple("EndToEndSummary",
                                  "trials failures failure_rate conditional_failure_rate "
                                  "two_epsilon slots repetitions total_channel_uses")):
-    """Failure statistics of an end-to-end batch plus its channel budget.
+    """Failure statistics of an end-to-end batch plus its channel budget, the ℓ
+    slots and m repetitions that ran and their product ``total_channel_uses``.
 
     ``conditional_failure_rate`` is the mean over trials of each trial's
     failure probability given its decoded slots (see :func:`end_to_end_trial`);
@@ -277,20 +276,19 @@ def _comp(n_inactive: int, p: float, senders: np.ndarray, decoded: np.ndarray,
     return recovered, np.where(evicted, 1.0, bounds._survivors(n_inactive, p, false_slots))
 
 
-def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
-                     plan: bounds.ChannelUsePlan, rng: np.random.Generator,
+def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float, slots: int,
+                     repetitions: int, rng: np.random.Generator,
                      trials: int) -> tuple[np.ndarray, np.ndarray]:
     """A block of ``trials`` full noisy-channel trials, drawn from their exact law.
 
     Returns, per trial, whether the active set was recovered, and the
     trial's failure probability given its decoded slots (see :func:`_comp`).
 
-    ``plan`` is the batch's :class:`gtmac.bounds.ChannelUsePlan`.  Sized for
-    eps, its slot budget targets elimination error eps and its repetition
-    length per-slot decoding error ``eps/slots``, so the failure probability
-    is at most ``2*eps``.  ``noise`` is the channel's actual noise; the plan
-    is sized for the *declared* K and c, which need ``c <= K**2/(8*s**2)`` for
-    every step's variance proxy s (at c = 1/8: K a proxy, not the sub-gaussian norm).
+    Every trial runs ``slots`` decision steps (ℓ), each a disjunction sent over
+    ``repetitions`` channel uses (m), whichever planner sized them; ℓ, and m
+    when ℓ > 0, are checked before any draw.  ``noise`` is the actual noise:
+    :func:`gtmac.bounds.plan_channel_uses` bounds the failure by ``2*eps`` for
+    the *declared* K and c, which need ``c <= K**2/(8*s**2)`` for every step's proxy s.
 
     Each active node joins a slot with probability p = 1/(k+1), so a slot's
     sender count is Bin(k, p).  The (trials, slots) counts are drawn from
@@ -299,35 +297,37 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float,
     restarts at step 0 in every trial; an inactive node sends 0, so it never
     changes a decode.  :func:`_comp` then decides each trial.  This is the
     law of :func:`gtmac.scheme.run_scheme`'s final mask equalling the active
-    mask, in O(trials * slots) time and memory whatever N is.  With no
-    inactive node the plan has no slot and the potential set starts exact.
+    mask, in O(trials * slots) time and memory whatever N is.  With no slot
+    the potential set stays every node, exact iff N = 0, and nothing is drawn.
     """
-    check("trials", trials)
-    if plan.slots == 0:
-        return np.ones(trials, dtype=bool), np.zeros(trials)
+    trials, slots = check("trials", trials), check("slots", slots)
+    if slots == 0:
+        return np.full(trials, n_inactive == 0), np.full(trials, float(n_inactive != 0))
+    repetitions = check("repetitions", repetitions)
     # only e2e runs need the channel
     from .channel import RepetitionDisjunctionOracle, _table_binomial
 
     p = optimal_choice_probability(k)
-    oracle = RepetitionDisjunctionOracle(noise, power, plan.repetitions, rng)
-    senders = _table_binomial(k, p, (trials, plan.slots), rng)
+    oracle = RepetitionDisjunctionOracle(noise, power, repetitions, rng)
+    senders = _table_binomial(k, p, (trials, slots), rng)
     return _comp(n_inactive, p, senders, oracle.decode_block(senders), rng)
 
 
 def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
-                         power: float, plan: bounds.ChannelUsePlan, trials: int,
+                         power: float, slots: int, repetitions: int, trials: int,
                          seed_base: int, workers: int = 1) -> EndToEndSummary:
     """The failure summary of all end-to-end trials.
 
-    Every trial runs ``plan``, the batch's channel-use plan, sized for
-    target error ``eps`` (see :func:`end_to_end_trial`); nothing here plans.
-    Trials are drawn in seeded blocks (see the module docstring), and their
-    failures are counted per block.
+    Every trial runs ``slots`` steps of ``repetitions`` channel uses (see
+    :func:`end_to_end_trial`), checked before any block runs; ``eps``, their
+    target, is reported as ``two_epsilon``: nothing here plans.  Trials are drawn
+    in seeded blocks (see the module docstring), their failures counted per block.
     """
     check("eps", eps)
-    check("trials", trials)
-    kernel = functools.partial(end_to_end_trial, n_inactive, k, noise, power, plan)
-    parts, conditional = zip(*_run_blocks(kernel, trials, _end_to_end_block(plan.slots),
+    trials, slots = check("trials", trials), check("slots", slots)
+    repetitions = check("repetitions", repetitions) if slots else repetitions
+    kernel = functools.partial(end_to_end_trial, n_inactive, k, noise, power, slots, repetitions)
+    parts, conditional = zip(*_run_blocks(kernel, trials, _end_to_end_block(slots),
                                           seed_base, workers))
     failures = trials - sum(int(np.count_nonzero(part)) for part in parts)
     return EndToEndSummary(
@@ -336,9 +336,9 @@ def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
         failure_rate=failures / trials,
         conditional_failure_rate=float(np.concatenate(conditional).mean()),
         two_epsilon=2.0 * eps,
-        slots=plan.slots,
-        repetitions=plan.repetitions,
-        total_channel_uses=plan.total,
+        slots=slots,
+        repetitions=repetitions,
+        total_channel_uses=slots * repetitions,
     )
 
 

@@ -15,6 +15,12 @@ from gtmac._ranges import check_levels
 from gtmac.channel import NoiseModel, RepetitionDisjunctionOracle, gaussian, rademacher
 
 
+def _plan_uses(n_inactive: int, k: int, eps: float) -> tuple[int, int]:
+    """The slots and repetitions (l, m) that ``gtmac e2e`` plans at K = P = 1, c = 1/8."""
+    plan = bounds.plan_channel_uses(n_inactive, k, eps, 1.0, 1.0, 0.125)
+    return plan.slots, plan.repetitions
+
+
 # --- seeding -----------------------------------------------------------------
 
 def test_trial_seed_is_deterministic_and_spread():
@@ -116,7 +122,8 @@ def test_batch_runners_validate_parameters():
     plan = bounds.plan_channel_uses(5, 1, 0.1, 1.0, 1.0, 0.125)
     for power, trials in ((math.inf, 10), (1.0, 0)):
         with pytest.raises(ValueError):
-            harness.run_end_to_end_batch(5, 1, 0.1, gaussian(1.0), power, plan, trials, 0)
+            harness.run_end_to_end_batch(5, 1, 0.1, gaussian(1.0), power, plan.slots,
+                                         plan.repetitions, trials, 0)
 
 
 # --- error curves ----------------------------------------------------------------
@@ -262,8 +269,7 @@ def test_expectation_trace_sums_fixed_blocks_in_block_order():
     lambda workers: harness.run_until_exact_batch(5, 1, 0.5, 10, 3, 0, workers=workers),
     lambda workers: harness.expectation_trace(5, 1, 0.5, 3, 4, 0, workers=workers),
     lambda workers: harness.run_end_to_end_batch(
-        5, 1, 0.1, gaussian(1.0), 1.0, bounds.plan_channel_uses(5, 1, 0.1, 1.0, 1.0, 0.125),
-        3, 0, workers=workers),
+        5, 1, 0.1, gaussian(1.0), 1.0, *_plan_uses(5, 1, 0.1), 3, 0, workers=workers),
 ], ids=["until-exact", "trace", "e2e"])
 def test_batch_runners_reject_a_bool_worker_count(run):
     with pytest.raises(TypeError):
@@ -275,24 +281,26 @@ def test_batch_runners_reject_a_bool_worker_count(run):
 def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
     # noiseless channel, generous budget: recovery succeeds
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
-    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, plan=plan,
+    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, slots=plan.slots,
+                                          repetitions=plan.repetitions,
                                           rng=np.random.default_rng(31), trials=1)
     assert success.dtype == bool and success.tolist() == [True]
-    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan,
-                                          np.random.default_rng(31), 1)
+    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan.slots,
+                                          plan.repetitions, np.random.default_rng(31), 1)
     assert success.tolist() == [True]
 
 
 def test_end_to_end_batch_summary_fields():
     noise = NoiseModel.parse("gaussian=1,rademacher=1")
     plan = bounds.plan_channel_uses(40, 2, 0.1, 1.0, 1.0, 0.125)
-    summary = harness.run_end_to_end_batch(40, 2, 0.1, noise, 1.0, plan, 40, 32)
+    summary = harness.run_end_to_end_batch(40, 2, 0.1, noise, 1.0, plan.slots,
+                                           plan.repetitions, 40, 32)
     assert summary.trials == 40
     # replay the batch block by block from each block's seed
     block = harness._end_to_end_block(plan.slots)
     successes = np.concatenate([
-        harness.end_to_end_trial(40, 2, noise, 1.0, plan, harness._block_rng(32, b // block),
-                                 min(block, 40 - b))[0]
+        harness.end_to_end_trial(40, 2, noise, 1.0, plan.slots, plan.repetitions,
+                                 harness._block_rng(32, b // block), min(block, 40 - b))[0]
         for b in range(0, 40, block)])
     assert successes.dtype == bool and successes.shape == (40,)
     assert summary.failures == int((~successes).sum())
@@ -305,26 +313,25 @@ def test_end_to_end_batch_summary_fields():
 
 
 def test_end_to_end_batch_runs_the_plan_it_is_given(monkeypatch):
-    # the batch plans nothing itself: every block runs the caller's plan
-    plan = bounds.plan_channel_uses(40, 2, 0.1, 1.0, 1.0, 0.125)
+    # the batch plans nothing itself: every block runs the caller's l and m
+    slots, repetitions = _plan_uses(40, 2, 0.1)
     calls, blocks = [], []
     trial = harness.end_to_end_trial
 
-    def recorded(n_inactive, k, noise, power, block_plan, rng, trials):
-        blocks.append(block_plan)
-        return trial(n_inactive, k, noise, power, block_plan, rng, trials)
+    def recorded(n_inactive, k, noise, power, block_slots, block_repetitions, rng, trials):
+        blocks.append((block_slots, block_repetitions))
+        return trial(n_inactive, k, noise, power, block_slots, block_repetitions, rng, trials)
 
     monkeypatch.setattr(bounds, "plan_channel_uses", lambda *args: calls.append(args))
     monkeypatch.setattr(harness, "end_to_end_trial", recorded)
-    summary = harness.run_end_to_end_batch(40, 2, 0.1, gaussian(1.0), 1.0, plan, 40, 34,
-                                           workers=1)
+    summary = harness.run_end_to_end_batch(40, 2, 0.1, gaussian(1.0), 1.0, slots,
+                                           repetitions, 40, 34, workers=1)
     assert summary.trials == 40
-    assert calls == [] and blocks and all(block is plan for block in blocks)
+    assert calls == [] and blocks and set(blocks) == {(slots, repetitions)}
 
 
 def test_end_to_end_batch_is_worker_count_invariant():
-    batch = (30, 2, 0.1, gaussian(1.0), 1.0,
-             bounds.plan_channel_uses(30, 2, 0.1, 1.0, 1.0, 0.125), 24, 33)
+    batch = (30, 2, 0.1, gaussian(1.0), 1.0, *_plan_uses(30, 2, 0.1), 24, 33)
     assert (harness.run_end_to_end_batch(*batch, workers=1)
             == harness.run_end_to_end_batch(*batch, workers=4))
 
@@ -333,7 +340,7 @@ def test_end_to_end_schedule_batch_over_three_blocks_is_worker_count_invariant()
     # l = 697 slots makes blocks of 94 trials, so 200 trials are 3 blocks
     noise = NoiseModel.parse("gaussian=1,uniform=1,rademacher=1")
     plan = bounds.plan_channel_uses(10_000, 20, 0.05, 1.0, 1.0, 0.125)
-    batch = (10_000, 20, 0.05, noise, 1.0, plan, 200, 36)
+    batch = (10_000, 20, 0.05, noise, 1.0, plan.slots, plan.repetitions, 200, 36)
     assert 200 > 2 * harness._end_to_end_block(plan.slots)
     assert (harness.run_end_to_end_batch(*batch, workers=1)
             == harness.run_end_to_end_batch(*batch, workers=3))
@@ -356,9 +363,7 @@ def test_every_trial_of_a_block_restarts_the_noise_schedule(monkeypatch):
 
     monkeypatch.setattr(channel, "slot_noise_averages", spy)
     noise = NoiseModel.parse("rademacher=1,gaussian=0,gaussian=0")
-    plan = bounds.ChannelUsePlan(slots=10, slot_error_target=0.1, repetitions=4,
-                                 total=40, closed_form=40.0)
-    harness.end_to_end_trial(30, 2, noise, 1.0, plan, np.random.default_rng(5), 7)
+    harness.end_to_end_trial(30, 2, noise, 1.0, 10, 4, np.random.default_rng(5), 7)
     (averaged,) = seen
     steps = 4 * np.arange(10)[:, None] + np.arange(4)  # steps of a run from step 0
     member_0 = np.count_nonzero(steps % 3 == 0, axis=1)
@@ -417,10 +422,8 @@ def test_active_row_path_matches_node_level_scheme(noise, monkeypatch):
         return blocks[-1][1]
 
     monkeypatch.setattr(RepetitionDisjunctionOracle, "decode_block", spy)
-    plan = bounds.ChannelUsePlan(slots=slots, slot_error_target=0.01, repetitions=2,
-                                 total=2 * slots, closed_form=2.0 * slots)
     row_success, _ = harness.end_to_end_trial(
-        n_inactive, k, gaussian(0.0) if noise is None else noise, 1.0, plan, rng, runs)
+        n_inactive, k, gaussian(0.0) if noise is None else noise, 1.0, slots, 2, rng, runs)
     ((senders, decoded),) = blocks
     assert senders.shape == decoded.shape == (runs, slots)
     decodes = [decoded]
@@ -465,12 +468,12 @@ def test_conditional_failure_rate_matches_exact_law():
     # criterion 6's batch: the mean of the per-trial conditional failure
     # probabilities estimates the exact failure probability
     plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.TAIL_CONSTANT)
-    batch = (500, 5, 0.05, gaussian(1.0), 1.0, plan, 2000, 20260816)
+    batch = (500, 5, 0.05, gaussian(1.0), 1.0, plan.slots, plan.repetitions, 2000, 20260816)
     summary = harness.run_end_to_end_batch(*batch)
     # replay the batch block by block from each block's seed
     block = harness._end_to_end_block(plan.slots)
     conditional = np.concatenate([
-        harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan,
+        harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan.slots, plan.repetitions,
                                  harness._block_rng(batch[-1], b // block),
                                  min(block, summary.trials - b))[1]
         for b in range(0, summary.trials, block)])
@@ -485,13 +488,15 @@ def test_conditional_failure_rate_matches_exact_law():
 def test_end_to_end_trial_conditional_failure_edge_cases():
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
     # noiseless: nothing is evicted, and 50 nodes rarely outlast the plan
-    success, conditional = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan,
+    success, conditional = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan.slots,
+                                                    plan.repetitions,
                                                     np.random.default_rng(31), 1)
     assert success.tolist() == [True]
     assert 0.0 < conditional[0] < 0.01
     # no inactive node: no slot, and no trial can fail
     empty = bounds.plan_channel_uses(0, 2, 0.01, 1.0, 1.0, 0.125)
-    success, conditional = harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty,
+    success, conditional = harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty.slots,
+                                                    empty.repetitions,
                                                     np.random.default_rng(3), 4)
     assert success.tolist() == [True] * 4
     assert conditional.tolist() == [0.0] * 4
@@ -499,7 +504,8 @@ def test_end_to_end_trial_conditional_failure_edge_cases():
     assert bounds._survivors(50, 0.5, np.array([0, 1]))[0] == 1.0
     # an eviction fails the trial whatever F is: noise this loud evicts an
     # active node in every trial
-    success, conditional = harness.end_to_end_trial(50, 2, gaussian(1e3), 1.0, plan,
+    success, conditional = harness.end_to_end_trial(50, 2, gaussian(1e3), 1.0, plan.slots,
+                                                    plan.repetitions,
                                                     np.random.default_rng(5), 8)
     assert success.tolist() == [False] * 8
     assert conditional.tolist() == [1.0] * 8
@@ -512,14 +518,75 @@ def test_end_to_end_trial_conditional_failure_edge_cases():
 
 
 def test_end_to_end_batch_without_inactive_nodes_never_fails():
-    # a hand-built 3-slot plan with N = 0: noiseless decodes evict no active
-    # node, and a trial whose 3 slots all had a sender has F = 0, where the
-    # survivors law 1 - (1 - (1-p)**F)**N would read 0 * log(0)
-    plan = bounds.ChannelUsePlan(slots=3, slot_error_target=0.01, repetitions=2, total=6,
-                                 closed_form=6.0)
-    summary = harness.run_end_to_end_batch(0, 2, 0.1, gaussian(0.0), 1.0, plan, 50, 1)
+    # 3 slots of 2 repetitions with N = 0, which no plan gives: noiseless
+    # decodes evict no active node, and a trial whose 3 slots all had a sender
+    # has F = 0, where the survivors law 1 - (1 - (1-p)**F)**N would read 0 * log(0)
+    summary = harness.run_end_to_end_batch(0, 2, 0.1, gaussian(0.0), 1.0, 3, 2, 50, 1)
     assert (summary.failures, summary.conditional_failure_rate) == (0, 0.0)
     assert bounds._survivors(0, 1 / 3, np.arange(4)).tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("slots, repetitions, error", [
+    (-1, 4, ValueError), (True, 4, TypeError), (3, 0, ValueError),
+], ids=["negative-l", "bool-l", "zero-m"])
+def test_end_to_end_entry_points_check_l_and_m_before_any_draw(slots, repetitions, error,
+                                                                monkeypatch):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        harness.end_to_end_trial(20, 2, gaussian(1.0), 1.0, slots, repetitions, rng, 5)
+    assert rng.bit_generator.state == state
+
+    def refuse(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(harness, "_run_blocks", refuse)
+    with pytest.raises(error):
+        harness.run_end_to_end_batch(20, 2, 0.1, gaussian(1.0), 1.0, slots, repetitions, 5, 0)
+
+
+@pytest.mark.parametrize("repetitions", [0, 1, 7])
+def test_no_slot_recovers_exactly_when_there_is_no_inactive_node(repetitions):
+    # with l = 0 the potential set stays all N + k nodes, whatever m is, and
+    # nothing is drawn: exact at N = 0, a failure with certainty at N = 5
+    assert bounds.exact_end_to_end_failure(5, 2, 1 / 3, 0, 4, 1.0, 1.0) == 1.0
+    for n_inactive, recovered, conditional in ((0, True, 0.0), (5, False, 1.0)):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        success, probability = harness.end_to_end_trial(n_inactive, 2, gaussian(1.0), 1.0,
+                                                        0, repetitions, rng, 4)
+        assert rng.bit_generator.state == state
+        assert success.dtype == bool and success.tolist() == [recovered] * 4
+        assert probability.tolist() == [conditional] * 4
+        summary = harness.run_end_to_end_batch(n_inactive, 2, 0.1, gaussian(1.0), 1.0, 0,
+                                               repetitions, 30, 1)
+        assert (summary.failures, summary.conditional_failure_rate) == \
+            (0 if recovered else 30, conditional)
+        assert (summary.slots, summary.total_channel_uses) == (0, 0)
+
+
+@pytest.mark.parametrize("sigma, exact", [
+    (0.5, 0.3675148106603396),
+    (0.0, 0.1342767),
+], ids=["gaussian", "noiseless"])
+def test_end_to_end_trial_matches_exact_law_at_an_unplanned_budget(sigma, exact):
+    # l = 30 slots of m = 4 uses at N = 20, k = 2, P = 1, a pair no plan
+    # gives, failing often enough that a slot error off by 2x shows: at
+    # sigma = 0.5 a useful slot decodes true and a single sender's slot false
+    # w.p. Q(2) each
+    n_inactive, k, p, slots, repetitions, trials = 20, 2, 1 / 3, 30, 4, 20_000
+    if sigma:
+        law = bounds.exact_end_to_end_failure(n_inactive, k, p, slots, repetitions, sigma, 1.0)
+    else:
+        law = float(bounds.exact_error_curve(n_inactive, k, p, [slots])[0])
+    assert law == pytest.approx(exact, rel=1e-6)
+    success, conditional = harness.end_to_end_trial(n_inactive, k, gaussian(sigma), 1.0, slots,
+                                                    repetitions, np.random.default_rng(3030),
+                                                    trials)
+    failures = int(trials - np.count_nonzero(success))
+    assert scipy.stats.binomtest(failures, trials, law).pvalue > 1e-3
+    z = (conditional.mean() - law) / (conditional.std(ddof=1) / math.sqrt(trials))
+    assert 2 * scipy.stats.norm.sf(abs(z)) > 1e-3
 
 
 def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
@@ -528,7 +595,7 @@ def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
     try:
         plan = bounds.plan_channel_uses(10**6, 20, 0.01, 1.0, 1.0, 0.125)
         summary = harness.run_end_to_end_batch(10**6, 20, 0.01, gaussian(1.0), 1.0,
-                                               plan, 20, 35)
+                                               plan.slots, plan.repetitions, 20, 35)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

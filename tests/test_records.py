@@ -59,7 +59,7 @@ def test_record_is_immutable(cls, fields):
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
 def test_record_survives_a_pickle_round_trip(cls, fields):
-    # a multi-worker e2e batch pickles its NoiseModel and ChannelUsePlan
+    # a multi-worker e2e batch pickles its NoiseModel
     record = cls(**fields)
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is cls
