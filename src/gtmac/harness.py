@@ -5,11 +5,12 @@ Reproducibility contract
 A batch is fully determined by its parameters and ``seed_base``.
 
 Until-exact and trace batches are seeded per block: trials
-``b*TRIAL_BLOCK .. (b+1)*TRIAL_BLOCK - 1`` are drawn together by the surplus
-kernel from ``SeedSequence((seed_base, b))``: blocks and slots share one seed
-rule, :func:`gtmac.scheme.slot_rng`, which this module binds at import.  One
-runner returns every batch's block results in block order, and a trace adds
-its blocks' sums in that order, so no result depends on the worker count.
+``b*TRIAL_BLOCK .. (b+1)*TRIAL_BLOCK - 1``, with ``TRIAL_BLOCK`` = 8192, are
+drawn together by the surplus kernel from ``SeedSequence((seed_base, b))``:
+blocks and slots share one seed rule, :func:`gtmac.scheme.slot_rng`, which
+this module binds at import.  One runner returns every batch's block results
+in block order, and a trace adds its blocks' sums in that order, so no result
+depends on the worker count.
 
 End-to-end batches are seeded per block by the same rule: a block holds
 ``max(1, 2**16 // slots)`` trials, a constant of the batch's ℓ, and block
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import bounds
 from ._ranges import check, check_levels
-from .scheme import optimal_choice_probability, sample_slots_until_exact, surplus_steps
+from .scheme import _live_steps, optimal_choice_probability, sample_slots_until_exact
 from .scheme import slot_rng as _block_rng
 # The node-level reference scheme and the single-run step kernel; no batch runs
 # either, but perfbench/tracing.py patches both under these names.
@@ -68,7 +69,12 @@ __all__ = [
     "export_csv",
 ]
 
-TRIAL_BLOCK = 4096  # trials per seeded block of until-exact and trace batches
+# Trials per seeded block of until-exact and trace batches.  Against 4096,
+# 8192 halves the trace kernel's per-slot overhead per run; a block also stays
+# below the ~10 000 elements past which OpenBLAS threads the trace's dot
+# product, which made 16384-run blocks 3-6x slower under two workers on a
+# 2-vCPU VM.
+TRIAL_BLOCK = 8192
 
 
 def trial_seed(seed_base: int, index: int) -> int:
@@ -225,10 +231,16 @@ def build_error_curve(slots_until_exact: np.ndarray, slot_grid: Sequence[int],
 
 def _trace_block(n_inactive: int, k: int, p: float, horizon: int,
                  rng: np.random.Generator, size: int) -> np.ndarray:
-    """Per-slot sum (row 0) and sum of squares (row 1) of ``size`` trials' surplus."""
+    """Per-slot sum (row 0) and sum of squares (row 1) of ``size`` trials' surplus.
+
+    An exact run adds 0 to both, so only the live runs are summed, and no
+    slot once none is left.
+    """
     sums = np.zeros((2, horizon + 1))
-    for i, surplus in enumerate(surplus_steps(n_inactive, k, p, horizon, rng, size)):
-        values = surplus.astype(float)
+    for i, live in enumerate(_live_steps(n_inactive, k, p, horizon, rng, size)):
+        if not live.size:
+            break
+        values = live.astype(float)
         sums[:, i] = values.sum(), values @ values
     return sums
 
@@ -237,12 +249,17 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int, horizon: i
                       seed_base: int = 0, workers: int = 1) -> ExpectationTrace:
     """Empirical mean surplus per slot over ``trials`` surplus-kernel runs.
 
-    Each seeded block of trials is stepped together by
-    :func:`gtmac.scheme.surplus_steps`; block sums add up in block order.
-    Slot 0 is the deterministic starting surplus.  ``std_error`` is the
-    sample standard deviation over trials divided by sqrt(trials); the
-    prediction column is :func:`gtmac.bounds.expected_remaining`.
+    Each seeded block of trials is stepped together by the step kernel of
+    :func:`gtmac.scheme.surplus_steps`, whose live runs are summed per slot;
+    block sums add up in block order.  Slot 0 is the deterministic starting
+    surplus.  ``std_error`` is the sample standard deviation over trials
+    divided by sqrt(trials); the prediction column is
+    :func:`gtmac.bounds.expected_remaining`.  Every parameter is checked
+    before any block runs.
     """
+    check("n_inactive", n_inactive)
+    check("k", k)
+    check("p", p)
     check("trace_trials", trials)
     check("horizon", horizon)
     kernel = functools.partial(_trace_block, n_inactive, k, p, horizon)
@@ -285,8 +302,8 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float, s
     trial's failure probability given its decoded slots (see :func:`_comp`).
 
     Every trial runs ``slots`` decision steps (ℓ), each a disjunction sent over
-    ``repetitions`` channel uses (m), whichever planner sized them; ℓ, and m
-    when ℓ > 0, are checked before any draw.  ``noise`` is the actual noise:
+    ``repetitions`` channel uses (m), whichever planner sized them; N, k, ℓ,
+    and m when ℓ > 0, are checked before any draw.  ``noise`` is the actual noise:
     :func:`gtmac.bounds.plan_channel_uses` bounds the failure by ``2*eps`` for
     the *declared* K and c, which need ``c <= K**2/(8*s**2)`` for every step's proxy s.
 
@@ -300,6 +317,7 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float, s
     mask, in O(trials * slots) time and memory whatever N is.  With no slot
     the potential set stays every node, exact iff N = 0, and nothing is drawn.
     """
+    n_inactive, k = check("n_inactive", n_inactive), check("k", k)
     trials, slots = check("trials", trials), check("slots", slots)
     if slots == 0:
         return np.full(trials, n_inactive == 0), np.full(trials, float(n_inactive != 0))
@@ -319,10 +337,12 @@ def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
     """The failure summary of all end-to-end trials.
 
     Every trial runs ``slots`` steps of ``repetitions`` channel uses (see
-    :func:`end_to_end_trial`), checked before any block runs; ``eps``, their
-    target, is reported as ``two_epsilon``: nothing here plans.  Trials are drawn
-    in seeded blocks (see the module docstring), their failures counted per block.
+    :func:`end_to_end_trial`), checked with N and k before any block runs;
+    ``eps``, their target, is reported as ``two_epsilon``: nothing here plans.
+    Trials are drawn in seeded blocks (see the module docstring), their
+    failures counted per block.
     """
+    n_inactive, k = check("n_inactive", n_inactive), check("k", k)
     check("eps", eps)
     trials, slots = check("trials", trials), check("slots", slots)
     repetitions = check("repetitions", repetitions) if slots else repetitions

@@ -37,8 +37,12 @@ every run slot by slot (:func:`surplus_steps`); :func:`run_scheme_fast` is
 the single-run form of the latter and returns the surplus path as a tuple of
 ints.  The runs of a block are exchangeable, so
 the step kernel keeps only the law of each slot's multiset of surpluses, not
-which run holds which surplus: it draws only for the runs still inexact, and
-binomials only for the useful ones, in ascending order of their surplus.
+which run holds which surplus.  It steps a compact vector of the live runs
+(surplus above 0) and drops a run once it is exact, so no per-slot work
+touches an exact run: it draws one uniform per live run, and binomials only
+for the useful ones, in ascending order of their surplus.
+:func:`surplus_steps` pads that vector with zeros to the block's length;
+:func:`gtmac.harness.expectation_trace` sums it as it is.
 """
 
 from __future__ import annotations
@@ -255,42 +259,55 @@ def surplus_steps(n_inactive: int, k: int, p: float, slots: int,
 
     Yields ``slots + 1`` int64 vectors of length ``count``, advancing every
     run by one slot per vector.  A vector holds the block's surpluses in no
-    fixed order: each slot the useful runs trade places, sorted by surplus,
-    and a run that reaches 0 keeps its entry.  The runs are exchangeable, so
-    the joint law of the slots' multisets of surpluses -- and of any sum over
-    the runs -- is that of ``count`` independent chains.
+    fixed order: the live runs (surplus > 0) of :func:`_live_steps` in entry
+    order, then a 0 for each exact run.  Each slot the useful runs trade
+    places, sorted by surplus.  The runs are exchangeable, so the joint law
+    of the slots' multisets of surpluses -- and of any sum over the runs --
+    is that of ``count`` independent chains.
 
-    Draw layout per slot: one uniform per live run (surplus > 0), in entry
-    order (a run's slot is discarded when its uniform is below
-    ``1 - (1-p)**k``), then Binomial(surplus, p) for each useful live run, in
-    ascending order of surplus; discarded and exact runs draw no binomial.
-    With ``count = 1`` that is one uniform per slot while the run is inexact,
-    and one binomial per useful slot.  Once every run is exact no further
-    draws are made and the same zero vector is yielded for the remaining
-    slots, so callers must not modify the vectors they receive.
+    Draw layout per slot: one uniform per live run, in entry order (a run's
+    slot is discarded when its uniform is below ``1 - (1-p)**k``), then
+    Binomial(surplus, p) for each useful live run, in ascending order of
+    surplus; exact runs draw nothing, and discarded runs no binomial.  With
+    ``count = 1`` that is one uniform per slot while the run is inexact, and
+    one binomial per useful slot.  Once every run is exact no further draws
+    are made.  Every vector is a new array.
     """
     check("n_inactive", n_inactive)
     check("k", k)
     check("p", p)
     check("slots", slots)
-    return _steps(n_inactive, 1.0 - (1.0 - p) ** k, p, slots, rng, count)
+    return (np.concatenate((live, np.zeros(count - live.size, dtype=np.int64)))
+            for live in _live_steps(n_inactive, k, p, slots, rng, count))
 
 
-def _steps(n_inactive, discard_prob, p, slots, rng, count):
-    surplus = np.full(count, n_inactive, dtype=np.int64)
-    yield surplus
+def _live_steps(n_inactive, k, p, slots, rng, count):
+    """The live runs' surpluses after 0, 1, ..., ``slots`` slots, unchecked.
+
+    Yields one int64 vector per slot, in entry order: a run leaves it when
+    its surplus reaches 0, and the others keep their order, so the vector is
+    the nonzero entries of :func:`surplus_steps`' vector.  The vector is
+    updated in place by the next slot, so a caller reads it before asking
+    for the next; once it is empty the same empty vector is yielded for the
+    remaining slots.
+    """
+    discard_prob = 1.0 - (1.0 - p) ** k
+    live = np.full(count if n_inactive else 0, n_inactive, dtype=np.int64)
+    yield live
     for done in range(slots):
-        live = np.flatnonzero(surplus)
         if not live.size:
-            yield from itertools.repeat(surplus, slots - done)
+            yield from itertools.repeat(live, slots - done)
             return
-        useful = live[rng.random(live.size) >= discard_prob]
+        useful = np.flatnonzero(rng.random(live.size) >= discard_prob)
         # runs are exchangeable, so sorting the useful ones changes no law of
         # the block; equal counts side by side let numpy keep its set-up
-        trials = np.sort(surplus[useful])
-        surplus = surplus.copy()
-        surplus[useful] = trials - rng.binomial(trials, p)
-        yield surplus
+        moved = live[useful]
+        moved.sort()
+        moved -= rng.binomial(moved, p)
+        live[useful] = moved
+        if not moved.all():
+            live = live[live > 0]
+        yield live
 
 
 def run_scheme_fast(n_inactive: int, k: int, p: float, slots: int,

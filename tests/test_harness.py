@@ -236,11 +236,21 @@ def test_degenerate_trace_is_the_constant_path(n_inactive, p, level):
     assert trace.predicted_mean == (level,) * 7
 
 
-def test_expectation_trace_validation():
+def test_expectation_trace_validation(monkeypatch):
     with pytest.raises(ValueError):
         harness.expectation_trace(10, 1, 0.5, trials=1, horizon=5)
     with pytest.raises(ValueError):
         harness.expectation_trace(10, 1, 0.5, trials=10, horizon=0)
+
+    def refuse(*args):
+        raise AssertionError("a block ran")
+
+    # N, k and p are checked before any block runs, not inside each block
+    monkeypatch.setattr(harness, "_run_blocks", refuse)
+    for args, error in (((-1, 1, 0.5), ValueError), ((True, 1, 0.5), TypeError),
+                        ((10, 0, 0.5), ValueError), ((10, 1, 1.5), ValueError)):
+        with pytest.raises(error):
+            harness.expectation_trace(*args, trials=10, horizon=5)
 
 
 def test_expectation_trace_is_worker_count_invariant():
@@ -250,6 +260,46 @@ def test_expectation_trace_is_worker_count_invariant():
     parallel = harness.expectation_trace(40, 2, 1 / 3, trials, 12, seed_base=5, workers=2)
     for field in harness.ExpectationTrace._fields:
         assert getattr(serial, field) == getattr(parallel, field), field
+
+
+def _whole_block_steps(n_inactive, k, p, slots, rng, count):
+    """The step kernel's per-slot loop over the whole block, written independently:
+    every slot finds the live runs again and copies all ``count`` surpluses."""
+    surplus = np.full(count, n_inactive, dtype=np.int64)
+    paths = [surplus]
+    for _ in range(slots):
+        live = np.flatnonzero(surplus)
+        if live.size:
+            useful = live[rng.random(live.size) >= 1.0 - (1.0 - p) ** k]
+            trials = np.sort(surplus[useful])
+            surplus = surplus.copy()
+            surplus[useful] = trials - rng.binomial(trials, p)
+        paths.append(surplus)
+    return paths
+
+
+@pytest.mark.parametrize("count", [1, 2, 4097])
+@pytest.mark.parametrize("p", [0.0, 1 / 3, 1.0])
+@pytest.mark.parametrize("n_inactive", [0, 1, 40, 1000])
+def test_live_run_kernel_makes_the_whole_block_loops_draws(n_inactive, p, count):
+    # same generator, same draws: each slot's multiset of surpluses, the trace
+    # block's sums and the generator's final state all agree with the loop
+    k, horizon = 2, 250
+    reference = np.random.default_rng(23)
+    paths = _whole_block_steps(n_inactive, k, p, horizon, reference, count)
+    if 0.0 < p < 1.0:
+        assert not paths[-1].any()  # the horizon outlasts the last inexact run
+    rng = np.random.default_rng(23)
+    steps = list(scheme.surplus_steps(n_inactive, k, p, horizon, rng, count))
+    assert len(steps) == horizon + 1
+    for step, path in zip(steps, paths):
+        assert step.dtype == np.int64 and np.array_equal(np.sort(step), np.sort(path))
+    assert rng.bit_generator.state == reference.bit_generator.state
+    rng = np.random.default_rng(23)
+    sums = harness._trace_block(n_inactive, k, p, horizon, rng, count)
+    values = np.array(paths, dtype=float)
+    assert np.array_equal(sums, [values.sum(axis=1), (values * values).sum(axis=1)])
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_expectation_trace_sums_fixed_blocks_in_block_order():
@@ -526,15 +576,13 @@ def test_end_to_end_batch_without_inactive_nodes_never_fails():
     assert bounds._survivors(0, 1 / 3, np.arange(4)).tolist() == [0.0] * 4
 
 
-@pytest.mark.parametrize("slots, repetitions, error", [
-    (-1, 4, ValueError), (True, 4, TypeError), (3, 0, ValueError),
-], ids=["negative-l", "bool-l", "zero-m"])
-def test_end_to_end_entry_points_check_l_and_m_before_any_draw(slots, repetitions, error,
-                                                                monkeypatch):
+def _refused_before_any_draw(monkeypatch, error, n_inactive, k, slots, repetitions):
+    """Both e2e entry points raise ``error``: the trial before drawing, the batch
+    before running a block."""
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
     with pytest.raises(error):
-        harness.end_to_end_trial(20, 2, gaussian(1.0), 1.0, slots, repetitions, rng, 5)
+        harness.end_to_end_trial(n_inactive, k, gaussian(1.0), 1.0, slots, repetitions, rng, 5)
     assert rng.bit_generator.state == state
 
     def refuse(*args):
@@ -542,7 +590,26 @@ def test_end_to_end_entry_points_check_l_and_m_before_any_draw(slots, repetition
 
     monkeypatch.setattr(harness, "_run_blocks", refuse)
     with pytest.raises(error):
-        harness.run_end_to_end_batch(20, 2, 0.1, gaussian(1.0), 1.0, slots, repetitions, 5, 0)
+        harness.run_end_to_end_batch(n_inactive, k, 0.1, gaussian(1.0), 1.0, slots,
+                                     repetitions, 5, 0)
+
+
+@pytest.mark.parametrize("slots, repetitions, error", [
+    (-1, 4, ValueError), (True, 4, TypeError), (3, 0, ValueError),
+], ids=["negative-l", "bool-l", "zero-m"])
+def test_end_to_end_entry_points_check_l_and_m_before_any_draw(slots, repetitions, error,
+                                                                monkeypatch):
+    _refused_before_any_draw(monkeypatch, error, 20, 2, slots, repetitions)
+
+
+@pytest.mark.parametrize("n_inactive, k, slots, repetitions, error", [
+    (-3, 2, 5, 2, ValueError), (True, 2, 5, 2, TypeError), (20, 0, 5, 2, ValueError),
+    (-3, 0, 0, 0, ValueError),  # no slot: nothing would be drawn to reject them
+], ids=["negative-n", "bool-n", "zero-k", "no-slot"])
+def test_end_to_end_entry_points_check_n_and_k_before_any_draw(n_inactive, k, slots,
+                                                                repetitions, error,
+                                                                monkeypatch):
+    _refused_before_any_draw(monkeypatch, error, n_inactive, k, slots, repetitions)
 
 
 @pytest.mark.parametrize("repetitions", [0, 1, 7])
