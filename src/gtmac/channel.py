@@ -222,8 +222,9 @@ def _bit_count_sums(steps: int, rows: int, rng: np.random.Generator) -> np.ndarr
     Bit b of the draws' mantissas is set in C_b ~ Bin(steps, 1/2) of them,
     independently over the 53 bits, so the draws sum to
     ``sum_b 2**(b-53) * C_b``: the law of the summed draws for any ``steps``.
+    The sum is einsum's own loop, not a BLAS gemv, so no BLAS thread runs.
     """
-    return _table_binomial(steps, 0.5, (rows, _BITS), rng) @ _BIT_WEIGHTS
+    return np.einsum("ij,j", _table_binomial(steps, 0.5, (rows, _BITS), rng), _BIT_WEIGHTS)
 
 
 def _gaussian_steps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,9 +17,10 @@ End-to-end batches are seeded per block by the same rule: a block holds
 ``b`` is drawn by :func:`end_to_end_trial` from ``SeedSequence((seed_base,
 b))``; any block can be replayed in isolation, a single trial cannot.  The
 block's one stream draws every trial's per-slot sender counts, then the
-channel noise of all of them, then each trial's count of surviving inactive
-nodes, whose law given the decodes is the survivors law of :mod:`gtmac.bounds`.
-Which nodes are active does not matter, so nothing places them.
+channel noise of all of them, then one uniform per trial, below which the
+trial fails: its failure probability given the decodes, by the survivors law
+of :mod:`gtmac.bounds`.  Which nodes are active does not matter, so nothing
+places them.
 
 CSV files are written with a header row, comma separators, ``\\n`` line
 endings and UTF-8 encoding.  Each field is the ``repr`` of its value, as the
@@ -70,10 +71,7 @@ __all__ = [
 ]
 
 # Trials per seeded block of until-exact and trace batches.  Against 4096,
-# 8192 halves the trace kernel's per-slot overhead per run; a block also stays
-# below the ~10 000 elements past which OpenBLAS threads the trace's dot
-# product, which made 16384-run blocks 3-6x slower under two workers on a
-# 2-vCPU VM.
+# 8192 halves the trace kernel's per-slot overhead per run.
 TRIAL_BLOCK = 8192
 
 
@@ -241,7 +239,8 @@ def _trace_block(n_inactive: int, k: int, p: float, horizon: int,
         if not live.size:
             break
         values = live.astype(float)
-        sums[:, i] = values.sum(), values @ values
+        # einsum's own loop, not BLAS's ddot: no BLAS thread runs beside a worker
+        sums[:, i] = values.sum(), np.einsum("i,i", values, values)
     return sums
 
 
@@ -280,17 +279,17 @@ def _comp(n_inactive: int, p: float, senders: np.ndarray, decoded: np.ndarray,
     ``senders`` holds each slot's count of active senders, ``decoded`` its
     decoded bit.  A slot with a sender decoded false evicts an active node,
     and the trial fails.  Otherwise each of the N inactive nodes outlasts the
-    F slots decoded false with probability (1-p)**F independently, and the
-    trial succeeds iff a Bin(N, (1-p)**F) draw from ``rng`` is zero.  Returns,
-    per trial, whether the active set was recovered and its failure
-    probability given (evicted, F): 1 after an eviction, else
-    ``bounds._survivors``.
+    F slots decoded false with probability (1-p)**F independently, so the
+    trial fails with probability ``bounds._survivors`` at F.  Returns, per
+    trial, whether the active set was recovered, and that failure probability
+    given (evicted, F), 1 after an eviction: a trial fails iff one
+    ``rng.random()`` draw lies below it.
     """
     cleared = ~decoded
     evicted = ((senders > 0) & cleared).any(axis=-1)
-    false_slots = np.count_nonzero(cleared, axis=-1)
-    recovered = ~evicted & (rng.binomial(n_inactive, (1.0 - p) ** false_slots) == 0)
-    return recovered, np.where(evicted, 1.0, bounds._survivors(n_inactive, p, false_slots))
+    failure = np.where(evicted, 1.0,
+                       bounds._survivors(n_inactive, p, np.count_nonzero(cleared, axis=-1)))
+    return rng.random(failure.shape) >= failure, failure
 
 
 def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float, slots: int,

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtmac
+from gtmac import harness
 from gtmac._ranges import _RANGES
 from gtmac.channel import NoiseModel
 from gtmac.cli import _COMMANDS, _FLAGS, _FORMS, main
@@ -1202,14 +1203,14 @@ _E2E_GOLDEN = [
        'slots = 151\n'
        'repetitions = 4615\n'
        'total_channel_uses = 696865\n'
-       'failures = 21 / 1500\n'
-       'failure_rate = 0.014\n'
+       'failures = 23 / 1500\n'
+       'failure_rate = 0.015333333333333332\n'
        'conditional_failure_rate = 0.014090005972671096\n'
        'two_epsilon = 0.1\n'
      ),
      (
        'trials,failures,failure_rate,two_epsilon,l,m,total_channel_uses\n'
-       '1500,21,0.014,0.1,151,4615,696865\n'
+       '1500,23,0.015333333333333332,0.1,151,4615,696865\n'
      )),
     (["--n-inactive", "1000000", "--k", "20", "--eps", "0.01", "--sigma", "1",
       "--power", "1", "--trials", "200"],
@@ -1248,6 +1249,30 @@ def test_e2e_stdout_and_csv_are_pinned(tmp_path, capsys, argv, stdout, table):
     assert code == 0
     assert text == f"{stdout}wrote {out}\n"
     assert out.read_text(encoding="utf-8") == table
+
+
+def _refused(name):
+    def method(self, *args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return method
+
+
+class _E2ERouteGenerator(np.random.Generator):
+    """A block stream whose methods off the golden e2e routes raise: their counts
+    come from tables, and each trial is decided by one ``random()``."""
+
+    binomial = _refused("binomial")
+    standard_gamma = _refused("standard_gamma")
+    poisson = _refused("poisson")
+    integers = _refused("integers")
+
+
+@pytest.mark.parametrize("argv, stdout, table", _E2E_GOLDEN, ids=["lowsnr", "million"])
+def test_e2e_golden_routes_call_no_binomial(tmp_path, capsys, monkeypatch, argv, stdout,
+                                            table):
+    monkeypatch.setattr(harness, "_block_rng", lambda seed, b: _E2ERouteGenerator(
+        np.random.PCG64(np.random.SeedSequence((seed, b)))))
+    test_e2e_stdout_and_csv_are_pinned(tmp_path, capsys, argv, stdout, table)
 
 
 @pytest.mark.parametrize("argv", [

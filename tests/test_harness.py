@@ -440,8 +440,8 @@ def _merged_columns(a: np.ndarray, b: np.ndarray, minimum: int = 20) -> np.ndarr
                          ids=["ideal", "gaussian", "schedule"])
 def test_active_row_path_matches_node_level_scheme(noise, monkeypatch):
     # run_scheme simulates all N + k nodes; the end-to-end block kernel
-    # decodes the k active rows of every trial at once and _comp draws the N
-    # survivors from Bin(N, (1-p)^F).  N = 30, k = 2 and 20 slots fail about
+    # decodes the k active rows of every trial at once and _comp fails a trial
+    # with the survivors law at its F.  N = 30, k = 2 and 20 slots fail about
     # half the time, so both laws are visible.  gaussian(0) noise decodes as
     # the ideal oracle does.
     n_inactive, k, slots, runs = 30, 2, 20, 1500
@@ -512,6 +512,30 @@ def test_comp_decides_each_trial_from_its_senders_and_decodes():
     recovered, conditional = harness._comp(0, p, senders, decoded, rng)
     assert recovered.tolist() == [False, True, True]
     assert conditional.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_comp_fails_each_trial_with_its_survivors_probability():
+    n_inactive, p, slots, rows = 40, 0.25, 24, 4000
+    # each row's first F slots decode false; the last 4000 rows also evict an
+    # active node in slot 0, and a busy slot decoded true evicts nothing
+    false_slots = np.repeat([12, 16, 20, 3], rows)
+    decoded = np.arange(slots) >= false_slots[:, None]
+    senders = np.zeros(decoded.shape, dtype=np.int64)
+    senders[:, -1] = 2
+    evicted = np.arange(len(false_slots)) >= 3 * rows
+    senders[evicted, 0] = 1
+    recovered, failure = harness._comp(n_inactive, p, senders, decoded,
+                                       np.random.default_rng(37))
+    law = bounds._survivors(n_inactive, p, false_slots)
+    assert failure.tolist() == np.where(evicted, 1.0, law).tolist()
+    assert not recovered[evicted].any()
+    for f in range(3):  # survivors law 0.724, 0.332 and 0.119
+        failed = rows - int(np.count_nonzero(recovered[f * rows:(f + 1) * rows]))
+        assert scipy.stats.binomtest(failed, rows, law[f * rows]).pvalue > 1e-3
+    # with no inactive node a trial fails only through an eviction
+    recovered, failure = harness._comp(0, p, senders, decoded, np.random.default_rng(38))
+    assert recovered.tolist() == (~evicted).tolist()
+    assert failure.tolist() == evicted.astype(float).tolist()
 
 
 def test_conditional_failure_rate_matches_exact_law():
