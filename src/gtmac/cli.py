@@ -16,7 +16,8 @@ default, so flags beat the file and the file beats the built-in defaults, and
 a key the form does not read is ignored.  Exit codes: 0 success, 2 bad
 usage/parameters (an unread or missing flag, a malformed config file, or a
 value its flag cannot parse: ``argument --k: invalid int value: 'abc'``), 1
-runtime failure.  Every flag given, on the command line or in ``--config``, is
+runtime failure (a file, memory or a dead worker; one line, no traceback),
+130 an interrupt.  Every flag given, on the command line or in ``--config``, is
 range-checked once under its own name before any output, whatever the form
 reads: ``--delta must be a real in (0, 1), got 1.5``.
 
@@ -176,17 +177,13 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _until_exact_runs(parser, args, pairs) -> tuple:
-    """The slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair.
-
-    Exits 2 first if a run cannot hold its results and their sorted copy (8 bytes
-    a trial each) beside the grid's tuple and int64 array (8 bytes a point each).
-    """
+    """The slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair; exits 2 first if
+    a run cannot hold the grid's tuple and int64 array (8 bytes a point each)."""
     from . import harness
     from .scheme import optimal_choice_probability
 
     points = args.grid_max // args.grid_step + 1
-    _check_memory(parser, [(16 * args.trials, f"--trials {args.trials}"),
-                           (16 * points, f"--grid-max {args.grid_max} and "
+    _check_memory(parser, [(16 * points, f"--grid-max {args.grid_max} and "
                                          f"--grid-step {args.grid_step}")])
     grid = range(0, args.grid_max + 1, args.grid_step)
     # a derived cap is checked here: a huge k puts it past the range
@@ -200,9 +197,9 @@ def _run_until_exact_curve(args, grid, run, out) -> None:
     from . import harness
 
     n, k, p, cap = run
-    slots = harness.run_until_exact_batch(n, k, p, cap, args.trials, args.seed,
-                                          workers=args.threads)
-    curve = harness.build_error_curve(slots, grid, n, k)
+    counts = harness.run_until_exact_batch(n, k, p, cap, args.trials, args.seed,
+                                           workers=args.threads)
+    curve = harness.build_error_curve(counts, grid, n, k)
     harness.export_csv(curve, out)
     print(f"trials = {curve.trials}  median_slots = {curve.median_slots}  "
           f"max_slots = {curve.max_slots}  censored = {curve.censored}")
@@ -477,9 +474,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))  # exits 2
     except OverflowError as exc:  # a finite input too large to compute with
         parser.error(f"parameter out of range: {exc}")
-    except OSError as exc:
+    except (OSError, MemoryError, RuntimeError) as exc:
+        # a dead worker breaks the pool, whose module only a run with workers loads
+        broken = getattr(sys.modules.get("concurrent.futures.process"), "BrokenProcessPool", ())
+        if isinstance(exc, RuntimeError) and not isinstance(exc, broken):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("gtmac: interrupted", file=sys.stderr)
+        return 130
     finally:
         if argv is None:
             gc.freeze()

@@ -8,9 +8,9 @@ Until-exact and trace batches are seeded per block: trials
 ``b*TRIAL_BLOCK .. (b+1)*TRIAL_BLOCK - 1``, with ``TRIAL_BLOCK`` = 8192, are
 drawn together by the surplus kernel from ``SeedSequence((seed_base, b))``:
 blocks and slots share one seed rule, :func:`gtmac.scheme.slot_rng`, which
-this module binds at import.  One runner returns every batch's block results
-in block order, and a trace adds its blocks' sums in that order, so no result
-depends on the worker count.
+this module binds at import.  Until-exact block histograms add exactly, so
+workers pre-add them; trace and end-to-end block results come back in block
+order.  No result depends on the worker count.
 
 End-to-end batches are seeded per block by the same rule: a block holds
 ``max(1, 2**16 // slots)`` trials, a constant of the batch's ℓ, and block
@@ -73,6 +73,7 @@ __all__ = [
 # Trials per seeded block of until-exact and trace batches.  Against 4096,
 # 8192 halves the trace kernel's per-slot overhead per run.
 TRIAL_BLOCK = 8192
+_MAX_BINS = 1 << 24  # of an until-exact histogram, 128 MiB: k up to ~3e5 at N = 10**4
 
 
 def trial_seed(seed_base: int, index: int) -> int:
@@ -152,9 +153,10 @@ def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
     return RunRecord(trial_seed=seed, slots_until_exact=None if slots < 0 else slots)
 
 
-def _seeded_blocks(kernel, trials: int, block: int, seed_base: int, blocks: range) -> list:
-    """``kernel(rng, size)`` of each block b in ``blocks``: trials b*block onwards."""
-    return [kernel(_block_rng(seed_base, b), min(block, trials - b * block)) for b in blocks]
+def _seeded_blocks(kernel, add, trials: int, block: int, seed_base: int, blocks: range):
+    """Each block's ``kernel(rng, size)``, added up as in :func:`_run_blocks`."""
+    results = (kernel(_block_rng(seed_base, b), min(block, trials - b * block)) for b in blocks)
+    return list(results) if add is None else functools.reduce(add, results)
 
 
 def _pool_size(threads: int, tasks: int, cpus: int) -> int:
@@ -162,20 +164,19 @@ def _pool_size(threads: int, tasks: int, cpus: int) -> int:
     return max(1, min(threads, tasks, cpus))
 
 
-def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int) -> list:
-    """``kernel(rng, size)`` of every seeded block of ``trials``, in block order.
+def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int, add=None):
+    """``kernel(rng, size)`` of every seeded block of ``trials``, added up by ``add``.
 
-    Block b holds trials ``b*block`` up to the next block's first (the last
-    block may be short) and draws from its own seed, so no result depends
-    on the worker count.  Nothing is made per block before the blocks run.
-    ``kernel`` is a module-level function with the batch's parameters bound
-    by :func:`functools.partial`, so it pickles into worker processes, which
-    run contiguous ranges of blocks.
+    Block b holds trials ``b*block`` up to the next block's first and draws
+    from its own seed.  Each worker adds a contiguous range of blocks and the
+    parent adds the ranges: with an exact ``add``, or None for a list in block
+    order, no result depends on the worker count.  ``kernel`` and ``add``
+    pickle into workers; nothing is made per block before the blocks run.
     """
     check("workers", workers)
     count = -(-trials // block)
     size = _pool_size(workers, count, os.cpu_count() or 1)
-    run = functools.partial(_seeded_blocks, kernel, trials, block, seed_base)
+    run = functools.partial(_seeded_blocks, kernel, add, trials, block, seed_base)
     if size == 1:
         return run(range(count))
     # imported here: the pool's modules cost a one-worker run ~9 ms of start-up
@@ -185,46 +186,59 @@ def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int) -
     with ProcessPoolExecutor(max_workers=size) as pool:
         parts = pool.map(run, (range(lo, min(lo + step, count))
                                for lo in range(0, count, step)))
-        return [result for part in parts for result in part]
+        return [r for part in parts for r in part] if add is None else functools.reduce(add, parts)
+
+
+def _until_exact_block(n_inactive: int, k: int, p: float, slot_cap: int,
+                       rng: np.random.Generator, size: int) -> np.ndarray:
+    """Histogram of ``size`` trials: bin 0 counts the censored ones, bin s + 1
+    the ones exact after s slots, up to the last; at most ``_MAX_BINS`` bins."""
+    slots = sample_slots_until_exact(n_inactive, k, p, slot_cap, rng, size)
+    if slots.max() + 2 > _MAX_BINS:
+        raise MemoryError(f"{slots.max()} slots until exact overflow a {_MAX_BINS}-bin histogram")
+    return np.bincount(slots + 1, minlength=2)
+
+
+def _add_counts(counts: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """``counts + more``, the shorter padded with zeros, added into the longer."""
+    longer, shorter = (counts, more) if len(counts) >= len(more) else (more, counts)
+    longer[:len(shorter)] += shorter
+    return longer
 
 
 def run_until_exact_batch(n_inactive: int, k: int, p: float, slot_cap: int,
                           trials: int, seed_base: int, workers: int = 1) -> np.ndarray:
-    """Slots until exact of every trial, in trial order (int64, -1 = censored)."""
+    """int64 histogram of all trials: bin 0 the censored, bin s + 1 those exact after s slots."""
     check("trials", trials)
-    kernel = functools.partial(sample_slots_until_exact, n_inactive, k, p, slot_cap)
-    return np.concatenate(_run_blocks(kernel, trials, TRIAL_BLOCK, seed_base, workers))
+    kernel = functools.partial(_until_exact_block, n_inactive, k, p, slot_cap)
+    return _run_blocks(kernel, trials, TRIAL_BLOCK, seed_base, workers, _add_counts)
 
 
-def build_error_curve(slots_until_exact: np.ndarray, slot_grid: Sequence[int],
+def build_error_curve(counts: np.ndarray, slot_grid: Sequence[int],
                       n_inactive: int, k: int) -> ErrorCurve:
     """Observed frequency of non-recovery per grid slot, and the trials' summary.
 
-    ``slots_until_exact`` holds one entry per trial, -1 for a censored trial,
-    and ``slot_grid`` slots >= 0, as a tuple or a ``range`` does.  A trial
-    counts as failed at grid slot L when it needed more than L slots; censored
-    trials count as failed everywhere.  Both are read off one sort.
-    """
-    finished = np.asarray(slots_until_exact, dtype=np.int64)
-    trials = len(finished)
-    if trials == 0:
-        raise ValueError("need at least one trial")
+    ``counts`` is a histogram from :func:`run_until_exact_batch`, ``slot_grid``
+    slots >= 0, as a tuple or a ``range`` holds them.  A trial fails at grid slot
+    L if it needed more than L slots, a censored one everywhere: all is read off
+    one cumulative count."""
+    finished = np.cumsum(counts[1:])  # finished[s]: trials exact within s slots
+    trials = int(np.sum(counts))
     grid = check_levels(slot_grid)
-    if len(grid) == 0:
-        raise ValueError("slot_grid must not be empty")
-    done = int(np.count_nonzero(finished >= 0))
-    ordered = np.where(finished < 0, np.iinfo(np.int64).max, finished)
-    ordered.sort()  # in place: the only sort, censored trials last
-    observed = (trials - np.searchsorted(ordered, grid, side="right")) / trials
+    if len(counts) < 2 or trials == 0 or len(grid) == 0:
+        raise ValueError("need a trial, bins for censored and 0 slots, and a slot_grid point")
+    done = int(finished[-1])
+    observed = (trials - finished[np.minimum(grid, len(finished) - 1)]) / trials
     bound = bounds.theoretical_error_curve(n_inactive, k, grid)
-    # the middle one or two finished trials, as statistics.median takes them
-    low, high = ordered[[(done - 1) // 2, done // 2]].tolist() if done else [math.nan] * 2
+    # the middle one or two finished trials (as statistics.median takes them), and the last
+    low, high, top = (np.searchsorted(finished, [(done - 1) // 2, done // 2, done - 1],
+                                      side="right").tolist() if done else [math.nan] * 3)
     return ErrorCurve(slot_grid=tuple(grid.tolist()),
                       observed_frequency=tuple(observed.tolist()),
                       theoretical_bound=tuple(bound.tolist()),
                       trials=trials, censored=trials - done,
                       median_slots=low if done % 2 else (low + high) / 2,
-                      max_slots=int(ordered[done - 1]) if done else math.nan)
+                      max_slots=top)
 
 
 def _trace_block(n_inactive: int, k: int, p: float, horizon: int,

@@ -482,7 +482,8 @@ def test_until_exact_summary_keeps_the_median_format(slots):
     finished = [s for s in slots if s >= 0]
     med = statistics.median(finished) if finished else float("nan")
     mx = max(finished) if finished else float("nan")
-    curve = harness.build_error_curve(np.array(slots), (0, 4), 10, 2)
+    curve = harness.build_error_curve(np.bincount(np.array(slots) + 1, minlength=2),
+                                      (0, 4), 10, 2)
     summary = (curve.trials, curve.median_slots, curve.max_slots, curve.censored)
     # Python scalars, which print as the summary line always has
     assert [type(value) for value in summary] == [int, type(med), type(mx), int]
@@ -1025,7 +1026,6 @@ _UNTIL_EXACT = ["simulate", "--n-inactive", "10000", "--k", "20", "--trials", "2
 @pytest.mark.parametrize("argv, flag", [
     ([*_TRACE, "--horizon", str(10**15)], "--horizon 1000000000000000"),
     ([*_TRACE, "--horizon", str(10**9)], "--horizon 1000000000"),
-    ([*_UNTIL_EXACT, "--trials", str(2**63 - 1)], f"--trials {2**63 - 1}"),
     ([*_UNTIL_EXACT, "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
     (["simulate", "--preset", "reference", "--trials", "2", "--seed", "1", "--threads", "1",
       "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
@@ -1033,13 +1033,13 @@ _UNTIL_EXACT = ["simulate", "--n-inactive", "10000", "--k", "20", "--trials", "2
     (["e2e", "--n-inactive", "10", "--k", "100000000000", "--eps", "0.1", "--sigma", "1",
       "--power", "1", "--trials", "1", "--seed", "1", "--threads", "1"],
      "--n-inactive 10, --k 100000000000 and --eps 0.1"),
-], ids=["trace-horizon", "trace-horizon-2GiB", "until-exact-trials", "until-exact-grid",
+], ids=["trace-horizon", "trace-horizon-2GiB", "until-exact-grid",
         "preset-grid", "e2e-trials", "e2e-block"])
 def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
     # each form's largest arrays would not fit: 16 PB of trace sums or of
-    # grid, 147 EB of until-exact or 157 EB of e2e results, 20 TB of one
-    # e2e block's 1.25e12 slots, or at 10**9 slots 32 GB of trace sums
-    # against the child's 2 GiB of address space
+    # grid, 157 EB of e2e results, 20 TB of one e2e block's 1.25e12 slots,
+    # or at 10**9 slots 32 GB of trace sums against the child's 2 GiB of
+    # address space
     place = ["--out-dir", str(tmp_path)] if "--preset" in argv else [
         "--out", str(tmp_path / "x.csv")]
     started = time.perf_counter()
@@ -1054,12 +1054,13 @@ def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_until_exact_curve_holds_its_results_and_one_sorted_copy(tmp_path, capsys):
-    # the results (8 bytes a trial) and the curve's one sorted copy: the
-    # summary line is read off that copy, not sorted again
+def test_until_exact_curve_memory_does_not_grow_with_trials(tmp_path, capsys):
+    # a batch adds up one slot histogram per block, and the curve and its
+    # summary line are read off their sum: a block's draws, two histograms,
+    # the grid and the CSV text, not 8 bytes a trial (16 MB here)
     import tracemalloc
 
-    trials = 200_000
+    trials = 2_000_000
     tracemalloc.start()
     try:
         code, out = run_cli(capsys, [*_UNTIL_EXACT, "--trials", str(trials),
@@ -1068,7 +1069,46 @@ def test_until_exact_curve_holds_its_results_and_one_sorted_copy(tmp_path, capsy
     finally:
         tracemalloc.stop()
     assert code == 0 and f"trials = {trials}  median_slots = " in out
-    assert peak < 24 * trials
+    assert peak < 2 * 2**20
+
+
+def test_until_exact_runs_pass_the_memory_check_at_any_trial_count():
+    # nothing is held per trial, so the largest --trials is a valid run that
+    # would not end (as channel --slots is); the check runs no trial
+    import argparse
+
+    from gtmac import cli
+
+    args = argparse.Namespace(trials=2**63 - 1, grid_max=2500, grid_step=1, p=None,
+                              slot_cap=None)
+    grid, runs = cli._until_exact_runs(cli.build_parser(), args, [(10_000, 20)])
+    assert grid == range(2501)
+    assert runs == [(10_000, 20, 1 / 21, harness.default_slot_cap(10_000, 20))]
+
+
+def _pool_broke():
+    from concurrent.futures.process import BrokenProcessPool
+
+    raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+
+def _interrupted():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("stop, code, message", [
+    (_interrupted, 130, "gtmac: interrupted"),
+    (_pool_broke, 1, "error: A process in the process pool was terminated abruptly"),
+], ids=["interrupt", "broken-pool"])
+def test_a_run_stopped_early_exits_with_one_line(tmp_path, capsys, monkeypatch,
+                                                 stop, code, message):
+    monkeypatch.setattr(harness, "run_until_exact_batch", lambda *args, **kwargs: stop())
+    out = tmp_path / "curve.csv"
+    assert main([*_UNTIL_EXACT, "--threads", "2", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert "effective parameters" in captured.out and "wrote" not in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_channel_and_e2e_reject_an_understated_norm_bound_alike(tmp_path, capsys):

@@ -67,20 +67,24 @@ def test_until_exact_batch_is_worker_count_invariant():
     for trials in (60, 2 * harness.TRIAL_BLOCK + 7):  # one block, then three
         serial = harness.run_until_exact_batch(80, 2, 1 / 3, cap, trials, 5, workers=1)
         parallel = harness.run_until_exact_batch(80, 2, 1 / 3, cap, trials, 5, workers=3)
-        assert serial.dtype == np.int64 and serial.shape == (trials,)
+        # a histogram of every trial, ending at the last finished one
+        assert serial.dtype == np.int64 and serial.sum() == trials and serial[-1] > 0
         assert np.array_equal(serial, parallel)
-        assert np.all(serial > 0)
+        assert serial[0] == serial[1] == 0  # none censored, none exact at slot 0
 
 
 def test_until_exact_batch_seeds_fixed_blocks():
-    # block b of every batch is drawn from SeedSequence((seed_base, b))
+    # block b of every batch is drawn from SeedSequence((seed_base, b)); the
+    # batch adds up the blocks' histograms bin by bin
     trials, cap = harness.TRIAL_BLOCK + 5, harness.default_slot_cap(80, 2)
-    slots = harness.run_until_exact_batch(80, 2, 1 / 3, cap, trials, 6)
-    for block, (lo, hi) in enumerate(((0, harness.TRIAL_BLOCK),
-                                      (harness.TRIAL_BLOCK, trials))):
+    counts = harness.run_until_exact_batch(80, 2, 1 / 3, cap, trials, 6)
+    total = np.zeros(0, dtype=np.int64)
+    for block, size in enumerate((harness.TRIAL_BLOCK, 5)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((6, block))))
-        expected = scheme.sample_slots_until_exact(80, 2, 1 / 3, cap, rng, hi - lo)
-        assert np.array_equal(slots[lo:hi], expected)
+        expected = np.bincount(scheme.sample_slots_until_exact(80, 2, 1 / 3, cap, rng, size) + 1)
+        total = np.pad(total, (0, max(0, len(expected) - len(total))))
+        total[:len(expected)] += expected
+    assert np.array_equal(counts, total)
 
 
 class BlockRan(Exception):
@@ -130,7 +134,7 @@ def test_batch_runners_validate_parameters():
 
 def test_build_error_curve_counts_strictly_larger_and_censored():
     slots = np.array([1, 2, -1])  # the last trial is censored
-    curve = harness.build_error_curve(slots, (0, 1, 2, 3), n_inactive=10, k=1)
+    curve = harness.build_error_curve(np.bincount(slots + 1), (0, 1, 2, 3), n_inactive=10, k=1)
     assert curve.observed_frequency == (1.0, 2 / 3, 1 / 3, 1 / 3)
     assert curve.trials == 3
     assert curve.theoretical_bound == tuple(
@@ -140,27 +144,67 @@ def test_build_error_curve_counts_strictly_larger_and_censored():
 
 
 def test_build_error_curve_matches_per_level_means():
-    # one sort plus searchsorted gives the very floats of a per-level mean
+    # one cumulative count gives the very floats of a per-level mean
     slots = np.random.default_rng(12).integers(-1, 60, size=997)
     grid = range(71)
-    curve = harness.build_error_curve(slots, grid, 10, 1)
+    curve = harness.build_error_curve(np.bincount(slots + 1), grid, 10, 1)
     assert curve.observed_frequency == tuple(
         float(((slots < 0) | (slots > level)).mean()) for level in grid)
 
 
+def _sorted_reading(slots: np.ndarray, grid: range) -> tuple:
+    """An error curve's frequencies, censored count, median and maximum read off
+    one sort of per-trial slots (-1 for a censored trial, sorted last)."""
+    trials, done = len(slots), int(np.count_nonzero(slots >= 0))
+    ordered = np.sort(np.where(slots < 0, np.iinfo(np.int64).max, slots))
+    observed = (trials - np.searchsorted(ordered, grid, side="right")) / trials
+    low, high = ordered[[(done - 1) // 2, done // 2]].tolist() if done else [math.nan] * 2
+    return (tuple(observed.tolist()), trials - done,
+            low if done % 2 else (low + high) / 2,
+            int(ordered[done - 1]) if done else math.nan)
+
+
+@pytest.mark.parametrize("trials", [2000, 2001])
+@pytest.mark.parametrize("n_inactive, k, p, cap", [
+    (0, 3, 0.25, 50),            # every trial exact at slot 0
+    (1, 1, 0.5, 1000),
+    (1, 1, 0.5, 3),              # some censored
+    (10_000, 20, 1 / 21, 1000),
+    (10_000, 20, 1 / 21, 520),   # about half censored
+    (10_000, 20, 1 / 21, 0),     # all censored
+    (10_000, 20, 0.0, 100),      # nothing is ever removed
+])
+def test_histogram_curve_matches_a_sort_of_the_same_draws(n_inactive, k, p, cap, trials):
+    slots = scheme.sample_slots_until_exact(n_inactive, k, p, cap,
+                                            np.random.default_rng(trials + cap), trials)
+    grid = range(0, 2 * max(int(slots.max()), 1) + 5, 3)  # well past the maximum
+    curve = harness.build_error_curve(np.bincount(slots + 1, minlength=2), grid, n_inactive, k)
+    # repr tells an int from a float and matches nan to nan
+    assert repr((curve.observed_frequency, curve.censored, curve.median_slots,
+                 curve.max_slots)) == repr(_sorted_reading(slots, grid))
+    assert curve.trials == trials
+
+
+def test_until_exact_block_refuses_a_histogram_past_its_bins(monkeypatch):
+    monkeypatch.setattr(harness, "_MAX_BINS", 10)
+    with pytest.raises(MemoryError, match="slots until exact overflow a 10-bin histogram"):
+        harness.run_until_exact_batch(80, 2, 1 / 3, harness.default_slot_cap(80, 2), 50, 5)
+
+
 def test_build_error_curve_rejects_bad_inputs():
-    slots = np.array([1])
+    counts = np.array([0, 0, 1])  # one trial, exact after 1 slot
+    for empty in (np.array([], dtype=np.int64), np.array([0, 0])):
+        with pytest.raises(ValueError):
+            harness.build_error_curve(empty, (0, 1), 10, 1)
     with pytest.raises(ValueError):
-        harness.build_error_curve(np.array([], dtype=np.int64), (0, 1), 10, 1)
+        harness.build_error_curve(counts, (), 10, 1)
     with pytest.raises(ValueError):
-        harness.build_error_curve(slots, (), 10, 1)
-    with pytest.raises(ValueError):
-        harness.build_error_curve(slots, (-1, 2), 10, 1)
+        harness.build_error_curve(counts, (-1, 2), 10, 1)
 
 
 _GRID_CONSUMERS = {
     "build_error_curve": lambda levels: harness.build_error_curve(
-        np.array([3, 5]), levels, 10, 1),
+        np.bincount([4, 6]), levels, 10, 1),
     "exact_error_curve": lambda levels: bounds.exact_error_curve(100, 2, 0.3, levels),
     "theoretical_error_curve": lambda levels: bounds.theoretical_error_curve(
         100, 2, levels),
