@@ -220,10 +220,8 @@ def _cmd_trace(parser, args) -> int:
 
     p = optimal_choice_probability(args.k) if args.p is None else args.p
     check("trace_trials", args.trials, "--trials")
-    # every seeded block's (2, horizon + 1) sums, and the total they add up to
-    blocks = -(-args.trials // harness.TRIAL_BLOCK) + 1
-    _check_memory(parser, [(16 * (args.horizon + 1) * blocks,
-                            f"--horizon {args.horizon} and --trials {args.trials}")])
+    # the trace's four output columns, 8 bytes a slot each, whatever --trials is
+    _check_memory(parser, [(32 * (args.horizon + 1), f"--horizon {args.horizon}")])
     _writable(args.out)
     _echo({**vars(args), "p": p})
     trace = harness.expectation_trace(args.n_inactive, args.k, p, args.trials, args.horizon,
@@ -279,12 +277,9 @@ def _cmd_e2e(parser, args) -> int:
     if plan.repetitions:  # checked as in channel; a plan with no slot has none
         check("repetitions", plan.repetitions, "the repetitions that --n-inactive, --k, "
               "--eps, --big-k, --power and --c plan")
-    # each trial's success and failure probability (9 bytes) and the
-    # probabilities' concatenated copy; a block of at least one trial, whose
-    # noise averages and the float sums its decode compares take 8 bytes a
-    # slot each, beside its sender counts
-    _check_memory(parser, [(17 * trials, f"--trials {trials}"),
-                           (16 * plan.slots, f"--n-inactive {n}, --k {k} and --eps {eps}")])
+    # a block of at least one trial, whose noise averages and the float sums
+    # its decode compares take 8 bytes a slot each; nothing is held per trial
+    _check_memory(parser, [(16 * plan.slots, f"--n-inactive {n}, --k {k} and --eps {eps}")])
     if out is not None:
         _writable(out)
 

@@ -8,9 +8,9 @@ Until-exact and trace batches are seeded per block: trials
 ``b*TRIAL_BLOCK .. (b+1)*TRIAL_BLOCK - 1``, with ``TRIAL_BLOCK`` = 8192, are
 drawn together by the surplus kernel from ``SeedSequence((seed_base, b))``:
 blocks and slots share one seed rule, :func:`gtmac.scheme.slot_rng`, which
-this module binds at import.  Until-exact block histograms add exactly, so
-workers pre-add them; trace and end-to-end block results come back in block
-order.  No result depends on the worker count.
+this module binds at import.  Every block of every batch returns exact
+integer counts, which add up in any grouping: workers pre-add them, nothing
+is held per trial or per block, and no result depends on the worker count.
 
 End-to-end batches are seeded per block by the same rule: a block holds
 ``max(1, 2**16 // slots)`` trials, a constant of the batch's ℓ, and block
@@ -78,12 +78,9 @@ _MAX_BINS = 1 << 24  # of an until-exact histogram, 128 MiB: k up to ~3e5 at N =
 
 def trial_seed(seed_base: int, index: int) -> int:
     """64-bit seed of trial ``index``: SeedSequence((seed_base, index)) hashed down.
-
-    No batch seeds per trial any more; perfbench/tracing.py patches this name.
-    """
+    No batch seeds per trial any more; perfbench/tracing.py patches this name."""
     check("index", index)
-    ss = np.random.SeedSequence((seed_base, index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(np.random.SeedSequence((seed_base, index)).generate_state(1, np.uint64)[0])
 
 
 def _end_to_end_block(slots: int) -> int:
@@ -153,10 +150,10 @@ def simulate_until_exact(n_inactive: int, k: int, p: float, seed: int,
     return RunRecord(trial_seed=seed, slots_until_exact=None if slots < 0 else slots)
 
 
-def _seeded_blocks(kernel, add, trials: int, block: int, seed_base: int, blocks: range):
-    """Each block's ``kernel(rng, size)``, added up as in :func:`_run_blocks`."""
+def _seeded_blocks(kernel, trials: int, block: int, seed_base: int, blocks: range):
+    """Each block's ``kernel(rng, size)``, added up by :func:`_add_counts`."""
     results = (kernel(_block_rng(seed_base, b), min(block, trials - b * block)) for b in blocks)
-    return list(results) if add is None else functools.reduce(add, results)
+    return functools.reduce(_add_counts, results)
 
 
 def _pool_size(threads: int, tasks: int, cpus: int) -> int:
@@ -164,19 +161,19 @@ def _pool_size(threads: int, tasks: int, cpus: int) -> int:
     return max(1, min(threads, tasks, cpus))
 
 
-def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int, add=None):
-    """``kernel(rng, size)`` of every seeded block of ``trials``, added up by ``add``.
+def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int):
+    """The sum of ``kernel(rng, size)``'s counts over every seeded block of ``trials``.
 
     Block b holds trials ``b*block`` up to the next block's first and draws
     from its own seed.  Each worker adds a contiguous range of blocks and the
-    parent adds the ranges: with an exact ``add``, or None for a list in block
-    order, no result depends on the worker count.  ``kernel`` and ``add``
-    pickle into workers; nothing is made per block before the blocks run.
+    parent adds the ranges, by :func:`_add_counts`: the counts are exact, so
+    no result depends on the worker count.  ``kernel`` pickles into workers;
+    nothing is made per block before the blocks run.
     """
     check("workers", workers)
     count = -(-trials // block)
     size = _pool_size(workers, count, os.cpu_count() or 1)
-    run = functools.partial(_seeded_blocks, kernel, add, trials, block, seed_base)
+    run = functools.partial(_seeded_blocks, kernel, trials, block, seed_base)
     if size == 1:
         return run(range(count))
     # imported here: the pool's modules cost a one-worker run ~9 ms of start-up
@@ -184,9 +181,8 @@ def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int, a
 
     step = -(-count // (8 * size))
     with ProcessPoolExecutor(max_workers=size) as pool:
-        parts = pool.map(run, (range(lo, min(lo + step, count))
-                               for lo in range(0, count, step)))
-        return [r for part in parts for r in part] if add is None else functools.reduce(add, parts)
+        return functools.reduce(_add_counts, pool.map(
+            run, (range(lo, min(lo + step, count)) for lo in range(0, count, step))))
 
 
 def _until_exact_block(n_inactive: int, k: int, p: float, slot_cap: int,
@@ -200,7 +196,8 @@ def _until_exact_block(n_inactive: int, k: int, p: float, slot_cap: int,
 
 
 def _add_counts(counts: np.ndarray, more: np.ndarray) -> np.ndarray:
-    """``counts + more``, the shorter padded with zeros, added into the longer."""
+    """``counts + more``, the one with fewer rows padded with zeros, added into the
+    other: int64 histograms and tables, and object arrays of Python ints, alike."""
     longer, shorter = (counts, more) if len(counts) >= len(more) else (more, counts)
     longer[:len(shorter)] += shorter
     return longer
@@ -211,7 +208,7 @@ def run_until_exact_batch(n_inactive: int, k: int, p: float, slot_cap: int,
     """int64 histogram of all trials: bin 0 the censored, bin s + 1 those exact after s slots."""
     check("trials", trials)
     kernel = functools.partial(_until_exact_block, n_inactive, k, p, slot_cap)
-    return _run_blocks(kernel, trials, TRIAL_BLOCK, seed_base, workers, _add_counts)
+    return _run_blocks(kernel, trials, TRIAL_BLOCK, seed_base, workers)
 
 
 def build_error_curve(counts: np.ndarray, slot_grid: Sequence[int],
@@ -241,21 +238,33 @@ def build_error_curve(counts: np.ndarray, slot_grid: Sequence[int],
                       max_slots=top)
 
 
+_LIMB = 21  # bits: a limb product summed over up to 2**21 values stays in int64
+
+
+def _limb_sums(values: np.ndarray, limbs: int) -> tuple[int, int]:
+    """Exact sums of ``values`` below 2**(21*limbs) and of their squares, as ints:
+    each value is split into 21-bit limbs, summed, and multiplied pairwise in int64."""
+    parts = values[None] if limbs == 1 else values >> np.arange(0, _LIMB * limbs, _LIMB)[:, None]
+    parts[:-1] &= (1 << _LIMB) - 1  # the top limb is below 2**21 already
+    # einsum's own loop: int64 has no BLAS, and no BLAS thread runs beside a worker
+    products = np.einsum("ir,jr->ij", parts, parts).tolist()
+    return (sum(part << _LIMB * i for i, part in enumerate(parts.sum(axis=1).tolist())),
+            sum(product << _LIMB * (i + j)
+                for i, row in enumerate(products) for j, product in enumerate(row)))
+
+
 def _trace_block(n_inactive: int, k: int, p: float, horizon: int,
                  rng: np.random.Generator, size: int) -> np.ndarray:
-    """Per-slot sum (row 0) and sum of squares (row 1) of ``size`` trials' surplus.
-
-    An exact run adds 0 to both, so only the live runs are summed, and no
-    slot once none is left.
-    """
-    sums = np.zeros((2, horizon + 1))
-    for i, live in enumerate(_live_steps(n_inactive, k, p, horizon, rng, size)):
+    """Per-slot sum and sum of squares of ``size`` trials' surplus, a row of ints a
+    slot up to the last with a live run: an exact run adds 0 to both, and a
+    surplus never exceeds N, which sets its limbs."""
+    limbs = max(1, -(-n_inactive.bit_length() // _LIMB))
+    rows = []
+    for live in _live_steps(n_inactive, k, p, horizon, rng, size):
         if not live.size:
             break
-        values = live.astype(float)
-        # einsum's own loop, not BLAS's ddot: no BLAS thread runs beside a worker
-        sums[:, i] = values.sum(), np.einsum("i,i", values, values)
-    return sums
+        rows.append(_limb_sums(live, limbs))
+    return np.array(rows, dtype=object).reshape(-1, 2)
 
 
 def expectation_trace(n_inactive: int, k: int, p: float, trials: int, horizon: int,
@@ -263,56 +272,53 @@ def expectation_trace(n_inactive: int, k: int, p: float, trials: int, horizon: i
     """Empirical mean surplus per slot over ``trials`` surplus-kernel runs.
 
     Each seeded block of trials is stepped together by the step kernel of
-    :func:`gtmac.scheme.surplus_steps`, whose live runs are summed per slot;
-    block sums add up in block order.  Slot 0 is the deterministic starting
-    surplus.  ``std_error`` is the sample standard deviation over trials
-    divided by sqrt(trials); the prediction column is
-    :func:`gtmac.bounds.expected_remaining`.  Every parameter is checked
-    before any block runs.
+    :func:`gtmac.scheme.surplus_steps`, whose live runs add to exact int sums
+    S1 and S2 of the surplus and its square.  Slot 0 is the deterministic
+    starting surplus.  The mean S1/T and ``std_error``, the sample standard
+    deviation over sqrt(T), ``sqrt((T*S2 - S1**2) / (T**2 (T-1)))``, are taken
+    from the exact ints; the prediction column is :func:`gtmac.bounds.expected_remaining`.
+    Every parameter is checked before any block runs.
     """
-    check("n_inactive", n_inactive)
-    check("k", k)
-    check("p", p)
-    check("trace_trials", trials)
-    check("horizon", horizon)
+    n_inactive, k, p = check("n_inactive", n_inactive), check("k", k), check("p", p)
+    trials, horizon = check("trace_trials", trials), check("horizon", horizon)
     kernel = functools.partial(_trace_block, n_inactive, k, p, horizon)
-    sums, sums_sq = sum(_run_blocks(kernel, trials, TRIAL_BLOCK, seed_base, workers),
-                        np.zeros((2, horizon + 1)))
-    mean = sums / trials
-    variance = np.maximum(sums_sq - trials * mean * mean, 0.0) / (trials - 1)
-    std_error = np.sqrt(variance / trials)
+    sums = _run_blocks(kernel, trials, TRIAL_BLOCK, seed_base, workers).tolist()
+    sums += [[0, 0]] * (horizon + 1 - len(sums))  # no run is live past the last row
     predicted = bounds.expected_remaining(n_inactive, k, p, np.arange(horizon + 1))
-    return ExpectationTrace(tuple(range(horizon + 1)), tuple(mean.tolist()),
-                            tuple(std_error.tolist()), tuple(predicted.tolist()))
+    scale = trials * trials * (trials - 1)
+    return ExpectationTrace(tuple(range(horizon + 1)), tuple(s1 / trials for s1, _ in sums),
+                            tuple(math.sqrt((trials * s2 - s1 * s1) / scale) for s1, s2 in sums),
+                            tuple(predicted.tolist()))
 
 
 def _comp(n_inactive: int, p: float, senders: np.ndarray, decoded: np.ndarray,
-          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The COMP receiver on a block of decoded slots, one trial per row.
+          rng: np.random.Generator) -> np.ndarray:
+    """The COMP receiver on a block of decoded slots, one trial per row, as a table.
 
     ``senders`` holds each slot's count of active senders, ``decoded`` its
     decoded bit.  A slot with a sender decoded false evicts an active node,
     and the trial fails.  Otherwise each of the N inactive nodes outlasts the
     F slots decoded false with probability (1-p)**F independently, so the
-    trial fails with probability ``bounds._survivors`` at F.  Returns, per
-    trial, whether the active set was recovered, and that failure probability
-    given (evicted, F), 1 after an eviction: a trial fails iff one
-    ``rng.random()`` draw lies below it.
+    trial fails with probability ``bounds._survivors`` at F; it fails iff one
+    ``rng.random()`` draw lies below that, 1 after an eviction.  Returns an
+    int64 table: row 0 counts the trials that evicted, row F + 1 the others
+    that cleared F slots, up to the largest F; column 1 those that failed.
     """
     cleared = ~decoded
     evicted = ((senders > 0) & cleared).any(axis=-1)
-    failure = np.where(evicted, 1.0,
-                       bounds._survivors(n_inactive, p, np.count_nonzero(cleared, axis=-1)))
-    return rng.random(failure.shape) >= failure, failure
+    false_slots = np.count_nonzero(cleared, axis=-1)
+    survivors = bounds._survivors(n_inactive, p, np.arange(false_slots.max() + 1))
+    failed = rng.random(len(evicted)) < np.where(evicted, 1.0, survivors[false_slots])
+    row = np.where(evicted, 0, false_slots + 1)
+    return np.bincount(2 * row + failed, minlength=2 * len(survivors) + 2).reshape(-1, 2)
 
 
 def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float, slots: int,
-                     repetitions: int, rng: np.random.Generator,
-                     trials: int) -> tuple[np.ndarray, np.ndarray]:
+                     repetitions: int, rng: np.random.Generator, trials: int) -> np.ndarray:
     """A block of ``trials`` full noisy-channel trials, drawn from their exact law.
 
-    Returns, per trial, whether the active set was recovered, and the
-    trial's failure probability given its decoded slots (see :func:`_comp`).
+    Returns the int64 table of :func:`_comp`: per eviction or F slots decoded
+    false, the trials that recovered the active set and that failed.
 
     Every trial runs ``slots`` decision steps (ℓ), each a disjunction sent over
     ``repetitions`` channel uses (m), whichever planner sized them; N, k, ℓ,
@@ -333,7 +339,7 @@ def end_to_end_trial(n_inactive: int, k: int, noise: NoiseModel, power: float, s
     n_inactive, k = check("n_inactive", n_inactive), check("k", k)
     trials, slots = check("trials", trials), check("slots", slots)
     if slots == 0:
-        return np.full(trials, n_inactive == 0), np.full(trials, float(n_inactive != 0))
+        return np.array([[0, 0], [0, trials] if n_inactive else [trials, 0]])
     repetitions = check("repetitions", repetitions)
     # only e2e runs need the channel
     from .channel import RepetitionDisjunctionOracle, _table_binomial
@@ -352,27 +358,25 @@ def run_end_to_end_batch(n_inactive: int, k: int, eps: float, noise: NoiseModel,
     Every trial runs ``slots`` steps of ``repetitions`` channel uses (see
     :func:`end_to_end_trial`), checked with N and k before any block runs;
     ``eps``, their target, is reported as ``two_epsilon``: nothing here plans.
-    Trials are drawn in seeded blocks (see the module docstring), their
-    failures counted per block.
+    Trials are drawn in seeded blocks (see the module docstring), whose
+    tables add up.  The conditional failure rate is (evicted + sum_F h[F] *
+    survivors(F)) / trials for h the table's histogram of F: the COMP law of
+    :func:`gtmac.bounds.exact_end_to_end_failure`, h in place of Bin(ℓ, q).
     """
     n_inactive, k = check("n_inactive", n_inactive), check("k", k)
     check("eps", eps)
     trials, slots = check("trials", trials), check("slots", slots)
     repetitions = check("repetitions", repetitions) if slots else repetitions
     kernel = functools.partial(end_to_end_trial, n_inactive, k, noise, power, slots, repetitions)
-    parts, conditional = zip(*_run_blocks(kernel, trials, _end_to_end_block(slots),
-                                          seed_base, workers))
-    failures = trials - sum(int(np.count_nonzero(part)) for part in parts)
+    table = _run_blocks(kernel, trials, _end_to_end_block(slots), seed_base, workers)
+    evicted, *held = table.sum(axis=1).tolist()
+    survivors = bounds._survivors(n_inactive, optimal_choice_probability(k), np.arange(len(held)))
+    failures = int(table[:, 1].sum())
     return EndToEndSummary(
-        trials=trials,
-        failures=failures,
-        failure_rate=failures / trials,
-        conditional_failure_rate=float(np.concatenate(conditional).mean()),
-        two_epsilon=2.0 * eps,
-        slots=slots,
-        repetitions=repetitions,
-        total_channel_uses=slots * repetitions,
-    )
+        trials=trials, failures=failures, failure_rate=failures / trials,
+        conditional_failure_rate=math.fsum([evicted, *(held * survivors).tolist()]) / trials,
+        two_epsilon=2.0 * eps, slots=slots, repetitions=repetitions,
+        total_channel_uses=slots * repetitions)
 
 
 # --- CSV layer ---------------------------------------------------------------

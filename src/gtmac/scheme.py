@@ -42,7 +42,7 @@ which run holds which surplus.  It steps a compact vector of the live runs
 touches an exact run: it draws one uniform per live run, and binomials only
 for the useful ones, in ascending order of their surplus.
 :func:`surplus_steps` pads that vector with zeros to the block's length;
-:func:`gtmac.harness.expectation_trace` sums it as it is.
+:func:`gtmac.harness.expectation_trace` adds it, as it is, into exact int sums.
 """
 
 from __future__ import annotations

@@ -1029,17 +1029,15 @@ _UNTIL_EXACT = ["simulate", "--n-inactive", "10000", "--k", "20", "--trials", "2
     ([*_UNTIL_EXACT, "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
     (["simulate", "--preset", "reference", "--trials", "2", "--seed", "1", "--threads", "1",
       "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
-    ([*_E2E, "--trials", str(2**63 - 1)], f"--trials {2**63 - 1}"),
     (["e2e", "--n-inactive", "10", "--k", "100000000000", "--eps", "0.1", "--sigma", "1",
       "--power", "1", "--trials", "1", "--seed", "1", "--threads", "1"],
      "--n-inactive 10, --k 100000000000 and --eps 0.1"),
 ], ids=["trace-horizon", "trace-horizon-2GiB", "until-exact-grid",
-        "preset-grid", "e2e-trials", "e2e-block"])
+        "preset-grid", "e2e-block"])
 def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
-    # each form's largest arrays would not fit: 16 PB of trace sums or of
-    # grid, 157 EB of e2e results, 20 TB of one e2e block's 1.25e12 slots,
-    # or at 10**9 slots 32 GB of trace sums against the child's 2 GiB of
-    # address space
+    # each form's largest arrays would not fit: 32 PB of trace columns, 16 PB
+    # of grid, 20 TB of one e2e block's 1.25e12 slots, or at 10**9 slots 32 GB
+    # of trace columns against the child's 2 GiB of address space
     place = ["--out-dir", str(tmp_path)] if "--preset" in argv else [
         "--out", str(tmp_path / "x.csv")]
     started = time.perf_counter()
@@ -1084,6 +1082,26 @@ def test_until_exact_runs_pass_the_memory_check_at_any_trial_count():
     grid, runs = cli._until_exact_runs(cli.build_parser(), args, [(10_000, 20)])
     assert grid == range(2501)
     assert runs == [(10_000, 20, 1 / 21, harness.default_slot_cap(10_000, 20))]
+
+
+class _BatchStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, batch", [
+    ([*_E2E, "--trials", str(2**63 - 1)], "run_end_to_end_batch"),
+    ([*_TRACE, "--trials", str(2**63 - 1)], "expectation_trace"),
+], ids=["e2e", "trace"])
+def test_trace_and_e2e_pass_the_memory_check_at_any_trial_count(tmp_path, capsys, monkeypatch,
+                                                                argv, batch):
+    # nothing is held per trial or per block, so the largest --trials passes
+    # the memory check, a valid run that would not end; its batch stops here
+    def started(*args, **kwargs):
+        raise _BatchStarted
+
+    monkeypatch.setattr(harness, batch, started)
+    with pytest.raises(_BatchStarted):
+        main([*argv, "--out", str(tmp_path / "x.csv")])
 
 
 def _pool_broke():

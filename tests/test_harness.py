@@ -15,6 +15,16 @@ from gtmac._ranges import check_levels
 from gtmac.channel import NoiseModel, RepetitionDisjunctionOracle, gaussian, rademacher
 
 
+def _per_trial(table: np.ndarray, n_inactive: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial of an end-to-end table, in row order: whether it failed, and its
+    failure probability given its row -- 1 after an eviction (row 0), else the
+    survivors law at the F of row F + 1."""
+    law = np.r_[1.0, bounds._survivors(n_inactive, p, np.arange(len(table) - 1))]
+    counts = table.ravel()
+    return (np.repeat(np.tile([False, True], len(table)), counts),
+            np.repeat(np.repeat(law, 2), counts))
+
+
 def _plan_uses(n_inactive: int, k: int, eps: float) -> tuple[int, int]:
     """The slots and repetitions (l, m) that ``gtmac e2e`` plans at K = P = 1, c = 1/8."""
     plan = bounds.plan_channel_uses(n_inactive, k, eps, 1.0, 1.0, 0.125)
@@ -96,13 +106,14 @@ def refuse_block(rng, size):
 
 
 def block_size(rng, size):
-    return size
+    return np.bincount([size])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_block_runner_sizes_each_block_from_its_index(workers):
-    assert harness._run_blocks(block_size, 10, 4, 0, workers) == [4, 4, 2]
-    assert harness._run_blocks(block_size, 8, 4, 0, workers) == [4, 4]
+    # each block counts its own size: blocks of 4, 4 and 2, then of 4 and 4
+    assert harness._run_blocks(block_size, 10, 4, 0, workers).tolist() == [0, 0, 1, 0, 2]
+    assert harness._run_blocks(block_size, 8, 4, 0, workers).tolist() == [0, 0, 0, 0, 2]
     # 2**62 trials are 2**50 blocks: a list of their sizes would not fit in
     # memory, so the first block's error must come before any such list
     with pytest.raises(BlockRan) as info:
@@ -341,14 +352,16 @@ def test_live_run_kernel_makes_the_whole_block_loops_draws(n_inactive, p, count)
     assert rng.bit_generator.state == reference.bit_generator.state
     rng = np.random.default_rng(23)
     sums = harness._trace_block(n_inactive, k, p, horizon, rng, count)
-    values = np.array(paths, dtype=float)
-    assert np.array_equal(sums, [values.sum(axis=1), (values * values).sum(axis=1)])
+    # one row a slot up to the last with a live run, of exact Python ints
+    live = [path.tolist() for path in paths if path.any()]
+    assert sums.tolist() == [[sum(v), sum(x * x for x in v)] for v in live]
+    assert not any(path.any() for path in paths[len(live):])
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_expectation_trace_sums_fixed_blocks_in_block_order():
-    # block b is stepped from SeedSequence((seed_base, b)); its sums add to
-    # the earlier blocks' in block order
+    # block b is stepped from SeedSequence((seed_base, b)); its exact sums
+    # add to the other blocks'
     trials = harness.TRIAL_BLOCK + 5
     trace = harness.expectation_trace(40, 2, 1 / 3, trials, 6, seed_base=6)
     sums = np.zeros(7)
@@ -357,6 +370,42 @@ def test_expectation_trace_sums_fixed_blocks_in_block_order():
         for i, surplus in enumerate(scheme.surplus_steps(40, 2, 1 / 3, 6, rng, size)):
             sums[i] += surplus.sum()
     assert trace.empirical_mean == tuple((sums / trials).tolist())
+
+
+@pytest.mark.parametrize("n_inactive", [1000, 10**8, 10**12])
+def test_expectation_trace_is_exact_at_any_population(n_inactive):
+    # every slot's mean and standard error are rounded once from Python-int
+    # sums of the same blocks' surpluses; at N = 10**12 float sums of squares
+    # lost slot 0's zero spread to cancellation, reading 1414.64
+    k, p, horizon, trials, seed = 3, 0.25, 6, 20_000, 1
+    trace = harness.expectation_trace(n_inactive, k, p, trials, horizon, seed_base=seed)
+    sums = [[0, 0] for _ in range(horizon + 1)]
+    for block in range(-(-trials // harness.TRIAL_BLOCK)):
+        size = min(harness.TRIAL_BLOCK, trials - block * harness.TRIAL_BLOCK)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+        for row, surplus in zip(sums, scheme.surplus_steps(n_inactive, k, p, horizon, rng, size)):
+            values = surplus.tolist()
+            row[0] += sum(values)
+            row[1] += sum(v * v for v in values)
+    assert trace.std_error[0] == 0.0
+    assert trace.empirical_mean == tuple(s1 / trials for s1, _ in sums)
+    assert trace.std_error == tuple(math.sqrt((trials * s2 - s1 * s1) / (trials**2 * (trials - 1)))
+                                    for s1, s2 in sums)
+
+
+def test_limb_sums_are_exact_near_the_int64_limit():
+    values = np.array([2**63 - 1, 2**63 - 2, 2**62 + 12345, 2**42 - 1, 2**21, 1, 0])
+    exact = values.tolist()
+    assert harness._limb_sums(values, 3) == (sum(exact), sum(v * v for v in exact))
+    # a block of the largest surplus: every limb is 2**21 - 1, and each limb
+    # product's sum over the block stays in int64
+    values = np.full(harness.TRIAL_BLOCK, 2**63 - 1)
+    assert harness._limb_sums(values, 3) == (harness.TRIAL_BLOCK * (2**63 - 1),
+                                             harness.TRIAL_BLOCK * (2**63 - 1) ** 2)
+    # one limb below 2**21
+    values = np.arange(2**21 - 8, 2**21)
+    exact = values.tolist()
+    assert harness._limb_sums(values, 1) == (sum(exact), sum(v * v for v in exact))
 
 
 @pytest.mark.parametrize("run", [
@@ -375,13 +424,14 @@ def test_batch_runners_reject_a_bool_worker_count(run):
 def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
     # noiseless channel, generous budget: recovery succeeds
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
-    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, slots=plan.slots,
-                                          repetitions=plan.repetitions,
-                                          rng=np.random.default_rng(31), trials=1)
-    assert success.dtype == bool and success.tolist() == [True]
-    success, _ = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan.slots,
-                                          plan.repetitions, np.random.default_rng(31), 1)
-    assert success.tolist() == [True]
+    table = harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, slots=plan.slots,
+                                     repetitions=plan.repetitions,
+                                     rng=np.random.default_rng(31), trials=1)
+    # columns: recovered, failed
+    assert table.dtype == np.int64 and table.sum(axis=0).tolist() == [1, 0]
+    table = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan.slots,
+                                     plan.repetitions, np.random.default_rng(31), 1)
+    assert table.sum(axis=0).tolist() == [1, 0]
 
 
 def test_end_to_end_batch_summary_fields():
@@ -392,12 +442,13 @@ def test_end_to_end_batch_summary_fields():
     assert summary.trials == 40
     # replay the batch block by block from each block's seed
     block = harness._end_to_end_block(plan.slots)
-    successes = np.concatenate([
-        harness.end_to_end_trial(40, 2, noise, 1.0, plan.slots, plan.repetitions,
-                                 harness._block_rng(32, b // block), min(block, 40 - b))[0]
-        for b in range(0, 40, block)])
-    assert successes.dtype == bool and successes.shape == (40,)
-    assert summary.failures == int((~successes).sum())
+    tables = [harness.end_to_end_trial(40, 2, noise, 1.0, plan.slots, plan.repetitions,
+                                       harness._block_rng(32, b // block), min(block, 40 - b))
+              for b in range(0, 40, block)]
+    assert all(table.dtype == np.int64 for table in tables)
+    recovered, failed = sum(table.sum(axis=0) for table in tables).tolist()
+    assert recovered + failed == 40
+    assert summary.failures == failed
     assert summary.failure_rate == summary.failures / 40
     assert summary.two_epsilon == pytest.approx(0.2)
     assert (summary.slots, summary.repetitions, summary.total_channel_uses) == \
@@ -516,7 +567,7 @@ def test_active_row_path_matches_node_level_scheme(noise, monkeypatch):
         return blocks[-1][1]
 
     monkeypatch.setattr(RepetitionDisjunctionOracle, "decode_block", spy)
-    row_success, _ = harness.end_to_end_trial(
+    row_table = harness.end_to_end_trial(
         n_inactive, k, gaussian(0.0) if noise is None else noise, 1.0, slots, 2, rng, runs)
     ((senders, decoded),) = blocks
     assert senders.shape == decoded.shape == (runs, slots)
@@ -525,10 +576,10 @@ def test_active_row_path_matches_node_level_scheme(noise, monkeypatch):
         decodes.append(scheme.IdealDisjunctionOracle().decode_block(senders))
 
     assert 0.1 < node_success.mean() < 0.9
-    for success in [row_success] + [harness._comp(n_inactive, p, senders, bits, rng)[0]
-                                     for bits in decodes]:
+    for table in [row_table] + [harness._comp(n_inactive, p, senders, bits, rng)
+                                for bits in decodes]:
         successes = [[node_success.sum(), runs - node_success.sum()],
-                     [success.sum(), runs - success.sum()]]
+                     table.sum(axis=0).tolist()]
         assert scipy.stats.fisher_exact(successes).pvalue > 1e-3
     table = _merged_columns(np.bincount(node_false, minlength=slots + 1),
                             np.bincount(np.count_nonzero(~decoded, axis=1),
@@ -548,14 +599,20 @@ def test_comp_decides_each_trial_from_its_senders_and_decodes():
     senders = np.array([np.r_[1, useful[1:]], np.r_[0, 2, useful[2:]], useful])
     decoded = np.array([np.zeros(60, dtype=bool), np.arange(60) < 58,
                         np.ones(60, dtype=bool)])
-    recovered, conditional = harness._comp(n_inactive, p, senders, decoded, rng)
-    assert not recovered[0] and conditional[0] == 1.0
-    assert conditional[1] == pytest.approx(1 - (1 - (1 - p) ** 2) ** n_inactive)
-    assert not recovered[2] and conditional[2] == 1.0
+    # rows: evicted, then F = 0, 1, ..., 60 (row 0's false slots); columns:
+    # recovered, failed
+    table = harness._comp(n_inactive, p, senders, decoded, rng)
+    assert table.dtype == np.int64 and table.shape == (62, 2)
+    assert table[0].tolist() == [0, 1]  # row 0 evicts
+    assert table[1].tolist() == [0, 1]  # row 2 at F = 0 keeps every inactive node
+    assert table[3].sum() == 1  # row 1 at F = 2
+    assert table.sum() == 3
+    failed, conditional = _per_trial(table, n_inactive, p)
+    assert conditional.tolist() == pytest.approx([1.0, 1.0, 1 - (1 - (1 - p) ** 2) ** n_inactive])
     # with no inactive node a trial fails only through an eviction
-    recovered, conditional = harness._comp(0, p, senders, decoded, rng)
-    assert recovered.tolist() == [False, True, True]
-    assert conditional.tolist() == [1.0, 0.0, 0.0]
+    table = harness._comp(0, p, senders, decoded, rng)
+    assert (table[0].tolist(), table[1].tolist(), table[3].tolist()) == ([0, 1], [1, 0], [1, 0])
+    assert table.sum() == 3
 
 
 def test_comp_fails_each_trial_with_its_survivors_probability():
@@ -568,18 +625,19 @@ def test_comp_fails_each_trial_with_its_survivors_probability():
     senders[:, -1] = 2
     evicted = np.arange(len(false_slots)) >= 3 * rows
     senders[evicted, 0] = 1
-    recovered, failure = harness._comp(n_inactive, p, senders, decoded,
-                                       np.random.default_rng(37))
-    law = bounds._survivors(n_inactive, p, false_slots)
-    assert failure.tolist() == np.where(evicted, 1.0, law).tolist()
-    assert not recovered[evicted].any()
-    for f in range(3):  # survivors law 0.724, 0.332 and 0.119
-        failed = rows - int(np.count_nonzero(recovered[f * rows:(f + 1) * rows]))
-        assert scipy.stats.binomtest(failed, rows, law[f * rows]).pvalue > 1e-3
+    table = harness._comp(n_inactive, p, senders, decoded, np.random.default_rng(37))
+    # row 0 holds the evicted rows, row F + 1 the others at F, up to F = 20
+    held = np.zeros(22, dtype=np.int64)
+    held[[0, 13, 17, 21]] = rows
+    assert table.sum(axis=1).tolist() == held.tolist()
+    assert table[0].tolist() == [0, rows]
+    for f in (12, 16, 20):  # survivors law 0.724, 0.332 and 0.119
+        law = float(bounds._survivors(n_inactive, p, f))
+        assert scipy.stats.binomtest(int(table[f + 1, 1]), rows, law).pvalue > 1e-3
     # with no inactive node a trial fails only through an eviction
-    recovered, failure = harness._comp(0, p, senders, decoded, np.random.default_rng(38))
-    assert recovered.tolist() == (~evicted).tolist()
-    assert failure.tolist() == evicted.astype(float).tolist()
+    table = harness._comp(0, p, senders, decoded, np.random.default_rng(38))
+    assert table.sum(axis=1).tolist() == held.tolist()
+    assert table[:, 1].tolist() == [rows] + [0] * 21
 
 
 def test_conditional_failure_rate_matches_exact_law():
@@ -589,14 +647,16 @@ def test_conditional_failure_rate_matches_exact_law():
     batch = (500, 5, 0.05, gaussian(1.0), 1.0, plan.slots, plan.repetitions, 2000, 20260816)
     summary = harness.run_end_to_end_batch(*batch)
     # replay the batch block by block from each block's seed
-    block = harness._end_to_end_block(plan.slots)
-    conditional = np.concatenate([
+    block, p = harness._end_to_end_block(plan.slots), scheme.optimal_choice_probability(5)
+    conditional = np.concatenate([_per_trial(
         harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan.slots, plan.repetitions,
                                  harness._block_rng(batch[-1], b // block),
-                                 min(block, summary.trials - b))[1]
+                                 min(block, summary.trials - b)), 500, p)[1]
         for b in range(0, summary.trials, block)])
     assert len(conditional) == summary.trials
-    assert summary.conditional_failure_rate == float(np.mean(conditional))
+    # the batch sums each F's law times its count exactly, not trial by trial
+    assert summary.conditional_failure_rate == pytest.approx(float(np.mean(conditional)),
+                                                             rel=1e-12, abs=0)
     se = np.std(conditional, ddof=1) / math.sqrt(summary.trials)
     exact = bounds.exact_end_to_end_failure(500, 5, scheme.optimal_choice_probability(5),
                                             plan.slots, plan.repetitions, 1.0, 1.0)
@@ -606,26 +666,26 @@ def test_conditional_failure_rate_matches_exact_law():
 def test_end_to_end_trial_conditional_failure_edge_cases():
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
     # noiseless: nothing is evicted, and 50 nodes rarely outlast the plan
-    success, conditional = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan.slots,
-                                                    plan.repetitions,
-                                                    np.random.default_rng(31), 1)
-    assert success.tolist() == [True]
+    table = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan.slots, plan.repetitions,
+                                     np.random.default_rng(31), 1)
+    failed, conditional = _per_trial(table, 50, 1 / 3)
+    assert failed.tolist() == [False] and table[0].tolist() == [0, 0]
     assert 0.0 < conditional[0] < 0.01
     # no inactive node: no slot, and no trial can fail
     empty = bounds.plan_channel_uses(0, 2, 0.01, 1.0, 1.0, 0.125)
-    success, conditional = harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty.slots,
-                                                    empty.repetitions,
-                                                    np.random.default_rng(3), 4)
-    assert success.tolist() == [True] * 4
+    table = harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty.slots, empty.repetitions,
+                                     np.random.default_rng(3), 4)
+    failed, conditional = _per_trial(table, 0, 1 / 3)
+    assert failed.tolist() == [False] * 4
     assert conditional.tolist() == [0.0] * 4
     # every slot decoded true: F = 0, so every inactive node survives
     assert bounds._survivors(50, 0.5, np.array([0, 1]))[0] == 1.0
     # an eviction fails the trial whatever F is: noise this loud evicts an
     # active node in every trial
-    success, conditional = harness.end_to_end_trial(50, 2, gaussian(1e3), 1.0, plan.slots,
-                                                    plan.repetitions,
-                                                    np.random.default_rng(5), 8)
-    assert success.tolist() == [False] * 8
+    table = harness.end_to_end_trial(50, 2, gaussian(1e3), 1.0, plan.slots, plan.repetitions,
+                                     np.random.default_rng(5), 8)
+    failed, conditional = _per_trial(table, 50, 1 / 3)
+    assert failed.tolist() == [True] * 8 and table[0].tolist() == [0, 8]
     assert conditional.tolist() == [1.0] * 8
     # the vectorised law against the per-trial formula 1 - (1 - (1-p)**F)**N
     false_slots = np.arange(1, 120)
@@ -688,10 +748,11 @@ def test_no_slot_recovers_exactly_when_there_is_no_inactive_node(repetitions):
     for n_inactive, recovered, conditional in ((0, True, 0.0), (5, False, 1.0)):
         rng = np.random.default_rng(9)
         state = rng.bit_generator.state
-        success, probability = harness.end_to_end_trial(n_inactive, 2, gaussian(1.0), 1.0,
-                                                        0, repetitions, rng, 4)
+        table = harness.end_to_end_trial(n_inactive, 2, gaussian(1.0), 1.0, 0, repetitions,
+                                         rng, 4)
         assert rng.bit_generator.state == state
-        assert success.dtype == bool and success.tolist() == [recovered] * 4
+        failed, probability = _per_trial(table, n_inactive, 1 / 3)
+        assert table.dtype == np.int64 and (~failed).tolist() == [recovered] * 4
         assert probability.tolist() == [conditional] * 4
         summary = harness.run_end_to_end_batch(n_inactive, 2, 0.1, gaussian(1.0), 1.0, 0,
                                                repetitions, 30, 1)
@@ -715,10 +776,10 @@ def test_end_to_end_trial_matches_exact_law_at_an_unplanned_budget(sigma, exact)
     else:
         law = float(bounds.exact_error_curve(n_inactive, k, p, [slots])[0])
     assert law == pytest.approx(exact, rel=1e-6)
-    success, conditional = harness.end_to_end_trial(n_inactive, k, gaussian(sigma), 1.0, slots,
-                                                    repetitions, np.random.default_rng(3030),
-                                                    trials)
-    failures = int(trials - np.count_nonzero(success))
+    failed, conditional = _per_trial(
+        harness.end_to_end_trial(n_inactive, k, gaussian(sigma), 1.0, slots, repetitions,
+                                 np.random.default_rng(3030), trials), n_inactive, p)
+    failures = int(np.count_nonzero(failed))
     assert scipy.stats.binomtest(failures, trials, law).pvalue > 1e-3
     z = (conditional.mean() - law) / (conditional.std(ddof=1) / math.sqrt(trials))
     assert 2 * scipy.stats.norm.sf(abs(z)) > 1e-3
@@ -736,6 +797,21 @@ def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
         tracemalloc.stop()
     assert summary.trials == 20 and summary.slots > 1000
     assert peak < 16 * 2**20
+
+
+def test_end_to_end_batch_memory_does_not_grow_with_trials():
+    # blocks add up one small table each: a block's draws and two tables,
+    # not 17 bytes a trial (34 MB here); gtmac e2e plans l = 26, m = 12 at K = 0.5
+    plan = bounds.plan_channel_uses(20, 1, 0.2, 0.5, 1.0, 0.125)
+    tracemalloc.start()
+    try:
+        summary = harness.run_end_to_end_batch(20, 1, 0.2, gaussian(0.5), 1.0, plan.slots,
+                                               plan.repetitions, 2_000_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (summary.trials, summary.failures) == (2_000_000, 27_588)
+    assert peak < 4 * 2**20
 
 
 # --- CSV -------------------------------------------------------------------------------
