@@ -15,19 +15,19 @@ value`` lines named after the long flags; each value becomes its flag's
 default, so flags beat the file and the file beats the built-in defaults, and
 a key the form does not read is ignored.  Exit codes: 0 success, 2 bad
 usage/parameters (an unread or missing flag, a malformed config file, or a
-value its flag cannot parse: ``argument --k: invalid int value: 'abc'``), 1
-runtime failure (a file, memory or a dead worker; one line, no traceback),
-130 an interrupt.  Every flag given, on the command line or in ``--config``, is
-range-checked once under its own name before any output, whatever the form
-reads: ``--delta must be a real in (0, 1), got 1.5``.
+value its flag cannot parse: ``argument --k: invalid int value: 'abc'``), 1 an
+``OSError`` (a file, a dead worker) or ``MemoryError`` (one line, no traceback;
+its type if no message), 130 an interrupt.  Every flag given, on the command
+line or in ``--config``, is range-checked once under its own name before any
+output, whatever the form reads: ``--delta must be a real in (0, 1), got 1.5``.
 
 This module parses, refuses, echoes and prints; each number it prints comes
 from a layer, so it uses neither numpy nor ``math``.  Start-up is most of a
 short run's time: at the top it imports only ``argparse``, ``bounds`` (pure
 ``math``) and the range checks, so ``gtmac bounds`` loads no numpy and no
 simulation layer; each other handler imports the layers it runs, and the
-process pool, config parser and seed generator load only where used.  The
-records are ``collections.namedtuple`` classes, which need no ``inspect``.
+config parser and seed generator load only where used.  The records are
+``collections.namedtuple`` classes, which need no ``inspect``.
 
 Exit is a fixed cost too: CPython runs full collections over the import graph
 at exit.  So a process entry (``python -m gtmac.cli`` or the ``gtmac`` script,
@@ -123,13 +123,10 @@ def _writable(path: str) -> str:
 
 
 def _check_memory(parser, arrays) -> None:
-    """Exit 2 unless the ``(bytes, flags)`` arrays a form must hold at once fit.
-
-    Each size is a lower bound on what its flags make the form allocate, and
-    the room is the smaller of physical memory and the address-space limit,
-    so a run this refuses could not have finished in memory.  The message
-    names the flags of the largest array.
-    """
+    """Exit 2 unless the ``(bytes, flags)`` arrays a form must hold at once fit in the
+    smaller of physical memory and the address-space limit.  Each size is a lower bound
+    on what its flags make the form allocate, so a run this refuses could not have
+    finished in memory.  The message names the flags of the largest array."""
     import resource  # only a simulate or e2e run pays for it
 
     need = sum(size for size, _ in arrays)
@@ -177,13 +174,13 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _until_exact_runs(parser, args, pairs) -> tuple:
-    """The slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair; exits 2 first if
-    a run cannot hold the grid's tuple and int64 array (8 bytes a point each)."""
+    """The slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair; exits 2 first if a
+    run cannot hold its curve and CSV text: 170 bytes a grid point, their measured peak."""
     from . import harness
     from .scheme import optimal_choice_probability
 
     points = args.grid_max // args.grid_step + 1
-    _check_memory(parser, [(16 * points, f"--grid-max {args.grid_max} and "
+    _check_memory(parser, [(170 * points, f"--grid-max {args.grid_max} and "
                                          f"--grid-step {args.grid_step}")])
     grid = range(0, args.grid_max + 1, args.grid_step)
     # a derived cap is checked here: a huge k puts it past the range
@@ -220,8 +217,8 @@ def _cmd_trace(parser, args) -> int:
 
     p = optimal_choice_probability(args.k) if args.p is None else args.p
     check("trace_trials", args.trials, "--trials")
-    # the trace's four output columns, 8 bytes a slot each, whatever --trials is
-    _check_memory(parser, [(32 * (args.horizon + 1), f"--horizon {args.horizon}")])
+    # the trace's columns and CSV text, 200 bytes a slot at their measured peak
+    _check_memory(parser, [(200 * (args.horizon + 1), f"--horizon {args.horizon}")])
     _writable(args.out)
     _echo({**vars(args), "p": p})
     trace = harness.expectation_trace(args.n_inactive, args.k, p, args.trials, args.horizon,
@@ -438,9 +435,8 @@ def _checked_form(parser, args, argv: list[str]) -> str:
 def main(argv: list[str] | None = None) -> int:
     """Run ``gtmac argv`` (by default ``sys.argv[1:]``) and return its exit code.
 
-    Without ``argv`` this is a process entry: once its flags and config are
-    read, it ends by freezing the heap, whatever the exit code (see the
-    module docstring).  A caller passing ``argv`` keeps its gc state.
+    Without ``argv``, a process entry, it freezes the heap once its flags and config
+    are read, whatever the exit code (see the module docstring); with it, it does not.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -469,12 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))  # exits 2
     except OverflowError as exc:  # a finite input too large to compute with
         parser.error(f"parameter out of range: {exc}")
-    except (OSError, MemoryError, RuntimeError) as exc:
-        # a dead worker breaks the pool, whose module only a run with workers loads
-        broken = getattr(sys.modules.get("concurrent.futures.process"), "BrokenProcessPool", ())
-        if isinstance(exc, RuntimeError) and not isinstance(exc, broken):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # a dead worker is a ChildProcessError
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("gtmac: interrupted", file=sys.stderr)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -74,6 +75,8 @@ __all__ = [
 # 8192 halves the trace kernel's per-slot overhead per run.
 TRIAL_BLOCK = 8192
 _MAX_BINS = 1 << 24  # of an until-exact histogram, 128 MiB: k up to ~3e5 at N = 10**4
+# Linux forks, ~2x faster than 3.14's forkserver and safe: no worker calls BLAS
+_START_METHOD = "fork" if sys.platform == "linux" else "spawn"  # spawn: macOS's default
 
 
 def trial_seed(seed_base: int, index: int) -> int:
@@ -167,8 +170,9 @@ def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int):
     Block b holds trials ``b*block`` up to the next block's first and draws
     from its own seed.  Each worker adds a contiguous range of blocks and the
     parent adds the ranges, by :func:`_add_counts`: the counts are exact, so
-    no result depends on the worker count.  ``kernel`` pickles into workers;
-    nothing is made per block before the blocks run.
+    no result depends on the worker count.  ``kernel`` pickles into workers,
+    which only this function starts (by ``_START_METHOD``; one that dies raises
+    ``ChildProcessError``); nothing is made per block before the blocks run.
     """
     check("workers", workers)
     count = -(-trials // block)
@@ -177,12 +181,16 @@ def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int):
     if size == 1:
         return run(range(count))
     # imported here: the pool's modules cost a one-worker run ~9 ms of start-up
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import get_context
 
     step = -(-count // (8 * size))
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return functools.reduce(_add_counts, pool.map(
-            run, (range(lo, min(lo + step, count)) for lo in range(0, count, step))))
+    try:
+        with ProcessPoolExecutor(size, mp_context=get_context(_START_METHOD)) as pool:
+            return functools.reduce(_add_counts, pool.map(
+                run, (range(lo, min(lo + step, count)) for lo in range(0, count, step))))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(str(exc)) from exc
 
 
 def _until_exact_block(n_inactive: int, k: int, p: float, slot_cap: int,

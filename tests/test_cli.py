@@ -7,6 +7,7 @@ import csv
 import gc
 import io
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -1026,18 +1027,21 @@ _UNTIL_EXACT = ["simulate", "--n-inactive", "10000", "--k", "20", "--trials", "2
 @pytest.mark.parametrize("argv, flag", [
     ([*_TRACE, "--horizon", str(10**15)], "--horizon 1000000000000000"),
     ([*_TRACE, "--horizon", str(10**9)], "--horizon 1000000000"),
+    ([*_TRACE, "--horizon", str(2 * 10**7)], "--horizon 20000000"),
     ([*_UNTIL_EXACT, "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
+    ([*_UNTIL_EXACT, "--grid-max", str(2 * 10**7)], "--grid-max 20000000"),
     (["simulate", "--preset", "reference", "--trials", "2", "--seed", "1", "--threads", "1",
       "--grid-max", str(10**15)], "--grid-max 1000000000000000"),
     (["e2e", "--n-inactive", "10", "--k", "100000000000", "--eps", "0.1", "--sigma", "1",
       "--power", "1", "--trials", "1", "--seed", "1", "--threads", "1"],
      "--n-inactive 10, --k 100000000000 and --eps 0.1"),
-], ids=["trace-horizon", "trace-horizon-2GiB", "until-exact-grid",
-        "preset-grid", "e2e-block"])
+], ids=["trace-horizon", "trace-horizon-2GiB", "trace-horizon-2e7-2GiB", "until-exact-grid",
+        "until-exact-grid-2e7-2GiB", "preset-grid", "e2e-block"])
 def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
-    # each form's largest arrays would not fit: 32 PB of trace columns, 16 PB
-    # of grid, 20 TB of one e2e block's 1.25e12 slots, or at 10**9 slots 32 GB
-    # of trace columns against the child's 2 GiB of address space
+    # each form's largest arrays would not fit: 200 PB of trace, 170 PB of
+    # curve, 20 TB of one e2e block's 1.25e12 slots, or against the child's
+    # 2 GiB of address space 200 GB of trace at 10**9 slots, and 4 GB of trace
+    # or 3.4 GB of curve at 2e7 slots, which the runs need at their peak
     place = ["--out-dir", str(tmp_path)] if "--preset" in argv else [
         "--out", str(tmp_path / "x.csv")]
     started = time.perf_counter()
@@ -1068,6 +1072,39 @@ def test_until_exact_curve_memory_does_not_grow_with_trials(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0 and f"trials = {trials}  median_slots = " in out
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    [*_UNTIL_EXACT, "--grid-max", str(10**5 - 1)],
+    [*_TRACE, "--horizon", str(10**5 - 1)],
+], ids=["until-exact", "trace"])
+def test_memory_checks_count_two_thirds_of_the_peak_up_to_the_peak(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    # the bytes a form's memory check counts for 10**5 grid points or slots
+    # against what the run holds at its peak, the curve's or trace's tuples
+    # and the CSV text, under tracemalloc
+    import tracemalloc
+
+    from gtmac import cli
+
+    counted = []
+    check_memory = cli._check_memory
+
+    def counting(parser, arrays):
+        counted.append(sum(size for size, _ in arrays))
+        check_memory(parser, arrays)
+
+    monkeypatch.setattr(cli, "_check_memory", counting)
+    out = str(tmp_path / "x.csv")
+    run_cli(capsys, [*argv[:-1], "10", "--out", out])  # imports and caches, untraced
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(capsys, [*argv, "--out", out])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert counted[-1] <= peak <= 1.5 * counted[-1]
 
 
 def test_until_exact_runs_pass_the_memory_check_at_any_trial_count():
@@ -1104,20 +1141,13 @@ def test_trace_and_e2e_pass_the_memory_check_at_any_trial_count(tmp_path, capsys
         main([*argv, "--out", str(tmp_path / "x.csv")])
 
 
-def _pool_broke():
-    from concurrent.futures.process import BrokenProcessPool
-
-    raise BrokenProcessPool("A process in the process pool was terminated abruptly")
-
-
 def _interrupted():
     raise KeyboardInterrupt
 
 
 @pytest.mark.parametrize("stop, code, message", [
     (_interrupted, 130, "gtmac: interrupted"),
-    (_pool_broke, 1, "error: A process in the process pool was terminated abruptly"),
-], ids=["interrupt", "broken-pool"])
+], ids=["interrupt"])
 def test_a_run_stopped_early_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                                  stop, code, message):
     monkeypatch.setattr(harness, "run_until_exact_batch", lambda *args, **kwargs: stop())
@@ -1126,6 +1156,39 @@ def test_a_run_stopped_early_exits_with_one_line(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert "effective parameters" in captured.out and "wrote" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+def _die_in_a_worker(*args):
+    """An until-exact block that ends its worker process at once, as a kill would."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("a block ran in the parent")
+    os._exit(1)
+
+
+def test_a_worker_that_dies_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # 20000 trials are 3 blocks, which two workers share; the dead one breaks
+    # the pool, and the CLI reports it as any OSError, with the pool's message
+    monkeypatch.setattr(harness, "_until_exact_block", _die_in_a_worker)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "curve.csv"
+    assert main(["simulate", "--n-inactive", "10000", "--k", "20", "--trials", "20000",
+                 "--seed", "1", "--threads", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: A process in the process pool")
+    assert "effective parameters" in captured.out and "wrote" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_with_no_message_is_named_by_its_type(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(harness, "run_until_exact_batch", out_of_memory)
+    assert main([*_UNTIL_EXACT, "--out", str(tmp_path / "curve.csv")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
     assert list(tmp_path.iterdir()) == []
 
 

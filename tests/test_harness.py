@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -119,6 +122,49 @@ def test_block_runner_sizes_each_block_from_its_index(workers):
     with pytest.raises(BlockRan) as info:
         harness._run_blocks(refuse_block, 2**62, harness.TRIAL_BLOCK, 0, workers)
     assert info.value.args == (harness.TRIAL_BLOCK,)
+
+
+_MARK = 0  # a worker that imports this module afresh reads 0
+
+
+def marked_block(rng, size):
+    return np.array([_MARK])
+
+
+def test_block_runner_forks_on_linux_whatever_the_default_start_method(monkeypatch):
+    # a forked worker copies the parent's patched global, a spawned one
+    # imports 0; two blocks of one trial, one for each of two workers
+    monkeypatch.setattr(sys.modules[__name__], "_MARK", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        total = harness._run_blocks(marked_block, 2, 1, 0, 2)
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert total.tolist() == [14 if sys.platform == "linux" else 0]
+
+
+_LOWSNR = NoiseModel.parse("gaussian=8,uniform=8,rademacher=8")
+_LOWSNR_PLAN = bounds.plan_channel_uses(500, 5, 0.05, 8.0, 1.0, bounds.TAIL_CONSTANT)
+
+
+@pytest.mark.parametrize("batch", [
+    # 20000 trials are 3 blocks of 8192, 8192 and 3616
+    lambda workers: harness.run_until_exact_batch(
+        10_000, 20, 1 / 21, harness.default_slot_cap(10_000, 20), 20_000, 7, workers).tolist(),
+    lambda workers: harness.expectation_trace(1000, 3, 0.25, 20_000, 50, 7, workers),
+    # CI's lowsnr e2e batch: l = 151 slots make blocks of 434 trials, so 4 blocks
+    lambda workers: harness.run_end_to_end_batch(
+        500, 5, 0.05, _LOWSNR, 1.0, _LOWSNR_PLAN.slots, _LOWSNR_PLAN.repetitions, 1500, 7,
+        workers),
+], ids=["until-exact", "trace", "e2e-lowsnr"])
+def test_batches_are_worker_count_invariant_under_fork_and_spawn(monkeypatch, batch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = batch(1)
+    assert batch(2) == serial  # forked workers on Linux
+    monkeypatch.setattr(harness, "_START_METHOD", "spawn")
+    assert batch(2) == serial
 
 
 def test_pool_size_never_exceeds_threads_tasks_or_cpus():
