@@ -23,7 +23,8 @@ K**2/(8*s**2)`` for every member (:meth:`NoiseModel.tail_constant_limit`):
 inverse and the exact gaussian excursion are laws of :mod:`gtmac.bounds`;
 this module only samples: :class:`RepetitionDisjunctionOracle` decodes runs
 of slots, :func:`slot_error_rates` counts the slots whose noise alone
-reaches ``sqrt(P)/2``.
+reaches ``sqrt(P)/2``.  ``_FAMILIES`` holds one record per family: its step
+sampler, its proxy, and its exact excursion law where ``bounds`` has one.
 
 The decoder reads only each slot's noise sum, so :func:`slot_noise_averages`
 draws each member's share of it from the law of a sum of unit steps.  A draw
@@ -38,7 +39,7 @@ above about 270 at p = 1/(k+1)), numpy's ``binomial`` draws instead; the
 route depends on (n, p) only, so no result depends on the worker count.
 
 An oracle is any object with ``decode_block`` (see :func:`gtmac.scheme.run_scheme`),
-so this module imports only numpy and :mod:`gtmac._ranges`, never the scheme.
+so this module imports only numpy, :mod:`gtmac.bounds` and :mod:`gtmac._ranges`.
 """
 
 from __future__ import annotations
@@ -49,13 +50,11 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import bounds
 from ._ranges import check
 
 __all__ = [
     "NoiseModel",
-    "gaussian",
-    "uniform",
-    "rademacher",
     "slot_noise_averages",
     "RepetitionDisjunctionOracle",
     "slot_error_rates",
@@ -68,13 +67,13 @@ class NoiseModel(namedtuple("NoiseModel", "members")):
     ``members`` is a non-empty tuple of ``(family, scale)`` pairs and step t
     uses member ``t mod len(members)``; one member is a plain family.
     ``scale`` means: standard deviation for ``gaussian``, half-width for
-    ``uniform`` on [-a, a], magnitude for ``rademacher`` (fair +/-a).  Each
-    family's proxy s per unit scale is in ``_FAMILIES``.  A declared K and
-    tail constant c are certified when ``c <= K**2/(8*s**2)`` for every
+    ``uniform`` on [-a, a], magnitude for ``rademacher`` (fair +/-a).  A
+    family's record in ``_FAMILIES`` holds its proxy s per unit scale and,
+    for :meth:`exact_excursion`, its exact law if it has one.  A declared K
+    and tail constant c are certified when ``c <= K**2/(8*s**2)`` for every
     member (:meth:`tail_constant_limit`): ``uniform=3`` at K = 2 proves c up
     to 0.1667.  ``largest_scale``, the CLI's default K, is at least every
-    proxy, so it proves the default c = 1/8.  A zero scale is allowed and
-    degenerates to noiseless steps.
+    proxy, so it proves the default c = 1/8.  A zero scale gives noiseless steps.
     """
 
     __slots__ = ()
@@ -117,20 +116,15 @@ class NoiseModel(namedtuple("NoiseModel", "members")):
         steps stray sqrt(P)/2 with probability at most ``2*exp(-m*P/(8*s**2))``.
         K/a is squared: never nan, and inf where it overflows.
         """
-        return min((variance_proxy / a * (variance_proxy / a) * (_FAMILIES[family][1] / 8)
-                    for family, a in self.members if a), default=math.inf)
+        return min((variance_proxy / a * (variance_proxy / a) * (_FAMILIES[name].proxy_ratio / 8)
+                    for name, a in self.members if a), default=math.inf)
 
-
-def gaussian(sigma: float) -> NoiseModel:
-    return NoiseModel((("gaussian", sigma),))
-
-
-def uniform(half_width: float) -> NoiseModel:
-    return NoiseModel((("uniform", half_width),))
-
-
-def rademacher(magnitude: float) -> NoiseModel:
-    return NoiseModel((("rademacher", magnitude),))
+    def exact_excursion(self, power: float, repetitions: int) -> float | None:
+        """P(|slot-averaged noise| >= sqrt(P)/2) by its family's exact law, for one
+        member of scale > 0 whose family has one (gaussian); else None."""
+        [(family, a), *rest] = self.members
+        law = _FAMILIES[family].excursion
+        return None if rest or not a or law is None else law(a, power, repetitions)
 
 
 # A fixed Bin(n, p) is drawn by table: the top _CELL_BITS bits of a 64-bit
@@ -253,13 +247,16 @@ def _uniform_steps(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return 2.0 * sums - n
 
 
-# The noise families NoiseModel accepts, each with its sampler of n-step sums
-# at unit scale and a**2/s**2 at scale a, s its variance proxy, as an exact int:
+_Family = namedtuple("_Family", "step_sums proxy_ratio excursion")
+# The families NoiseModel accepts: ``step_sums(n, size, rng)`` draws sums of n
+# unit-scale steps, ``proxy_ratio`` is a**2/s**2 (s the variance proxy at scale
+# a) as an exact int, ``excursion(a, power, m)`` the exact slot excursion or None:
 #   gaussian(a):   E exp(tZ) = exp(t**2 * a**2 / 2), so s = a;
 #   uniform(a):    sinh(ta)/(ta) <= exp(t**2 * a**2 / 6), so s = a/sqrt(3);
 #   rademacher(a): cosh(ta) <= exp(t**2 * a**2 / 2), so s = a.
-_FAMILIES = {"gaussian": (_gaussian_steps, 1), "uniform": (_uniform_steps, 3),
-             "rademacher": (_rademacher_steps, 1)}
+_FAMILIES = {"gaussian": _Family(_gaussian_steps, 1, bounds.gaussian_slot_error_exact),
+             "uniform": _Family(_uniform_steps, 3, None),
+             "rademacher": _Family(_rademacher_steps, 1, None)}
 
 
 def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
@@ -297,7 +294,7 @@ def slot_noise_averages(model: NoiseModel, repetitions: int, slot_count: int,
     for j, (family, a) in enumerate(model.members):
         if a == 0.0:
             continue
-        step_sums, scale = _FAMILIES[family][0], a / repetitions
+        step_sums, scale = _FAMILIES[family].step_sums, a / repetitions
         if steps:
             averages += scale * step_sums(steps, slot_count, rng)
         longer = np.flatnonzero((j - first) % period < extra)

@@ -90,7 +90,7 @@ def _resolve_noise(parser, args) -> tuple[NoiseModel, float]:
     if args.sigma is not None and args.noise is not None:
         parser.error("give either --sigma or --noise, not both")
     if args.sigma is not None:
-        noise = chan.gaussian(args.sigma)
+        noise = chan.NoiseModel([("gaussian", args.sigma)])
     elif args.noise is not None:
         try:
             noise = chan.NoiseModel.parse(args.noise)
@@ -175,12 +175,12 @@ def _cmd_bounds(parser, args) -> int:
 
 def _until_exact_runs(parser, args, pairs) -> tuple:
     """The slot grid and ``(N, k, p, slot cap)`` of each (N, k) pair; exits 2 first if a
-    run cannot hold its curve and CSV text: 170 bytes a grid point, their measured peak."""
+    run cannot hold its curve while writing it: 130 bytes a grid point, the measured peak."""
     from . import harness
     from .scheme import optimal_choice_probability
 
     points = args.grid_max // args.grid_step + 1
-    _check_memory(parser, [(170 * points, f"--grid-max {args.grid_max} and "
+    _check_memory(parser, [(130 * points, f"--grid-max {args.grid_max} and "
                                          f"--grid-step {args.grid_step}")])
     grid = range(0, args.grid_max + 1, args.grid_step)
     # a derived cap is checked here: a huge k puts it past the range
@@ -217,8 +217,8 @@ def _cmd_trace(parser, args) -> int:
 
     p = optimal_choice_probability(args.k) if args.p is None else args.p
     check("trace_trials", args.trials, "--trials")
-    # the trace's columns and CSV text, 200 bytes a slot at their measured peak
-    _check_memory(parser, [(200 * (args.horizon + 1), f"--horizon {args.horizon}")])
+    # the trace's columns while written, 155 bytes a slot at their measured peak
+    _check_memory(parser, [(155 * (args.horizon + 1), f"--horizon {args.horizon}")])
     _writable(args.out)
     _echo({**vars(args), "p": p})
     trace = harness.expectation_trace(args.n_inactive, args.k, p, args.trials, args.horizon,
@@ -258,9 +258,9 @@ def _cmd_channel(parser, args) -> int:
     print(f"empirical_false_positive_rate = {false_positives!r}")
     print(f"target_slot_error = {delta!r}")
     print(f"tail_bound = {bnd.slot_error_bound(big_k, power, reps, c)!r}")
-    if noise.largest_scale > 0 and noise == chan.gaussian(noise.largest_scale):
-        exact = bnd.gaussian_slot_error_exact(noise.largest_scale, power, reps)
-        print(f"gaussian_exact_excursion = {exact!r}")
+    exact = noise.exact_excursion(power, reps)
+    if exact is not None:
+        print(f"{noise.members[0][0]}_exact_excursion = {exact!r}")
     return 0
 
 

@@ -33,6 +33,7 @@ summary fields too) hold Python ints and floats, never numpy scalars, whose
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import sys
@@ -396,18 +397,20 @@ _END_TO_END_HEADER = ["trials", "failures", "failure_rate", "two_epsilon",
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
-    """The header, then every field's ``repr``: one ``%`` fills a ``%r`` per field."""
-    cells = tuple([cell for row in rows for cell in row])
-    template = ",".join(["%r"] * len(header)) + "\n"
+    """The header, then every field's ``repr``: one ``%`` fills a ``%r`` per field of
+    4096 rows, so the text held at once is one chunk's, not the file's."""
+    template, rows = ",".join(["%r"] * len(header)) + "\n", iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n" + template * (len(cells) // len(header)) % cells)
+        fh.write(",".join(header) + "\n")
+        while cells := tuple(itertools.chain.from_iterable(itertools.islice(rows, 4096))):
+            fh.write(template * (len(cells) // len(header)) % cells)
 
 
 def export_csv(result, path: str) -> None:
     """Write a result object to ``path``; identical inputs give identical bytes."""
     if isinstance(result, ErrorCurve):
         rows = zip(result.slot_grid, result.observed_frequency, result.theoretical_bound,
-                   [result.trials] * len(result.slot_grid))
+                   itertools.repeat(result.trials))
         _write_rows(path, _ERROR_CURVE_HEADER, rows)
     elif isinstance(result, ExpectationTrace):
         rows = zip(result.slots, result.empirical_mean, result.std_error,

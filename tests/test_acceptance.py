@@ -18,7 +18,7 @@ import numpy as np
 import scipy.stats
 
 from gtmac import bounds, harness, scheme
-from gtmac.channel import gaussian, rademacher, slot_noise_averages
+from gtmac.channel import NoiseModel, slot_noise_averages
 from gtmac.cli import main as cli_main
 
 SEED = 20260816
@@ -239,7 +239,7 @@ def test_criterion_5_repetition_code_slot_error():
     slots = 1_000_000
 
     exact = 2.0 * scipy.stats.norm.sf(math.sqrt(power * m) / 2.0)
-    gauss_rate = _excursion_rate(gaussian(1.0), m, slots, threshold, SEED)
+    gauss_rate = _excursion_rate(NoiseModel([("gaussian", 1.0)]), m, slots, threshold, SEED)
     se = math.sqrt(exact * (1.0 - exact) / slots)
     if abs(gauss_rate - exact) > 3.0 * se:
         problems.append(f"gaussian rate {gauss_rate} vs exact {exact:.3e} "
@@ -247,7 +247,7 @@ def test_criterion_5_repetition_code_slot_error():
     if not gauss_rate < delta:
         problems.append(f"gaussian rate {gauss_rate} >= delta")
 
-    rad_rate = _excursion_rate(rademacher(1.0), m, slots, threshold, SEED + 1)
+    rad_rate = _excursion_rate(NoiseModel([("rademacher", 1.0)]), m, slots, threshold, SEED + 1)
     if not rad_rate <= delta:
         problems.append(f"rademacher rate {rad_rate} > delta")
 
@@ -262,8 +262,9 @@ def test_criterion_5_repetition_code_slot_error():
 def test_criterion_6_end_to_end_guarantee():
     started = time.perf_counter()
     plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.TAIL_CONSTANT)
-    summary = harness.run_end_to_end_batch(500, 5, 0.05, gaussian(1.0), 1.0, plan.slots,
-                                           plan.repetitions, 2000, SEED, workers=WORKERS)
+    summary = harness.run_end_to_end_batch(500, 5, 0.05, NoiseModel([("gaussian", 1.0)]), 1.0,
+                                           plan.slots, plan.repetitions, 2000, SEED,
+                                           workers=WORKERS)
     elapsed = time.perf_counter() - started
 
     problems = []

@@ -11,8 +11,7 @@ import scipy.stats
 
 from gtmac import bounds, channel
 from gtmac.bounds import gaussian_slot_error_exact
-from gtmac.channel import (NoiseModel, RepetitionDisjunctionOracle, gaussian, rademacher,
-                           slot_noise_averages, uniform)
+from gtmac.channel import NoiseModel, RepetitionDisjunctionOracle, slot_noise_averages
 
 
 def absolute_moment_ratio(model: NoiseModel, n: int) -> float:
@@ -39,17 +38,17 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel([("lognormal", 1.0)])
     with pytest.raises(ValueError):
-        gaussian(-1.0)
+        NoiseModel([("gaussian", -1.0)])
     with pytest.raises(ValueError):
-        gaussian(float("inf"))
+        NoiseModel([("gaussian", float("inf"))])
     with pytest.raises(ValueError):
         NoiseModel([])
 
 
 def test_largest_scales():
-    assert gaussian(1.5).largest_scale == 1.5
-    assert uniform(2.0).largest_scale == 2.0
-    assert rademacher(0.25).largest_scale == 0.25
+    assert NoiseModel([("gaussian", 1.5)]).largest_scale == 1.5
+    assert NoiseModel([("uniform", 2.0)]).largest_scale == 2.0
+    assert NoiseModel([("rademacher", 0.25)]).largest_scale == 0.25
     assert NoiseModel.parse("gaussian=0.5,rademacher=2.0").largest_scale == 2.0
 
 
@@ -86,12 +85,14 @@ def test_the_largest_scale_proves_the_default_tail_constant(spec):
 
 def test_k_below_the_largest_scale_is_proved_by_the_proxy():
     # uniform on [-3, 3] has proxy sqrt(3) < 2, so K = 2 proves c up to 4/24
-    assert uniform(3.0).tail_constant_limit(2.0) == pytest.approx(1 / 6, rel=1e-15)
-    assert gaussian(3.0).tail_constant_limit(2.0) < bounds.TAIL_CONSTANT
+    assert NoiseModel([("uniform", 3.0)]).tail_constant_limit(2.0) == pytest.approx(
+        1 / 6, rel=1e-15)
+    assert NoiseModel([("gaussian", 3.0)]).tail_constant_limit(2.0) < bounds.TAIL_CONSTANT
 
 
 @pytest.mark.parametrize("model", [
-    gaussian(1.5), uniform(0.0), rademacher(1e-300),
+    NoiseModel([("gaussian", 1.5)]), NoiseModel([("uniform", 0.0)]),
+    NoiseModel([("rademacher", 1e-300)]),
     NoiseModel([("uniform", 0.5), ("rademacher", 1.0), ("gaussian", 2.0)]),
     NoiseModel.parse("gaussian=8,uniform=8,rademacher=8"),
     NoiseModel.parse(" Gaussian = 8 ,UNIFORM=1e-3,, rademacher =8 "),
@@ -120,8 +121,9 @@ def test_malformed_specs_raise_value_error(spec, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("model", [gaussian(1.0), gaussian(1.7), uniform(2.3),
-                                   rademacher(0.9)])
+@pytest.mark.parametrize("model", [
+    NoiseModel([("gaussian", 1.0)]), NoiseModel([("gaussian", 1.7)]),
+    NoiseModel([("uniform", 2.3)]), NoiseModel([("rademacher", 0.9)])])
 def test_norm_bound_dominates_all_moment_ratios(model):
     # the largest scale, the default K, bounds sup_n (E|Z|^n)^(1/n)/sqrt(n)
     ratios = [absolute_moment_ratio(model, n) for n in range(1, 41)]
@@ -169,20 +171,20 @@ def test_schedule_cycles_through_members():
 def test_block_sampler_statistics():
     # at m = 1 the slot averages are single steps of each family
     rng = np.random.default_rng(7)
-    block = slot_noise_averages(gaussian(2.0), 1, 200_000, rng)
+    block = slot_noise_averages(NoiseModel([("gaussian", 2.0)]), 1, 200_000, rng)
     assert abs(block.mean()) < 0.02
     assert block.std() == pytest.approx(2.0, rel=0.01)
-    block = slot_noise_averages(uniform(1.0), 1, 200_000, rng)
+    block = slot_noise_averages(NoiseModel([("uniform", 1.0)]), 1, 200_000, rng)
     assert block.std() == pytest.approx(1 / math.sqrt(3), rel=0.01)
-    assert set(slot_noise_averages(rademacher(2.0), 1, 200, rng)) == {-2.0, 2.0}
-    assert np.all(np.abs(slot_noise_averages(uniform(0.5), 1, 200, rng)) <= 0.5)
-    assert np.all(slot_noise_averages(gaussian(0.0), 1, 10, rng) == 0.0)
+    assert set(slot_noise_averages(NoiseModel([("rademacher", 2.0)]), 1, 200, rng)) == {-2.0, 2.0}
+    assert np.all(np.abs(slot_noise_averages(NoiseModel([("uniform", 0.5)]), 1, 200, rng)) <= 0.5)
+    assert np.all(slot_noise_averages(NoiseModel([("gaussian", 0.0)]), 1, 10, rng) == 0.0)
 
 
 @pytest.mark.parametrize("model, m, start", [
-    (gaussian(1.3), 7, 5),
-    (uniform(0.8), 7, 5),
-    (rademacher(0.6), 7, 5),
+    (NoiseModel([("gaussian", 1.3)]), 7, 5),
+    (NoiseModel([("uniform", 0.8)]), 7, 5),
+    (NoiseModel([("rademacher", 0.6)]), 7, 5),
     (NoiseModel.parse("gaussian=1,uniform=2,rademacher=0.5"), 8, 4),  # 8 mod 3 = 2
 ])
 def test_slot_sums_follow_the_per_step_law(model, m, start):
@@ -247,7 +249,7 @@ def test_uniform_slot_sums_hold_bounded_memory():
     # a per-step array here would be 2870 * 20000 * 8 B = 460 MB
     tracemalloc.start()
     try:
-        averaged = slot_noise_averages(uniform(8.0), 2870, 20_000,
+        averaged = slot_noise_averages(NoiseModel([("uniform", 8.0)]), 2870, 20_000,
                                        np.random.default_rng(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -291,7 +293,7 @@ def test_schedule_slot_sums_hold_memory_flat_in_the_period():
         finally:
             tracemalloc.stop()
 
-    one = peak(gaussian(1.0))
+    one = peak(NoiseModel([("gaussian", 1.0)]))
     fifty = peak(NoiseModel([("gaussian", 1.0)] * 50))
     assert fifty < 3 * one
     assert fifty < 20 * 2**20
@@ -406,7 +408,7 @@ def test_uniform_bit_count_sums_follow_the_summed_draws_law(n):
 def test_uniform_sums_below_the_bit_count_switch_are_drawn_directly(n):
     slots = 1000
     rng = np.random.default_rng(33)
-    direct = slot_noise_averages(uniform(1.0), n, slots, rng) * n
+    direct = slot_noise_averages(NoiseModel([("uniform", 1.0)]), n, slots, rng) * n
     reference = np.random.default_rng(33)
     np.testing.assert_allclose(direct, summed_uniform_draws(n, slots, reference),
                                rtol=0, atol=1e-9)
@@ -416,7 +418,7 @@ def test_uniform_sums_below_the_bit_count_switch_are_drawn_directly(n):
 def test_uniform_sums_from_the_bit_count_switch_on_are_drawn_from_bit_counts():
     n, slots = channel._BIT_COUNT_STEPS, 1000
     rng = np.random.default_rng(34)
-    drawn = slot_noise_averages(uniform(1.0), n, slots, rng) * n
+    drawn = slot_noise_averages(NoiseModel([("uniform", 1.0)]), n, slots, rng) * n
     reference = np.random.default_rng(34)
     np.testing.assert_allclose(drawn, 2.0 * channel._bit_count_sums(n, slots, reference) - n,
                                rtol=0, atol=1e-9)
@@ -448,11 +450,12 @@ def oracle_decode(senders, repetitions, power, noise, seed):
 def test_threshold_decode_tie_goes_to_false():
     # rademacher(0.5) noise, m = 1, P = 1: each slot average is a tie at the
     # sqrt(P)/2 = 0.5 threshold (+0.5 silent, 1 - 0.5 with a sender) or clear of it
-    noise = slot_noise_averages(rademacher(0.5), 1, 200, np.random.default_rng(3))
+    noise = slot_noise_averages(NoiseModel([("rademacher", 0.5)]), 1, 200,
+                                np.random.default_rng(3))
     assert set(noise) == {-0.5, 0.5}
-    silent = oracle_decode(np.zeros(200, int), 1, 1.0, rademacher(0.5), 3)
+    silent = oracle_decode(np.zeros(200, int), 1, 1.0, NoiseModel([("rademacher", 0.5)]), 3)
     assert not silent.any()
-    sending = oracle_decode(np.ones(200, int), 1, 1.0, rademacher(0.5), 3)
+    sending = oracle_decode(np.ones(200, int), 1, 1.0, NoiseModel([("rademacher", 0.5)]), 3)
     np.testing.assert_array_equal(sending, noise > 0)
 
 
@@ -460,15 +463,16 @@ def test_repetition_oracle_rejects_a_bad_code_and_keeps_the_threshold():
     # the repetition count and the power are checked once, when the oracle is built
     for repetitions, power in ((0, 1.0), (1, 0.0), (1, math.inf)):
         with pytest.raises(ValueError):
-            RepetitionDisjunctionOracle(rademacher(1.0), power, repetitions,
+            RepetitionDisjunctionOracle(NoiseModel([("rademacher", 1.0)]), power, repetitions,
                                         np.random.default_rng(0))
     # the threshold is sqrt(P)/2: silent slots average +-1, which clears it at
     # P = 1 and ties it at P = 4
     silent = np.zeros(100, int)
-    noise = slot_noise_averages(rademacher(1.0), 1, 100, np.random.default_rng(0))
-    decoded = oracle_decode(silent, 1, 1.0, rademacher(1.0), 0)
+    noise = slot_noise_averages(NoiseModel([("rademacher", 1.0)]), 1, 100,
+                                np.random.default_rng(0))
+    decoded = oracle_decode(silent, 1, 1.0, NoiseModel([("rademacher", 1.0)]), 0)
     np.testing.assert_array_equal(decoded, noise > 0)
-    assert not oracle_decode(silent, 1, 4.0, rademacher(1.0), 0).any()
+    assert not oracle_decode(silent, 1, 4.0, NoiseModel([("rademacher", 1.0)]), 0).any()
 
 
 def test_repetition_oracle_matches_scalar_pipeline():
@@ -487,12 +491,14 @@ def test_repetition_oracle_is_one_sided_and_monotone_in_senders():
     # errors on all-false slots only when the averaged noise exceeds +threshold,
     # and adding a sender can only turn decodes from false to true
     power, m, slots = 1.0, 9, 2000
-    decoded_silent = oracle_decode(np.zeros(slots, int), m, power, gaussian(1.0), 11)
-    averaged = slot_noise_averages(gaussian(1.0), m, slots,
+    decoded_silent = oracle_decode(np.zeros(slots, int), m, power,
+                                   NoiseModel([("gaussian", 1.0)]), 11)
+    averaged = slot_noise_averages(NoiseModel([("gaussian", 1.0)]), m, slots,
                                    np.random.default_rng(11))
     np.testing.assert_array_equal(decoded_silent, averaged > 0.5)
 
-    decoded_true = oracle_decode(np.ones(slots, int), m, power, gaussian(1.0), 11)
+    decoded_true = oracle_decode(np.ones(slots, int), m, power,
+                                 NoiseModel([("gaussian", 1.0)]), 11)
     assert np.all(decoded_true >= decoded_silent)
     # with a sender the decode fails only if noise drags the slot down
     np.testing.assert_array_equal(decoded_true, averaged > -0.5)
@@ -522,6 +528,27 @@ def test_gaussian_slot_error_monotone_and_validated():
         gaussian_slot_error_exact(1.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("sigma, power, m", [(1.0, 1.0, 45), (0.5, 2.0, 10), (3.0, 1.0, 300),
+                                            (1.0, 1.0, 5631), (1e-200, 1.0, 1)])
+def test_exact_excursion_of_one_gaussian_member_is_the_bounds_law(sigma, power, m):
+    # 5631 steps make the excursion subnormal
+    exact = NoiseModel([("gaussian", sigma)]).exact_excursion(power, m)
+    assert exact == gaussian_slot_error_exact(sigma, power, m)
+
+
+@pytest.mark.parametrize("spec", ["uniform=1", "rademacher=1", "gaussian=0",
+                                  "gaussian=1,gaussian=1", "gaussian=1,uniform=1"])
+def test_exact_excursion_is_none_without_one_member_whose_family_has_a_law(spec):
+    assert NoiseModel.parse(spec).exact_excursion(1.0, 45) is None
+
+
+def test_every_family_is_one_record_with_named_fields():
+    for family, record in channel._FAMILIES.items():
+        assert record._fields == ("step_sums", "proxy_ratio", "excursion"), family
+    assert channel._FAMILIES["gaussian"].excursion is gaussian_slot_error_exact
+    assert channel._FAMILIES["uniform"].proxy_ratio == 3
+
+
 def test_tail_constant_one_eighth_is_safe_for_gaussian():
     # exact excursion probability <= exp(1 - c m P / K^2) at c = 1/8, K = sigma
     for sigma in (0.5, 1.0, 2.0):
@@ -534,7 +561,7 @@ def test_tail_constant_one_eighth_is_safe_for_gaussian():
 
 def test_empirical_gaussian_excursion_rate_matches_exact():
     sigma, power, m, slots = 1.0, 1.0, 45, 200_000
-    averaged = slot_noise_averages(gaussian(sigma), m, slots,
+    averaged = slot_noise_averages(NoiseModel([("gaussian", sigma)]), m, slots,
                                    np.random.default_rng(2024))
     rate = float((np.abs(averaged) >= math.sqrt(power) / 2).mean())
     exact = gaussian_slot_error_exact(sigma, power, m)
@@ -570,7 +597,8 @@ def test_slot_error_rates_replay_the_chunked_threshold_counts(spec):
 
 def test_repetition_oracle_decodes_the_disjunction():
     # without noise a slot decodes true iff it has a sender, whatever their number
-    oracle = RepetitionDisjunctionOracle(gaussian(0.0), 1.0, 4, np.random.default_rng(1))
+    oracle = RepetitionDisjunctionOracle(NoiseModel([("gaussian", 0.0)]), 1.0, 4,
+                                         np.random.default_rng(1))
     senders = np.array([1, 0, 2, 0, 3])
     np.testing.assert_array_equal(oracle.decode_block(senders), senders > 0)
 
@@ -581,7 +609,7 @@ def test_transmit_block_zero_noise_recovers_exact_disjunction():
     messages = np.random.default_rng(5).random((6, 40)) < 0.3
     counts = messages.sum(axis=0)
     assert {0, 1, 2, 3} <= set(counts.tolist())
-    decoded = oracle_decode(counts, 3, 2.0, gaussian(0.0), 0)
+    decoded = oracle_decode(counts, 3, 2.0, NoiseModel([("gaussian", 0.0)]), 0)
     np.testing.assert_array_equal(decoded, messages.any(axis=0))
 
 

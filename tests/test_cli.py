@@ -876,6 +876,18 @@ def test_channel_smoke_reports_rates(capsys):
     assert 0.0 <= rate <= 0.01
 
 
+def test_channel_prints_the_exact_excursion_its_familys_record_holds(capsys, monkeypatch):
+    # the command reads the law off the family's record, not off its name
+    from gtmac import channel
+
+    uniform = channel._FAMILIES["uniform"]._replace(excursion=lambda a, power, m: 0.25)
+    monkeypatch.setitem(channel._FAMILIES, "uniform", uniform)
+    code, out = run_cli(capsys, ["channel", "--noise", "uniform=1", "--power", "1",
+                                 "--delta", "0.01", "--slots", "10", "--seed", "1"])
+    assert code == 0
+    assert out.splitlines()[-1] == "uniform_exact_excursion = 0.25"
+
+
 @pytest.mark.parametrize("flag", [["--slots", "0"], ["--m", "0"]])
 def test_channel_checks_inputs_before_printing(capsys, flag):
     with pytest.raises(SystemExit) as info:
@@ -1038,10 +1050,10 @@ _UNTIL_EXACT = ["simulate", "--n-inactive", "10000", "--k", "20", "--trials", "2
 ], ids=["trace-horizon", "trace-horizon-2GiB", "trace-horizon-2e7-2GiB", "until-exact-grid",
         "until-exact-grid-2e7-2GiB", "preset-grid", "e2e-block"])
 def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
-    # each form's largest arrays would not fit: 200 PB of trace, 170 PB of
+    # each form's largest arrays would not fit: 155 PB of trace, 130 PB of
     # curve, 20 TB of one e2e block's 1.25e12 slots, or against the child's
-    # 2 GiB of address space 200 GB of trace at 10**9 slots, and 4 GB of trace
-    # or 3.4 GB of curve at 2e7 slots, which the runs need at their peak
+    # 2 GiB of address space 155 GB of trace at 10**9 slots, and 3.1 GB of trace
+    # or 2.6 GB of curve at 2e7 slots, which the runs need at their peak
     place = ["--out-dir", str(tmp_path)] if "--preset" in argv else [
         "--out", str(tmp_path / "x.csv")]
     started = time.perf_counter()
@@ -1059,7 +1071,7 @@ def test_arrays_past_memory_exit_2_before_any_output(tmp_path, argv, flag):
 def test_until_exact_curve_memory_does_not_grow_with_trials(tmp_path, capsys):
     # a batch adds up one slot histogram per block, and the curve and its
     # summary line are read off their sum: a block's draws, two histograms,
-    # the grid and the CSV text, not 8 bytes a trial (16 MB here)
+    # the grid and a chunk of CSV text, not 8 bytes a trial (16 MB here)
     import tracemalloc
 
     trials = 2_000_000
@@ -1082,7 +1094,7 @@ def test_memory_checks_count_two_thirds_of_the_peak_up_to_the_peak(tmp_path, cap
                                                                    monkeypatch, argv):
     # the bytes a form's memory check counts for 10**5 grid points or slots
     # against what the run holds at its peak, the curve's or trace's tuples
-    # and the CSV text, under tracemalloc
+    # and one chunk of CSV text, under tracemalloc
     import tracemalloc
 
     from gtmac import cli
@@ -1452,7 +1464,7 @@ def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, monkeypatch):
     import tracing
 
     from gtmac import harness, scheme
-    from gtmac.channel import RepetitionDisjunctionOracle, gaussian
+    from gtmac.channel import RepetitionDisjunctionOracle
 
     rec = tracing.Recorder()
     tiny = ["--trials", "20", "--seed", "1", "--threads", "1"]
@@ -1468,7 +1480,7 @@ def test_benchmark_tracer_finds_every_layer_it_patches(tmp_path, monkeypatch):
             assert main([*argv, *tiny, "--out", str(out)]) == 0
         # an e2e trial decodes only the active rows; the node-level reference
         # scheme, which the tracer also patches, runs only when called
-        oracle = RepetitionDisjunctionOracle(gaussian(0.5), 1.0, 2,
+        oracle = RepetitionDisjunctionOracle(NoiseModel([("gaussian", 0.5)]), 1.0, 2,
                                              np.random.default_rng(3))
         harness.run_scheme(scheme.Population(8, frozenset({1, 6})),
                            scheme.SchemeConfig(1 / 3, budget, 4), oracle)

@@ -15,7 +15,7 @@ import scipy.stats
 
 from gtmac import bounds, harness, scheme
 from gtmac._ranges import check_levels
-from gtmac.channel import NoiseModel, RepetitionDisjunctionOracle, gaussian, rademacher
+from gtmac.channel import NoiseModel, RepetitionDisjunctionOracle
 
 
 def _per_trial(table: np.ndarray, n_inactive: int, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +183,8 @@ def test_batch_runners_validate_parameters():
     plan = bounds.plan_channel_uses(5, 1, 0.1, 1.0, 1.0, 0.125)
     for power, trials in ((math.inf, 10), (1.0, 0)):
         with pytest.raises(ValueError):
-            harness.run_end_to_end_batch(5, 1, 0.1, gaussian(1.0), power, plan.slots,
-                                         plan.repetitions, trials, 0)
+            harness.run_end_to_end_batch(5, 1, 0.1, NoiseModel([("gaussian", 1.0)]), power,
+                                         plan.slots, plan.repetitions, trials, 0)
 
 
 # --- error curves ----------------------------------------------------------------
@@ -458,7 +458,8 @@ def test_limb_sums_are_exact_near_the_int64_limit():
     lambda workers: harness.run_until_exact_batch(5, 1, 0.5, 10, 3, 0, workers=workers),
     lambda workers: harness.expectation_trace(5, 1, 0.5, 3, 4, 0, workers=workers),
     lambda workers: harness.run_end_to_end_batch(
-        5, 1, 0.1, gaussian(1.0), 1.0, *_plan_uses(5, 1, 0.1), 3, 0, workers=workers),
+        5, 1, 0.1, NoiseModel([("gaussian", 1.0)]), 1.0, *_plan_uses(5, 1, 0.1), 3, 0,
+        workers=workers),
 ], ids=["until-exact", "trace", "e2e"])
 def test_batch_runners_reject_a_bool_worker_count(run):
     with pytest.raises(TypeError):
@@ -470,12 +471,12 @@ def test_batch_runners_reject_a_bool_worker_count(run):
 def test_end_to_end_trial_zero_noise_fails_only_through_elimination():
     # noiseless channel, generous budget: recovery succeeds
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
-    table = harness.end_to_end_trial(50, 2, gaussian(0.0), power=1.0, slots=plan.slots,
-                                     repetitions=plan.repetitions,
+    table = harness.end_to_end_trial(50, 2, NoiseModel([("gaussian", 0.0)]), power=1.0,
+                                     slots=plan.slots, repetitions=plan.repetitions,
                                      rng=np.random.default_rng(31), trials=1)
     # columns: recovered, failed
     assert table.dtype == np.int64 and table.sum(axis=0).tolist() == [1, 0]
-    table = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan.slots,
+    table = harness.end_to_end_trial(50, 2, NoiseModel([("gaussian", 0.0)]), 1.0, plan.slots,
                                      plan.repetitions, np.random.default_rng(31), 1)
     assert table.sum(axis=0).tolist() == [1, 0]
 
@@ -515,14 +516,14 @@ def test_end_to_end_batch_runs_the_plan_it_is_given(monkeypatch):
 
     monkeypatch.setattr(bounds, "plan_channel_uses", lambda *args: calls.append(args))
     monkeypatch.setattr(harness, "end_to_end_trial", recorded)
-    summary = harness.run_end_to_end_batch(40, 2, 0.1, gaussian(1.0), 1.0, slots,
+    summary = harness.run_end_to_end_batch(40, 2, 0.1, NoiseModel([("gaussian", 1.0)]), 1.0, slots,
                                            repetitions, 40, 34, workers=1)
     assert summary.trials == 40
     assert calls == [] and blocks and set(blocks) == {(slots, repetitions)}
 
 
 def test_end_to_end_batch_is_worker_count_invariant():
-    batch = (30, 2, 0.1, gaussian(1.0), 1.0, *_plan_uses(30, 2, 0.1), 24, 33)
+    batch = (30, 2, 0.1, NoiseModel([("gaussian", 1.0)]), 1.0, *_plan_uses(30, 2, 0.1), 24, 33)
     assert (harness.run_end_to_end_batch(*batch, workers=1)
             == harness.run_end_to_end_batch(*batch, workers=4))
 
@@ -576,7 +577,7 @@ def _merged_columns(a: np.ndarray, b: np.ndarray, minimum: int = 20) -> np.ndarr
     return np.array(merged).T
 
 
-@pytest.mark.parametrize("noise", [None, gaussian(0.5),
+@pytest.mark.parametrize("noise", [None, NoiseModel([("gaussian", 0.5)]),
                                    NoiseModel.parse("gaussian=0.5,uniform=1,rademacher=0.3")],
                          ids=["ideal", "gaussian", "schedule"])
 def test_active_row_path_matches_node_level_scheme(noise, monkeypatch):
@@ -614,7 +615,8 @@ def test_active_row_path_matches_node_level_scheme(noise, monkeypatch):
 
     monkeypatch.setattr(RepetitionDisjunctionOracle, "decode_block", spy)
     row_table = harness.end_to_end_trial(
-        n_inactive, k, gaussian(0.0) if noise is None else noise, 1.0, slots, 2, rng, runs)
+        n_inactive, k, NoiseModel([("gaussian", 0.0)]) if noise is None else noise, 1.0, slots,
+        2, rng, runs)
     ((senders, decoded),) = blocks
     assert senders.shape == decoded.shape == (runs, slots)
     decodes = [decoded]
@@ -690,13 +692,14 @@ def test_conditional_failure_rate_matches_exact_law():
     # criterion 6's batch: the mean of the per-trial conditional failure
     # probabilities estimates the exact failure probability
     plan = bounds.plan_channel_uses(500, 5, 0.05, 1.0, 1.0, bounds.TAIL_CONSTANT)
-    batch = (500, 5, 0.05, gaussian(1.0), 1.0, plan.slots, plan.repetitions, 2000, 20260816)
+    batch = (500, 5, 0.05, NoiseModel([("gaussian", 1.0)]), 1.0, plan.slots, plan.repetitions,
+             2000, 20260816)
     summary = harness.run_end_to_end_batch(*batch)
     # replay the batch block by block from each block's seed
     block, p = harness._end_to_end_block(plan.slots), scheme.optimal_choice_probability(5)
     conditional = np.concatenate([_per_trial(
-        harness.end_to_end_trial(500, 5, gaussian(1.0), 1.0, plan.slots, plan.repetitions,
-                                 harness._block_rng(batch[-1], b // block),
+        harness.end_to_end_trial(500, 5, NoiseModel([("gaussian", 1.0)]), 1.0, plan.slots,
+                                 plan.repetitions, harness._block_rng(batch[-1], b // block),
                                  min(block, summary.trials - b)), 500, p)[1]
         for b in range(0, summary.trials, block)])
     assert len(conditional) == summary.trials
@@ -712,15 +715,15 @@ def test_conditional_failure_rate_matches_exact_law():
 def test_end_to_end_trial_conditional_failure_edge_cases():
     plan = bounds.plan_channel_uses(50, 2, 0.01, 1.0, 1.0, 0.125)
     # noiseless: nothing is evicted, and 50 nodes rarely outlast the plan
-    table = harness.end_to_end_trial(50, 2, gaussian(0.0), 1.0, plan.slots, plan.repetitions,
-                                     np.random.default_rng(31), 1)
+    table = harness.end_to_end_trial(50, 2, NoiseModel([("gaussian", 0.0)]), 1.0, plan.slots,
+                                     plan.repetitions, np.random.default_rng(31), 1)
     failed, conditional = _per_trial(table, 50, 1 / 3)
     assert failed.tolist() == [False] and table[0].tolist() == [0, 0]
     assert 0.0 < conditional[0] < 0.01
     # no inactive node: no slot, and no trial can fail
     empty = bounds.plan_channel_uses(0, 2, 0.01, 1.0, 1.0, 0.125)
-    table = harness.end_to_end_trial(0, 2, gaussian(1.0), 1.0, empty.slots, empty.repetitions,
-                                     np.random.default_rng(3), 4)
+    table = harness.end_to_end_trial(0, 2, NoiseModel([("gaussian", 1.0)]), 1.0, empty.slots,
+                                     empty.repetitions, np.random.default_rng(3), 4)
     failed, conditional = _per_trial(table, 0, 1 / 3)
     assert failed.tolist() == [False] * 4
     assert conditional.tolist() == [0.0] * 4
@@ -728,8 +731,8 @@ def test_end_to_end_trial_conditional_failure_edge_cases():
     assert bounds._survivors(50, 0.5, np.array([0, 1]))[0] == 1.0
     # an eviction fails the trial whatever F is: noise this loud evicts an
     # active node in every trial
-    table = harness.end_to_end_trial(50, 2, gaussian(1e3), 1.0, plan.slots, plan.repetitions,
-                                     np.random.default_rng(5), 8)
+    table = harness.end_to_end_trial(50, 2, NoiseModel([("gaussian", 1e3)]), 1.0, plan.slots,
+                                     plan.repetitions, np.random.default_rng(5), 8)
     failed, conditional = _per_trial(table, 50, 1 / 3)
     assert failed.tolist() == [True] * 8 and table[0].tolist() == [0, 8]
     assert conditional.tolist() == [1.0] * 8
@@ -745,7 +748,8 @@ def test_end_to_end_batch_without_inactive_nodes_never_fails():
     # 3 slots of 2 repetitions with N = 0, which no plan gives: noiseless
     # decodes evict no active node, and a trial whose 3 slots all had a sender
     # has F = 0, where the survivors law 1 - (1 - (1-p)**F)**N would read 0 * log(0)
-    summary = harness.run_end_to_end_batch(0, 2, 0.1, gaussian(0.0), 1.0, 3, 2, 50, 1)
+    summary = harness.run_end_to_end_batch(0, 2, 0.1, NoiseModel([("gaussian", 0.0)]), 1.0, 3, 2,
+                                           50, 1)
     assert (summary.failures, summary.conditional_failure_rate) == (0, 0.0)
     assert bounds._survivors(0, 1 / 3, np.arange(4)).tolist() == [0.0] * 4
 
@@ -756,7 +760,8 @@ def _refused_before_any_draw(monkeypatch, error, n_inactive, k, slots, repetitio
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
     with pytest.raises(error):
-        harness.end_to_end_trial(n_inactive, k, gaussian(1.0), 1.0, slots, repetitions, rng, 5)
+        harness.end_to_end_trial(n_inactive, k, NoiseModel([("gaussian", 1.0)]), 1.0, slots,
+                                 repetitions, rng, 5)
     assert rng.bit_generator.state == state
 
     def refuse(*args):
@@ -764,8 +769,8 @@ def _refused_before_any_draw(monkeypatch, error, n_inactive, k, slots, repetitio
 
     monkeypatch.setattr(harness, "_run_blocks", refuse)
     with pytest.raises(error):
-        harness.run_end_to_end_batch(n_inactive, k, 0.1, gaussian(1.0), 1.0, slots,
-                                     repetitions, 5, 0)
+        harness.run_end_to_end_batch(n_inactive, k, 0.1, NoiseModel([("gaussian", 1.0)]), 1.0,
+                                     slots, repetitions, 5, 0)
 
 
 @pytest.mark.parametrize("slots, repetitions, error", [
@@ -794,14 +799,14 @@ def test_no_slot_recovers_exactly_when_there_is_no_inactive_node(repetitions):
     for n_inactive, recovered, conditional in ((0, True, 0.0), (5, False, 1.0)):
         rng = np.random.default_rng(9)
         state = rng.bit_generator.state
-        table = harness.end_to_end_trial(n_inactive, 2, gaussian(1.0), 1.0, 0, repetitions,
-                                         rng, 4)
+        table = harness.end_to_end_trial(n_inactive, 2, NoiseModel([("gaussian", 1.0)]), 1.0, 0,
+                                         repetitions, rng, 4)
         assert rng.bit_generator.state == state
         failed, probability = _per_trial(table, n_inactive, 1 / 3)
         assert table.dtype == np.int64 and (~failed).tolist() == [recovered] * 4
         assert probability.tolist() == [conditional] * 4
-        summary = harness.run_end_to_end_batch(n_inactive, 2, 0.1, gaussian(1.0), 1.0, 0,
-                                               repetitions, 30, 1)
+        summary = harness.run_end_to_end_batch(n_inactive, 2, 0.1, NoiseModel([("gaussian", 1.0)]),
+                                               1.0, 0, repetitions, 30, 1)
         assert (summary.failures, summary.conditional_failure_rate) == \
             (0 if recovered else 30, conditional)
         assert (summary.slots, summary.total_channel_uses) == (0, 0)
@@ -823,8 +828,8 @@ def test_end_to_end_trial_matches_exact_law_at_an_unplanned_budget(sigma, exact)
         law = float(bounds.exact_error_curve(n_inactive, k, p, [slots])[0])
     assert law == pytest.approx(exact, rel=1e-6)
     failed, conditional = _per_trial(
-        harness.end_to_end_trial(n_inactive, k, gaussian(sigma), 1.0, slots, repetitions,
-                                 np.random.default_rng(3030), trials), n_inactive, p)
+        harness.end_to_end_trial(n_inactive, k, NoiseModel([("gaussian", sigma)]), 1.0, slots,
+                                 repetitions, np.random.default_rng(3030), trials), n_inactive, p)
     failures = int(np.count_nonzero(failed))
     assert scipy.stats.binomtest(failures, trials, law).pvalue > 1e-3
     z = (conditional.mean() - law) / (conditional.std(ddof=1) / math.sqrt(trials))
@@ -836,8 +841,8 @@ def test_end_to_end_batch_memory_stays_flat_at_a_million_nodes():
     tracemalloc.start()
     try:
         plan = bounds.plan_channel_uses(10**6, 20, 0.01, 1.0, 1.0, 0.125)
-        summary = harness.run_end_to_end_batch(10**6, 20, 0.01, gaussian(1.0), 1.0,
-                                               plan.slots, plan.repetitions, 20, 35)
+        summary = harness.run_end_to_end_batch(10**6, 20, 0.01, NoiseModel([("gaussian", 1.0)]),
+                                               1.0, plan.slots, plan.repetitions, 20, 35)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -851,8 +856,8 @@ def test_end_to_end_batch_memory_does_not_grow_with_trials():
     plan = bounds.plan_channel_uses(20, 1, 0.2, 0.5, 1.0, 0.125)
     tracemalloc.start()
     try:
-        summary = harness.run_end_to_end_batch(20, 1, 0.2, gaussian(0.5), 1.0, plan.slots,
-                                               plan.repetitions, 2_000_000, 1)
+        summary = harness.run_end_to_end_batch(20, 1, 0.2, NoiseModel([("gaussian", 0.5)]), 1.0,
+                                               plan.slots, plan.repetitions, 2_000_000, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -940,6 +945,39 @@ def test_csv_bytes_are_those_of_the_csv_module(tmp_path, result, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["curve", "trace"])
+def test_csv_write_holds_a_chunk_not_the_file(tmp_path, kind):
+    # 10**5 rows are many chunks of the writer's template; its bytes are the
+    # csv module's, and it allocates little above the result it writes (the
+    # whole text and a tuple of every cell took 127 and 144 bytes a row here)
+    n = 10**5
+    column = tuple(i / 7 for i in range(n))
+    if kind == "curve":
+        result = harness.ErrorCurve(tuple(range(n)), column, column[::-1], 400, 0, 4.5, n)
+        rows = zip(range(n), column, column[::-1], [400] * n)
+    else:
+        result = harness.ExpectationTrace(tuple(range(n)), column, column[::-1], column)
+        rows = zip(range(n), column, column[::-1], column)
+    path = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        harness.export_csv(result, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_HEADERS[kind])
+        writer.writerows(rows)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+_CSV_HEADERS = {"curve": ["l", "observed_frequency", "theoretical_bound", "trials"],
+                "trace": ["slot", "empirical_mean", "std_error", "predicted_mean"]}
 
 
 def test_csv_of_numpy_computed_results_parses_back_exactly(tmp_path):
