@@ -145,8 +145,9 @@ _BIT_WEIGHTS = 2.0 ** np.arange(-_BITS, 0)
 # 2.4, 2-vCPU Xeon: 1.8 ms for 4530 slots, against 0.8 ms of draws at n = 60
 # and 3.5 ms at n = 300), so below the switch the draws are cheaper.
 _BIT_COUNT_STEPS = 160
-# Values of uniform noise held at once.
-_UNIFORM_CHUNK = 1 << 16
+# Values of uniform noise held at once: 2**14 keeps a chunk's arrays (~128 KiB)
+# under glibc's mmap threshold, so no chunk maps and unmaps its own pages.
+_UNIFORM_CHUNK = 1 << 14
 
 
 @functools.lru_cache(maxsize=16)

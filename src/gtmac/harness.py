@@ -9,8 +9,10 @@ Until-exact and trace batches are seeded per block: trials
 drawn together by the surplus kernel from ``SeedSequence((seed_base, b))``:
 blocks and slots share one seed rule, :func:`gtmac.scheme.slot_rng`, which
 this module binds at import.  Every block of every batch returns exact
-integer counts, which add up in any grouping: workers pre-add them, nothing
-is held per trial or per block, and no result depends on the worker count.
+integer counts, which add up in any grouping: workers pre-add ranges of them,
+sized from the measured rate, and the parent adds each range as it lands;
+nothing is held per trial or per block, and no result depends on the worker
+count or the split.
 
 End-to-end batches are seeded per block by the same rule: a block holds
 ``max(1, 2**16 // slots)`` trials, a constant of the batch's ℓ, and block
@@ -37,6 +39,7 @@ import itertools
 import math
 import os
 import sys
+import time
 from collections import namedtuple
 
 import numpy as np
@@ -78,6 +81,9 @@ TRIAL_BLOCK = 8192
 _MAX_BINS = 1 << 24  # of an until-exact histogram, 128 MiB: k up to ~3e5 at N = 10**4
 # Linux forks, ~2x faster than 3.14's forkserver and safe: no worker calls BLAS
 _START_METHOD = "fork" if sys.platform == "linux" else "spawn"  # spawn: macOS's default
+# Seconds of one worker's work a range of blocks holds: an interrupt waits for
+# about this long, and the parent wakes ~5 times a worker-second.
+_RANGE_SECONDS = 0.2
 
 
 def trial_seed(seed_base: int, index: int) -> int:
@@ -169,11 +175,16 @@ def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int):
     """The sum of ``kernel(rng, size)``'s counts over every seeded block of ``trials``.
 
     Block b holds trials ``b*block`` up to the next block's first and draws
-    from its own seed.  Each worker adds a contiguous range of blocks and the
-    parent adds the ranges, by :func:`_add_counts`: the counts are exact, so
-    no result depends on the worker count.  ``kernel`` pickles into workers,
-    which only this function starts (by ``_START_METHOD``; one that dies raises
-    ``ChildProcessError``); nothing is made per block before the blocks run.
+    from its own seed.  Workers add contiguous ranges of blocks and the parent
+    adds each range as it lands, by :func:`_add_counts`: the counts are exact,
+    so no result depends on the worker count, the split or the order.  Ranges
+    are made one at a time, at most two a worker in flight, each about
+    ``_RANGE_SECONDS`` of a worker's work at the rate the finished blocks
+    show (the first are single blocks) and at most a 2·workers-th of the
+    blocks left; so an interrupt or error waits only for the ranges already
+    running, and cancels the rest.  ``kernel`` pickles into workers,
+    which only this function starts (by ``_START_METHOD``; one that dies
+    raises ``ChildProcessError``); nothing is made per block before it runs.
     """
     check("workers", workers)
     count = -(-trials // block)
@@ -182,14 +193,31 @@ def _run_blocks(kernel, trials: int, block: int, seed_base: int, workers: int):
     if size == 1:
         return run(range(count))
     # imported here: the pool's modules cost a one-worker run ~9 ms of start-up
+    from concurrent.futures import FIRST_COMPLETED, wait
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import get_context
 
-    step = -(-count // (8 * size))
+    total, lo, done, running = None, 0, 0, {}
     try:
         with ProcessPoolExecutor(size, mp_context=get_context(_START_METHOD)) as pool:
-            return functools.reduce(_add_counts, pool.map(
-                run, (range(lo, min(lo + step, count)) for lo in range(0, count, step))))
+            start = time.perf_counter()
+            try:
+                while running or lo < count:
+                    while lo < count and len(running) < 2 * size:
+                        rate = done / (size * (time.perf_counter() - start)) if done else 0
+                        step = max(1, min(int(_RANGE_SECONDS * rate),
+                                          -(-(count - lo) // (2 * size))))
+                        running[pool.submit(run, range(lo, lo + step))] = step
+                        lo += step
+                    for future in wait(running, return_when=FIRST_COMPLETED).done:
+                        done += running.pop(future)
+                        counts = future.result()
+                        total = counts if total is None else _add_counts(total, counts)
+            except BaseException:
+                for future in running:
+                    future.cancel()  # exit waits only for the ranges already running
+                raise
+        return total
     except BrokenProcessPool as exc:
         raise ChildProcessError(str(exc)) from exc
 

@@ -258,6 +258,26 @@ def test_uniform_slot_sums_hold_bounded_memory():
     assert averaged.std() == pytest.approx(8.0 / math.sqrt(3 * 2870), rel=0.02)
 
 
+def test_uniform_chunks_stay_under_the_mmap_threshold_and_keep_the_draws():
+    # e2e_lowsnr's uniform member: 1538 steps in each of a block's 4530
+    # slots; a 2**16-value chunk peaked at 1.22 MB, which glibc maps and
+    # unmaps afresh every chunk, and 2**14 at 0.33 MB (the cached Bin(1538,
+    # 1/2) table, ~0.9 MB, is built first: it is not the chunk's)
+    channel._binomial_table(1538, 0.5)
+    rng = np.random.default_rng(35)
+    tracemalloc.start()
+    try:
+        chunked = channel._uniform_steps(1538, 4530, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2**10
+    # the chunks draw the same words in the same order as one unchunked call
+    reference = np.random.default_rng(35)
+    assert chunked.tolist() == (2.0 * channel._bit_count_sums(1538, 4530, reference) - 1538).tolist()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 @pytest.mark.parametrize("period, m, slots, run", [
     (1, 7, 10, 10), (3, 4, 70, 10), (3, 6, 30, 30), (5, 2, 40, 8), (50, 4615, 302, 151),
 ])

@@ -10,6 +10,8 @@ import math
 import multiprocessing
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1192,6 +1194,44 @@ def test_a_worker_that_dies_exits_1_with_one_line(tmp_path, capsys, monkeypatch)
     assert "effective parameters" in captured.out and "wrote" not in captured.out
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+def _session(sid: int) -> list[str]:
+    """The pids of the processes in session ``sid``, as ``pgrep -s`` lists them."""
+    return subprocess.run(["pgrep", "-s", str(sid)], capture_output=True, text=True,
+                          timeout=30).stdout.split()
+
+
+@pytest.mark.skipif(shutil.which("pgrep") is None or (os.cpu_count() or 1) < 2,
+                    reason="needs pgrep and two CPUs for two workers")
+def test_an_interrupt_to_the_parent_stops_a_two_worker_run(tmp_path):
+    # 10**9 trials run for about a minute on two workers; SIGINT to the parent
+    # alone cancels the ranges not yet started and waits for the running ones
+    out = tmp_path / "curve.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "gtmac.cli", "simulate", "--n-inactive", "10000",
+         "--k", "20", "--trials", str(10**9), "--seed", "1", "--threads", "2",
+         "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        start_new_session=True,
+        # a shell's background job ignores SIGINT, and its children would too
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        assert proc.stdout.readline() == "# effective parameters\n"
+        deadline = time.monotonic() + 60  # hang guards, not latency bounds
+        while len(_session(proc.pid)) < 3:  # the parent and its two workers
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        os.kill(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err == "gtmac: interrupted\n"
+    assert not out.exists()
+    assert _session(proc.pid) == []
 
 
 def test_an_error_with_no_message_is_named_by_its_type(tmp_path, capsys, monkeypatch):

@@ -167,6 +167,27 @@ def test_batches_are_worker_count_invariant_under_fork_and_spawn(monkeypatch, ba
     assert batch(2) == serial
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_block_runner_keeps_two_ranges_a_worker_in_flight(monkeypatch, workers):
+    # 1000 blocks of one trial: every range is one submit, and none is made
+    # while 2 ranges a worker are unfinished
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    submit, futures, ranges = ProcessPoolExecutor.submit, [], []
+
+    def counted(pool, fn, *args):
+        assert sum(not future.done() for future in futures) < 2 * workers
+        futures.append(submit(pool, fn, *args))
+        ranges.extend(args)
+        return futures[-1]
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    total = harness._run_blocks(block_size, 1000, 1, 0, workers).tolist()
+    assert sorted(b for blocks in ranges for b in blocks) == list(range(1000))
+    assert total == harness._run_blocks(block_size, 1000, 1, 0, 1).tolist() == [0, 1000]
+
+
 def test_pool_size_never_exceeds_threads_tasks_or_cpus():
     assert harness._pool_size(1000, 245, 2) == 2
     assert harness._pool_size(3, 1, 8) == 1
